@@ -15,8 +15,6 @@ from .polycore import (
     PolySystem,
     compose_affine,
     dir_hessian,
-    eval_system,
-    jacobian,
     parse_poly,
     parse_system,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "PolyParseError",
     "parse_poly",
     "parse_system",
-    "eval_system",
-    "jacobian",
     "dir_hessian",
     "compose_affine",
     "SvdSplit",

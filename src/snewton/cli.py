@@ -17,7 +17,7 @@ import numpy as np
 from . import bench, dualspace
 from .numla import split_svd
 from .polycore import PolyParseError, load_system_json
-from .twostep import StepConfig, auto_tolerance, refine
+from .twostep import StepConfig, refine
 
 _USAGE_ERROR = 1
 _NOT_CONVERGED = 2
@@ -110,8 +110,7 @@ def _emit(payload: dict, text: str, fmt: str):
 def _cmd_refine(args) -> int:
     system, entry = _load_system(args)
     x0 = _start_point(args, system, entry)
-    tol = args.tol if args.tol == "auto" else float(args.tol)
-    cfg = StepConfig(tol=tol, seed=_seed(args), stop_residual=args.stop, max_iters=args.iters)
+    cfg = StepConfig(tol=args.tol, seed=_seed(args), stop_residual=args.stop, max_iters=args.iters)
     reference = None
     if args.reference:
         reference = _parse_point(args.reference, system.num_vars)
@@ -153,33 +152,30 @@ def _cmd_analyze(args) -> int:
 def _cmd_check(args) -> int:
     system, entry = _load_system(args)
     x = _start_point(args, system, entry)
-    jac = system.jacobian(x)
-    if args.tol == "auto":
-        tol = auto_tolerance(jac) if np.linalg.norm(jac) > 0 else 1e-8
-    else:
-        tol = float(args.tol)
-    split = split_svd(jac, tol)
+    tol = args.tol if args.tol == "auto" else float(args.tol)
+    split = split_svd(system.jacobian(x), tol)
     if split.kappa == 0:
         _emit(
-            {"schema": 1, "kappa": 0, "verdict": "regular"},
+            {"schema": 1, "kappa": 0, "tol": split.tol, "verdict": "regular"},
             "kappa = 0: regular point, nothing to deflate",
             args.format,
         )
         return 0
     necessary = dualspace.deflation_one_necessary(system, x)
     sufficient = dualspace.is_deflation_one(
-        system, x, tol, trials=args.trials, seed=_seed(args)
+        system, x, split.tol, trials=args.trials, seed=_seed(args)
     )
     verdict = "deflation-one" if sufficient else "NOT deflation-one"
     payload = {
         "schema": 1,
         "kappa": split.kappa,
+        "tol": split.tol,
         "necessary_dimension_test": necessary,
         "randomized_operator_test": sufficient,
         "verdict": verdict,
     }
     text = (
-        f"kappa = {split.kappa}\n"
+        f"kappa = {split.kappa} (rank tolerance {split.tol:.3e})\n"
         f"necessary (order-2 dimension) test: {'pass' if necessary else 'FAIL'}\n"
         f"sufficient (randomized operator) test: {'pass' if sufficient else 'FAIL'}\n"
         f"verdict: {verdict}"

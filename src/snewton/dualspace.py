@@ -310,31 +310,26 @@ def is_deflation_one(
     """Randomized sufficient test: sample unit kernel directions and accept
     when any of them makes the kernel-step operator comfortably invertible.
 
-    The invertibility threshold compares the smallest singular value of the
-    operator against ``tol`` times the local Hessian scale, so ``tol``
-    should reflect the actual spectral gap of the Jacobian; when None it is
-    derived from the largest gap (the coarse tolerances used to steer
-    refinement from far starts are too blunt here).  Returns False for a
-    regular point (corank 0).
+    The threshold compares the smallest singular value of the operator
+    B = U2* (D2f(x).v) V2 against the Jacobian rank tolerance times the
+    Hessian scale ||D2f(x).v||, both from one contraction per trial, with v
+    from ``twostep.random_direction``.  ``tol`` should reflect the actual
+    spectral gap of the Jacobian; None means "auto", the gap rule of
+    ``split_svd`` (the coarse tolerances used to steer refinement from far
+    starts are too blunt here).  Returns False for a regular point.
     """
     x = system._check_point(x)
-    jac = system.jacobian(x)
-    if tol is None:
-        # an exactly vanishing Jacobian carries no gap; any tiny tolerance
-        # gives corank n and a noise-scale invertibility threshold
-        tol = twostep.auto_tolerance(jac) if np.linalg.norm(jac) > 0 else 1e-8
-    split = split_svd(jac, tol)
+    split = split_svd(system.jacobian(x), "auto" if tol is None else tol)
     if split.kappa == 0:
         return False
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        lam = rng.standard_normal(split.kappa) + 1j * rng.standard_normal(split.kappa)
-        v = split.v2 @ lam
-        v = v / np.linalg.norm(v)
-        scale = np.linalg.norm(polycore.dir_hessian(system, x, v), 2)
+        v = twostep.random_direction(split.v2, rng)
+        h = polycore.dir_hessian(system, x, v)
+        scale = np.linalg.norm(h, 2)
         if scale == 0:
             continue
-        b = twostep.operator_B(system, x, v, split.u2, split.v2)
-        if singular_values(b)[-1] > tol * scale:
+        b = split.u2.conj().T @ h @ split.v2
+        if singular_values(b)[-1] > split.tol * scale:
             return True
     return False

@@ -16,6 +16,7 @@ __all__ = [
     "SvdSplit",
     "SingularMatrixError",
     "split_svd",
+    "auto_tolerance",
     "solve",
     "least_squares",
     "kernel_basis",
@@ -67,19 +68,24 @@ class SvdSplit:
         return (self.u * self.sigma) @ self.v.conj().T
 
 
-def split_svd(matrix: np.ndarray, tol: float) -> SvdSplit:
+def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
     """SVD of a square matrix partitioned at ``tol``.
 
     The corank is the count of singular values <= tol (all of them when the
-    whole spectrum sits at or below tol, none when it sits above).
+    whole spectrum sits at or below tol, none when it sits above).  With
+    ``tol="auto"`` the tolerance comes from the same SVD by the gap rule of
+    ``auto_tolerance``; an all-zero spectrum has no gap and gets 1e-8, which
+    makes the whole space kernel.  The tolerance used is ``split.tol``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"split_svd needs a square matrix, got shape {m.shape}")
-    if not tol > 0:
+    if tol != "auto" and not tol > 0:
         raise ValueError("tolerance must be positive")
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
+    if tol == "auto":
+        tol = _gap_tolerance(s) if s[0] > 0 else 1e-8
     v = vh.conj().T
     rank = int(np.sum(s > tol))
     kappa = n - rank
@@ -93,6 +99,37 @@ def split_svd(matrix: np.ndarray, tol: float) -> SvdSplit:
         kappa=kappa,
         tol=float(tol),
     )
+
+
+def auto_tolerance(matrix: np.ndarray) -> float:
+    """Rank tolerance from the largest relative gap in the spectrum.
+
+    Returns the geometric mean of the two singular values flanking the
+    largest ratio gap, considering only values above 1e-10 * sigma_1.  When
+    no ratio exceeds 1e3 the spectrum has no usable gap and half the
+    smallest singular value is returned, which makes the matrix look full
+    rank to ``split_svd``.
+    """
+    s = singular_values(matrix)
+    if s[0] == 0:
+        raise ValueError("auto tolerance is undefined for the zero matrix")
+    return _gap_tolerance(s)
+
+
+def _gap_tolerance(s: np.ndarray) -> float:
+    """The gap rule of ``auto_tolerance`` on a descending spectrum, s[0] > 0."""
+    floor = 1e-10 * s[0]
+    best_i, best_ratio = None, 1e3
+    for i in range(len(s) - 1):
+        if s[i] < floor:
+            break
+        lo = max(s[i + 1], 1e-16 * s[0])
+        ratio = s[i] / lo
+        if ratio > best_ratio:
+            best_i, best_ratio = i, ratio
+    if best_i is None:
+        return float(s[-1] / 2) if s[-1] > 0 else float(floor)
+    return float(np.sqrt(s[best_i] * max(s[best_i + 1], 1e-16 * s[0])))
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ run and across machines with the same float format.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -28,10 +29,7 @@ __all__ = [
     "PolyParseError",
     "parse_poly",
     "parse_system",
-    "system_to_string",
     "load_system_json",
-    "eval_system",
-    "jacobian",
     "dir_hessian",
     "normalized_partial",
     "apply_functional",
@@ -67,6 +65,8 @@ class Poly:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in multi-index {alpha}")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of {alpha} is not finite: {c}")
             if c != 0:
                 clean[alpha] = c
         object.__setattr__(self, "num_vars", num_vars)
@@ -291,15 +291,10 @@ class PolySystem:
         """Flattened (exponents, coefficients, row ids) arrays for ``polys``."""
         cached = self._cache.get(key)
         if cached is None:
-            rows, expos, coefs = [], [], []
-            for i, p in enumerate(polys):
-                e, c = p._arrays()
-                expos.append(e)
-                coefs.append(c)
-                rows.append(np.full(len(c), i, dtype=np.int64))
-            expo = np.concatenate(expos) if expos else np.zeros((0, self.num_vars), np.int16)
-            coef = np.concatenate(coefs) if coefs else np.zeros(0, complex)
-            row = np.concatenate(rows) if rows else np.zeros(0, np.int64)
+            arrays = [p._arrays() for p in polys]
+            expo = np.concatenate([e for e, _ in arrays])
+            coef = np.concatenate([c for _, c in arrays])
+            row = np.repeat(np.arange(len(polys), dtype=np.int64), [len(c) for _, c in arrays])
             cached = (expo, coef, row, len(polys))
             self._cache[key] = cached
         return cached
@@ -320,12 +315,18 @@ class PolySystem:
             self._cache["jac_polys"] = jac
         return jac
 
+    def _jac_terms(self):
+        """Flattened term arrays of the partials; row i*num_vars + j is df_i/dx_j."""
+        cached = self._cache.get("jacflat")
+        if cached is None:
+            flat = [p for row in self.jacobian_polys() for p in row]
+            cached = self._flat("jacflat", flat)
+        return cached
+
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
         x = self._check_point(x)
-        jac = self.jacobian_polys()
-        flat = [p for row in jac for p in row]
-        expo, coef, row, m = self._flat("jacflat", flat)
+        expo, coef, row, m = self._jac_terms()
         vals = _segment_sums(coef * _monomial_values(expo, x), row, m)
         return vals.reshape(len(self.polys), self.num_vars)
 
@@ -335,6 +336,9 @@ class PolySystem:
             raise ValueError(
                 f"point has {x.shape[0]} coordinates, system has {self.num_vars} variables"
             )
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"point coordinate {bad[0] + 1} is not finite: {x[bad[0]]}")
         return x
 
     def to_string(self, variable_names: Sequence[str] | None = None) -> str:
@@ -496,6 +500,8 @@ class _LineParser:
             coeff *= sign
             alpha = tuple(alpha)
             terms[alpha] = terms.get(alpha, 0.0) + coeff
+            if not cmath.isfinite(terms[alpha]):
+                self.error("coefficient is not finite", col)
             first = False
         return Poly(self.n, terms)
 
@@ -598,10 +604,6 @@ def parse_system(text: str, variable_names: Sequence[str]) -> PolySystem:
     return PolySystem(polys)
 
 
-def system_to_string(system: PolySystem, variable_names: Sequence[str] | None = None) -> str:
-    return system.to_string(variable_names)
-
-
 def load_system_json(path) -> tuple[PolySystem, list[str]]:
     """Load ``{"vars": [...], "polys": ["...", ...]}`` from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -619,36 +621,30 @@ def load_system_json(path) -> tuple[PolySystem, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def eval_system(system: PolySystem, x: Sequence[complex]) -> np.ndarray:
-    """Vector f(x)."""
-    return system.eval(x)
-
-
-def jacobian(system: PolySystem, x: Sequence[complex]) -> np.ndarray:
-    """Jacobian Df(x), exact from the sparse terms."""
-    return system.jacobian(x)
-
-
 def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) -> np.ndarray:
     """Hessian tensor contracted with ``v``: the matrix with entries
     sum_k d^2 f_i / dx_j dx_k (x) * v_k.
 
-    Computed by contracting the gradient with ``v`` symbolically and
-    differentiating once more, so the full third-order tensor is never built.
+    Evaluated from the cached Jacobian term arrays: the terms of each df_i/dx_j
+    are differentiated along every x_k with v_k != 0, weighted by v_k and
+    summed in one pass; no tensor and no polynomial is built.
     """
     x = system._check_point(x)
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (system.num_vars,):
         raise ValueError("direction length does not match the number of variables")
-    jac = system.jacobian_polys()
-    contracted = []
-    for row in jac:
-        g = Poly.zero(system.num_vars)
-        for vk, p in zip(v, row):
-            if vk != 0 and not p.is_zero():
-                g = g + p * vk
-        contracted.append(g)
-    return PolySystem(contracted).jacobian(x)
+    expo, coef, row, m = system._jac_terms()
+    expos, coefs, rows = [expo[:0]], [coef[:0]], [row[:0]]
+    for k in np.flatnonzero(v):
+        e = expo[:, k]
+        mask = e > 0
+        d = expo[mask]
+        d[:, k] -= 1
+        expos.append(d)
+        coefs.append(coef[mask] * e[mask] * v[k])
+        rows.append(row[mask])
+    vals = np.concatenate(coefs) * _monomial_values(np.concatenate(expos), x)
+    return _segment_sums(vals, np.concatenate(rows), m).reshape(len(system), system.num_vars)
 
 
 def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> complex:

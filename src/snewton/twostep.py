@@ -13,6 +13,11 @@ The two operators at the heart of the method:
     B(x) = U2* . D2f(x).v . V2        its kappa x kappa compression.
 
 B is what gets solved; A only ever appears in analysis and tests.
+
+f, Df and D2f(x).v all come from the system's cached term arrays.  One
+iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the rank
+tolerance from that spectrum), one ``random_direction`` draw, and one Hessian
+contraction, inside ``second_refinement``, which returns B' with the step.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from . import polycore
 from .numla import (
     SingularMatrixError,
     SvdSplit,
-    singular_values,
+    auto_tolerance,
     solve,
     split_svd,
 )
@@ -40,6 +45,7 @@ __all__ = [
     "operator_B",
     "first_refinement",
     "second_refinement",
+    "random_direction",
     "two_step",
     "refine",
     "auto_tolerance",
@@ -141,35 +147,8 @@ def _point_json(x: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex)]
 
 
-def auto_tolerance(matrix: np.ndarray) -> float:
-    """Rank tolerance from the largest relative gap in the spectrum.
-
-    Returns the geometric mean of the two singular values flanking the
-    largest ratio gap, considering only values above 1e-10 * sigma_1.  When
-    no ratio exceeds 1e3 the spectrum has no usable gap and half the
-    smallest singular value is returned, which makes the matrix look full
-    rank to ``split_svd``.
-    """
-    s = singular_values(matrix)
-    if s[0] == 0:
-        raise ValueError("auto tolerance is undefined for the zero matrix")
-    floor = 1e-10 * s[0]
-    best_i, best_ratio = None, 1e3
-    for i in range(len(s) - 1):
-        if s[i] < floor:
-            break
-        lo = max(s[i + 1], 1e-16 * s[0])
-        ratio = s[i] / lo
-        if ratio > best_ratio:
-            best_i, best_ratio = i, ratio
-    if best_i is None:
-        return float(s[-1] / 2) if s[-1] > 0 else float(floor)
-    return float(np.sqrt(s[best_i] * max(s[best_i + 1], 1e-16 * s[0])))
-
-
 def operator_A(system: PolySystem, x, v, v2: np.ndarray) -> np.ndarray:
     """Df(x) plus the Hessian contracted with v, projected on span(V2)."""
-    x = np.asarray(x, dtype=complex)
     v = _check_direction(v, system.num_vars, v2)
     proj = v2 @ v2.conj().T
     return system.jacobian(x) + polycore.dir_hessian(system, x, v) @ proj
@@ -177,7 +156,6 @@ def operator_A(system: PolySystem, x, v, v2: np.ndarray) -> np.ndarray:
 
 def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The kappa x kappa compression U2* . (D2f(x).v) . V2."""
-    x = np.asarray(x, dtype=complex)
     if u2.shape[1] == 0:
         raise ValueError("operator_B needs corank at least 1")
     v = _check_direction(v, system.num_vars, v2)
@@ -191,17 +169,12 @@ def _check_direction(v, n: int, v2: np.ndarray) -> np.ndarray:
         raise ValueError("direction length does not match the number of variables")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
-    _check_orthonormal(v2)
+    if np.linalg.norm(v2.conj().T @ v2 - np.eye(v2.shape[1])) > 1e-8:
+        raise ValueError("basis columns are not orthonormal")
     resid = v - v2 @ (v2.conj().T @ v)
     if np.linalg.norm(resid) > 1e-8:
         raise ValueError("direction does not lie in the span of V2")
     return v
-
-
-def _check_orthonormal(m: np.ndarray):
-    gram = m.conj().T @ m
-    if np.linalg.norm(gram - np.eye(m.shape[1])) > 1e-8:
-        raise ValueError("basis columns are not orthonormal")
 
 
 def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
@@ -223,11 +196,10 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
     """Kernel step: solve B' delta = -U2* Df(x') v and move along V2.
 
     U2, V2 and v come from the split at the *original* point; only the
-    Hessian and Jacobian are re-evaluated at x'.  Returns (delta, x'').
+    Hessian and Jacobian are re-evaluated at x'.  Returns (delta, x'', B').
     Raises SingularMatrixError when B' is singular to working precision,
     which signals that the zero is not deflation-one at this scale.
     """
-    x_prime = np.asarray(x_prime, dtype=complex)
     b_prime = operator_B(system, x_prime, v, u2, v2)
     rhs = -(u2.conj().T @ (system.jacobian(x_prime) @ v))
     try:
@@ -237,7 +209,7 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
             "kernel-step operator is singular: the zero does not look "
             "deflation-one at this scale; try another direction or deflation"
         ) from exc
-    return delta, x_prime + v2 @ delta
+    return delta, x_prime + v2 @ delta, b_prime
 
 
 def two_step(
@@ -261,18 +233,14 @@ def two_step(
     t0 = time.perf_counter()
 
     jac = system.jacobian(x)
-    if cfg.tol == "auto":
-        norm = np.linalg.norm(jac)
-        tol = auto_tolerance(jac) if norm > 0 else 1.0
-    else:
-        tol = cfg.tol
-    split = split_svd(jac, tol)
+    split = split_svd(jac, cfg.tol)
     kappa = split.kappa
     n = system.num_vars
-    res = {"x": float(np.linalg.norm(system.eval(x)))}
+    fx = system.eval(x)
+    res = {"x": float(np.linalg.norm(fx))}
 
     if kappa == 0:
-        x_new = x - solve(jac, system.eval(x))
+        x_new = x - solve(jac, fx)
         res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system.eval(x_new)))
         return StepResult(
             kappa=0,
@@ -289,17 +257,19 @@ def two_step(
 
     if kappa == n:
         x_prime, mode = x, "kernel-only"
+        res["x_prime"] = res["x"]
     else:
         x_prime, mode = first_refinement(system, x, split), "two-step"
-    res["x_prime"] = float(np.linalg.norm(system.eval(x_prime)))
+        res["x_prime"] = float(np.linalg.norm(system.eval(x_prime)))
 
     attempts = 1 if cfg.v_override is not None else 2
     last_error = None
     for _ in range(attempts):
         v = _draw_direction(cfg, split, rng)
         try:
-            b_prime = operator_B(system, x_prime, v, split.u2, split.v2)
-            delta, x_second = second_refinement(system, x_prime, v, split.u2, split.v2)
+            delta, x_second, b_prime = second_refinement(
+                system, x_prime, v, split.u2, split.v2
+            )
             break
         except SingularMatrixError as exc:
             last_error = exc
@@ -330,7 +300,12 @@ def _draw_direction(cfg: StepConfig, split: SvdSplit, rng: np.random.Generator) 
         if norm < 1e-8:
             raise ValueError("v_override has no component in the numerical kernel")
         return w / norm
-    lam = rng.standard_normal(split.kappa) + 1j * rng.standard_normal(split.kappa)
+    return random_direction(v2, rng)
+
+
+def random_direction(v2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector V2 lam with lam a standard complex Gaussian draw from ``rng``."""
+    lam = rng.standard_normal(v2.shape[1]) + 1j * rng.standard_normal(v2.shape[1])
     w = v2 @ lam
     return w / np.linalg.norm(w)
 

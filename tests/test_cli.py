@@ -151,6 +151,15 @@ def test_analyze_regular_point(capsys, tmp_path):
     assert "regular point" in out
 
 
+def test_refine_non_finite_start_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2", "y"]}))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path), "--x0", "nan,0.1")
+    assert code == 1
+    assert out == ""
+    assert "error: point coordinate 1 is not finite" in err
+
+
 def test_check_verdicts(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--catalog", "x2-z3xy-y2", "--tol", "0.1"

@@ -295,6 +295,25 @@ def test_is_deflation_one_whole_catalog_with_gap_tolerance():
         assert got is expected, entry.name
 
 
+def test_is_deflation_one_contracts_the_hessian_once_per_trial(contraction_calls):
+    calls = contraction_calls
+    entry = get_entry("x2-z3xy-y2")  # every trial fails, so all of them run
+    assert is_deflation_one(entry.system, entry.zero, entry.tol, trials=4, seed=0) is False
+    assert len(calls) == 4
+    calls.clear()
+    entry = get_entry("running-example")  # the first trial already accepts
+    assert is_deflation_one(entry.system, entry.zero, entry.tol, trials=4, seed=0) is True
+    assert len(calls) == 1
+
+
+def test_non_finite_point_is_rejected_before_any_svd():
+    entry = get_entry("running-example")
+    with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+        multiplicity_structure(entry.system, [np.nan, 1, 1])
+    with pytest.raises(ValueError, match="not finite"):
+        is_deflation_one(entry.system, [1, np.inf, 1])
+
+
 def test_operator_linearity_in_direction():
     entry = get_entry("running-example")
     split = split_svd(entry.system.jacobian(entry.zero), entry.tol)

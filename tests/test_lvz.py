@@ -230,6 +230,12 @@ def test_gauss_newton_rejects_underdetermined():
         gauss_newton(system, [0.0, 0.0])
 
 
+def test_gauss_newton_rejects_non_finite_start():
+    system = parse_system("x^2\n2*x", ["x"])
+    with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+        gauss_newton(system, [complex(np.nan, 1.0)])
+
+
 def test_gauss_newton_trace_json(running):
     deflated, y0 = deflate_once(running, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
     trace = gauss_newton(deflated.system, y0, max_iter=50)

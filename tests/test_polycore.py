@@ -1,9 +1,12 @@
 """Polynomial representation, parsing, and exact calculus."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snewton.polycore import (
     Poly,
@@ -12,8 +15,6 @@ from snewton.polycore import (
     apply_functional,
     compose_affine,
     dir_hessian,
-    eval_system,
-    jacobian,
     load_system_json,
     normalized_partial,
     parse_poly,
@@ -62,6 +63,32 @@ def fd_jacobian(system, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def symbolic_dir_hessian(system, x, v):
+    """Oracle for ``dir_hessian``: contract the symbolic gradient with ``v``
+    as polynomials, then take the Jacobian of the contracted system."""
+    contracted = []
+    for row in system.jacobian_polys():
+        g = Poly.zero(system.num_vars)
+        for vk, p in zip(v, row):
+            if vk != 0 and not p.is_zero():
+                g = g + p * vk
+        contracted.append(g)
+    return PolySystem(contracted).jacobian(x)
+
+
+def assert_dir_hessian_matches_oracle(system, x, v):
+    """Numeric and symbolic contractions agree to 1e-13 relative to the
+    magnitude scale: the same contraction with every coefficient, coordinate
+    and direction entry replaced by its modulus, which no rounding error of
+    either evaluation can exceed by more than a few ulps per term."""
+    expected = symbolic_dir_hessian(system, x, v)
+    magnitudes = PolySystem(
+        Poly(p.num_vars, {a: abs(c) for a, c in p.terms.items()}) for p in system
+    )
+    scale = np.linalg.norm(symbolic_dir_hessian(magnitudes, np.abs(x), np.abs(v)))
+    assert np.linalg.norm(dir_hessian(system, x, v) - expected) <= 1e-13 * scale
+
+
 # -- construction and canonical form ----------------------------------------
 
 
@@ -76,6 +103,12 @@ def test_multi_index_validation():
         Poly(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         Poly(2, {(-1, 0): 1.0})
+
+
+def test_non_finite_coefficients_are_rejected():
+    for bad in (np.nan, np.inf, complex(1, np.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            Poly(2, {(1, 0): bad})
 
 
 def test_system_requires_matching_num_vars():
@@ -126,6 +159,19 @@ def test_parse_errors_carry_position():
         parse_poly("x @ y", XYZ)
 
 
+def test_parse_rejects_non_finite_coefficients():
+    # 1e999 overflows to inf, and inf * (1+0j) would store nan+nanj
+    with pytest.raises(PolyParseError, match="not finite") as err:
+        parse_system("1e999*x^2\ny", ["x", "y"])
+    assert (err.value.line, err.value.col) == (1, 1)
+    # finite factors whose product overflows, in a later term
+    with pytest.raises(PolyParseError, match="not finite") as err:
+        parse_system("x\ny - 1e200*1e200*x", ["x", "y"])
+    assert (err.value.line, err.value.col) == (2, 3)
+    with pytest.raises(PolyParseError, match="not finite"):
+        parse_poly("(1e308+1e308)*x", ["x"])
+
+
 def test_imaginary_unit_is_reserved():
     with pytest.raises(ValueError):
         parse_poly("i + j", ["i", "j"])
@@ -174,7 +220,7 @@ def test_load_system_json(tmp_path):
 
 def test_eval_running_example_at_zero():
     system = parse_system(RUNNING, XYZ)
-    assert np.linalg.norm(eval_system(system, [1, 1, 1])) == 0.0
+    assert np.linalg.norm(system.eval([1, 1, 1])) == 0.0
 
 
 def test_eval_zero_polynomial():
@@ -211,17 +257,26 @@ def test_eval_dimension_mismatch():
         system.eval([1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_points_are_rejected(bad):
+    system = parse_system(RUNNING, XYZ)
+    x = np.array([1.0, bad, 1.0])
+    for entry in (system.eval, system.jacobian, lambda p: dir_hessian(system, p, [1, 0, 0])):
+        with pytest.raises(ValueError, match="coordinate 2 is not finite"):
+            entry(x)
+
+
 # -- derivatives --------------------------------------------------------------
 
 
 def test_jacobian_running_example_all_ones():
     system = parse_system(RUNNING, XYZ)
-    assert np.allclose(jacobian(system, [1, 1, 1]), np.ones((3, 3)))
+    assert np.allclose(system.jacobian([1, 1, 1]), np.ones((3, 3)))
 
 
 def test_jacobian_of_linear_system_is_identity():
     system = parse_system("x\ny", ["x", "y"])
-    assert np.allclose(jacobian(system, [3.2, -1.5]), np.eye(2))
+    assert np.allclose(system.jacobian([3.2, -1.5]), np.eye(2))
 
 
 def test_jacobian_matches_finite_differences():
@@ -230,7 +285,7 @@ def test_jacobian_matches_finite_differences():
         n = int(rng.integers(2, 4))
         system = PolySystem([random_poly(rng, n, degree=4, terms=7) for _ in range(n)])
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        exact = jacobian(system, x)
+        exact = system.jacobian(x)
         approx = fd_jacobian(system, x)
         assert np.linalg.norm(exact - approx) <= 1e-7 * (1 + np.linalg.norm(exact))
 
@@ -266,6 +321,80 @@ def test_dir_hessian_symmetry():
         left = dir_hessian(system, x, v) @ w
         right = dir_hessian(system, x, w) @ v
         assert np.linalg.norm(left - right) <= 1e-12 * (1 + np.linalg.norm(left))
+
+
+_COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_COMPLEX = st.builds(complex, _COORD, _COORD)
+# Zero coordinates and zero direction entries are drawn on purpose: they
+# exercise the masked terms and the skipped directions of dir_hessian.
+_MAYBE_ZERO = st.one_of(st.just(0j), _COMPLEX)
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _vectors(n):
+    return st.lists(_MAYBE_ZERO, min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=complex)
+    )
+
+
+@st.composite
+def _random_systems(draw):
+    """Square and non-square systems in 1-4 variables, degree <= 4 per variable."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    terms = st.dictionaries(exponents, _COMPLEX, max_size=6)
+    return PolySystem(Poly(n, draw(terms)) for _ in range(m))
+
+
+@_PROPERTY
+@given(data=st.data(), system=_random_systems())
+def test_dir_hessian_matches_symbolic_oracle(data, system):
+    x = data.draw(_vectors(system.num_vars))
+    v = data.draw(_vectors(system.num_vars))
+    assert_dir_hessian_matches_oracle(system, x, v)
+
+
+@functools.lru_cache(maxsize=None)
+def _deflated_systems():
+    """Non-square systems from one randomized deflation round at catalog zeros."""
+    from snewton.bench import get_entry
+    from snewton.lvz import deflate_once
+
+    out = []
+    for name in ("running-example", "truncated-sin", "mth191"):
+        entry = get_entry(name)
+        deflated, y = deflate_once(entry.system, entry.zero, entry.tol, seed=1)
+        out.append((deflated.system, y))
+    return tuple(out)
+
+
+@_PROPERTY
+@given(data=st.data(), index=st.integers(0, 2))
+def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
+    system, y = _deflated_systems()[index]
+    assert not system.is_square()
+    x = y + data.draw(_vectors(system.num_vars)) / 100
+    v = data.draw(_vectors(system.num_vars))
+    assert_dir_hessian_matches_oracle(system, x, v)
+
+
+def test_dir_hessian_builds_no_polynomials(monkeypatch):
+    system = parse_system(RUNNING, XYZ)
+    system.jacobian([1, 1, 1])  # fill the term-array cache
+    built = []
+    for cls in (Poly, PolySystem):
+        real_init = cls.__init__
+
+        def counting_init(self, *args, _real=real_init, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    dir_hessian(system, [1.1, 0.9, 1.0], [0.5, -0.5j, 0.0])
+    assert built == []
+    symbolic_dir_hessian(system, [1.1, 0.9, 1.0], [0.5, -0.5j, 0.0])
+    assert "Poly" in built and "PolySystem" in built  # the counter does count
 
 
 # -- normalized partials and functionals --------------------------------------

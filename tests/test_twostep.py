@@ -12,6 +12,7 @@ from snewton.twostep import (
     first_refinement,
     operator_A,
     operator_B,
+    random_direction,
     refine,
     second_refinement,
     two_step,
@@ -138,7 +139,8 @@ def test_second_refinement_example_values(running):
     x_prime = first_refinement(running, x, split)
     v = split.v2 @ (split.v2.conj().T @ V_RAW)
     v /= np.linalg.norm(v)
-    delta, x_second = second_refinement(running, x_prime, v, split.u2, split.v2)
+    delta, x_second, b_prime = second_refinement(running, x_prime, v, split.u2, split.v2)
+    assert np.array_equal(b_prime, operator_B(running, x_prime, v, split.u2, split.v2))
     assert np.linalg.norm(x_second - XI) < 5e-6
     assert abs(np.linalg.norm(delta) - 1.63e-3) < 2e-4
     # the kernel step moves x' only along the kernel directions
@@ -150,7 +152,7 @@ def test_second_refinement_zero_delta_at_exact_double_zero():
     system = parse_system("x^2\ny", ["x", "y"])
     split = split_svd(system.jacobian([0.0, 0.0]), 0.5)
     assert split.kappa == 1
-    delta, x_second = second_refinement(
+    delta, x_second, _ = second_refinement(
         system, np.zeros(2), split.v2[:, 0], split.u2, split.v2
     )
     assert np.linalg.norm(delta) < 1e-14
@@ -243,6 +245,68 @@ def test_two_step_auto_tolerance_on_exactly_singular_jacobian():
     assert np.linalg.norm(step.x_double_prime - midpoint) < 1e-15
 
 
+def test_two_step_contracts_the_hessian_once_per_iteration(running, contraction_calls):
+    calls = contraction_calls
+    x = np.array([1.001, 0.999, 1.001], dtype=complex)
+    step = two_step(running, x, StepConfig(tol=0.1, v_override=V_RAW))
+    assert (step.mode, len(calls)) == ("two-step", 1)
+    b = operator_B(running, step.x_prime, step.v, step.split.u2, step.split.v2)
+    assert np.array_equal(step.b_prime, b)
+
+    calls.clear()
+    step = two_step(get_entry("truncated-sin").system, np.full(3, 1e-4), StepConfig(tol=0.1))
+    assert (step.mode, len(calls)) == ("kernel-only", 1)
+
+    calls.clear()
+    linear = parse_system("x - 1\ny - 2", ["x", "y"])
+    step = two_step(linear, np.array([1.1, 2.1]), StepConfig(tol=1e-6))
+    assert (step.mode, len(calls)) == ("newton", 0)
+
+
+def test_exactly_zero_jacobian_gets_one_fallback_tolerance(tmp_path, capsys, monkeypatch):
+    # at the midpoint of the clustered pair the Jacobian is exactly zero, so
+    # the spectrum has no gap; every "auto" caller must land on the same 1e-8
+    import json
+
+    from snewton import cli, dualspace
+    from snewton.bench import stability_system
+
+    system = stability_system(3)
+    midpoint = np.array([0, 0, -5e-4], dtype=complex)
+    assert not system.jacobian(midpoint).any()
+
+    step = two_step(system, midpoint, StepConfig(tol="auto", seed=0))
+    assert step.split.tol == 1e-8
+
+    path = tmp_path / "stability.json"
+    names = ["x", "y", "z"]
+    path.write_text(json.dumps({"vars": names, "polys": system.to_string(names).splitlines()}))
+    code = cli.main(["check", "--file", str(path), "--x0", "0,0,-5e-4", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 1e-8
+
+    splits = []
+
+    def recording_split(matrix, tol):
+        splits.append(split_svd(matrix, tol))
+        return splits[-1]
+
+    monkeypatch.setattr(dualspace, "split_svd", recording_split)
+    dualspace.is_deflation_one(system, midpoint)
+    assert [s.tol for s in splits] == [1e-8]
+
+
+def test_random_direction_is_a_unit_kernel_vector(running):
+    split = split_svd(running.jacobian(XI), 0.1)
+    a = random_direction(split.v2, np.random.default_rng(3))
+    # the draw two_step and is_deflation_one each made inline before
+    rng = np.random.default_rng(3)
+    lam = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    assert np.array_equal(a, split.v2 @ lam / np.linalg.norm(split.v2 @ lam))
+    assert abs(np.linalg.norm(a) - 1) < 1e-14
+    assert np.linalg.norm(a - split.v2 @ (split.v2.conj().T @ a)) < 1e-14
+
+
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepConfig(tol=0.0)
@@ -300,6 +364,13 @@ def test_refine_stagnates_at_cluster_midpoint():
     trace = refine(system, x0, StepConfig(tol=1e-2, seed=0, max_iters=10))
     assert trace.stop_reason == "stagnation"
     assert np.linalg.norm(trace.x - [0, 0, -5e-4]) < 1e-12
+
+
+def test_refine_rejects_non_finite_start(running):
+    with pytest.raises(ValueError, match="coordinate 3 is not finite"):
+        refine(running, [1.0, 1.0, np.nan])
+    with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+        two_step(running, [np.inf, 1.0, 1.0])
 
 
 def test_refine_is_reproducible_with_seed():
