@@ -2,11 +2,21 @@
 
 The local dual space of a system at a point is spanned by factorial
 normalized differential functionals that annihilate the ideal of the system.
-Its dimension by order is computed with the standard closedness recursion:
-from a basis of the order-(k-1) dual space, first solve a membership system
-for the candidate space C^(k) (functionals all of whose down-shifts stay in
-the previous dual space), then cut C^(k) with the evaluation condition
-Lambda(f) = 0 via a kernel computation.
+Its dimension by order comes from the closedness recursion: from an
+orthonormal basis Q of the order-(k-1) dual space, the candidate space C^(k)
+holds the functionals all of whose down-shifts S_i (d^alpha -> d^(alpha-e_i))
+stay in span(Q), the kernel of M = vstack_i (I - QQ*) S_i; the order-k dual
+space is the part of C^(k) that annihilates the system.
+
+M is never formed.  The S_i have disjoint column supports, so
+M*M = D - W*W with D = diag(#{i : alpha_i > 0}) and W = vstack_i Q* S_i,
+which has n * dim(Q) rows.  Mc = 0 gives Dc = W*Wc, so the kernel lies in
+span{1} + range(D^+ W*): the integrals of the previous basis functionals,
+as in the integration method of Mourrain (*Isolated points, duality and
+residues*, J. Pure Appl. Algebra 117-118, 1997) and Mantzaflaris and
+Mourrain (ISSAC 2011).  Each order therefore solves a membership system with
+1 + n * dim(Q) columns instead of C(n + k, k), and reads the values of the
+candidates on the system off one Taylor shift per polynomial.
 
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
@@ -15,13 +25,14 @@ based rank decisions; there is no exact-arithmetic path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polycore, twostep
-from .numla import kernel_basis, singular_values, split_svd
-from .polycore import Exponent, Poly, PolySystem, grlex_key
+from .numla import right_svd, singular_values, split_svd
+from .polycore import Exponent, Poly, PolySystem, monomials_upto, taylor_coefficients
 
 __all__ = [
     "Functional",
@@ -137,23 +148,6 @@ class DualSpaceReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def monomials_upto(num_vars: int, order: int) -> list[Exponent]:
-    """All multi-indices with |alpha| <= order, in graded-lex order."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for e in range(total + 1):
-            for rest in compositions(total - e, parts - 1):
-                yield (e,) + rest
-
-    out: list[Exponent] = []
-    for deg in range(order + 1):
-        out.extend(sorted(compositions(deg, num_vars), key=grlex_key))
-    return out
-
-
 def _rank_tol(sigma: np.ndarray, override: float | None) -> float:
     if override is not None:
         return override
@@ -174,70 +168,67 @@ def next_order(
     """One closedness step: from a basis of the order-(k-1) dual space to a
     basis of the order-k dual space.
 
-    The candidate space is the kernel of the stacked shift-membership
-    operators; the dual space is the kernel of the evaluation matrix of the
-    candidate basis on the system.
+    The candidate space is the kernel of the membership operator M restricted
+    to the span Z of the unit functional and the integrals of the previous
+    basis (see the module docstring), found by one thin SVD of MZ; the dual
+    space is the kernel of the values of the candidates on the system, found
+    by a second SVD.  Each spectrum sets its own rank tolerance unless
+    ``rank_tol`` is given.
     """
     n = system.num_vars
     xi = system._check_point(xi)
     k = prev.order + 1
     basis_k = monomials_upto(n, k)
-    basis_prev = monomials_upto(n, k - 1)
-    index_prev = {a: i for i, a in enumerate(basis_prev)}
-    nk, nprev = len(basis_k), len(basis_prev)
+    nprev = math.comb(n + k - 1, n)  # the order-(k-1) monomials lead basis_k
+    index = {a: r for r, a in enumerate(basis_k)}
 
-    # Coefficient matrix of the previous basis, orthonormalized.
     p = np.zeros((nprev, prev.dim), dtype=complex)
     for j, lam in enumerate(prev.functionals):
         for alpha, c in lam.terms.items():
-            p[index_prev[alpha], j] = c
+            p[index[alpha], j] = c
     q, _ = np.linalg.qr(p)
+    d = q.shape[1]
 
-    # Membership: (I - QQ*) Phi_i annihilates exactly the functionals whose
-    # i-th shift stays in span(prev); stack over i.
-    blocks = []
-    proj = np.eye(nprev, dtype=complex) - q @ q.conj().T
+    # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
+    up = np.array(
+        [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in basis_k[:nprev]] for i in range(n)]
+    )
+    # Z: orthonormal basis of span{e_0} + range(D^+ W*), whose columns are
+    # e_0 and the integrals D^+ S_i* q_j; the kernel of M lies in it.
+    integrals = np.zeros((len(basis_k), 1 + n * d), dtype=complex)
+    integrals[0, 0] = 1.0
     for i in range(n):
-        shift = np.zeros((nprev, nk), dtype=complex)
-        for col, alpha in enumerate(basis_k):
-            if alpha[i] > 0:
-                beta = list(alpha)
-                beta[i] -= 1
-                shift[index_prev[tuple(beta)], col] = 1.0
-        blocks.append(proj @ shift)
-    membership = np.vstack(blocks)
+        integrals[up[i], 1 + i * d : 1 + (i + 1) * d] = q
+    support = np.count_nonzero(np.array(basis_k[1:]), axis=1)
+    integrals[1:] /= support[:, None]
+    z, _ = np.linalg.qr(integrals)
 
-    sig_m = singular_values(membership)
+    # MZ block by block: (I - QQ*) S_i Z, with S_i Z a row gather of Z.
+    blocks = []
+    for i in range(n):
+        shifted = z[up[i]]
+        blocks.append(shifted - q @ (q.conj().T @ shifted))
+    sig_m, v_m = right_svd(np.vstack(blocks))
     tol_m = _rank_tol(sig_m, rank_tol)
-    candidates = kernel_basis(membership, tol_m)
+    candidates = z @ v_m[:, int(np.sum(sig_m > tol_m)) :]
     ambiguous = _near_tol(sig_m, tol_m)
 
-    # Evaluation of the candidate basis on the system: column j is the
-    # vector of values of the j-th candidate functional on f_1..f_m.
-    partials = np.zeros((nk, len(system)), dtype=complex)
-    for r, alpha in enumerate(basis_k):
-        for c_idx, poly in enumerate(system.polys):
-            partials[r, c_idx] = polycore.normalized_partial(poly, alpha, xi)
-    evaluation = partials.T @ candidates
-
+    # Column j holds the values of the j-th candidate on f_1..f_m.
+    evaluation = taylor_coefficients(system, xi, k) @ candidates
     if evaluation.any():
-        sig_e = singular_values(evaluation)
+        sig_e, v_e = right_svd(evaluation)
         tol_e = _rank_tol(sig_e, rank_tol)
-        kernel = kernel_basis(evaluation, tol_e)
+        coeffs = candidates @ v_e[:, int(np.sum(sig_e > tol_e)) :]
         ambiguous = ambiguous or _near_tol(sig_e, tol_e)
     else:
-        kernel = np.eye(candidates.shape[1], dtype=complex)
+        coeffs = candidates
         tol_e = tol_m
-    coeffs = candidates @ kernel
 
     functionals = []
-    for j in range(coeffs.shape[1]):
-        terms = {
-            alpha: coeffs[r, j]
-            for r, alpha in enumerate(basis_k)
-            if abs(coeffs[r, j]) > 1e-14
-        }
-        functionals.append(_make_functional(n, terms))
+    for col in coeffs.T:
+        rows = np.flatnonzero(np.abs(col) > 1e-14)
+        terms = zip((basis_k[r] for r in rows), col[rows].tolist())
+        functionals.append(Functional(n, dict(terms)))
     return DualBasis(
         order=k,
         functionals=functionals,
@@ -245,6 +236,11 @@ def next_order(
         candidate_dim=candidates.shape[1],
         ambiguous=ambiguous,
     )
+
+
+def _order_zero(num_vars: int) -> DualBasis:
+    """The order-0 dual space, spanned by evaluation at the point."""
+    return DualBasis(order=0, functionals=[unit_functional(num_vars)], tol=0.0, candidate_dim=1)
 
 
 def multiplicity_structure(
@@ -256,13 +252,7 @@ def multiplicity_structure(
     """Breadth, depth and multiplicity at ``xi`` by iterating ``next_order``
     until the dimension stabilizes (or ``max_order`` is hit, in which case
     the report is flagged unstabilized)."""
-    base = DualBasis(
-        order=0,
-        functionals=[unit_functional(system.num_vars)],
-        tol=0.0,
-        candidate_dim=1,
-    )
-    bases = [base]
+    bases = [_order_zero(system.num_vars)]
     stabilized = False
     for _ in range(max_order):
         nxt = next_order(system, xi, bases[-1], rank_tol)
@@ -289,13 +279,7 @@ def multiplicity_structure(
 def deflation_one_necessary(system: PolySystem, xi, rank_tol: float | None = None) -> bool:
     """Order-2 dimension test: dim C^(2) - dim D^(2) must equal n at a
     deflation-one singular zero.  Necessary, not sufficient."""
-    base = DualBasis(
-        order=0,
-        functionals=[unit_functional(system.num_vars)],
-        tol=0.0,
-        candidate_dim=1,
-    )
-    d1 = next_order(system, xi, base, rank_tol)
+    d1 = next_order(system, xi, _order_zero(system.num_vars), rank_tol)
     d2 = next_order(system, xi, d1, rank_tol)
     return d2.candidate_dim - d2.dim == system.num_vars
 

@@ -20,6 +20,7 @@ __all__ = [
     "solve",
     "least_squares",
     "kernel_basis",
+    "right_svd",
     "singular_values",
     "smallest_singular_value",
     "cond",
@@ -177,9 +178,26 @@ def kernel_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     n = m.shape[1]
     if m.shape[0] == 0 or not m.any():
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol))
-    return vh.conj().T[:, rank:]
+    s, v = right_svd(m)
+    return v[:, int(np.sum(s > tol)) :]
+
+
+def right_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) and right singular vectors (columns).
+
+    The vector matrix is square: full when the matrix is wide, so that the
+    columns past the numerical rank span the whole kernel in either shape.
+    A tall matrix is reduced to the R factor of its QR first, which has the
+    same singular values and right singular vectors and no tall U to form.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.size == 0:
+        raise ValueError("empty matrix has no singular values")
+    rows, cols = m.shape
+    if rows > cols:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return s, vh.conj().T
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

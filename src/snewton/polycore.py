@@ -14,6 +14,7 @@ run and across machines with the same float format.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -32,7 +33,9 @@ __all__ = [
     "load_system_json",
     "dir_hessian",
     "normalized_partial",
+    "taylor_coefficients",
     "apply_functional",
+    "monomials_upto",
     "compose_affine",
 ]
 
@@ -204,9 +207,7 @@ class Poly:
 
     def eval(self, x: Sequence[complex]) -> complex:
         """Value at ``x``; terms are summed in graded-lex order."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.num_vars,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.num_vars},)")
+        x = _check_point(x, self.num_vars)
         if not self.terms:
             return 0.0 + 0.0j
         expo, coef = self._arrays()
@@ -331,21 +332,24 @@ class PolySystem:
         return vals.reshape(len(self.polys), self.num_vars)
 
     def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        if x.shape != (self.num_vars,):
-            raise ValueError(
-                f"point has {x.shape[0]} coordinates, system has {self.num_vars} variables"
-            )
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            raise ValueError(f"point coordinate {bad[0] + 1} is not finite: {x[bad[0]]}")
-        return x
+        return _check_point(x, self.num_vars)
 
     def to_string(self, variable_names: Sequence[str] | None = None) -> str:
         return "\n".join(p.to_string(variable_names) for p in self.polys)
 
     def __repr__(self):
         return f"PolySystem({len(self.polys)} polys in {self.num_vars} vars)"
+
+
+def _check_point(x, num_vars: int) -> np.ndarray:
+    """``x`` as a complex vector of ``num_vars`` finite coordinates."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.shape != (num_vars,):
+        raise ValueError(f"point has {x.shape[0]} coordinates, expected {num_vars}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"point coordinate {bad[0] + 1} is not finite: {x[bad[0]]}")
+    return x
 
 
 def _monomial_values(expo: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -653,9 +657,7 @@ def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> 
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != p.num_vars:
         raise ValueError("multi-index length does not match the number of variables")
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.shape != (p.num_vars,):
-        raise ValueError("point length does not match the number of variables")
+    xi = _check_point(xi, p.num_vars)
     total = 0j
     for beta in sorted(p.terms, key=grlex_key):
         if any(b < a for a, b in zip(alpha, beta)):
@@ -669,6 +671,72 @@ def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> 
     return total
 
 
+def monomials_upto(num_vars: int, order: int) -> list[Exponent]:
+    """All multi-indices with |alpha| <= order, in graded-lex order.
+
+    Within one degree, reversed ``combinations_with_replacement`` order is
+    ascending lex order of the exponent counts.
+    """
+    out: list[Exponent] = []
+    for deg in range(order + 1):
+        block = []
+        for combo in itertools.combinations_with_replacement(range(num_vars), deg):
+            alpha = [0] * num_vars
+            for i in combo:
+                alpha[i] += 1
+            block.append(tuple(alpha))
+        out.extend(reversed(block))
+    return out
+
+
+def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -> np.ndarray:
+    """Taylor coefficients at ``xi`` up to total order ``order``.
+
+    Entry [i, r] is the coefficient of ``(X - xi)^alpha`` in ``f_i``, that
+    is ``normalized_partial(f_i, alpha, xi)``, for the r-th alpha of
+    ``monomials_upto(n, order)``.  One shift per polynomial, all of them in
+    one pass over the cached term arrays: each term ``c X^beta`` expands into
+    the alpha <= beta with |alpha| <= order, with weight
+    ``c prod_j C(beta_j, alpha_j) xi_j^(beta_j - alpha_j)``, one variable at a
+    time from the last.  The graded-lex rank of alpha builds up along the
+    way: alpha is preceded by C(n + |alpha| - 1, n) monomials of lower
+    degree, and, within its degree, by
+    sum_j C(s_j + m_j, m_j) - C(s_(j+1) + m_j, m_j), where s_j is the sum
+    of alpha_j..alpha_(n-1) and m_j = n - 1 - j the number of variables
+    after x_j.
+    """
+    xi = system._check_point(xi)
+    n = system.num_vars
+    expo, w, row, m = system._flat("eval", system.polys)
+    top = max(n + order, int(expo.max(initial=0)))
+    pascal = np.zeros((top + 1, top + 1), dtype=np.int64)  # pascal[a, b] = C(a, b)
+    pascal[:, 0] = 1
+    for a in range(1, top + 1):
+        pascal[a, 1 : a + 1] = pascal[a - 1, :a] + pascal[a - 1, 1 : a + 1]
+    size = int(pascal[n + order, n])
+    term = np.arange(len(w))
+    deg = np.zeros(len(w), dtype=np.int64)
+    index = row * size  # row offset plus the rank of alpha so far
+    for j in reversed(range(n)):
+        col = expo[:, j]
+        if not col.any():
+            continue
+        beta = col[term].astype(np.int64)
+        reps = np.minimum(beta, order - deg) + 1
+        a = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        beta = np.repeat(beta, reps)
+        powers = xi[j] ** np.arange(int(col.max()) + 1)
+        w = np.repeat(w, reps) * pascal[beta, a] * powers[beta - a]
+        low = np.repeat(deg, reps)
+        deg = low + a
+        mj = n - 1 - j
+        index = np.repeat(index, reps) + pascal[deg + mj, mj] - pascal[low + mj, mj]
+        keep = w != 0
+        term, w, deg, index = np.repeat(term, reps)[keep], w[keep], deg[keep], index[keep]
+    index += pascal[n + deg - 1, n]
+    return _segment_sums(w, index, m * size).reshape(m, size)
+
+
 def apply_functional(functional, p: Poly, xi: Sequence[complex]) -> complex:
     """Apply a differential functional (anything with a ``terms`` multi-index
     map, or a plain dict) to ``p`` at the point ``xi``."""
@@ -676,9 +744,14 @@ def apply_functional(functional, p: Poly, xi: Sequence[complex]) -> complex:
     nv = getattr(functional, "num_vars", None)
     if nv is not None and nv != p.num_vars:
         raise ValueError("functional and polynomial disagree on num_vars")
+    if any(len(alpha) != p.num_vars for alpha in terms):
+        raise ValueError("multi-index length does not match the number of variables")
+    order = max((sum(alpha) for alpha in terms), default=0)
+    coeffs = taylor_coefficients(PolySystem([p]), xi, order)[0]
+    index = {alpha: r for r, alpha in enumerate(monomials_upto(p.num_vars, order))}
     total = 0j
     for alpha in sorted(terms, key=grlex_key):
-        total += terms[alpha] * normalized_partial(p, alpha, xi)
+        total += terms[alpha] * coeffs[index[alpha]]
     return total
 
 

@@ -6,14 +6,25 @@ from snewton import polycore
 
 
 @pytest.fixture
-def contraction_calls(monkeypatch):
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test and
+    returns a list that grows by one entry per call."""
+
+    def install(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def contraction_calls(count_calls):
     """List that grows by one entry per call of ``polycore.dir_hessian``."""
-    calls = []
-    real = polycore.dir_hessian
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(polycore, "dir_hessian", counting)
-    return calls
+    return count_calls(polycore, "dir_hessian")

@@ -1,14 +1,19 @@
 """Dual-space recursion, multiplicity structure, deflation-one tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from snewton.bench import get_entry
+from snewton import polycore
+from snewton.bench import catalog, get_entry, random_variant
 from snewton.dualspace import (
     DualBasis,
     Functional,
+    _make_functional,
+    _near_tol,
+    _rank_tol,
     deflation_one_necessary,
     is_deflation_one,
     monomials_upto,
@@ -17,13 +22,115 @@ from snewton.dualspace import (
     phi,
     unit_functional,
 )
-from snewton.numla import split_svd
+from snewton.numla import kernel_basis, singular_values, split_svd
 from snewton.polycore import parse_system
 from snewton.twostep import operator_B
 
 
 def base_basis(n):
     return DualBasis(order=0, functionals=[unit_functional(n)], tol=0.0, candidate_dim=1)
+
+
+def dense_next_order(system, xi, prev, rank_tol=None):
+    """Oracle: the closedness step on the dense membership matrix
+    M = vstack_i (I - QQ*) S_i with all C(n + k, k) monomial columns, and
+    the evaluation matrix from one ``normalized_partial`` per (monomial,
+    polynomial) pair; the rank rules are those of ``next_order``."""
+    n = system.num_vars
+    xi = system._check_point(xi)
+    k = prev.order + 1
+    basis_k = monomials_upto(n, k)
+    basis_prev = monomials_upto(n, k - 1)
+    index_prev = {a: i for i, a in enumerate(basis_prev)}
+    nk, nprev = len(basis_k), len(basis_prev)
+
+    p = np.zeros((nprev, prev.dim), dtype=complex)
+    for j, lam in enumerate(prev.functionals):
+        for alpha, c in lam.terms.items():
+            p[index_prev[alpha], j] = c
+    q, _ = np.linalg.qr(p)
+
+    blocks = []
+    proj = np.eye(nprev, dtype=complex) - q @ q.conj().T
+    for i in range(n):
+        shift = np.zeros((nprev, nk), dtype=complex)
+        for col, alpha in enumerate(basis_k):
+            if alpha[i] > 0:
+                beta = list(alpha)
+                beta[i] -= 1
+                shift[index_prev[tuple(beta)], col] = 1.0
+        blocks.append(proj @ shift)
+    membership = np.vstack(blocks)
+
+    sig_m = singular_values(membership)
+    tol_m = _rank_tol(sig_m, rank_tol)
+    candidates = kernel_basis(membership, tol_m)
+    ambiguous = _near_tol(sig_m, tol_m)
+
+    partials = np.zeros((nk, len(system)), dtype=complex)
+    for r, alpha in enumerate(basis_k):
+        for c_idx, poly in enumerate(system.polys):
+            partials[r, c_idx] = polycore.normalized_partial(poly, alpha, xi)
+    evaluation = partials.T @ candidates
+
+    if evaluation.any():
+        sig_e = singular_values(evaluation)
+        tol_e = _rank_tol(sig_e, rank_tol)
+        kernel = kernel_basis(evaluation, tol_e)
+        ambiguous = ambiguous or _near_tol(sig_e, tol_e)
+    else:
+        kernel = np.eye(candidates.shape[1], dtype=complex)
+        tol_e = tol_m
+    coeffs = candidates @ kernel
+
+    functionals = []
+    for j in range(coeffs.shape[1]):
+        terms = {
+            alpha: coeffs[r, j]
+            for r, alpha in enumerate(basis_k)
+            if abs(coeffs[r, j]) > 1e-14
+        }
+        functionals.append(_make_functional(n, terms))
+    return DualBasis(
+        order=k,
+        functionals=functionals,
+        tol=tol_e,
+        candidate_dim=candidates.shape[1],
+        ambiguous=ambiguous,
+    )
+
+
+def span_projector(basis, n):
+    """Orthogonal projector onto the span of the basis coefficient vectors."""
+    monomials = monomials_upto(n, basis.order)
+    index = {a: i for i, a in enumerate(monomials)}
+    coeffs = np.zeros((len(monomials), basis.dim), dtype=complex)
+    for j, lam in enumerate(basis.functionals):
+        for alpha, c in lam.terms.items():
+            coeffs[index[alpha], j] = c
+    q, _ = np.linalg.qr(coeffs)
+    return q @ q.conj().T
+
+
+def assert_step_matches_dense_oracle(system, xi, prev, rank_tol=None):
+    fast = next_order(system, xi, prev, rank_tol)
+    dense = dense_next_order(system, xi, prev, rank_tol)
+    got = (fast.dim, fast.candidate_dim, fast.ambiguous)
+    assert got == (dense.dim, dense.candidate_dim, dense.ambiguous), fast.order
+    assert fast.tol == pytest.approx(dense.tol, rel=1e-9), fast.order
+    n = system.num_vars
+    gap = np.abs(span_projector(fast, n) - span_projector(dense, n)).max()
+    assert gap <= 1e-8, (fast.order, gap)
+    return fast
+
+
+def assert_recursion_matches_dense_oracle(system, xi, rank_tol=None, max_order=12):
+    prev = base_basis(system.num_vars)
+    for _ in range(max_order):
+        nxt = assert_step_matches_dense_oracle(system, xi, prev, rank_tol)
+        if nxt.dim == prev.dim:
+            return
+        prev = nxt
 
 
 # -- shift operator -------------------------------------------------------------
@@ -121,6 +228,57 @@ def test_rank_ambiguity_is_flagged():
     assert d1.ambiguous
     clean = next_order(entry.system, entry.zero, base_basis(3))
     assert not clean.ambiguous
+
+
+def test_next_order_matches_dense_oracle_on_catalog():
+    for entry in catalog():
+        rank_tol = 1e-6 if entry.name == "Cyclic9" else None
+        assert_recursion_matches_dense_oracle(entry.system, entry.zero, rank_tol)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_next_order_matches_dense_oracle_on_random_variants(n, k):
+    for seed in (0, 1, 2):
+        system, zero = random_variant(n, k, seed=seed)
+        assert_recursion_matches_dense_oracle(system, zero)
+
+
+def test_next_order_matches_dense_oracle_at_non_isolated_zero():
+    system = parse_system("x^2\nx*y", ["x", "y"])
+    assert_recursion_matches_dense_oracle(system, [0, 0], max_order=6)
+
+
+def test_next_order_matches_dense_oracle_with_forced_tolerance():
+    entry = get_entry("running-example")
+    d1 = assert_step_matches_dense_oracle(entry.system, entry.zero, base_basis(3), rank_tol=1.0)
+    assert d1.ambiguous
+
+
+def test_next_order_takes_no_partials_and_two_svds_per_order(count_calls):
+    partials = count_calls(polycore, "normalized_partial")
+    svds = count_calls(np.linalg, "svd")
+    system, zero = random_variant(6, 2, seed=0)
+    prev = base_basis(6)
+    for _ in range(3):
+        svds.clear()
+        prev = next_order(system, zero, prev)
+        assert len(svds) <= 2, prev.order
+    assert partials == []
+    dense_next_order(system, zero, base_basis(6))
+    assert partials and len(svds) > 2  # the counters do count
+
+
+def test_multiplicity_structure_memory_stays_small():
+    system, zero = random_variant(10, 3, seed=1)
+    tracemalloc.start()
+    try:
+        report = multiplicity_structure(system, zero)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.breadth, report.depth, report.multiplicity) == (3, 3, 8)
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_dual_basis_functionals_annihilate_the_system():

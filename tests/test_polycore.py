@@ -16,9 +16,11 @@ from snewton.polycore import (
     compose_affine,
     dir_hessian,
     load_system_json,
+    monomials_upto,
     normalized_partial,
     parse_poly,
     parse_system,
+    taylor_coefficients,
 )
 
 RUNNING = (
@@ -430,6 +432,67 @@ def test_apply_functional_matches_taylor_shift():
         lam = {alpha: 1.0}
         expected = shifted_taylor_coefficient(p, alpha, xi)
         assert abs(apply_functional(lam, p, xi) - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def assert_taylor_matches_normalized_partial(system, xi, order):
+    """Each shifted coefficient equals ``normalized_partial`` to 1e-13
+    relative to the same coefficient of the moduli (|c| at |xi|)."""
+    n = system.num_vars
+    monomials = monomials_upto(n, order)
+    coeffs = taylor_coefficients(system, xi, order)
+    assert coeffs.shape == (len(system), len(monomials))
+    for p, row in zip(system.polys, coeffs):
+        moduli = Poly(n, {beta: abs(c) for beta, c in p.terms.items()})
+        for alpha, got in zip(monomials, row):
+            want = normalized_partial(p, alpha, xi)
+            scale = abs(normalized_partial(moduli, alpha, np.abs(xi)))
+            assert abs(got - want) <= 1e-13 * scale, (alpha, got, want)
+
+
+@_PROPERTY
+@given(data=st.data(), system=_random_systems(), order=st.integers(0, 5))
+def test_taylor_coefficients_match_normalized_partial(data, system, order):
+    xi = data.draw(_vectors(system.num_vars))
+    assert_taylor_matches_normalized_partial(system, xi, order)
+
+
+def test_taylor_coefficients_match_normalized_partial_at_catalog_zeros():
+    from snewton.bench import catalog, random_variant
+
+    cases = [(e.system, e.zero, 3 if e.system.num_vars <= 4 else 2) for e in catalog()]
+    cases.append((*random_variant(6, 3, seed=0), 4))
+    for system, zero, order in cases:
+        assert_taylor_matches_normalized_partial(system, zero, order)
+
+
+def test_taylor_coefficients_hand_values():
+    p = parse_poly("x^2*y + 3", ["x", "y"])
+    # p(1 + h, 2 + g) = 5 + 4h + g + 2h^2 + 2hg + h^2 g
+    coeffs = taylor_coefficients(PolySystem([p]), [1, 2], 3)
+    want = {(0, 0): 5, (1, 0): 4, (0, 1): 1, (2, 0): 2, (1, 1): 2, (2, 1): 1}
+    for alpha, c in zip(monomials_upto(2, 3), coeffs[0]):
+        assert c == want.get(alpha, 0), alpha
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_poly_eval_rejects_non_finite_points(bad):
+    p = parse_poly("x^2 + y", ["x", "y"])
+    with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+        p.eval([bad, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_normalized_partial_rejects_non_finite_points(bad):
+    p = parse_poly("x^2 + y", ["x", "y"])
+    with pytest.raises(ValueError, match="coordinate 2 is not finite"):
+        normalized_partial(p, (1, 0), [1, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_apply_functional_rejects_non_finite_points(bad):
+    p = parse_poly("x^2 + y", ["x", "y"])
+    with pytest.raises(ValueError, match="coordinate 1 is not finite"):
+        apply_functional({(1, 0): 1.0, (0, 1): 2.0}, p, [bad, 1])
 
 
 def test_order_zero_functional_reproduces_eval():
