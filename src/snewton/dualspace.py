@@ -32,7 +32,7 @@ import numpy as np
 
 from . import polycore, twostep
 from .numla import right_svd, singular_values, split_svd
-from .polycore import Exponent, Poly, PolySystem, monomials_upto, taylor_coefficients
+from .polycore import Exponent, PolySystem, monomials_upto, taylor_coefficients
 
 __all__ = [
     "Functional",
@@ -61,9 +61,6 @@ class Functional:
     @property
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)
-
-    def apply(self, p: Poly, xi) -> complex:
-        return polycore.apply_functional(self, p, xi)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -6,9 +6,11 @@
 
 with a fresh random matrix B and vector b, new multiplier variables lambda,
 and a least-squares estimate of the multipliers at the current point.  The
-result is a genuine polynomial system, so the same Jacobian machinery (and
-``gauss_newton``) applies to it, and deflation can be iterated on its own
-output for zeros that need several rounds.
+augmented terms come from the parent's cached Jacobian term arrays by a
+matrix product, with no polynomial arithmetic.  The result is a genuine
+polynomial system, so the same Jacobian machinery (and ``gauss_newton``)
+applies to it, and deflation can be iterated on its own output for zeros
+that need several rounds.
 
 ``deflate_structured`` is the variant with a pinned kernel block: the
 multipliers attached to a chosen kernel basis are fixed constants and only
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numla import least_squares, singular_values
-from .polycore import Poly, PolySystem
+from .polycore import PolySystem, system_from_terms
 
 __all__ = [
     "DeflatedSystem",
@@ -86,26 +88,47 @@ class GNTrace:
         }
 
 
-def _multiplier_rows(system: PolySystem, weights: np.ndarray, num_extra: int):
-    """Rows of Df . W where column mu of W multiplies the mu-th new variable.
+def _augment(system: PolySystem, weights: np.ndarray, pinned=None, normal=None) -> PolySystem:
+    """The system g = [f ; Df.(pinned + W lambda) ; normal^T lambda - 1] in
+    the parent variables followed by one multiplier per column of W =
+    ``weights``; no pinned part when ``pinned`` is None, and no last row when
+    ``normal`` is None.
 
-    ``weights`` has shape (p, q_cols); returns, per polynomial of the system,
-    a list of q_cols combination polynomials Sum_j df_i/dx_j * W[j, mu],
-    still in the parent variable count (not yet extended).
+    The Jacobian terms are grouped by (polynomial i, monomial beta) into a
+    matrix C with C[(i, beta), j] the coefficient of beta in df_i/dx_j.  The
+    coefficient of beta * lambda_mu in row i is then (C W)[(i, beta), mu],
+    and that of beta alone (C pinned)[(i, beta)].  The products are summed
+    in ascending j and rounded as scalar complex arithmetic rounds them
+    (numpy's vector loops may fuse multiply and add), so the coefficients
+    are those of the same sum of polynomials, bit for bit.
     """
-    jac = system.jacobian_polys()
-    rows = []
-    for drow in jac:
-        combos = []
-        for mu in range(weights.shape[1]):
-            combo = Poly.zero(system.num_vars)
-            for j, dp in enumerate(drow):
-                w = weights[j, mu]
-                if w != 0 and not dp.is_zero():
-                    combo = combo + dp * w
-            combos.append(combo)
-        rows.append(combos)
-    return rows
+    p, q, m = system.num_vars, weights.shape[1], len(system)
+    expo, coef, row, _ = system._jac_terms()
+    keys = np.column_stack([row // p, expo])
+    # each key row as one opaque value: np.unique sorts these far faster than rows
+    packed = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    keys = keys[first]
+    c = np.zeros((len(keys), p), dtype=complex)
+    c[inverse, row % p] = coef
+    cols = weights if pinned is None else np.column_stack([weights, pinned])
+    cw = np.zeros((len(keys), cols.shape[1]), dtype=complex)
+    for j in range(p):
+        a, w = c[:, j, None], cols[j]
+        cw += (a.real * w.real - a.imag * w.imag) + 1j * (a.real * w.imag + a.imag * w.real)
+    poly, beta, lam = m + keys[:, 0], keys[:, 1:], np.eye(q, dtype=int)
+    f_expo, f_coef, f_row, _ = system._flat()
+    blocks = [
+        (np.pad(f_expo, ((0, 0), (0, q))), f_coef, f_row),
+        (np.hstack([beta.repeat(q, axis=0), np.tile(lam, (len(keys), 1))]),
+         cw[:, :q].reshape(-1), poly.repeat(q)),
+    ]
+    if pinned is not None:
+        blocks.append((np.pad(beta, ((0, 0), (0, q))), cw[:, q], poly))
+    if normal is not None:
+        blocks.append((np.pad(lam, ((0, 1), (p, 0))), np.append(normal, -1), np.full(q + 1, 2 * m)))
+    expo, coef, row = (np.concatenate(a) for a in zip(*blocks))
+    return system_from_terms(expo, coef, row, 2 * m + (normal is not None))
 
 
 def deflate_once(
@@ -117,9 +140,9 @@ def deflate_once(
     """One randomized deflation round at ``x``.
 
     Draws B (p x (p-kappa+1)) and b with unit complex Gaussian entries,
-    forms the augmented system symbolically, and estimates the multipliers
-    by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].  Raises
-    DeflationError when the Jacobian has full column rank at ``tol``
+    forms the augmented system from the Jacobian term arrays, and estimates
+    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].
+    Raises DeflationError when the Jacobian has full column rank at ``tol``
     (nothing to deflate).
     """
     x = system._check_point(x)
@@ -136,26 +159,13 @@ def deflate_once(
     b_matrix = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
     b_vector = rng.standard_normal(q) + 1j * rng.standard_normal(q)
 
-    total = p + q
-    combos = _multiplier_rows(system, b_matrix, q)
-    polys = [poly.extend(q) for poly in system.polys]
-    for row in combos:
-        acc = Poly.zero(total)
-        for mu, combo in enumerate(row):
-            acc = acc + combo.extend(q) * Poly.variable(total, p + mu)
-        polys.append(acc)
-    normal = Poly.constant(total, -1.0)
-    for mu in range(q):
-        normal = normal + Poly.variable(total, p + mu) * b_vector[mu]
-    polys.append(normal)
-
     stacked = np.vstack([jac_x @ b_matrix, b_vector[None, :]])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
     rhs[-1] = 1.0
     lam = least_squares(stacked, rhs)
 
     deflated = DeflatedSystem(
-        system=PolySystem(polys),
+        system=_augment(system, b_matrix, normal=b_vector),
         b_matrix=b_matrix,
         b_vector=b_vector,
         lambda_hat=lam,
@@ -186,24 +196,12 @@ def deflate_structured(
     lambda2 = np.asarray(lambda2, dtype=complex).reshape(-1)
     if lambda2.shape[0] != v2.shape[1]:
         raise ValueError("lambda2 length must match the V2 column count")
-    q = v1.shape[1]
-    total = p + q
-
-    pinned = _multiplier_rows(system, (v2 @ lambda2)[:, None], 1)
-    free = _multiplier_rows(system, v1, q)
-    polys = [poly.extend(q) for poly in system.polys]
-    for row_pinned, row_free in zip(pinned, free):
-        acc = row_pinned[0].extend(q)
-        for mu, combo in enumerate(row_free):
-            acc = acc + combo.extend(q) * Poly.variable(total, p + mu)
-        polys.append(acc)
-
     jac_x = system.jacobian(x)
-    if q:
+    if v1.shape[1]:
         lam1 = least_squares(jac_x @ v1, -(jac_x @ v2 @ lambda2))
     else:
         lam1 = np.zeros(0, dtype=complex)
-    return PolySystem(polys), np.concatenate([x, lam1])
+    return _augment(system, v1, pinned=v2 @ lambda2), np.concatenate([x, lam1])
 
 
 def deflate_to_regular(
@@ -244,17 +242,19 @@ def gauss_newton(
     if len(system) < system.num_vars:
         raise ValueError("gauss_newton needs at least as many equations as variables")
     y = system._check_point(y0)
+    g = system.eval(y)
     points = [y]
-    residuals = [float(np.linalg.norm(system.eval(y)))]
+    residuals = [float(np.linalg.norm(g))]
     converged = residuals[0] <= stop
     stationary = False
     for _ in range(max_iter):
         if converged or stationary:
             break
-        step = least_squares(system.jacobian(y), system.eval(y))
+        step = least_squares(system.jacobian(y), g)
         y = y - step
+        g = system.eval(y)
         points.append(y)
-        residuals.append(float(np.linalg.norm(system.eval(y))))
+        residuals.append(float(np.linalg.norm(g)))
         if residuals[-1] <= stop:
             converged = True
         elif np.linalg.norm(step) < 1e-13:

@@ -22,7 +22,6 @@ __all__ = [
     "kernel_basis",
     "right_svd",
     "singular_values",
-    "smallest_singular_value",
     "cond",
 ]
 
@@ -64,9 +63,6 @@ class SvdSplit:
     @property
     def sigma(self) -> np.ndarray:
         return np.concatenate([self.sigma1, self.sigma2])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
 
 
 def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
@@ -205,10 +201,6 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ValueError("empty matrix has no singular values")
     return np.linalg.svd(m, compute_uv=False)
-
-
-def smallest_singular_value(matrix: np.ndarray) -> float:
-    return float(singular_values(matrix)[-1])
 
 
 def cond(matrix: np.ndarray) -> float:

@@ -24,6 +24,9 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
+# The term arrays store exponents as int16.
+MAX_EXPONENT = int(np.iinfo(np.int16).max)
+
 __all__ = [
     "Poly",
     "PolySystem",
@@ -37,6 +40,7 @@ __all__ = [
     "apply_functional",
     "monomials_upto",
     "compose_affine",
+    "system_from_terms",
 ]
 
 
@@ -60,13 +64,15 @@ class Poly:
             raise ValueError("a polynomial needs at least one variable")
         clean: dict[Exponent, complex] = {}
         for alpha, c in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != num_vars:
                 raise ValueError(
                     f"multi-index {alpha} has length {len(alpha)}, expected {num_vars}"
                 )
-            if any(a < 0 for a in alpha):
+            if min(alpha) < 0:
                 raise ValueError(f"negative exponent in multi-index {alpha}")
+            if max(alpha) > MAX_EXPONENT:
+                raise ValueError(f"exponent in multi-index {alpha} exceeds {MAX_EXPONENT}")
             c = complex(c)
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient of {alpha} is not finite: {c}")
@@ -168,31 +174,6 @@ class Poly:
             return Poly.constant(self.num_vars, other)
         return NotImplemented
 
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, index: int) -> Poly:
-        """Partial derivative with respect to variable ``index`` (0-based)."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        out: dict[Exponent, complex] = {}
-        for alpha, c in self.terms.items():
-            e = alpha[index]
-            if e == 0:
-                continue
-            beta = list(alpha)
-            beta[index] = e - 1
-            out[tuple(beta)] = c * e
-        return Poly(self.num_vars, out)
-
-    def extend(self, extra: int) -> Poly:
-        """Same polynomial viewed in ``num_vars + extra`` variables."""
-        if extra < 0:
-            raise ValueError("cannot drop variables")
-        if extra == 0:
-            return self
-        pad = (0,) * extra
-        return Poly(self.num_vars + extra, {a + pad: c for a, c in self.terms.items()})
-
     # -- evaluation --------------------------------------------------------
 
     def _arrays(self):
@@ -288,40 +269,42 @@ class PolySystem:
     def is_square(self) -> bool:
         return len(self.polys) == self.num_vars
 
-    def _flat(self, key, polys):
-        """Flattened (exponents, coefficients, row ids) arrays for ``polys``."""
-        cached = self._cache.get(key)
+    def _flat(self):
+        """Flattened (exponents, coefficients, row ids, row count) arrays of
+        the terms; row i holds the terms of f_i in graded-lex order."""
+        cached = self._cache.get("eval")
         if cached is None:
-            arrays = [p._arrays() for p in polys]
+            arrays = [p._arrays() for p in self.polys]
             expo = np.concatenate([e for e, _ in arrays])
             coef = np.concatenate([c for _, c in arrays])
-            row = np.repeat(np.arange(len(polys), dtype=np.int64), [len(c) for _, c in arrays])
-            cached = (expo, coef, row, len(polys))
-            self._cache[key] = cached
+            row = np.repeat(np.arange(len(arrays), dtype=np.int64), [len(c) for _, c in arrays])
+            cached = (expo, coef, row, len(arrays))
+            self._cache["eval"] = cached
         return cached
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
         x = self._check_point(x)
-        expo, coef, row, m = self._flat("eval", self.polys)
+        expo, coef, row, m = self._flat()
         return _segment_sums(coef * _monomial_values(expo, x), row, m)
 
-    def jacobian_polys(self) -> tuple[tuple[Poly, ...], ...]:
-        """Symbolic partial derivatives, cached: entry [i][j] is df_i/dx_j."""
-        jac = self._cache.get("jac_polys")
-        if jac is None:
-            jac = tuple(
-                tuple(p.diff(j) for j in range(self.num_vars)) for p in self.polys
-            )
-            self._cache["jac_polys"] = jac
-        return jac
-
     def _jac_terms(self):
-        """Flattened term arrays of the partials; row i*num_vars + j is df_i/dx_j."""
-        cached = self._cache.get("jacflat")
+        """Flattened term arrays of the partials; row i*num_vars + j is df_i/dx_j.
+
+        Derived from the eval arrays one variable at a time, then stably
+        sorted by row, so each partial keeps the graded-lex order of its terms.
+        """
+        cached = self._cache.get("jac")
         if cached is None:
-            flat = [p for row in self.jacobian_polys() for p in row]
-            cached = self._flat("jacflat", flat)
+            expo, coef, row, m = self._flat()
+            n = self.num_vars
+            parts = [_partial_terms(expo, coef, row * n + j, j) for j in range(n)]
+            expo, coef, row = (np.concatenate(a) for a in zip(*parts))
+            if not np.isfinite(coef).all():
+                raise ValueError("a coefficient of the Jacobian overflows")
+            order = np.argsort(row, kind="stable")
+            cached = (expo[order], coef[order], row[order], m * n)
+            self._cache["jac"] = cached
         return cached
 
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
@@ -339,6 +322,19 @@ class PolySystem:
 
     def __repr__(self):
         return f"PolySystem({len(self.polys)} polys in {self.num_vars} vars)"
+
+
+def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> PolySystem:
+    """The inverse of ``PolySystem._flat``: the system of ``m`` polynomials
+    with term ``coef[t] * X^expo[t]`` in polynomial ``row[t]``.  No (row,
+    exponent) pair may repeat; rows without terms are zero polynomials."""
+    order = np.argsort(row, kind="stable")
+    expo, coef = expo[order], coef[order]
+    bounds = np.searchsorted(row[order], np.arange(m + 1))
+    return PolySystem(
+        Poly(expo.shape[1], dict(zip(map(tuple, expo[lo:hi].tolist()), coef[lo:hi].tolist())))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def _check_point(x, num_vars: int) -> np.ndarray:
@@ -370,6 +366,17 @@ def _monomial_values(expo: np.ndarray, x: np.ndarray) -> np.ndarray:
         powers = x[j] ** np.arange(top + 1)
         out *= powers[col]
     return out
+
+
+def _partial_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, k: int):
+    """Terms of d/dx_k of the terms (expo, coef) with row ids ``row``: the
+    terms with a positive exponent of x_k, that exponent decremented and
+    multiplied into the coefficient, in the same order."""
+    e = expo[:, k]
+    mask = e > 0
+    d = expo[mask]
+    d[:, k] -= 1
+    return d, coef[mask] * e[mask], row[mask]
 
 
 def _segment_sums(vals: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
@@ -506,6 +513,8 @@ class _LineParser:
             terms[alpha] = terms.get(alpha, 0.0) + coeff
             if not cmath.isfinite(terms[alpha]):
                 self.error("coefficient is not finite", col)
+            if max(alpha, default=0) > MAX_EXPONENT:
+                self.error(f"exponent exceeds {MAX_EXPONENT}", col)
             first = False
         return Poly(self.n, terms)
 
@@ -638,17 +647,13 @@ def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) 
     if v.shape != (system.num_vars,):
         raise ValueError("direction length does not match the number of variables")
     expo, coef, row, m = system._jac_terms()
-    expos, coefs, rows = [expo[:0]], [coef[:0]], [row[:0]]
+    parts = [(expo[:0], coef[:0], row[:0])]
     for k in np.flatnonzero(v):
-        e = expo[:, k]
-        mask = e > 0
-        d = expo[mask]
-        d[:, k] -= 1
-        expos.append(d)
-        coefs.append(coef[mask] * e[mask] * v[k])
-        rows.append(row[mask])
-    vals = np.concatenate(coefs) * _monomial_values(np.concatenate(expos), x)
-    return _segment_sums(vals, np.concatenate(rows), m).reshape(len(system), system.num_vars)
+        d, c, r = _partial_terms(expo, coef, row, k)
+        parts.append((d, c * v[k], r))
+    expo, coef, row = (np.concatenate(a) for a in zip(*parts))
+    vals = coef * _monomial_values(expo, x)
+    return _segment_sums(vals, row, m).reshape(len(system), system.num_vars)
 
 
 def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> complex:
@@ -707,7 +712,7 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     """
     xi = system._check_point(xi)
     n = system.num_vars
-    expo, w, row, m = system._flat("eval", system.polys)
+    expo, w, row, m = system._flat()
     top = max(n + order, int(expo.max(initial=0)))
     pascal = np.zeros((top + 1, top + 1), dtype=np.int64)  # pascal[a, b] = C(a, b)
     pascal[:, 0] = 1

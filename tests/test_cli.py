@@ -112,6 +112,15 @@ def test_refine_from_json_file(tmp_path, capsys):
     assert code == 1  # --x0 required without a catalog zero
 
 
+def test_refine_exponent_beyond_the_term_arrays_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vars": ["x"], "polys": ["x^40000 - 1"]}))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path), "--x0", "1.1")
+    assert code == 1
+    assert out == ""
+    assert "error: line 1, column 1: exponent exceeds 32767" in err
+
+
 def test_refine_bad_file(capsys, tmp_path):
     missing = tmp_path / "none.json"
     code, _, err = run_cli(capsys, "refine", "--file", str(missing), "--x0", "1")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snewton.bench import get_entry
+from snewton.bench import catalog, get_entry, random_variant, variant_rank_tolerance
 from snewton.lvz import (
     DeflationError,
     deflate_once,
@@ -12,7 +12,7 @@ from snewton.lvz import (
     gauss_newton,
 )
 from snewton.numla import singular_values, split_svd
-from snewton.polycore import dir_hessian, parse_system
+from snewton.polycore import Poly, PolySystem, dir_hessian, parse_system
 from snewton.twostep import operator_B
 
 XI = np.ones(3, dtype=complex)
@@ -26,6 +26,121 @@ V2_EX = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 @pytest.fixture(scope="module")
 def running():
     return get_entry("running-example").system
+
+
+# -- the symbolic augmentation, the oracle of the term-array one ----------------------
+
+
+def symbolic_partial(p, j):
+    """The partial derivative of ``p`` along x_j, as a polynomial."""
+    out = {}
+    for alpha, c in p.terms.items():
+        if alpha[j]:
+            beta = list(alpha)
+            beta[j] -= 1
+            out[tuple(beta)] = c * alpha[j]
+    return Poly(p.num_vars, out)
+
+
+def symbolic_augment(system, weights, pinned=None, normal=None):
+    """Oracle: g = [f ; Df.(pinned + W lambda) ; normal^T lambda - 1] built
+    with polynomial arithmetic, one multiplier per column of W = ``weights``."""
+    p, q = system.num_vars, weights.shape[1]
+    total = p + q
+
+    def extend(poly):
+        return Poly(total, {alpha + (0,) * q: c for alpha, c in poly.terms.items()})
+
+    lam = [Poly.variable(total, p + mu) for mu in range(q)]
+    polys = [extend(f) for f in system]
+    for f in system:
+        partials = [extend(symbolic_partial(f, j)) for j in range(p)]
+        acc = Poly.zero(total)
+        if pinned is not None:
+            for d, w in zip(partials, pinned):
+                acc = acc + d * w
+        for mu in range(q):
+            combo = Poly.zero(total)
+            for d, w in zip(partials, weights[:, mu]):
+                combo = combo + d * w
+            acc = acc + combo * lam[mu]
+        polys.append(acc)
+    if normal is not None:
+        row = Poly.constant(total, -1.0)
+        for l, b in zip(lam, normal):
+            row = row + l * b
+        polys.append(row)
+    return PolySystem(polys)
+
+
+def assert_matches_symbolic(got, want):
+    """Same shape; each coefficient agrees to 1e-14 relative to the largest
+    one of its row, a monomial missing on one side counting as 0."""
+    assert (len(got), got.num_vars) == (len(want), want.num_vars)
+    for g, w in zip(got, want):
+        scale = max((abs(c) for c in w.terms.values()), default=0.0)
+        for alpha in set(g.terms) | set(w.terms):
+            assert abs(g.terms.get(alpha, 0) - w.terms.get(alpha, 0)) <= 1e-14 * scale, alpha
+
+
+def _assert_deflate_once_matches_symbolic(system, x, tol):
+    deflated, _ = deflate_once(system, x, tol, seed=1)
+    want = symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
+    assert_matches_symbolic(deflated.system, want)
+    return deflated
+
+
+def test_deflate_once_matches_symbolic_augmentation_on_catalog():
+    for entry in catalog():
+        _assert_deflate_once_matches_symbolic(entry.system, entry.zero, entry.tol)
+
+
+@pytest.mark.parametrize("n, kappa", [(5, 1), (10, 2), (20, 3)])
+def test_deflate_once_matches_symbolic_augmentation_on_variants(n, kappa):
+    system, zero = random_variant(n, kappa, seed=4)
+    tol = variant_rank_tolerance(system, zero, kappa)
+    deflated = _assert_deflate_once_matches_symbolic(system, zero, tol)
+    assert deflated.kappa == kappa
+
+
+def test_deflate_structured_matches_symbolic_augmentation(running):
+    rng = np.random.default_rng(8)
+    cases = [(running, XI, V1_EX, V2_EX, np.array([1.0, 1.0]))]
+    for name in ("running-example", "truncated-sin", "mth191", "x2-z3xy-y2"):
+        entry = get_entry(name)
+        split = split_svd(entry.system.jacobian(entry.zero), entry.tol)
+        lam2 = rng.standard_normal(split.kappa) + 1j * rng.standard_normal(split.kappa)
+        cases.append((entry.system, entry.zero, split.v1, split.v2, lam2))
+    for system, x, v1, v2, lam2 in cases:
+        g, _ = deflate_structured(system, x, v1, v2, lam2)
+        assert_matches_symbolic(g, symbolic_augment(system, v1, pinned=v2 @ lam2))
+
+
+def test_both_rounds_of_deflate_to_regular_match_symbolic_augmentation():
+    entry = get_entry("x2-z3xy-y2")
+    rng = np.random.default_rng(1)
+    current, y = entry.system, entry.zero
+    for _ in range(2):
+        deflated, y = deflate_once(current, y, 0.1, seed=rng)
+        want = symbolic_augment(current, deflated.b_matrix, normal=deflated.b_vector)
+        assert_matches_symbolic(deflated.system, want)
+        current = deflated.system
+    final, _, steps = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
+    assert steps == 2
+    assert final == current
+
+
+def test_deflation_does_no_polynomial_arithmetic(count_calls):
+    system = parse_system(
+        "x^2 - x + y + z - 2\ny^2 + x - y + z - 2\nz^2 + x + y - z - 2", ["x", "y", "z"]
+    )
+    sums = count_calls(Poly, "__add__")
+    products = count_calls(Poly, "__mul__")
+    deflated, _ = deflate_once(system, XI, 0.1, seed=3)
+    deflate_structured(system, XI, V1_EX, V2_EX, [1.0, 1.0])
+    assert sums == [] and products == []
+    symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
+    assert sums and products  # the counters do count
 
 
 # -- single random deflation round -------------------------------------------------
@@ -197,6 +312,14 @@ def test_gauss_newton_refines_deflated_system(running):
     assert trace.converged
     assert trace.residuals[-1] <= 1e-10
     assert np.linalg.norm(trace.x[:3] - XI) < 1e-9
+
+
+def test_gauss_newton_evaluates_once_per_iterate(running, count_calls):
+    deflated, y0 = deflate_once(running, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
+    evals = count_calls(PolySystem, "eval")
+    trace = gauss_newton(deflated.system, y0, max_iter=50)
+    assert trace.converged and trace.iterations >= 2
+    assert len(evals) == 1 + trace.iterations
 
 
 def test_gauss_newton_walks_to_stationary_point():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snewton.polycore import (
+    MAX_EXPONENT,
     Poly,
     PolyParseError,
     PolySystem,
@@ -65,11 +66,27 @@ def fd_jacobian(system, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def symbolic_partial(p, j):
+    """Oracle: the partial derivative of ``p`` along x_j, as a polynomial."""
+    out = {}
+    for alpha, c in p.terms.items():
+        if alpha[j]:
+            beta = list(alpha)
+            beta[j] -= 1
+            out[tuple(beta)] = c * alpha[j]
+    return Poly(p.num_vars, out)
+
+
+def symbolic_jacobian(system):
+    """Oracle: entry [i][j] is df_i/dx_j, as a polynomial."""
+    return [[symbolic_partial(p, j) for j in range(system.num_vars)] for p in system]
+
+
 def symbolic_dir_hessian(system, x, v):
     """Oracle for ``dir_hessian``: contract the symbolic gradient with ``v``
     as polynomials, then take the Jacobian of the contracted system."""
     contracted = []
-    for row in system.jacobian_polys():
+    for row in symbolic_jacobian(system):
         g = Poly.zero(system.num_vars)
         for vk, p in zip(v, row):
             if vk != 0 and not p.is_zero():
@@ -105,6 +122,19 @@ def test_multi_index_validation():
         Poly(2, {(1, 0, 0): 1.0})
     with pytest.raises(ValueError):
         Poly(2, {(-1, 0): 1.0})
+
+
+def test_exponents_beyond_the_term_arrays_are_rejected():
+    # exponents are stored as int16 in the term arrays
+    assert Poly(1, {(MAX_EXPONENT,): 2.0}).eval([1.0]) == 2.0
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        Poly(2, {(0, MAX_EXPONENT + 1): 1.0})
+
+
+def test_jacobian_coefficient_overflow_is_rejected():
+    system = PolySystem([Poly(1, {(3,): 1e308})])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        system.jacobian([1.0])
 
 
 def test_non_finite_coefficients_are_rejected():
@@ -172,6 +202,16 @@ def test_parse_rejects_non_finite_coefficients():
     assert (err.value.line, err.value.col) == (2, 3)
     with pytest.raises(PolyParseError, match="not finite"):
         parse_poly("(1e308+1e308)*x", ["x"])
+
+
+def test_parse_rejects_exponents_beyond_the_term_arrays():
+    with pytest.raises(PolyParseError, match="exponent exceeds 32767") as err:
+        parse_system("x - 1\ny^2 + x^40000 - 1", ["x", "y"])
+    assert (err.value.line, err.value.col) == (2, 5)
+    # in-range powers whose product is out of range
+    with pytest.raises(PolyParseError, match="exponent exceeds 32767") as err:
+        parse_system("x^20000*x^20000", ["x"])
+    assert (err.value.line, err.value.col) == (1, 1)
 
 
 def test_imaginary_unit_is_reserved():
@@ -381,9 +421,36 @@ def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
     assert_dir_hessian_matches_oracle(system, x, v)
 
 
+def assert_jacobian_terms_equal_symbolic(system):
+    """The Jacobian term arrays are exactly those compiled from the symbolic
+    partials, row i*n + j holding df_i/dx_j: same terms, same order, same
+    coefficients, same dtypes."""
+    partials = PolySystem(d for row in symbolic_jacobian(system) for d in row)
+    got, want = system._jac_terms(), partials._flat()
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@_PROPERTY
+@given(system=_random_systems())
+def test_jacobian_terms_equal_symbolic_partials(system):
+    assert_jacobian_terms_equal_symbolic(system)
+
+
+def test_jacobian_terms_equal_symbolic_partials_on_catalog_and_deflated_systems():
+    from snewton.bench import catalog, random_variant
+
+    systems = [e.system for e in catalog()]
+    systems.append(random_variant(8, 3, seed=2)[0])
+    systems += [system for system, _ in _deflated_systems()]
+    for system in systems:
+        assert_jacobian_terms_equal_symbolic(system)
+
+
 def test_dir_hessian_builds_no_polynomials(monkeypatch):
     system = parse_system(RUNNING, XYZ)
-    system.jacobian([1, 1, 1])  # fill the term-array cache
     built = []
     for cls in (Poly, PolySystem):
         real_init = cls.__init__
@@ -393,6 +460,7 @@ def test_dir_hessian_builds_no_polynomials(monkeypatch):
             _real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
+    system.jacobian([1.1, 0.9, 1.0])  # the first call builds the term arrays
     dir_hessian(system, [1.1, 0.9, 1.0], [0.5, -0.5j, 0.0])
     assert built == []
     symbolic_dir_hessian(system, [1.1, 0.9, 1.0], [0.5, -0.5j, 0.0])
