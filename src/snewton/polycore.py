@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,7 +192,7 @@ class Poly:
         if not self.terms:
             return 0.0 + 0.0j
         expo, coef = self._arrays()
-        vals = coef * _monomial_values(expo, x)
+        vals = coef * _monomials(_factor_index(*_factors(expo), *expo.shape), x)
         return complex(np.sum(vals))
 
     # -- formatting --------------------------------------------------------
@@ -226,9 +226,9 @@ class PolySystem:
     """An ordered tuple of polynomials sharing one variable set.
 
     Square systems have as many polynomials as variables; deflated systems
-    are longer.  Evaluation and the Jacobian use flattened coefficient
-    arrays that are built lazily and cached (the system itself stays
-    immutable, so sharing across threads is safe).
+    are longer.  Evaluation, the Jacobian and Hessian contractions use
+    flattened term arrays and their factor indexes, built lazily and cached
+    (the system itself stays immutable, so sharing across threads is safe).
     """
 
     __slots__ = ("polys", "num_vars", "_cache")
@@ -282,11 +282,33 @@ class PolySystem:
             self._cache["eval"] = cached
         return cached
 
+    def _index(self, name: str) -> _FactorIndex:
+        """The factor index of the "eval" or the "jac" term arrays."""
+        key = name + " index"
+        index = self._cache.get(key)
+        if index is None:
+            expo = (self._flat() if name == "eval" else self._jac_terms())[0]
+            index = _factor_index(*_factors(expo), *expo.shape)
+            self._cache[key] = index
+        return index
+
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
         x = self._check_point(x)
-        expo, coef, row, m = self._flat()
-        return _segment_sums(coef * _monomial_values(expo, x), row, m)
+        _, coef, row, m = self._flat()
+        return _segment_sums(coef * _monomials(self._index("eval"), x), row, m)
+
+    def _eval_once(self, x: np.ndarray) -> np.ndarray:
+        """``eval(x)`` for a checked point, reusing the value of the point last
+        evaluated here: an iteration needs f at an iterate more than once.
+        The array is shared between callers, so it is read-only."""
+        key = x.tobytes()
+        last = self._cache.get("last f")
+        if last is None or last[0] != key:
+            fx = self.eval(x)
+            fx.flags.writeable = False
+            last = self._cache["last f"] = (key, fx)
+        return last[1]
 
     def _jac_terms(self):
         """Flattened term arrays of the partials; row i*num_vars + j is df_i/dx_j.
@@ -310,9 +332,41 @@ class PolySystem:
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
         x = self._check_point(x)
-        expo, coef, row, m = self._jac_terms()
-        vals = _segment_sums(coef * _monomial_values(expo, x), row, m)
+        _, coef, row, m = self._jac_terms()
+        vals = _segment_sums(coef * _monomials(self._index("jac"), x), row, m)
         return vals.reshape(len(self.polys), self.num_vars)
+
+    def _hess_terms(self):
+        """The Jacobian terms differentiated once along every x_k: (factor
+        index, coefficients, row ids, k of each term, row count).  The terms
+        of one k keep the Jacobian order, and the k ascend, as
+        ``_partial_terms`` applied for k = 0, 1, ... would give them.
+
+        Each nonzero factor x_k^e of a Jacobian term yields one term, with
+        the coefficient times e and that factor lowered to x_k^(e-1).  The
+        terms are built from the Jacobian's factor lists, so no dense
+        exponents are stored for them.
+        """
+        cached = self._cache.get("hess")
+        if cached is None:
+            expo, coef, row, m = self._jac_terms()
+            term, var, exp = _factors(expo)
+            count = np.bincount(term, minlength=len(coef))
+            # one new term per factor, in (k, Jacobian term) order
+            pick = np.argsort(var, kind="stable").astype(np.int32)
+            source = term[pick]
+            # its factors: those of its source term, the picked one lowered
+            reps = count[source]
+            starts = np.cumsum(count) - count
+            offset = (starts[source] - np.cumsum(reps) + reps).astype(np.int32)
+            factor = np.repeat(offset, reps) + np.arange(reps.sum(), dtype=np.int32)
+            lowered = exp[factor] - (factor == np.repeat(pick, reps))
+            keep = lowered > 0
+            owner = np.repeat(np.arange(len(pick), dtype=np.int32), reps)[keep]
+            index = _factor_index(owner, var[factor][keep], lowered[keep], len(pick), self.num_vars)
+            cached = (index, coef[source] * exp[pick], row[source], var[pick], m)
+            self._cache["hess"] = cached
+        return cached
 
     def _check_point(self, x) -> np.ndarray:
         return _check_point(x, self.num_vars)
@@ -327,14 +381,23 @@ class PolySystem:
 def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> PolySystem:
     """The inverse of ``PolySystem._flat``: the system of ``m`` polynomials
     with term ``coef[t] * X^expo[t]`` in polynomial ``row[t]``.  No (row,
-    exponent) pair may repeat; rows without terms are zero polynomials."""
-    order = np.argsort(row, kind="stable")
-    expo, coef = expo[order], coef[order]
-    bounds = np.searchsorted(row[order], np.arange(m + 1))
-    return PolySystem(
+    exponent) pair may repeat; rows without terms are zero polynomials.
+
+    The terms are put in ``_flat`` order (by row, then graded-lex, zero
+    coefficients dropped) and seed the system's term arrays, so they are not
+    compiled again from the polynomials."""
+    coef = np.asarray(coef, dtype=complex)
+    # np.lexsort sorts by its last key first
+    order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
+    order = order[coef[order] != 0]
+    expo, coef, row = expo[order], coef[order], row[order].astype(np.int64)
+    bounds = np.searchsorted(row, np.arange(m + 1))
+    system = PolySystem(
         Poly(expo.shape[1], dict(zip(map(tuple, expo[lo:hi].tolist()), coef[lo:hi].tolist())))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     )
+    system._cache["eval"] = (expo.astype(np.int16), coef, row, m)
+    return system
 
 
 def _check_point(x, num_vars: int) -> np.ndarray:
@@ -342,30 +405,68 @@ def _check_point(x, num_vars: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape != (num_vars,):
         raise ValueError(f"point has {x.shape[0]} coordinates, expected {num_vars}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"point coordinate {bad[0] + 1} is not finite: {x[bad[0]]}")
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"point coordinate {bad + 1} is not finite: {x[bad]}")
     return x
 
 
-def _monomial_values(expo: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values of each monomial row of ``expo`` at ``x``.
+class _FactorIndex(NamedTuple):
+    """The nonzero factors x_j^e of a set of terms, compiled for evaluation.
 
-    Uses per-variable power tables instead of complex ``**`` per entry; the
-    exponent ranges here are tiny compared to the term counts.
+    A call builds the power table x_j^e once, for the (variable, exponent)
+    pairs ``table_var``, ``table_exp``.  Taken in order of falling factor
+    count, the terms that have an s-th factor form a prefix, and
+    ``slots[s]`` holds the table positions of those factors; ``rank[t]`` is
+    the place of term t in that order.
     """
-    t = expo.shape[0]
-    if t == 0:
-        return np.zeros(0, dtype=complex)
-    out = np.ones(t, dtype=complex)
-    for j in range(expo.shape[1]):
-        col = expo[:, j]
-        top = int(col.max())
-        if top == 0:
-            continue
-        powers = x[j] ** np.arange(top + 1)
-        out *= powers[col]
-    return out
+
+    table_var: np.ndarray
+    table_exp: np.ndarray
+    rank: np.ndarray
+    slots: tuple[np.ndarray, ...]
+
+
+def _factors(expo: np.ndarray):
+    """(term, variable, exponent) of each nonzero entry of ``expo``, by term
+    and, within a term, by ascending variable; int32 indices."""
+    term, var = np.nonzero(expo)
+    return term.astype(np.int32), var.astype(np.int32), expo[term, var]
+
+
+def _factor_index(term, var, exp, num_terms: int, num_vars: int) -> _FactorIndex:
+    """The index of ``num_terms`` terms whose factors are listed as by
+    ``_factors``."""
+    top = np.zeros(num_vars, dtype=np.int32)
+    np.maximum.at(top, var, exp)
+    start = np.cumsum(top, dtype=np.int32) - top  # table position of x_j^1
+    table_var = np.repeat(np.arange(num_vars, dtype=np.int32), top)
+    table_exp = np.arange(1, len(table_var) + 1) - np.repeat(start, top)
+    pos = start[var] + (exp - 1)
+    count = np.bincount(term, minlength=num_terms)
+    first = np.cumsum(count) - count  # each term's first factor
+    order = np.argsort(-count, kind="stable")
+    rank = np.empty(num_terms, dtype=np.int32)
+    rank[order] = np.arange(num_terms)
+    slots = tuple(
+        pos[first[order[: np.count_nonzero(count > s)]] + s]
+        for s in range(int(count.max(initial=0)))
+    )
+    return _FactorIndex(table_var, table_exp, rank, slots)
+
+
+def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
+    """Value of each term's monomial at ``x``.  A term multiplies its factors
+    in ascending variable order, starting from 1."""
+    table = x[index.table_var] ** index.table_exp
+    out = np.ones(len(index.rank), dtype=complex)
+    for pos in index.slots:
+        # A new array with the running product as first operand: numpy rounds
+        # an in-place product of one element without the fused multiply-add
+        # it uses otherwise, and ``a * temporary`` of a large temporary as
+        # ``temporary * a``, which rounds differently.
+        out[: len(pos)] = np.multiply(out[: len(pos)], table[pos])
+    return out[index.rank]
 
 
 def _partial_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, k: int):
@@ -638,21 +739,24 @@ def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) 
     """Hessian tensor contracted with ``v``: the matrix with entries
     sum_k d^2 f_i / dx_j dx_k (x) * v_k.
 
-    Evaluated from the cached Jacobian term arrays: the terms of each df_i/dx_j
-    are differentiated along every x_k with v_k != 0, weighted by v_k and
-    summed in one pass; no tensor and no polynomial is built.
+    Evaluated from the cached second-derivative terms (the terms of each
+    df_i/dx_j differentiated along every x_k): the terms of each x_k with
+    v_k != 0 are weighted by v_k and summed in one pass; no tensor and no
+    polynomial is built.
     """
     x = system._check_point(x)
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (system.num_vars,):
         raise ValueError("direction length does not match the number of variables")
-    expo, coef, row, m = system._jac_terms()
-    parts = [(expo[:0], coef[:0], row[:0])]
-    for k in np.flatnonzero(v):
-        d, c, r = _partial_terms(expo, coef, row, k)
-        parts.append((d, c * v[k], r))
-    expo, coef, row = (np.concatenate(a) for a in zip(*parts))
-    vals = coef * _monomial_values(expo, x)
+    index, coef, row, var, m = system._hess_terms()
+    weight = v[var]
+    coef = coef * weight
+    if weight.all():
+        vals = coef * _monomials(index, x)
+    else:
+        keep = weight != 0
+        coef, row = coef[keep], row[keep]
+        vals = coef * _monomials(index, x)[keep]
     return _segment_sums(vals, row, m).reshape(len(system), system.num_vars)
 
 

@@ -18,6 +18,8 @@ f, Df and D2f(x).v all come from the system's cached term arrays.  One
 iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the rank
 tolerance from that spectrum), one ``random_direction`` draw, and one Hessian
 contraction, inside ``second_refinement``, which returns B' with the step.
+f is evaluated once per point (``PolySystem._eval_once``): at x' and at x'',
+whose value ``refine`` hands on as f(x) of the next iteration.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    fx = system.eval(x)
+    fx = system._eval_once(x)
     y = split.v1 @ ((split.u1.conj().T @ fx) / split.sigma1)
     return x - y
 
@@ -236,12 +238,12 @@ def two_step(
     split = split_svd(jac, cfg.tol)
     kappa = split.kappa
     n = system.num_vars
-    fx = system.eval(x)
+    fx = system._eval_once(x)
     res = {"x": float(np.linalg.norm(fx))}
 
     if kappa == 0:
         x_new = x - solve(jac, fx)
-        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system.eval(x_new)))
+        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._eval_once(x_new)))
         return StepResult(
             kappa=0,
             split=split,
@@ -260,7 +262,7 @@ def two_step(
         res["x_prime"] = res["x"]
     else:
         x_prime, mode = first_refinement(system, x, split), "two-step"
-        res["x_prime"] = float(np.linalg.norm(system.eval(x_prime)))
+        res["x_prime"] = float(np.linalg.norm(system._eval_once(x_prime)))
 
     attempts = 1 if cfg.v_override is not None else 2
     last_error = None
@@ -275,7 +277,7 @@ def two_step(
             last_error = exc
     else:
         raise last_error
-    res["x_double_prime"] = float(np.linalg.norm(system.eval(x_second)))
+    res["x_double_prime"] = float(np.linalg.norm(system._eval_once(x_second)))
 
     return StepResult(
         kappa=kappa,
@@ -330,7 +332,7 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [float(np.linalg.norm(system.eval(x)))]
+    residuals = [float(np.linalg.norm(system._eval_once(x)))]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"

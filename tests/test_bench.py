@@ -104,6 +104,18 @@ def test_identity_variant_is_the_template():
     assert compose_affine(template, np.eye(4), np.zeros(4)) == template
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30])
+def test_random_variant_equals_the_symbolic_composition(n):
+    for k in range(1, min(n, 3) + 1):
+        for seed in range(5):
+            system, zero = random_variant(n, k, seed=seed)
+            a, b = bench._variant_map(n, seed)
+            assert np.array_equal(zero, b)
+            assert system == compose_affine(template_system(n, k), a, b)
+    with pytest.raises(ValueError):
+        random_variant(n, n + 1)
+
+
 def test_random_variant_zero_and_corank():
     system, zero = random_variant(10, 2, seed=0)
     assert np.linalg.norm(system.eval(zero)) <= 1e-12

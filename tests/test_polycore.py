@@ -21,8 +21,10 @@ from snewton.polycore import (
     normalized_partial,
     parse_poly,
     parse_system,
+    system_from_terms,
     taylor_coefficients,
 )
+from snewton.polycore import _partial_terms, _segment_sums
 
 RUNNING = (
     "x^2 - x + y + z - 2\n"
@@ -465,6 +467,142 @@ def test_dir_hessian_builds_no_polynomials(monkeypatch):
     assert built == []
     symbolic_dir_hessian(system, [1.1, 0.9, 1.0], [0.5, -0.5j, 0.0])
     assert "Poly" in built and "PolySystem" in built  # the counter does count
+
+
+# -- the dense evaluator as the oracle of the factor index ----------------------
+
+
+def dense_monomials(expo, x):
+    """Oracle: each term's monomial from a loop over all exponent columns,
+    multiplying by x_j^e in ascending j (by 1 where e = 0).  Each product is
+    a new array with the running product first: numpy rounds an in-place
+    product the same way, except for a one-element array, which it rounds
+    without fused multiply-add."""
+    out = np.ones(expo.shape[0], dtype=complex)
+    for j in range(expo.shape[1]):
+        col = expo[:, j]
+        top = int(col.max(initial=0))
+        if top == 0:
+            continue
+        powers = x[j] ** np.arange(top + 1)
+        out = np.multiply(out, powers[col])
+    return out
+
+
+def dense_values(terms, x):
+    expo, coef, row, m = terms
+    return _segment_sums(coef * dense_monomials(expo, x), row, m)
+
+
+def dense_dir_hessian(system, x, v):
+    """Oracle: the Jacobian terms differentiated along each x_k with
+    v_k != 0 on every call, weighted by v_k, concatenated in ascending k."""
+    expo, coef, row, m = system._jac_terms()
+    parts = [(expo[:0], coef[:0], row[:0])]
+    for k in np.flatnonzero(v):
+        d, c, r = _partial_terms(expo, coef, row, k)
+        parts.append((d, c * v[k], r))
+    expo, coef, row = (np.concatenate(a) for a in zip(*parts))
+    return dense_values((expo, coef, row, m), x).reshape(len(system), system.num_vars)
+
+
+def dense_poly_eval(p, x):
+    if p.is_zero():
+        return 0j
+    expo, coef = p._arrays()
+    return complex(np.sum(coef * dense_monomials(expo, x)))
+
+
+def assert_evaluators_match_dense(system, x, v):
+    """eval, jacobian, dir_hessian and Poly.eval equal the dense loop bit
+    for bit."""
+    x, v = np.asarray(x, dtype=complex), np.asarray(v, dtype=complex)
+    pairs = [
+        (system.eval(x), dense_values(system._flat(), x)),
+        (system.jacobian(x), dense_values(system._jac_terms(), x).reshape(len(system), -1)),
+        (dir_hessian(system, x, v), dense_dir_hessian(system, x, v)),
+    ]
+    pairs += [(np.complex128(p.eval(x)), np.complex128(dense_poly_eval(p, x))) for p in system]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Square and non-square systems in 1-9 variables whose terms have up to
+    n factors, with zero and constant rows."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.sampled_from([0, 0, 0, 1, 1, 2, 3])] * n)
+    rows = st.one_of(
+        st.dictionaries(exponents, _COMPLEX, max_size=8),
+        st.builds(lambda c: {(0,) * n: c}, _COMPLEX),  # a constant row
+    )
+    return PolySystem(Poly(n, draw(rows)) for _ in range(m))
+
+
+@_PROPERTY
+@given(data=st.data(), system=_sparse_systems())
+def test_evaluators_match_the_dense_loop(data, system):
+    n = system.num_vars
+    assert_evaluators_match_dense(system, data.draw(_vectors(n)), data.draw(_vectors(n)))
+
+
+@_PROPERTY
+@given(data=st.data(), index=st.integers(0, 2))
+def test_evaluators_match_the_dense_loop_on_deflated_systems(data, index):
+    system, y = _deflated_systems()[index]
+    x = y + data.draw(_vectors(system.num_vars)) / 100
+    assert_evaluators_match_dense(system, x, data.draw(_vectors(system.num_vars)))
+
+
+def test_evaluators_match_the_dense_loop_on_catalog_and_variants():
+    from snewton.bench import catalog, random_variant
+
+    cases = [(e.system, e.zero) for e in catalog()]  # Cyclic9 has terms of 9 factors
+    cases += [random_variant(n, k, seed=n + k) for n, k in ((10, 1), (20, 3), (30, 2))]
+    # a monomial, a zero and a constant row
+    rows = [parse_poly("x*y*z", XYZ), Poly.zero(3), Poly.constant(3, 2j)]
+    cases.append((PolySystem(rows), np.array([0.5 - 1j, 0j, 3.0])))
+    rng = np.random.default_rng(41)
+    for system, zero in cases:
+        n = system.num_vars
+        x = zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert_evaluators_match_dense(system, x, v)
+        v[::2] = 0
+        assert_evaluators_match_dense(system, zero, v)
+
+
+def test_system_from_terms_seeds_the_compiled_term_arrays():
+    """The seeded arrays equal a cold compile from the polynomials, whatever
+    the input order, and zero coefficients are dropped."""
+    from snewton.bench import catalog, get_entry
+    from snewton.lvz import deflate_structured
+
+    rng = np.random.default_rng(43)
+    systems = []
+    for entry in catalog():
+        expo, coef, row, m = entry.system._flat()
+        order = rng.permutation(len(coef))
+        unused = np.zeros((1, expo.shape[1]), dtype=expo.dtype)
+        unused[0, 0] = 99  # a term with a zero coefficient, to be dropped
+        expo = np.vstack([expo[order], unused]).astype(np.int64)
+        coef, row = np.append(coef[order], 0), np.append(row[order], m - 1)
+        systems.append((system_from_terms(expo, coef, row, m), entry.system))
+    entry = get_entry("x2-z3xy-y2")
+    eye = np.eye(3)
+    structured, _ = deflate_structured(entry.system, entry.zero, eye[:, :1], eye[:, 1:], [0.5, -1j])
+    systems += [(s, None) for s, _ in _deflated_systems()] + [(structured, None)]
+    for system, source in systems:
+        assert "eval" in system._cache
+        got, want = system._flat(), PolySystem(system.polys)._flat()
+        assert got[3] == want[3]
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        if source is not None:
+            assert system == source
 
 
 # -- normalized partials and functionals --------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from snewton.bench import get_entry, random_variant, variant_rank_tolerance
 from snewton.numla import SingularMatrixError, split_svd
-from snewton.polycore import parse_system
+from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
     StepConfig,
     auto_tolerance,
@@ -380,6 +380,35 @@ def test_refine_is_reproducible_with_seed():
     t2 = refine(entry.system, x0, StepConfig(tol=0.1, seed=5))
     assert np.array_equal(t1.x, t2.x)
     assert t1.residuals == t2.residuals
+
+
+def test_refine_evaluates_f_once_per_point(count_calls, monkeypatch):
+    system, zero = random_variant(8, 2, seed=3)
+    rng = np.random.default_rng(3)
+    x0 = zero + 1e-3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    cfg = StepConfig(tol=variant_rank_tolerance(system, zero, 2), seed=1)
+    calls = count_calls(PolySystem, "eval")
+    trace = refine(system, x0, cfg)
+    assert trace.iterations >= 2
+    assert {step.mode for step in trace.steps} == {"two-step"}
+    assert len(calls) == 1 + 2 * trace.iterations
+    # the same run with f evaluated afresh at every use gives the same bits
+    monkeypatch.setattr(PolySystem, "_eval_once", lambda self, x: self.eval(x))
+    fresh = refine(system, x0, cfg)
+    assert len(calls) == 2 + 6 * trace.iterations
+    assert fresh.residuals == trace.residuals
+    for a, b in zip(fresh.steps + [fresh], trace.steps + [trace]):
+        for name in ("x_prime", "delta", "x_double_prime", "x"):
+            if hasattr(a, name):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_eval_once_reuses_only_the_last_point(running):
+    x, y = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1.0, 1.2, 0.7], dtype=complex)
+    for point in (x, y, x, x):
+        fx = running._eval_once(point)
+        assert fx.tobytes() == running.eval(point).tobytes()
+        assert not fx.flags.writeable
 
 
 def test_refine_trace_json(running):
