@@ -27,7 +27,8 @@ from .dualspace import (
     multiplicity_structure,
 )
 from .twostep import RefineTrace, StepConfig, StepResult, auto_tolerance, refine, two_step
-from .lvz import DeflatedSystem, GNTrace, deflate_once, deflate_to_regular, gauss_newton
+from .lvz import AugmentedSystem, DeflatedSystem, GNTrace
+from .lvz import deflate_once, deflate_to_regular, gauss_newton
 from . import bench
 
 __version__ = "0.1.0"
@@ -54,6 +55,7 @@ __all__ = [
     "auto_tolerance",
     "two_step",
     "refine",
+    "AugmentedSystem",
     "DeflatedSystem",
     "GNTrace",
     "deflate_once",

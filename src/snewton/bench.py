@@ -435,9 +435,10 @@ def _trace_points(trace, x0):
 
 
 def run_efficiency(sizes, iters: int = 3, seed: int = 0) -> ExperimentReport:
-    """Average seconds for one refinement iteration of each pipeline on
-    random variants: the split-step method against one deflation round plus
-    one Gauss-Newton step.  A warm-up rep is run and discarded."""
+    """Median seconds, over ``iters`` repeats, for one refinement iteration
+    of each pipeline on random variants: the split-step method against one
+    deflation round plus one Gauss-Newton step.  A warm-up rep is run and
+    discarded."""
     rows = []
     for idx, (n, k) in enumerate(sizes):
         system, zero = random_variant(n, k, seed=seed + idx)
@@ -466,11 +467,14 @@ def run_efficiency(sizes, iters: int = 3, seed: int = 0) -> ExperimentReport:
 
 
 def _time_reps(fn, reps: int) -> float:
-    fn()  # warm-up, discarded
-    start = time.perf_counter()
+    """Median seconds of ``reps`` calls (at least one) after a warm-up call."""
+    fn()
+    times = []
     for _ in range(max(1, reps)):
+        start = time.perf_counter()
         fn()
-    return (time.perf_counter() - start) / max(1, reps)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
 
 
 def run_robustness(max_two_step_iters: int = 8) -> ExperimentReport:

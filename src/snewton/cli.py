@@ -84,6 +84,17 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
+def _parse_sizes(text: str) -> list[tuple[int, int]]:
+    """``n:kappa`` pairs separated by commas, e.g. ``10:2,50:2``."""
+    sizes = []
+    for chunk in text.split(","):
+        parts = chunk.strip().split(":")
+        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            raise ValueError(f"--sizes entry {chunk!r} is not of the form n:kappa, e.g. 10:2")
+        sizes.append((int(parts[0]), int(parts[1])))
+    return sizes
+
+
 def _load_system(args):
     if args.catalog:
         entry = bench.get_entry(args.catalog)
@@ -193,11 +204,7 @@ def _cmd_bench(args) -> int:
             k_values=[3, 4, 2], tol_values=[1e-2], iters=args.iters
         )
     elif args.experiment == "efficiency":
-        sizes = []
-        for chunk in args.sizes.split(","):
-            n, k = chunk.split(":")
-            sizes.append((int(n), int(k)))
-        report = bench.run_efficiency(sizes, iters=args.iters, seed=seed)
+        report = bench.run_efficiency(_parse_sizes(args.sizes), iters=args.iters, seed=seed)
     else:
         report = bench.run_robustness()
     _emit(report.to_json(), report.to_text(), args.format)

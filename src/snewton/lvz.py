@@ -6,11 +6,12 @@
 
 with a fresh random matrix B and vector b, new multiplier variables lambda,
 and a least-squares estimate of the multipliers at the current point.  The
-augmented terms come from the parent's cached Jacobian term arrays by a
-matrix product, with no polynomial arithmetic.  The result is a genuine
-polynomial system, so the same Jacobian machinery (and ``gauss_newton``)
-applies to it, and deflation can be iterated on its own output for zeros
-that need several rounds.
+augmented system is numeric (``AugmentedSystem``): g, its Jacobian and its
+directional derivatives are assembled from those of f, which come from the
+parent's cached term arrays, so no polynomial is built.  It has the
+evaluation interface of a polynomial system, so ``gauss_newton`` applies to
+it, and deflation can be iterated on its own output for zeros that need
+several rounds.
 
 ``deflate_structured`` is the variant with a pinned kernel block: the
 multipliers attached to a chosen kernel basis are fixed constants and only
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numla import least_squares, singular_values
-from .polycore import PolySystem, system_from_terms
+from .polycore import PolySystem, _check_direction, _check_point
 
 __all__ = [
+    "AugmentedSystem",
     "DeflatedSystem",
     "GNTrace",
     "DeflationError",
@@ -46,7 +48,7 @@ class DeflationError(RuntimeError):
 class DeflatedSystem:
     """One augmentation round: the system, its random data, multipliers."""
 
-    system: PolySystem
+    system: AugmentedSystem
     b_matrix: np.ndarray
     b_vector: np.ndarray
     lambda_hat: np.ndarray
@@ -88,51 +90,74 @@ class GNTrace:
         }
 
 
-def _augment(system: PolySystem, weights: np.ndarray, pinned=None, normal=None) -> PolySystem:
-    """The system g = [f ; Df.(pinned + W lambda) ; normal^T lambda - 1] in
-    the parent variables followed by one multiplier per column of W =
-    ``weights``; no pinned part when ``pinned`` is None, and no last row when
-    ``normal`` is None.
+class AugmentedSystem:
+    """g(x, lambda) = [f(x) ; Df(x).(pinned + W lambda) ; normal^T lambda - 1]
+    in the parent variables x and one multiplier per column of W =
+    ``weights``; no pinned part when ``pinned`` is None, no last row when
+    ``normal`` is None.  It has the ``len``, ``num_vars``, ``eval``,
+    ``jacobian`` and ``directional_derivative`` of a ``PolySystem``, taken
+    from those of the parent (which may be augmented too); no polynomial is
+    built."""
 
-    The Jacobian terms are grouped by (polynomial i, monomial beta) into a
-    matrix C with C[(i, beta), j] the coefficient of beta in df_i/dx_j.  The
-    coefficient of beta * lambda_mu in row i is then (C W)[(i, beta), mu],
-    and that of beta alone (C pinned)[(i, beta)].  The products are summed
-    in ascending j and rounded as scalar complex arithmetic rounds them
-    (numpy's vector loops may fuse multiply and add), so the coefficients
-    are those of the same sum of polynomials, bit for bit.
-    """
-    p, q, m = system.num_vars, weights.shape[1], len(system)
-    expo, coef, row, _ = system._jac_terms()
-    keys = np.column_stack([row // p, expo])
-    # each key row as one opaque value: np.unique sorts these far faster than rows
-    packed = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    keys = keys[first]
-    c = np.zeros((len(keys), p), dtype=complex)
-    c[inverse, row % p] = coef
-    cols = weights if pinned is None else np.column_stack([weights, pinned])
-    cw = np.zeros((len(keys), cols.shape[1]), dtype=complex)
-    for j in range(p):
-        a, w = c[:, j, None], cols[j]
-        cw += (a.real * w.real - a.imag * w.imag) + 1j * (a.real * w.imag + a.imag * w.real)
-    poly, beta, lam = m + keys[:, 0], keys[:, 1:], np.eye(q, dtype=int)
-    f_expo, f_coef, f_row, _ = system._flat()
-    blocks = [
-        (np.pad(f_expo, ((0, 0), (0, q))), f_coef, f_row),
-        (np.hstack([beta.repeat(q, axis=0), np.tile(lam, (len(keys), 1))]),
-         cw[:, :q].reshape(-1), poly.repeat(q)),
-    ]
-    if pinned is not None:
-        blocks.append((np.pad(beta, ((0, 0), (0, q))), cw[:, q], poly))
-    if normal is not None:
-        blocks.append((np.pad(lam, ((0, 1), (p, 0))), np.append(normal, -1), np.full(q + 1, 2 * m)))
-    expo, coef, row = (np.concatenate(a) for a in zip(*blocks))
-    return system_from_terms(expo, coef, row, 2 * m + (normal is not None))
+    def __init__(self, parent, weights, pinned=None, normal=None):
+        p = parent.num_vars
+        self.parent, self.weights = parent, _column_block(weights, p, "weights")
+        self.pinned = np.zeros(p, dtype=complex) if pinned is None else _check_direction(pinned, p)
+        self.normal = None if normal is None else _check_direction(normal, self.weights.shape[1])
+        self.num_vars = p + self.weights.shape[1]
+
+    def __len__(self):
+        return 2 * len(self.parent) + (self.normal is not None)
+
+    def __repr__(self):
+        return f"AugmentedSystem({len(self)} rows in {self.num_vars} vars)"
+
+    def _check_point(self, y) -> np.ndarray:
+        return _check_point(y, self.num_vars)
+
+    def eval(self, y) -> np.ndarray:
+        """``[f(x), Df(x).(pinned + W lambda), normal^T lambda - 1]`` at y = (x, lambda)."""
+        y = self._check_point(y)
+        x, lam = y[: self.parent.num_vars], y[self.parent.num_vars :]
+        values = [self.parent.eval(x), self.parent.jacobian(x) @ (self.pinned + self.weights @ lam)]
+        if self.normal is not None:
+            values.append([self.normal @ lam - 1])
+        return np.concatenate(values)
+
+    def jacobian(self, y) -> np.ndarray:
+        """[[Df, 0], [D^2f.(pinned + W lambda), Df.W], [0, normal^T]] at ``y``."""
+        return self.directional_derivative(y, ())
+
+    def directional_derivative(self, y, dirs) -> np.ndarray:
+        """Jacobian of D^k g(y)[d_1, ..., d_k] for the k directions ``dirs``.
+
+        With d_i = (u_i, mu_i) and a = pinned + W lambda, g is affine in
+        lambda, so by the product rule the f rows are D^k f[u_1..u_k]; the
+        middle rows are D^(k+1) f[a, u_1..u_k] + sum_i D^k f[W mu_i, u_(-i)]
+        along x and D^k f[u_1..u_k].W along lambda; the normal row is there
+        for k = 0 only.  Each term is a ``directional_derivative`` of the parent."""
+        y = self._check_point(y)
+        dirs = [_check_direction(d, self.num_vars) for d in dirs]
+        parent, w = self.parent, self.weights
+        p, m = parent.num_vars, len(parent)
+        x, lam = y[:p], y[p:]
+        us = [d[:p] for d in dirs]
+        top = parent.directional_derivative(x, us)
+        mid = parent.directional_derivative(x, [self.pinned + w @ lam, *us])
+        for i, d in enumerate(dirs):
+            if d[p:].any():
+                mid = mid + parent.directional_derivative(x, [w @ d[p:], *us[:i], *us[i + 1 :]])
+        out = np.zeros((len(self), self.num_vars), dtype=complex)
+        out[:m, :p] = top
+        out[m : 2 * m, :p] = mid
+        out[m : 2 * m, p:] = top @ w
+        if self.normal is not None and not dirs:
+            out[2 * m, p:] = self.normal
+        return out
 
 
 def deflate_once(
-    system: PolySystem,
+    system: PolySystem | AugmentedSystem,
     x,
     tol: float,
     seed=0,
@@ -140,7 +165,7 @@ def deflate_once(
     """One randomized deflation round at ``x``.
 
     Draws B (p x (p-kappa+1)) and b with unit complex Gaussian entries,
-    forms the augmented system from the Jacobian term arrays, and estimates
+    forms the augmented system over ``system``, and estimates
     the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].
     Raises DeflationError when the Jacobian has full column rank at ``tol``
     (nothing to deflate).
@@ -165,7 +190,7 @@ def deflate_once(
     lam = least_squares(stacked, rhs)
 
     deflated = DeflatedSystem(
-        system=_augment(system, b_matrix, normal=b_vector),
+        system=AugmentedSystem(system, b_matrix, normal=b_vector),
         b_matrix=b_matrix,
         b_vector=b_vector,
         lambda_hat=lam,
@@ -181,18 +206,18 @@ def deflate_structured(
     v1: np.ndarray,
     v2: np.ndarray,
     lambda2,
-) -> tuple[PolySystem, np.ndarray]:
+) -> tuple[AugmentedSystem, np.ndarray]:
     """Augmentation with a pinned kernel block: g = [f ; Df.(V1 l1 + V2 l2)]
     where l2 = ``lambda2`` is constant and l1 are new variables (one per V1
-    column; none when V1 is empty).
+    column; none when V1 is empty).  V1 and V2 have one row per variable; a
+    1-D vector is one column.
 
     Returns the augmented system and the starting point (x, l1_hat) with
     l1_hat the least-squares solution of Df(x).V1 l1 = -Df(x).V2 l2.
     """
     x = system._check_point(x)
     p = system.num_vars
-    v1 = np.asarray(v1, dtype=complex).reshape(p, -1)
-    v2 = np.asarray(v2, dtype=complex).reshape(p, -1)
+    v1, v2 = (_column_block(v, p, name) for v, name in ((v1, "V1"), (v2, "V2")))
     lambda2 = np.asarray(lambda2, dtype=complex).reshape(-1)
     if lambda2.shape[0] != v2.shape[1]:
         raise ValueError("lambda2 length must match the V2 column count")
@@ -201,7 +226,17 @@ def deflate_structured(
         lam1 = least_squares(jac_x @ v1, -(jac_x @ v2 @ lambda2))
     else:
         lam1 = np.zeros(0, dtype=complex)
-    return _augment(system, v1, pinned=v2 @ lambda2), np.concatenate([x, lam1])
+    return AugmentedSystem(system, v1, pinned=v2 @ lambda2), np.concatenate([x, lam1])
+
+
+def _column_block(v, p: int, name: str) -> np.ndarray:
+    """``v`` as a matrix of ``p`` rows: a 1-D vector of length p is one column."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.ndim != 2 or v.shape[0] != p:
+        raise ValueError(f"{name} has shape {v.shape}, expected {p} rows, one per variable")
+    return v
 
 
 def deflate_to_regular(
@@ -210,7 +245,7 @@ def deflate_to_regular(
     tol: float,
     max_steps: int = 5,
     seed=0,
-) -> tuple[PolySystem, np.ndarray, int]:
+) -> tuple[AugmentedSystem, np.ndarray, int]:
     """Iterate ``deflate_once`` until the augmented Jacobian has full column
     rank at ``tol``; returns (system, augmented point, rounds used)."""
     rng = np.random.default_rng(seed)
@@ -228,12 +263,12 @@ def deflate_to_regular(
 
 
 def gauss_newton(
-    system: PolySystem,
+    system: PolySystem | AugmentedSystem,
     y0,
     max_iter: int = 100,
     stop: float = 1e-12,
 ) -> GNTrace:
-    """Gauss-Newton on a (possibly overdetermined) polynomial system:
+    """Gauss-Newton on a (possibly overdetermined) system:
     y <- y - lstsq(Dg(y), g(y)).
 
     Flags ``converged`` when ||g(y)|| <= stop, ``stationary`` when the step

@@ -88,6 +88,15 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _checked(cls, num_vars: int, terms: dict[Exponent, complex]) -> Poly:
+        """A polynomial from terms known to pass ``__init__``'s checks (tuples
+        of Python ints, nonzero finite Python complex numbers), as they are."""
+        p = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (num_vars, terms, None)):
+            object.__setattr__(p, name, value)
+        return p
+
+    @classmethod
     def zero(cls, num_vars: int) -> Poly:
         return cls(num_vars, {})
 
@@ -368,6 +377,23 @@ class PolySystem:
             self._cache["hess"] = cached
         return cached
 
+    def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
+        """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
+        ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1.  For
+        k >= 2 the Jacobian terms are differentiated along each direction in
+        turn (``_partial_terms`` weighted by v_k), anew on every call."""
+        dirs = [_check_direction(v, self.num_vars) for v in dirs]
+        if len(dirs) < 2:
+            return dir_hessian(self, x, dirs[0]) if dirs else self.jacobian(x)
+        x = self._check_point(x)
+        expo, coef, row, m = self._jac_terms()
+        for v in dirs:
+            parts = [(expo[:0], coef[:0], row[:0])]
+            parts += [_partial_terms(expo, coef * v[k], row, k) for k in np.flatnonzero(v)]
+            expo, coef, row = (np.concatenate(a) for a in zip(*parts))
+        vals = coef * _monomials(_factor_index(*_factors(expo), *expo.shape), x)
+        return _segment_sums(vals, row, m).reshape(len(self.polys), self.num_vars)
+
     def _check_point(self, x) -> np.ndarray:
         return _check_point(x, self.num_vars)
 
@@ -383,21 +409,48 @@ def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: in
     with term ``coef[t] * X^expo[t]`` in polynomial ``row[t]``.  No (row,
     exponent) pair may repeat; rows without terms are zero polynomials.
 
-    The terms are put in ``_flat`` order (by row, then graded-lex, zero
-    coefficients dropped) and seed the system's term arrays, so they are not
-    compiled again from the polynomials."""
-    coef = np.asarray(coef, dtype=complex)
+    The arrays are checked once, with numpy, and the polynomials are built
+    without ``Poly``'s per-term check.  The terms are put in ``_flat`` order
+    (by row, then graded-lex, zero coefficients dropped) and seed the
+    system's term arrays, so they are not compiled again from the
+    polynomials."""
+    expo, coef, row = np.asarray(expo), np.asarray(coef, dtype=complex), np.asarray(row)
+    _check_terms(expo, coef, row, m)
     # np.lexsort sorts by its last key first
     order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
     order = order[coef[order] != 0]
     expo, coef, row = expo[order], coef[order], row[order].astype(np.int64)
     bounds = np.searchsorted(row, np.arange(m + 1))
+    n = expo.shape[1]
     system = PolySystem(
-        Poly(expo.shape[1], dict(zip(map(tuple, expo[lo:hi].tolist()), coef[lo:hi].tolist())))
+        Poly._checked(n, dict(zip(map(tuple, expo[lo:hi].tolist()), coef[lo:hi].tolist())))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     )
     system._cache["eval"] = (expo.astype(np.int16), coef, row, m)
     return system
+
+
+def _check_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> None:
+    """Raise the error ``Poly`` raises for the first term of the arrays it
+    rejects, and one for a row id outside 0..m-1."""
+    if expo.shape[1] < 1:
+        raise ValueError("a polynomial needs at least one variable")
+    bad = (expo < 0).any(axis=1) | (expo > MAX_EXPONENT).any(axis=1) | ~np.isfinite(coef)
+    if bad.any():
+        t = np.flatnonzero(bad)[0]
+        Poly(expo.shape[1], {tuple(expo[t].tolist()): coef[t]})
+    outside = (row < 0) | (row >= m)
+    if outside.any():
+        t = np.flatnonzero(outside)[0]
+        raise ValueError(f"term {t} has row {row[t]}, expected 0..{m - 1}")
+
+
+def _check_direction(v, num_vars: int) -> np.ndarray:
+    """``v`` as a complex vector of ``num_vars`` entries."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape != (num_vars,):
+        raise ValueError("direction length does not match the number of variables")
+    return v
 
 
 def _check_point(x, num_vars: int) -> np.ndarray:
@@ -745,9 +798,7 @@ def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) 
     polynomial is built.
     """
     x = system._check_point(x)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (system.num_vars,):
-        raise ValueError("direction length does not match the number of variables")
+    v = _check_direction(v, system.num_vars)
     index, coef, row, var, m = system._hess_terms()
     weight = v[var]
     coef = coef * weight

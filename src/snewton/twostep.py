@@ -166,9 +166,7 @@ def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.n
 
 
 def _check_direction(v, n: int, v2: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (n,):
-        raise ValueError("direction length does not match the number of variables")
+    v = polycore._check_direction(v, n)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
     if np.linalg.norm(v2.conj().T @ v2 - np.eye(v2.shape[1])) > 1e-8:

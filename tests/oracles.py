@@ -1,0 +1,111 @@
+"""Symbolic oracles shared by the tests: partial derivatives, contractions
+and the deflation augmentation, built with polynomial arithmetic."""
+
+import numpy as np
+
+from snewton.polycore import Poly, PolySystem, dir_hessian
+
+
+def symbolic_partial(p, j):
+    """The partial derivative of ``p`` along x_j, as a polynomial."""
+    out = {}
+    for alpha, c in p.terms.items():
+        if alpha[j]:
+            beta = list(alpha)
+            beta[j] -= 1
+            out[tuple(beta)] = c * alpha[j]
+    return Poly(p.num_vars, out)
+
+
+def symbolic_jacobian(system):
+    """Entry [i][j] is df_i/dx_j, as a polynomial."""
+    return [[symbolic_partial(p, j) for j in range(system.num_vars)] for p in system]
+
+
+def symbolic_derivative(system, dirs):
+    """D^k f[v_1, ..., v_k] as a system: the symbolic partials contracted
+    with each direction in turn."""
+    polys = list(system)
+    for v in dirs:
+        contracted = []
+        for p in polys:
+            acc = Poly.zero(system.num_vars)
+            for j, vj in enumerate(v):
+                if vj != 0:
+                    acc = acc + symbolic_partial(p, j) * complex(vj)
+            contracted.append(acc)
+        polys = contracted
+    return PolySystem(polys)
+
+
+def magnitudes(system):
+    """The system with every coefficient replaced by its modulus."""
+    return PolySystem(Poly(p.num_vars, {a: abs(c) for a, c in p.terms.items()}) for p in system)
+
+
+def symbolic_augment(system, weights, pinned=None, normal=None):
+    """g = [f ; Df.(pinned + W lambda) ; normal^T lambda - 1] built with
+    polynomial arithmetic, one multiplier per column of W = ``weights``."""
+    p, q = system.num_vars, weights.shape[1]
+    total = p + q
+
+    def extend(poly):
+        return Poly(total, {alpha + (0,) * q: c for alpha, c in poly.terms.items()})
+
+    lam = [Poly.variable(total, p + mu) for mu in range(q)]
+    polys = [extend(f) for f in system]
+    for f in system:
+        partials = [extend(symbolic_partial(f, j)) for j in range(p)]
+        acc = Poly.zero(total)
+        if pinned is not None:
+            for d, w in zip(partials, pinned):
+                acc = acc + d * w
+        for mu in range(q):
+            combo = Poly.zero(total)
+            for d, w in zip(partials, weights[:, mu]):
+                combo = combo + d * w
+            acc = acc + combo * lam[mu]
+        polys.append(acc)
+    if normal is not None:
+        row = Poly.constant(total, -1.0)
+        for l, b in zip(lam, normal):
+            row = row + l * b
+        polys.append(row)
+    return PolySystem(polys)
+
+
+class AugmentOracle:
+    """The symbolic augmentation of a parent oracle, with its magnitude
+    twin: the same augmentation of the moduli of every coefficient, weight
+    and pinned or normal entry.  Evaluated at the moduli of the point and
+    of the directions, the twin bounds every term either evaluation sums,
+    so it is the scale rounding errors are measured against."""
+
+    def __init__(self, parent, weights, pinned=None, normal=None):
+        if isinstance(parent, PolySystem):
+            parent = (parent, magnitudes(parent))
+        else:
+            parent = (parent.system, parent.magnitude)
+        absolute = [None if a is None else np.abs(a) for a in (pinned, normal)]
+        self.system = symbolic_augment(parent[0], weights, pinned, normal)
+        self.magnitude = magnitudes(symbolic_augment(parent[1], np.abs(weights), *absolute))
+
+
+def assert_matches_oracle(g, oracle, y, dirs_list, rel=1e-12):
+    """``g.eval``, ``g.jacobian`` and ``g.directional_derivative`` along each
+    direction in ``dirs_list`` equal the oracle's ``eval``, ``jacobian`` and
+    ``dir_hessian`` within ``rel`` of the magnitude scale."""
+    y = np.asarray(y, dtype=complex)
+    sym, mag, ay = oracle.system, oracle.magnitude, np.abs(y)
+    pairs = [
+        (g.eval(y), sym.eval(y), mag.eval(ay)),
+        (g.jacobian(y), sym.jacobian(y), mag.jacobian(ay)),
+    ]
+    for w in dirs_list:
+        pairs.append(
+            (g.directional_derivative(y, [w]), dir_hessian(sym, y, w), dir_hessian(mag, ay, np.abs(w)))
+        )
+    assert len(g) == len(sym) and g.num_vars == sym.num_vars
+    for got, want, scale in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(scale), (got, want)

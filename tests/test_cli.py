@@ -209,6 +209,14 @@ def test_bench_efficiency_single_row(capsys):
     assert "twostep_seconds" in out
 
 
+@pytest.mark.parametrize("sizes", ["10", "10:x", "10:2,5", "10:2:1", "-3:1"])
+def test_bench_efficiency_names_a_bad_size(capsys, sizes):
+    code, out, err = run_cli(capsys, "bench", "efficiency", f"--sizes={sizes}")
+    assert code == 1 and out == ""
+    bad = sizes.split(",")[-1]
+    assert f"--sizes entry {bad!r} is not of the form n:kappa" in err
+
+
 def test_bench_unknown_experiment(capsys):
     code, _, _ = run_cli(capsys, "bench", "texture")
     assert code == 1

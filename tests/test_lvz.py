@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snewton import polycore
 from snewton.bench import catalog, get_entry, random_variant, variant_rank_tolerance
 from snewton.lvz import (
+    AugmentedSystem,
     DeflationError,
     deflate_once,
     deflate_structured,
@@ -14,6 +19,14 @@ from snewton.lvz import (
 from snewton.numla import singular_values, split_svd
 from snewton.polycore import Poly, PolySystem, dir_hessian, parse_system
 from snewton.twostep import operator_B
+
+from oracles import (
+    AugmentOracle,
+    assert_matches_oracle,
+    magnitudes,
+    symbolic_augment,
+    symbolic_derivative,
+)
 
 XI = np.ones(3, dtype=complex)
 
@@ -28,78 +41,46 @@ def running():
     return get_entry("running-example").system
 
 
-# -- the symbolic augmentation, the oracle of the term-array one ----------------------
+# -- the numeric augmentation against the symbolic one ---------------------------------
 
 
-def symbolic_partial(p, j):
-    """The partial derivative of ``p`` along x_j, as a polynomial."""
-    out = {}
-    for alpha, c in p.terms.items():
-        if alpha[j]:
-            beta = list(alpha)
-            beta[j] -= 1
-            out[tuple(beta)] = c * alpha[j]
-    return Poly(p.num_vars, out)
+def _directions(rng, n, count=2):
+    return [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)]
 
 
-def symbolic_augment(system, weights, pinned=None, normal=None):
-    """Oracle: g = [f ; Df.(pinned + W lambda) ; normal^T lambda - 1] built
-    with polynomial arithmetic, one multiplier per column of W = ``weights``."""
-    p, q = system.num_vars, weights.shape[1]
-    total = p + q
-
-    def extend(poly):
-        return Poly(total, {alpha + (0,) * q: c for alpha, c in poly.terms.items()})
-
-    lam = [Poly.variable(total, p + mu) for mu in range(q)]
-    polys = [extend(f) for f in system]
-    for f in system:
-        partials = [extend(symbolic_partial(f, j)) for j in range(p)]
-        acc = Poly.zero(total)
-        if pinned is not None:
-            for d, w in zip(partials, pinned):
-                acc = acc + d * w
-        for mu in range(q):
-            combo = Poly.zero(total)
-            for d, w in zip(partials, weights[:, mu]):
-                combo = combo + d * w
-            acc = acc + combo * lam[mu]
-        polys.append(acc)
-    if normal is not None:
-        row = Poly.constant(total, -1.0)
-        for l, b in zip(lam, normal):
-            row = row + l * b
-        polys.append(row)
-    return PolySystem(polys)
+def assert_matches_at_and_near(g, oracle, y, rng):
+    """g agrees with the oracle at ``y`` and at two seeded points near it."""
+    n = g.num_vars
+    for scale in (0.0, 1e-3, 1e-1):
+        point = y + scale * _directions(rng, n, 1)[0]
+        assert_matches_oracle(g, oracle, point, _directions(rng, n))
 
 
-def assert_matches_symbolic(got, want):
-    """Same shape; each coefficient agrees to 1e-14 relative to the largest
-    one of its row, a monomial missing on one side counting as 0."""
-    assert (len(got), got.num_vars) == (len(want), want.num_vars)
-    for g, w in zip(got, want):
-        scale = max((abs(c) for c in w.terms.values()), default=0.0)
-        for alpha in set(g.terms) | set(w.terms):
-            assert abs(g.terms.get(alpha, 0) - w.terms.get(alpha, 0)) <= 1e-14 * scale, alpha
+def assert_same_values(got, want, points, rows=slice(None)):
+    """Rows ``rows`` of ``got`` have the values and Jacobians of ``want``
+    (to 1e-14 relative) at each point."""
+    for y in points:
+        for a, b in [(got.eval(y)[rows], want.eval(y)), (got.jacobian(y)[rows], want.jacobian(y))]:
+            assert a.shape == b.shape and np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), (a, b)
 
 
-def _assert_deflate_once_matches_symbolic(system, x, tol):
-    deflated, _ = deflate_once(system, x, tol, seed=1)
-    want = symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
-    assert_matches_symbolic(deflated.system, want)
+def _assert_deflate_once_matches_oracle(system, x, tol):
+    deflated, y = deflate_once(system, x, tol, seed=1)
+    oracle = AugmentOracle(system, deflated.b_matrix, normal=deflated.b_vector)
+    assert_matches_at_and_near(deflated.system, oracle, y, np.random.default_rng(2))
     return deflated
 
 
 def test_deflate_once_matches_symbolic_augmentation_on_catalog():
     for entry in catalog():
-        _assert_deflate_once_matches_symbolic(entry.system, entry.zero, entry.tol)
+        _assert_deflate_once_matches_oracle(entry.system, entry.zero, entry.tol)
 
 
 @pytest.mark.parametrize("n, kappa", [(5, 1), (10, 2), (20, 3)])
 def test_deflate_once_matches_symbolic_augmentation_on_variants(n, kappa):
     system, zero = random_variant(n, kappa, seed=4)
     tol = variant_rank_tolerance(system, zero, kappa)
-    deflated = _assert_deflate_once_matches_symbolic(system, zero, tol)
+    deflated = _assert_deflate_once_matches_oracle(system, zero, tol)
     assert deflated.kappa == kappa
 
 
@@ -112,35 +93,117 @@ def test_deflate_structured_matches_symbolic_augmentation(running):
         lam2 = rng.standard_normal(split.kappa) + 1j * rng.standard_normal(split.kappa)
         cases.append((entry.system, entry.zero, split.v1, split.v2, lam2))
     for system, x, v1, v2, lam2 in cases:
-        g, _ = deflate_structured(system, x, v1, v2, lam2)
-        assert_matches_symbolic(g, symbolic_augment(system, v1, pinned=v2 @ lam2))
+        g, y = deflate_structured(system, x, v1, v2, lam2)
+        oracle = AugmentOracle(system, v1, pinned=v2 @ lam2)
+        assert_matches_at_and_near(g, oracle, y, rng)
 
 
 def test_both_rounds_of_deflate_to_regular_match_symbolic_augmentation():
     entry = get_entry("x2-z3xy-y2")
     rng = np.random.default_rng(1)
-    current, y = entry.system, entry.zero
+    check = np.random.default_rng(3)
+    current, oracle, y = entry.system, entry.system, entry.zero
     for _ in range(2):
         deflated, y = deflate_once(current, y, 0.1, seed=rng)
-        want = symbolic_augment(current, deflated.b_matrix, normal=deflated.b_vector)
-        assert_matches_symbolic(deflated.system, want)
+        oracle = AugmentOracle(oracle, deflated.b_matrix, normal=deflated.b_vector)
         current = deflated.system
-    final, _, steps = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
+        assert_matches_at_and_near(current, oracle, y, check)
+    final, y_final, steps = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
     assert steps == 2
-    assert final == current
+    assert np.array_equal(y_final, y)
+    for point in [y] + [y + 1e-2 * d for d in _directions(check, len(y))]:
+        assert np.array_equal(final.eval(point), current.eval(point))
+        assert np.array_equal(final.jacobian(point), current.jacobian(point))
 
 
 def test_deflation_does_no_polynomial_arithmetic(count_calls):
     system = parse_system(
         "x^2 - x + y + z - 2\ny^2 + x - y + z - 2\nz^2 + x + y - z - 2", ["x", "y", "z"]
     )
+    entry = get_entry("x2-z3xy-y2")
     sums = count_calls(Poly, "__add__")
     products = count_calls(Poly, "__mul__")
-    deflated, _ = deflate_once(system, XI, 0.1, seed=3)
+    built = count_calls(Poly, "__init__")
+    from_terms = count_calls(polycore, "system_from_terms")
+    deflated, y = deflate_once(system, XI, 0.1, seed=3)
+    gauss_newton(deflated.system, y, max_iter=3)
     deflate_structured(system, XI, V1_EX, V2_EX, [1.0, 1.0])
-    assert sums == [] and products == []
+    final, y, _ = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
+    gauss_newton(final, y, max_iter=3)
+    assert sums == [] and products == [] and built == [] and from_terms == []
     symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
-    assert sums and products  # the counters do count
+    polycore.system_from_terms(*system._flat())
+    assert sums and products and built and from_terms  # the counters do count
+
+
+_COMPLEX = st.builds(
+    complex,
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _small_systems(draw):
+    """Square and non-square systems in 1-3 variables, degree <= 3 per variable."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    rows = st.dictionaries(exponents, _COMPLEX, max_size=5)
+    return PolySystem(Poly(n, draw(rows)) for _ in range(m))
+
+
+def _vector(draw, n):
+    return np.array(draw(st.lists(_COMPLEX, min_size=n, max_size=n)), dtype=complex)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), system=_small_systems(), k=st.integers(0, 3))
+def test_directional_derivative_matches_repeated_symbolic_partials(data, system, k):
+    """``directional_derivative`` with k = 0..3 directions, of a polynomial
+    system, of its augmentation (weights, pinned part and normal row drawn
+    too) and of an augmentation of that, equals the Jacobian of the
+    symbolic contraction."""
+    n = system.num_vars
+    q = data.draw(st.integers(1, 2))
+    weights = np.column_stack([_vector(data.draw, n) for _ in range(q)])
+    pinned, normal = _vector(data.draw, n), _vector(data.draw, q)
+    once = AugmentedSystem(system, weights, pinned, normal)
+    oracle = AugmentOracle(system, weights, pinned, normal)
+    weights2 = _vector(data.draw, once.num_vars)[:, None]
+    twice = AugmentedSystem(once, weights2, normal=[1.0])
+    oracle2 = AugmentOracle(oracle, weights2, normal=np.ones(1))
+    for g, sym, mag in [
+        (system, system, magnitudes(system)),
+        (once, oracle.system, oracle.magnitude),
+        (twice, oracle2.system, oracle2.magnitude),
+    ]:
+        y = _vector(data.draw, g.num_vars)
+        dirs = [_vector(data.draw, g.num_vars) for _ in range(k)]
+        got = g.directional_derivative(y, dirs)
+        want = symbolic_derivative(sym, dirs).jacobian(y)
+        scale = symbolic_derivative(mag, [np.abs(d) for d in dirs]).jacobian(np.abs(y))
+        assert got.shape == (len(g), g.num_vars)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(scale)
+
+
+def test_directional_derivative_of_one_direction_is_dir_hessian(contraction_calls):
+    system, zero = random_variant(6, 2, seed=3)
+    v = np.arange(6) + 1j
+    got = system.directional_derivative(zero, [v])
+    assert len(contraction_calls) == 1  # through polycore.dir_hessian, the cached path
+    assert np.array_equal(got, dir_hessian(system, zero, v))
+    assert np.array_equal(system.directional_derivative(zero, []), system.jacobian(zero))
+
+
+def test_directional_derivative_rejects_wrong_lengths(running):
+    deflated, y = deflate_once(running, XI, 0.1, seed=3)
+    with pytest.raises(ValueError, match="direction length"):
+        running.directional_derivative(XI, [np.ones(2)])
+    with pytest.raises(ValueError, match="direction length"):
+        deflated.system.directional_derivative(y, [np.ones(3)])
+    with pytest.raises(ValueError, match="point has 3 coordinates, expected 5"):
+        deflated.system.eval(XI)
 
 
 # -- single random deflation round -------------------------------------------------
@@ -198,7 +261,8 @@ def test_structured_deflation_reproduces_worked_example(running):
         "2*x*L + 4*x + L - 4\n2*y*L - 2*y + L + 2\n2*z*L - 2*z + L + 2",
         ["x", "y", "z", "L"],
     )
-    assert g.polys[3:] == lam.polys
+    points = [np.concatenate([XI, [0.0]]), *_directions(np.random.default_rng(5), 4)]
+    assert_same_values(g, lam, points, rows=slice(3, None))
 
     jac = g.jacobian(np.concatenate([XI, [0.0]]))
     expected = np.array(
@@ -232,8 +296,33 @@ def test_structured_deflation_with_fully_pinned_kernel():
     v1 = np.zeros((1, 0))
     v2 = np.array([[1.0]])
     g, y0 = deflate_structured(system, [0.5], v1, v2, [1.0])
-    assert g == parse_system("x^2\n2*x", ["x"])
+    want = parse_system("x^2\n2*x", ["x"])
+    assert_same_values(g, want, [[0.5], *_directions(np.random.default_rng(6), 1)])
     assert np.allclose(y0, [0.5])
+
+
+def test_structured_deflation_takes_a_vector_as_one_column(running):
+    g, y0 = deflate_structured(running, XI, V1_EX[:, 0], V2_EX, [1.0, 1.0])
+    want, y_want = deflate_structured(running, XI, V1_EX, V2_EX, [1.0, 1.0])
+    assert g.num_vars == 4 and np.array_equal(y0, y_want)
+    assert_same_values(g, want, [y0, *_directions(np.random.default_rng(7), 4)])
+    g, _ = deflate_structured(running, XI, V1_EX, V2_EX[:, 0], [1.0])
+    assert np.array_equal(g.pinned, V2_EX[:, 0])
+
+
+@pytest.mark.parametrize(
+    "v1, v2, message",
+    [
+        # a flat V1 of length 2p was once read as a p x 2 block
+        (np.ones(6), V2_EX, r"V1 has shape \(6, 1\), expected 3 rows"),
+        (np.ones((2, 1)), V2_EX, r"V1 has shape \(2, 1\), expected 3 rows"),
+        (V1_EX, np.ones((4, 2)), r"V2 has shape \(4, 2\), expected 3 rows"),
+        (V1_EX, np.ones((3, 2, 1)), r"V2 has shape \(3, 2, 1\), expected 3 rows"),
+    ],
+)
+def test_structured_deflation_rejects_blocks_of_the_wrong_shape(running, v1, v2, message):
+    with pytest.raises(ValueError, match=message):
+        deflate_structured(running, XI, v1, v2, [1.0, 1.0])
 
 
 def test_full_rank_equivalence_with_kernel_operator():

@@ -26,6 +26,8 @@ from snewton.polycore import (
 )
 from snewton.polycore import _partial_terms, _segment_sums
 
+from oracles import AugmentOracle, magnitudes, symbolic_derivative, symbolic_jacobian
+
 RUNNING = (
     "x^2 - x + y + z - 2\n"
     "y^2 + x - y + z - 2\n"
@@ -68,33 +70,10 @@ def fd_jacobian(system, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
-def symbolic_partial(p, j):
-    """Oracle: the partial derivative of ``p`` along x_j, as a polynomial."""
-    out = {}
-    for alpha, c in p.terms.items():
-        if alpha[j]:
-            beta = list(alpha)
-            beta[j] -= 1
-            out[tuple(beta)] = c * alpha[j]
-    return Poly(p.num_vars, out)
-
-
-def symbolic_jacobian(system):
-    """Oracle: entry [i][j] is df_i/dx_j, as a polynomial."""
-    return [[symbolic_partial(p, j) for j in range(system.num_vars)] for p in system]
-
-
 def symbolic_dir_hessian(system, x, v):
     """Oracle for ``dir_hessian``: contract the symbolic gradient with ``v``
     as polynomials, then take the Jacobian of the contracted system."""
-    contracted = []
-    for row in symbolic_jacobian(system):
-        g = Poly.zero(system.num_vars)
-        for vk, p in zip(v, row):
-            if vk != 0 and not p.is_zero():
-                g = g + p * vk
-        contracted.append(g)
-    return PolySystem(contracted).jacobian(x)
+    return symbolic_derivative(system, [v]).jacobian(x)
 
 
 def assert_dir_hessian_matches_oracle(system, x, v):
@@ -103,10 +82,7 @@ def assert_dir_hessian_matches_oracle(system, x, v):
     and direction entry replaced by its modulus, which no rounding error of
     either evaluation can exceed by more than a few ulps per term."""
     expected = symbolic_dir_hessian(system, x, v)
-    magnitudes = PolySystem(
-        Poly(p.num_vars, {a: abs(c) for a, c in p.terms.items()}) for p in system
-    )
-    scale = np.linalg.norm(symbolic_dir_hessian(magnitudes, np.abs(x), np.abs(v)))
+    scale = np.linalg.norm(symbolic_dir_hessian(magnitudes(system), np.abs(x), np.abs(v)))
     assert np.linalg.norm(dir_hessian(system, x, v) - expected) <= 1e-13 * scale
 
 
@@ -401,7 +377,9 @@ def test_dir_hessian_matches_symbolic_oracle(data, system):
 
 @functools.lru_cache(maxsize=None)
 def _deflated_systems():
-    """Non-square systems from one randomized deflation round at catalog zeros."""
+    """Non-square polynomial systems: the symbolic augmentation of one
+    randomized deflation round at catalog zeros (``deflate_once`` itself
+    builds no polynomials)."""
     from snewton.bench import get_entry
     from snewton.lvz import deflate_once
 
@@ -409,7 +387,8 @@ def _deflated_systems():
     for name in ("running-example", "truncated-sin", "mth191"):
         entry = get_entry(name)
         deflated, y = deflate_once(entry.system, entry.zero, entry.tol, seed=1)
-        out.append((deflated.system, y))
+        oracle = AugmentOracle(entry.system, deflated.b_matrix, normal=deflated.b_vector)
+        out.append((oracle.system, y))
     return tuple(out)
 
 
@@ -578,22 +557,21 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
     """The seeded arrays equal a cold compile from the polynomials, whatever
     the input order, and zero coefficients are dropped."""
     from snewton.bench import catalog, get_entry
-    from snewton.lvz import deflate_structured
 
     rng = np.random.default_rng(43)
+    entry = get_entry("x2-z3xy-y2")
+    eye = np.eye(3)
+    structured = AugmentOracle(entry.system, eye[:, :1], pinned=eye[:, 1:] @ [0.5, -1j]).system
+    sources = [e.system for e in catalog()] + [s for s, _ in _deflated_systems()] + [structured]
     systems = []
-    for entry in catalog():
-        expo, coef, row, m = entry.system._flat()
+    for source in sources:
+        expo, coef, row, m = source._flat()
         order = rng.permutation(len(coef))
         unused = np.zeros((1, expo.shape[1]), dtype=expo.dtype)
         unused[0, 0] = 99  # a term with a zero coefficient, to be dropped
         expo = np.vstack([expo[order], unused]).astype(np.int64)
         coef, row = np.append(coef[order], 0), np.append(row[order], m - 1)
-        systems.append((system_from_terms(expo, coef, row, m), entry.system))
-    entry = get_entry("x2-z3xy-y2")
-    eye = np.eye(3)
-    structured, _ = deflate_structured(entry.system, entry.zero, eye[:, :1], eye[:, 1:], [0.5, -1j])
-    systems += [(s, None) for s, _ in _deflated_systems()] + [(structured, None)]
+        systems.append((system_from_terms(expo, coef, row, m), source))
     for system, source in systems:
         assert "eval" in system._cache
         got, want = system._flat(), PolySystem(system.polys)._flat()
@@ -601,8 +579,49 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
-        if source is not None:
-            assert system == source
+        assert system == source
+
+
+@pytest.mark.parametrize(
+    "expo, coef, row, message",
+    [
+        ([[1, -1]], [1.0], [0], r"negative exponent in multi-index \(1, -1\)"),
+        ([[0, MAX_EXPONENT + 1]], [1.0], [0], r"multi-index \(0, 32768\) exceeds 32767"),
+        ([[2, 0]], [np.nan], [0], r"coefficient of \(2, 0\) is not finite"),
+        ([[2, 0]], [complex(1, np.inf)], [0], r"coefficient of \(2, 0\) is not finite"),
+        ([[2, 0]], [1.0], [2], r"term 0 has row 2, expected 0..1"),
+        ([[2, 0]], [1.0], [-1], r"term 0 has row -1, expected 0..1"),
+        (np.zeros((1, 0), dtype=int), [1.0], [0], "at least one variable"),
+    ],
+)
+def test_system_from_terms_rejects_bad_arrays(expo, coef, row, message):
+    with pytest.raises(ValueError, match=message):
+        system_from_terms(np.array(expo), np.array(coef), np.array(row), 2)
+
+
+def test_system_from_terms_rejects_what_poly_rejects():
+    """Each bad term raises the message ``Poly`` raises for it."""
+    for alpha, c in [((1, -1), 1.0), ((0, MAX_EXPONENT + 1), 1.0), ((2, 0), np.inf)]:
+        with pytest.raises(ValueError) as direct:
+            Poly(2, {alpha: c})
+        with pytest.raises(ValueError) as from_terms:
+            system_from_terms(np.array([alpha]), np.array([c]), np.array([0]), 1)
+        assert str(from_terms.value) == str(direct.value)
+
+
+def test_system_from_terms_equals_the_checked_construction():
+    """The polynomials built without the per-term check equal those built
+    through ``Poly.__init__``: same keys and value types."""
+    from snewton.bench import catalog, random_variant
+
+    sources = [e.system for e in catalog()] + [random_variant(12, 3, seed=5)[0]]
+    for source in sources:
+        system = system_from_terms(*source._flat())
+        rebuilt = PolySystem(Poly(p.num_vars, p.terms) for p in system)
+        assert system == rebuilt == source
+        for p in system:
+            assert all(type(e) is int for alpha in p.terms for e in alpha)
+            assert all(type(c) is complex and c != 0 for c in p.terms.values())
 
 
 # -- normalized partials and functionals --------------------------------------
