@@ -31,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore, twostep
-from .numla import right_svd, singular_values, split_svd
+from .numla import _check_tolerance, right_svd, singular_values, split_svd
 from .polycore import Exponent, PolySystem, monomials_upto, taylor_coefficients
 
 __all__ = [
     "Functional",
     "DualBasis",
     "DualSpaceReport",
-    "phi",
     "next_order",
     "multiplicity_structure",
     "deflation_one_necessary",
@@ -66,29 +65,9 @@ class Functional:
         return not self.terms
 
 
-def _make_functional(num_vars: int, terms) -> Functional:
-    clean = {tuple(a): complex(c) for a, c in terms.items() if c != 0}
-    return Functional(num_vars, clean)
-
-
 def unit_functional(num_vars: int) -> Functional:
     """The order-0 functional (evaluation at the point)."""
     return Functional(num_vars, {(0,) * num_vars: 1.0 + 0j})
-
-
-def phi(functional: Functional, index: int) -> Functional:
-    """Shift operator: sends d^alpha to d^(alpha - e_index), dropping terms
-    with alpha_index = 0.  ``index`` is 0-based."""
-    if not 0 <= index < functional.num_vars:
-        raise ValueError(f"variable index {index} out of range")
-    out: dict[Exponent, complex] = {}
-    for alpha, c in functional.terms.items():
-        if alpha[index] == 0:
-            continue
-        beta = list(alpha)
-        beta[index] -= 1
-        out[tuple(beta)] = out.get(tuple(beta), 0.0) + c
-    return _make_functional(functional.num_vars, out)
 
 
 @dataclass
@@ -172,6 +151,8 @@ def next_order(
     by a second SVD.  Each spectrum sets its own rank tolerance unless
     ``rank_tol`` is given.
     """
+    if rank_tol is not None:
+        rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
     xi = system._check_point(xi)
     k = prev.order + 1

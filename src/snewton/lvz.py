@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numla import least_squares, singular_values
-from .polycore import PolySystem, _check_direction, _check_point
+from .numla import _check_tolerance, least_squares, singular_values
+from .polycore import PolySystem, _check_direction, _check_finite, _check_point
 
 __all__ = [
     "AugmentedSystem",
@@ -170,6 +170,7 @@ def deflate_once(
     Raises DeflationError when the Jacobian has full column rank at ``tol``
     (nothing to deflate).
     """
+    tol = _check_tolerance(tol)
     x = system._check_point(x)
     p = system.num_vars
     jac_x = system.jacobian(x)
@@ -230,13 +231,14 @@ def deflate_structured(
 
 
 def _column_block(v, p: int, name: str) -> np.ndarray:
-    """``v`` as a matrix of ``p`` rows: a 1-D vector of length p is one column."""
+    """``v`` as a matrix of ``p`` rows and finite entries: a 1-D vector of
+    length p is one column."""
     v = np.asarray(v, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2 or v.shape[0] != p:
         raise ValueError(f"{name} has shape {v.shape}, expected {p} rows, one per variable")
-    return v
+    return _check_finite(v, f"{name} entry")
 
 
 def deflate_to_regular(

@@ -77,8 +77,8 @@ def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"split_svd needs a square matrix, got shape {m.shape}")
-    if tol != "auto" and not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if tol != "auto":
+        tol = _check_tolerance(tol)
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
     if tol == "auto":
@@ -94,7 +94,7 @@ def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
         sigma1=s[:rank],
         sigma2=s[rank:],
         kappa=kappa,
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -127,6 +127,14 @@ def _gap_tolerance(s: np.ndarray) -> float:
     if best_i is None:
         return float(s[-1] / 2) if s[-1] > 0 else float(floor)
     return float(np.sqrt(s[best_i] * max(s[best_i + 1], 1e-16 * s[0])))
+
+
+def _check_tolerance(tol) -> float:
+    """``tol`` as a float, or a ValueError unless it is positive (NaN is not)."""
+    tol = float(tol)
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    return tol
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -169,8 +177,7 @@ def kernel_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise ValueError("kernel_basis needs a matrix")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    tol = _check_tolerance(tol)
     n = m.shape[1]
     if m.shape[0] == 0 or not m.any():
         return np.eye(n, dtype=complex)

@@ -37,7 +37,6 @@ __all__ = [
     "dir_hessian",
     "normalized_partial",
     "taylor_coefficients",
-    "apply_functional",
     "monomials_upto",
     "compose_affine",
     "system_from_terms",
@@ -291,21 +290,44 @@ class PolySystem:
             self._cache["eval"] = cached
         return cached
 
+    def _terms(self, name: str):
+        """The "eval", "jac" or "hess" terms: (factor lists, coefficients,
+        row ids, row count, k of each term; None for "eval").  "jac" is
+        "eval" differentiated along every x_k, with row i*num_vars + k for
+        df_i/dx_k; "hess" is "jac" differentiated along every x_k, with the
+        rows of "jac".  Only "eval" has dense exponents."""
+        key = name + " terms"
+        cached = self._cache.get(key)
+        if cached is None:
+            if name == "eval":
+                expo, coef, row, m = self._flat()
+                cached = (_factors(expo), coef, row, m, None)
+            else:
+                factors, coef, row, m, _ = self._terms("eval" if name == "jac" else "jac")
+                factors, coef, row, k = _differentiate(factors, coef, row)
+                if name == "jac":
+                    row, m = row * self.num_vars + k, m * self.num_vars
+                cached = (factors, coef, row, m, k)
+            self._cache[key] = cached
+        return cached
+
     def _index(self, name: str) -> _FactorIndex:
-        """The factor index of the "eval" or the "jac" term arrays."""
+        """The factor index of the ``_terms(name)``."""
         key = name + " index"
         index = self._cache.get(key)
         if index is None:
-            expo = (self._flat() if name == "eval" else self._jac_terms())[0]
-            index = _factor_index(*_factors(expo), *expo.shape)
-            self._cache[key] = index
+            factors, coef = self._terms(name)[:2]
+            index = self._cache[key] = _factor_index(*factors, len(coef), self.num_vars)
         return index
+
+    def _values(self, name: str, x: np.ndarray) -> np.ndarray:
+        """The row sums of the ``_terms(name)`` at a checked point."""
+        _, coef, row, m, _ = self._terms(name)
+        return _segment_sums(coef * _monomials(self._index(name), x), row, m)
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
-        x = self._check_point(x)
-        _, coef, row, m = self._flat()
-        return _segment_sums(coef * _monomials(self._index("eval"), x), row, m)
+        return self._values("eval", self._check_point(x))
 
     def _eval_once(self, x: np.ndarray) -> np.ndarray:
         """``eval(x)`` for a checked point, reusing the value of the point last
@@ -319,79 +341,26 @@ class PolySystem:
             last = self._cache["last f"] = (key, fx)
         return last[1]
 
-    def _jac_terms(self):
-        """Flattened term arrays of the partials; row i*num_vars + j is df_i/dx_j.
-
-        Derived from the eval arrays one variable at a time, then stably
-        sorted by row, so each partial keeps the graded-lex order of its terms.
-        """
-        cached = self._cache.get("jac")
-        if cached is None:
-            expo, coef, row, m = self._flat()
-            n = self.num_vars
-            parts = [_partial_terms(expo, coef, row * n + j, j) for j in range(n)]
-            expo, coef, row = (np.concatenate(a) for a in zip(*parts))
-            if not np.isfinite(coef).all():
-                raise ValueError("a coefficient of the Jacobian overflows")
-            order = np.argsort(row, kind="stable")
-            cached = (expo[order], coef[order], row[order], m * n)
-            self._cache["jac"] = cached
-        return cached
-
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
-        x = self._check_point(x)
-        _, coef, row, m = self._jac_terms()
-        vals = _segment_sums(coef * _monomials(self._index("jac"), x), row, m)
-        return vals.reshape(len(self.polys), self.num_vars)
-
-    def _hess_terms(self):
-        """The Jacobian terms differentiated once along every x_k: (factor
-        index, coefficients, row ids, k of each term, row count).  The terms
-        of one k keep the Jacobian order, and the k ascend, as
-        ``_partial_terms`` applied for k = 0, 1, ... would give them.
-
-        Each nonzero factor x_k^e of a Jacobian term yields one term, with
-        the coefficient times e and that factor lowered to x_k^(e-1).  The
-        terms are built from the Jacobian's factor lists, so no dense
-        exponents are stored for them.
-        """
-        cached = self._cache.get("hess")
-        if cached is None:
-            expo, coef, row, m = self._jac_terms()
-            term, var, exp = _factors(expo)
-            count = np.bincount(term, minlength=len(coef))
-            # one new term per factor, in (k, Jacobian term) order
-            pick = np.argsort(var, kind="stable").astype(np.int32)
-            source = term[pick]
-            # its factors: those of its source term, the picked one lowered
-            reps = count[source]
-            starts = np.cumsum(count) - count
-            offset = (starts[source] - np.cumsum(reps) + reps).astype(np.int32)
-            factor = np.repeat(offset, reps) + np.arange(reps.sum(), dtype=np.int32)
-            lowered = exp[factor] - (factor == np.repeat(pick, reps))
-            keep = lowered > 0
-            owner = np.repeat(np.arange(len(pick), dtype=np.int32), reps)[keep]
-            index = _factor_index(owner, var[factor][keep], lowered[keep], len(pick), self.num_vars)
-            cached = (index, coef[source] * exp[pick], row[source], var[pick], m)
-            self._cache["hess"] = cached
-        return cached
+        return self._values("jac", self._check_point(x)).reshape(len(self.polys), self.num_vars)
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
         ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1.  For
-        k >= 2 the Jacobian terms are differentiated along each direction in
-        turn (``_partial_terms`` weighted by v_k), anew on every call."""
+        k >= 2 the "hess" terms are weighted by v_1, then differentiated
+        along every x_k and weighted by each further direction, anew on
+        every call."""
         dirs = [_check_direction(v, self.num_vars) for v in dirs]
         if len(dirs) < 2:
             return dir_hessian(self, x, dirs[0]) if dirs else self.jacobian(x)
         x = self._check_point(x)
-        expo, coef, row, m = self._jac_terms()
-        for v in dirs:
-            parts = [(expo[:0], coef[:0], row[:0])]
-            parts += [_partial_terms(expo, coef * v[k], row, k) for k in np.flatnonzero(v)]
-            expo, coef, row = (np.concatenate(a) for a in zip(*parts))
-        vals = coef * _monomials(_factor_index(*_factors(expo), *expo.shape), x)
+        factors, coef, row, m, k = self._terms("hess")
+        for i, v in enumerate(dirs):
+            if i:
+                factors, coef, row, k = _differentiate(factors, coef, row)
+            factors, coef, row = _weigh(factors, coef, row, v[k])
+        vals = coef * _monomials(_factor_index(*factors, len(coef), self.num_vars), x)
         return _segment_sums(vals, row, m).reshape(len(self.polys), self.num_vars)
 
     def _check_point(self, x) -> np.ndarray:
@@ -432,7 +401,14 @@ def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: in
 
 def _check_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> None:
     """Raise the error ``Poly`` raises for the first term of the arrays it
-    rejects, and one for a row id outside 0..m-1."""
+    rejects, and one for arrays of the wrong shapes or a row id outside
+    0..m-1."""
+    terms = expo.shape[:1]
+    if expo.ndim != 2 or coef.shape != terms or row.shape != terms:
+        raise ValueError(
+            f"term arrays have shapes {expo.shape}, {coef.shape} and {row.shape}, "
+            "expected (terms, variables), (terms,) and (terms,)"
+        )
     if expo.shape[1] < 1:
         raise ValueError("a polynomial needs at least one variable")
     bad = (expo < 0).any(axis=1) | (expo > MAX_EXPONENT).any(axis=1) | ~np.isfinite(coef)
@@ -446,11 +422,11 @@ def _check_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) ->
 
 
 def _check_direction(v, num_vars: int) -> np.ndarray:
-    """``v`` as a complex vector of ``num_vars`` entries."""
+    """``v`` as a complex vector of ``num_vars`` finite entries."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (num_vars,):
         raise ValueError("direction length does not match the number of variables")
-    return v
+    return _check_finite(v, "direction entry")
 
 
 def _check_point(x, num_vars: int) -> np.ndarray:
@@ -458,10 +434,19 @@ def _check_point(x, num_vars: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape != (num_vars,):
         raise ValueError(f"point has {x.shape[0]} coordinates, expected {num_vars}")
-    if not np.isfinite(x).all():
-        bad = np.flatnonzero(~np.isfinite(x))[0]
-        raise ValueError(f"point coordinate {bad + 1} is not finite: {x[bad]}")
-    return x
+    return _check_finite(x, "point coordinate")
+
+
+def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or a ValueError naming its first non-finite entry, counted
+    from 1: "point coordinate 2 is not finite: (nan+0j)", or "V1 entry
+    (2, 1) ..." for a matrix."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        at = bad[0] + 1 if len(bad) == 1 else tuple(int(i) + 1 for i in bad)
+        raise ValueError(f"{what} {at} is not finite: {a[tuple(bad)]}")
+    return a
 
 
 class _FactorIndex(NamedTuple):
@@ -522,15 +507,39 @@ def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
     return out[index.rank]
 
 
-def _partial_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, k: int):
-    """Terms of d/dx_k of the terms (expo, coef) with row ids ``row``: the
-    terms with a positive exponent of x_k, that exponent decremented and
-    multiplied into the coefficient, in the same order."""
-    e = expo[:, k]
-    mask = e > 0
-    d = expo[mask]
-    d[:, k] -= 1
-    return d, coef[mask] * e[mask], row[mask]
+def _differentiate(factors, coef: np.ndarray, row: np.ndarray):
+    """The terms (factor lists, coefficients, row ids) differentiated along
+    every x_k: (factor lists, coefficients, row ids, k of each term), by k,
+    then by source term.  Each factor x_k^e of a term yields one term, with
+    the coefficient times e and that factor lowered to x_k^(e-1); the other
+    factors keep their order, so the lists stay as ``_factors`` gives them."""
+    term, var, exp = factors
+    count = np.bincount(term, minlength=len(coef))
+    # one new term per factor, in (k, source term) order
+    pick = np.argsort(var, kind="stable").astype(np.int32)
+    source = term[pick]
+    # its factors: those of its source term, the picked one lowered
+    reps = count[source]
+    starts = np.cumsum(count) - count
+    offset = (starts[source] - np.cumsum(reps) + reps).astype(np.int32)
+    factor = np.repeat(offset, reps) + np.arange(reps.sum(), dtype=np.int32)
+    lowered = exp[factor] - (factor == np.repeat(pick, reps))
+    keep = lowered > 0
+    owner = np.repeat(np.arange(len(pick), dtype=np.int32), reps)[keep]
+    coef = coef[source] * exp[pick]
+    if not np.isfinite(coef).all():
+        raise ValueError("a coefficient of a derivative overflows")
+    return (owner, var[factor][keep], lowered[keep]), coef, row[source], var[pick]
+
+
+def _weigh(factors, coef: np.ndarray, row: np.ndarray, weight: np.ndarray):
+    """The terms with their coefficients times ``weight``, those of weight 0
+    dropped and the factor lists renumbered."""
+    keep = weight != 0
+    term, var, exp = factors
+    kept = keep[term]
+    number = np.cumsum(keep, dtype=np.int32) - 1
+    return (number[term[kept]], var[kept], exp[kept]), (coef * weight)[keep], row[keep]
 
 
 def _segment_sums(vals: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
@@ -799,15 +808,12 @@ def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) 
     """
     x = system._check_point(x)
     v = _check_direction(v, system.num_vars)
-    index, coef, row, var, m = system._hess_terms()
+    _, coef, row, m, var = system._terms("hess")
     weight = v[var]
-    coef = coef * weight
-    if weight.all():
-        vals = coef * _monomials(index, x)
-    else:
+    vals = coef * weight * _monomials(system._index("hess"), x)
+    if not weight.all():
         keep = weight != 0
-        coef, row = coef[keep], row[keep]
-        vals = coef * _monomials(index, x)[keep]
+        vals, row = vals[keep], row[keep]
     return _segment_sums(vals, row, m).reshape(len(system), system.num_vars)
 
 
@@ -895,24 +901,6 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
         term, w, deg, index = np.repeat(term, reps)[keep], w[keep], deg[keep], index[keep]
     index += pascal[n + deg - 1, n]
     return _segment_sums(w, index, m * size).reshape(m, size)
-
-
-def apply_functional(functional, p: Poly, xi: Sequence[complex]) -> complex:
-    """Apply a differential functional (anything with a ``terms`` multi-index
-    map, or a plain dict) to ``p`` at the point ``xi``."""
-    terms = getattr(functional, "terms", functional)
-    nv = getattr(functional, "num_vars", None)
-    if nv is not None and nv != p.num_vars:
-        raise ValueError("functional and polynomial disagree on num_vars")
-    if any(len(alpha) != p.num_vars for alpha in terms):
-        raise ValueError("multi-index length does not match the number of variables")
-    order = max((sum(alpha) for alpha in terms), default=0)
-    coeffs = taylor_coefficients(PolySystem([p]), xi, order)[0]
-    index = {alpha: r for r, alpha in enumerate(monomials_upto(p.num_vars, order))}
-    total = 0j
-    for alpha in sorted(terms, key=grlex_key):
-        total += terms[alpha] * coeffs[index[alpha]]
-    return total
 
 
 def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> PolySystem:

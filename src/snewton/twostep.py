@@ -33,6 +33,7 @@ from . import polycore
 from .numla import (
     SingularMatrixError,
     SvdSplit,
+    _check_tolerance,
     auto_tolerance,
     solve,
     split_svd,
@@ -43,7 +44,6 @@ __all__ = [
     "StepConfig",
     "StepResult",
     "RefineTrace",
-    "operator_A",
     "operator_B",
     "first_refinement",
     "second_refinement",
@@ -76,9 +76,7 @@ class StepConfig:
 
     def __post_init__(self):
         if self.tol != "auto":
-            self.tol = float(self.tol)
-            if not self.tol > 0:
-                raise ValueError("tolerance must be positive")
+            self.tol = _check_tolerance(self.tol)
         if not self.stop_residual > 0:
             raise ValueError("stop_residual must be positive")
 
@@ -147,13 +145,6 @@ class RefineTrace:
 
 def _point_json(x: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex)]
-
-
-def operator_A(system: PolySystem, x, v, v2: np.ndarray) -> np.ndarray:
-    """Df(x) plus the Hessian contracted with v, projected on span(V2)."""
-    v = _check_direction(v, system.num_vars, v2)
-    proj = v2 @ v2.conj().T
-    return system.jacobian(x) + polycore.dir_hessian(system, x, v) @ proj
 
 
 def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -294,7 +285,7 @@ def two_step(
 def _draw_direction(cfg: StepConfig, split: SvdSplit, rng: np.random.Generator) -> np.ndarray:
     v2 = split.v2
     if cfg.v_override is not None:
-        w = np.asarray(cfg.v_override, dtype=complex).reshape(-1)
+        w = polycore._check_direction(cfg.v_override, split.n)
         w = v2 @ (v2.conj().T @ w)
         norm = np.linalg.norm(w)
         if norm < 1e-8:

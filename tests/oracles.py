@@ -1,9 +1,18 @@
-"""Symbolic oracles shared by the tests: partial derivatives, contractions
-and the deflation augmentation, built with polynomial arithmetic."""
+"""Oracles shared by the tests: partial derivatives, contractions and the
+deflation augmentation, built with polynomial arithmetic; differential
+functionals applied through Taylor coefficients; the paper's operator A."""
 
 import numpy as np
 
-from snewton.polycore import Poly, PolySystem, dir_hessian
+from snewton import twostep
+from snewton.polycore import (
+    Poly,
+    PolySystem,
+    dir_hessian,
+    grlex_key,
+    monomials_upto,
+    taylor_coefficients,
+)
 
 
 def symbolic_partial(p, j):
@@ -109,3 +118,30 @@ def assert_matches_oracle(g, oracle, y, dirs_list, rel=1e-12):
     for got, want, scale in pairs:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= rel * np.linalg.norm(scale), (got, want)
+
+
+def apply_functional(functional, p, xi):
+    """Apply a differential functional (anything with a ``terms`` multi-index
+    map, or a plain dict) to ``p`` at the point ``xi``."""
+    terms = getattr(functional, "terms", functional)
+    nv = getattr(functional, "num_vars", None)
+    if nv is not None and nv != p.num_vars:
+        raise ValueError("functional and polynomial disagree on num_vars")
+    if any(len(alpha) != p.num_vars for alpha in terms):
+        raise ValueError("multi-index length does not match the number of variables")
+    order = max((sum(alpha) for alpha in terms), default=0)
+    coeffs = taylor_coefficients(PolySystem([p]), xi, order)[0]
+    index = {alpha: r for r, alpha in enumerate(monomials_upto(p.num_vars, order))}
+    total = 0j
+    for alpha in sorted(terms, key=grlex_key):
+        total += terms[alpha] * coeffs[index[alpha]]
+    return total
+
+
+def operator_A(system, x, v, v2):
+    """The paper's A(x) = Df(x) + D2f(x)(v, P .) with P = V2 V2*: Df(x) plus
+    the Hessian contracted with v, projected on span(V2).  ``v`` and ``v2``
+    are checked as ``twostep.operator_B`` checks them."""
+    v = twostep._check_direction(v, system.num_vars, v2)
+    proj = v2 @ v2.conj().T
+    return system.jacobian(x) + dir_hessian(system, x, v) @ proj

@@ -48,11 +48,12 @@ from snewton.polycore import Poly, PolySystem, parse_system
 from snewton.twostep import (
     StepConfig,
     first_refinement,
-    operator_A,
     operator_B,
     refine,
     two_step,
 )
+
+from oracles import operator_A
 
 V_RAW = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
 VARIANT_SHAPES = [(4, 2), (8, 2), (8, 4)]

@@ -11,7 +11,6 @@ from snewton.bench import catalog, get_entry, random_variant
 from snewton.dualspace import (
     DualBasis,
     Functional,
-    _make_functional,
     _near_tol,
     _rank_tol,
     deflation_one_necessary,
@@ -19,12 +18,33 @@ from snewton.dualspace import (
     monomials_upto,
     multiplicity_structure,
     next_order,
-    phi,
     unit_functional,
 )
 from snewton.numla import kernel_basis, singular_values, split_svd
-from snewton.polycore import apply_functional, parse_system
+from snewton.polycore import Exponent, parse_system
 from snewton.twostep import operator_B
+
+from oracles import apply_functional
+
+
+def _make_functional(num_vars, terms):
+    clean = {tuple(a): complex(c) for a, c in terms.items() if c != 0}
+    return Functional(num_vars, clean)
+
+
+def phi(functional, index):
+    """Oracle shift operator: sends d^alpha to d^(alpha - e_index), dropping
+    terms with alpha_index = 0.  ``index`` is 0-based."""
+    if not 0 <= index < functional.num_vars:
+        raise ValueError(f"variable index {index} out of range")
+    out: dict[Exponent, complex] = {}
+    for alpha, c in functional.terms.items():
+        if alpha[index] == 0:
+            continue
+        beta = list(alpha)
+        beta[index] -= 1
+        out[tuple(beta)] = out.get(tuple(beta), 0.0) + c
+    return _make_functional(functional.num_vars, out)
 
 
 def base_basis(n):
@@ -470,6 +490,20 @@ def test_non_finite_point_is_rejected_before_any_svd():
         multiplicity_structure(entry.system, [np.nan, 1, 1])
     with pytest.raises(ValueError, match="not finite"):
         is_deflation_one(entry.system, [1, np.inf, 1])
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, 0.0, -1.0])
+def test_rank_tolerances_that_are_not_positive_are_rejected(rank_tol):
+    entry = get_entry("running-example")
+    entries = [
+        lambda: next_order(entry.system, entry.zero, base_basis(3), rank_tol),
+        lambda: multiplicity_structure(entry.system, entry.zero, rank_tol=rank_tol),
+        lambda: deflation_one_necessary(entry.system, entry.zero, rank_tol),
+        lambda: is_deflation_one(entry.system, entry.zero, tol=rank_tol),
+    ]
+    for call in entries:
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            call()
 
 
 def test_operator_linearity_in_direction():

@@ -24,6 +24,7 @@ from oracles import (
     AugmentOracle,
     assert_matches_oracle,
     magnitudes,
+    operator_A,
     symbolic_augment,
     symbolic_derivative,
 )
@@ -325,12 +326,44 @@ def test_structured_deflation_rejects_blocks_of_the_wrong_shape(running, v1, v2,
         deflate_structured(running, XI, v1, v2, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_structured_deflation_rejects_non_finite_blocks(running, bad):
+    v1, v2 = V1_EX.astype(complex), V2_EX.astype(complex)
+    v1[2, 0] = bad
+    with pytest.raises(ValueError, match=r"V1 entry \(3, 1\) is not finite"):
+        deflate_structured(running, XI, v1, V2_EX, [1.0, 1.0])
+    v2[1, 1] = bad
+    with pytest.raises(ValueError, match=r"V2 entry \(2, 2\) is not finite"):
+        deflate_structured(running, XI, V1_EX, v2, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_augmented_system_rejects_non_finite_weights_and_directions(running, bad):
+    weights = np.ones((3, 2), dtype=complex)
+    weights[1, 0] = bad
+    with pytest.raises(ValueError, match=r"weights entry \(2, 1\) is not finite"):
+        AugmentedSystem(running, weights)
+    with pytest.raises(ValueError, match="direction entry 3 is not finite"):
+        AugmentedSystem(running, np.ones((3, 2)), pinned=[1.0, 0.0, bad])
+    with pytest.raises(ValueError, match="direction entry 2 is not finite"):
+        AugmentedSystem(running, np.ones((3, 2)), normal=[1.0, bad])
+    deflated, y = deflate_once(running, XI, 0.1, seed=3)
+    with pytest.raises(ValueError, match="direction entry 1 is not finite"):
+        deflated.system.directional_derivative(y, [np.full(len(y), bad)])
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_deflation_rejects_tolerances_that_are_not_positive(running, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        deflate_once(running, XI, tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        deflate_to_regular(running, XI, tol)
+
+
 def test_full_rank_equivalence_with_kernel_operator():
     # one deflation round is regular exactly when the full operator (and its
     # compression to the kernel block) is invertible, sampled over several
     # random kernel multipliers
-    from snewton.twostep import operator_A
-
     def invertible(matrix):
         sigma = singular_values(matrix)
         return bool(sigma[-1] > 1e-8 * (1 + sigma[0]))

@@ -13,7 +13,6 @@ from snewton.polycore import (
     Poly,
     PolyParseError,
     PolySystem,
-    apply_functional,
     compose_affine,
     dir_hessian,
     load_system_json,
@@ -24,9 +23,15 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _partial_terms, _segment_sums
+from snewton.polycore import _segment_sums
 
-from oracles import AugmentOracle, magnitudes, symbolic_derivative, symbolic_jacobian
+from oracles import (
+    AugmentOracle,
+    apply_functional,
+    magnitudes,
+    symbolic_derivative,
+    symbolic_jacobian,
+)
 
 RUNNING = (
     "x^2 - x + y + z - 2\n"
@@ -113,6 +118,16 @@ def test_jacobian_coefficient_overflow_is_rejected():
     system = PolySystem([Poly(1, {(3,): 1e308})])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
         system.jacobian([1.0])
+
+
+def test_hessian_coefficient_overflow_is_rejected():
+    # 5e307 * 3 is finite, 5e307 * 3 * 2 is not
+    system = PolySystem([Poly(1, {(3,): 5e307})])
+    assert np.isfinite(system.jacobian([1.0])).all()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        dir_hessian(system, [1.0], [1.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        system.directional_derivative([1.0], [[1.0], [1.0]])
 
 
 def test_non_finite_coefficients_are_rejected():
@@ -286,6 +301,20 @@ def test_non_finite_points_are_rejected(bad):
             entry(x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_directions_are_rejected(bad):
+    system = parse_system(RUNNING, XYZ)
+    x, v = np.ones(3), np.array([1.0, 0.0, bad])
+    entries = [
+        lambda: dir_hessian(system, x, v),
+        lambda: system.directional_derivative(x, [v]),
+        lambda: system.directional_derivative(x, [x, v]),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="direction entry 3 is not finite"):
+            entry()
+
+
 # -- derivatives --------------------------------------------------------------
 
 
@@ -402,12 +431,24 @@ def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
     assert_dir_hessian_matches_oracle(system, x, v)
 
 
+def dense_terms(system, name):
+    """The ``_terms(name)`` with dense exponents, as ``_flat`` holds them:
+    (exponents, coefficients, row ids, row count)."""
+    (term, var, exp), coef, row, m, _ = system._terms(name)
+    expo = np.zeros((len(coef), system.num_vars), dtype=np.int16)
+    expo[term, var] = exp
+    return expo, coef, row, m
+
+
 def assert_jacobian_terms_equal_symbolic(system):
-    """The Jacobian term arrays are exactly those compiled from the symbolic
-    partials, row i*n + j holding df_i/dx_j: same terms, same order, same
-    coefficients, same dtypes."""
+    """The Jacobian terms, densified and put in row order, are exactly those
+    compiled from the symbolic partials, row i*n + j holding df_i/dx_j: same
+    terms, same graded-lex order within each row, same coefficients, same
+    dtypes."""
     partials = PolySystem(d for row in symbolic_jacobian(system) for d in row)
-    got, want = system._jac_terms(), partials._flat()
+    expo, coef, row, m = dense_terms(system, "jac")
+    order = np.argsort(row, kind="stable")
+    got, want = (expo[order], coef[order], row[order], m), partials._flat()
     assert got[3] == want[3]
     for a, b in zip(got[:3], want[:3]):
         assert a.dtype == b.dtype
@@ -448,6 +489,30 @@ def test_dir_hessian_builds_no_polynomials(monkeypatch):
     assert "Poly" in built and "PolySystem" in built  # the counter does count
 
 
+def test_derivatives_keep_no_dense_exponents():
+    """After eval, jacobian, dir_hessian and a k = 2 directional derivative,
+    the only 2-D array the system caches is the eval exponents: the
+    derivative terms are kept as factor lists."""
+    from snewton.bench import random_variant
+
+    system, zero = random_variant(12, 2, seed=3)
+    v = np.ones(12)
+    system.eval(zero)
+    system.jacobian(zero)
+    dir_hessian(system, zero, v)
+    system.directional_derivative(zero, [v, v])
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from arrays(item)
+
+    dense = [a for a in arrays(tuple(system._cache.values())) if a.ndim > 1]
+    assert len(dense) == 1 and dense[0] is system._flat()[0]
+
+
 # -- the dense evaluator as the oracle of the factor index ----------------------
 
 
@@ -473,13 +538,24 @@ def dense_values(terms, x):
     return _segment_sums(coef * dense_monomials(expo, x), row, m)
 
 
+def partial_terms(expo, coef, row, k):
+    """Oracle: the terms of d/dx_k of the dense terms (expo, coef) with row
+    ids ``row``: those with a positive exponent of x_k, that exponent
+    decremented and multiplied into the coefficient, in the same order."""
+    e = expo[:, k]
+    mask = e > 0
+    d = expo[mask]
+    d[:, k] -= 1
+    return d, coef[mask] * e[mask], row[mask]
+
+
 def dense_dir_hessian(system, x, v):
-    """Oracle: the Jacobian terms differentiated along each x_k with
+    """Oracle: the dense Jacobian terms differentiated along each x_k with
     v_k != 0 on every call, weighted by v_k, concatenated in ascending k."""
-    expo, coef, row, m = system._jac_terms()
+    expo, coef, row, m = dense_terms(system, "jac")
     parts = [(expo[:0], coef[:0], row[:0])]
     for k in np.flatnonzero(v):
-        d, c, r = _partial_terms(expo, coef, row, k)
+        d, c, r = partial_terms(expo, coef, row, k)
         parts.append((d, c * v[k], r))
     expo, coef, row = (np.concatenate(a) for a in zip(*parts))
     return dense_values((expo, coef, row, m), x).reshape(len(system), system.num_vars)
@@ -498,7 +574,7 @@ def assert_evaluators_match_dense(system, x, v):
     x, v = np.asarray(x, dtype=complex), np.asarray(v, dtype=complex)
     pairs = [
         (system.eval(x), dense_values(system._flat(), x)),
-        (system.jacobian(x), dense_values(system._jac_terms(), x).reshape(len(system), -1)),
+        (system.jacobian(x), dense_values(dense_terms(system, "jac"), x).reshape(len(system), -1)),
         (dir_hessian(system, x, v), dense_dir_hessian(system, x, v)),
     ]
     pairs += [(np.complex128(p.eval(x)), np.complex128(dense_poly_eval(p, x))) for p in system]
@@ -592,6 +668,10 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
         ([[2, 0]], [1.0], [2], r"term 0 has row 2, expected 0..1"),
         ([[2, 0]], [1.0], [-1], r"term 0 has row -1, expected 0..1"),
         (np.zeros((1, 0), dtype=int), [1.0], [0], "at least one variable"),
+        ([2, 0], [1.0], [0], r"shapes \(2,\), \(1,\) and \(1,\), expected \(terms, variables\)"),
+        ([[2, 0]], [1.0, 2.0], [0], r"shapes \(1, 2\), \(2,\) and \(1,\)"),
+        ([[2, 0]], [1.0], [0, 1], r"shapes \(1, 2\), \(1,\) and \(2,\)"),
+        ([[2, 0]], [[1.0]], [0], r"shapes \(1, 2\), \(1, 1\) and \(1,\)"),
     ],
 )
 def test_system_from_terms_rejects_bad_arrays(expo, coef, row, message):

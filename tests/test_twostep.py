@@ -10,13 +10,14 @@ from snewton.twostep import (
     StepConfig,
     auto_tolerance,
     first_refinement,
-    operator_A,
     operator_B,
     random_direction,
     refine,
     second_refinement,
     two_step,
 )
+
+from oracles import operator_A
 
 XI = np.ones(3, dtype=complex)
 V_RAW = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
@@ -227,6 +228,25 @@ def test_two_step_v_override_needs_kernel_component(running):
         two_step(running, XI, StepConfig(tol=0.1, v_override=bad))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_directions_are_rejected(running, bad):
+    v = V_RAW.astype(complex)
+    v[1] = bad
+    with pytest.raises(ValueError, match="direction entry 2 is not finite"):
+        operator_B(running, XI, v, U2_EXACT, V2_EXACT)
+    cfg = StepConfig(tol=0.1, v_override=v)
+    with pytest.raises(ValueError, match="direction entry 2 is not finite"):
+        two_step(running, XI + 1e-3, cfg)
+    with pytest.raises(ValueError, match="direction entry 2 is not finite"):
+        refine(running, XI + 1e-3, cfg)
+
+
+def test_v_override_of_the_wrong_length_is_rejected(running):
+    cfg = StepConfig(tol=0.1, v_override=np.ones(2))
+    with pytest.raises(ValueError, match="direction length"):
+        refine(running, XI + 1e-3, cfg)
+
+
 def test_two_step_rejects_non_square():
     system = parse_system("x^2\nx\nx - 1", ["x"])
     with pytest.raises(ValueError):
@@ -308,8 +328,9 @@ def test_random_direction_is_a_unit_kernel_vector(running):
 
 
 def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(tol=0.0)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            StepConfig(tol=tol)
     with pytest.raises(ValueError):
         StepConfig(stop_residual=0.0)
 
