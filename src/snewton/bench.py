@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lvz
 from .numla import cond, singular_values
-from .polycore import Poly, PolySystem, parse_system, system_from_terms
+from .polycore import Poly, PolySystem, _system_from_json, parse_system, system_from_terms
 from .twostep import StepConfig, refine, two_step
 
 __all__ = [
@@ -226,8 +226,7 @@ def _builtin_entries() -> list[CatalogEntry]:
 def _load_data_entry(path: Path) -> CatalogEntry:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    names = list(data["vars"])
-    system = parse_system("\n".join(data["polys"]), names)
+    system, names = _system_from_json(data, path)
     zero = np.array([complex(re, im) for re, im in data["zero"]])
     if zero.shape != (system.num_vars,):
         raise ValueError("zero length does not match the variable count")

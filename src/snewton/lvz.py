@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numla import _check_tolerance, least_squares, singular_values
-from .polycore import PolySystem, _check_direction, _check_finite, _check_point
+from .polycore import PolySystem, _check_direction, _check_finite, _check_point, _check_start_value
 
 __all__ = [
     "AugmentedSystem",
@@ -279,7 +279,7 @@ def gauss_newton(
     if len(system) < system.num_vars:
         raise ValueError("gauss_newton needs at least as many equations as variables")
     y = system._check_point(y0)
-    g = system.eval(y)
+    g = _check_start_value(system.eval(y))
     points = [y]
     residuals = [float(np.linalg.norm(g))]
     converged = residuals[0] <= stop

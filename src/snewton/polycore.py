@@ -87,15 +87,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _checked(cls, num_vars: int, terms: dict[Exponent, complex]) -> Poly:
-        """A polynomial from terms known to pass ``__init__``'s checks (tuples
-        of Python ints, nonzero finite Python complex numbers), as they are."""
-        p = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (num_vars, terms, None)):
-            object.__setattr__(p, name, value)
-        return p
-
-    @classmethod
     def zero(cls, num_vars: int) -> Poly:
         return cls(num_vars, {})
 
@@ -234,12 +225,14 @@ class PolySystem:
     """An ordered tuple of polynomials sharing one variable set.
 
     Square systems have as many polynomials as variables; deflated systems
-    are longer.  Evaluation, the Jacobian and Hessian contractions use
-    flattened term arrays and their factor indexes, built lazily and cached
+    are longer.  A system is its term arrays (``_arrays``): int16 exponents,
+    complex coefficients, int64 row ids and the row count, by row and then
+    in graded-lex order, without zero coefficients.  Factor indexes for
+    evaluation and the ``Poly`` view ``polys`` are built lazily and cached
     (the system itself stays immutable, so sharing across threads is safe).
     """
 
-    __slots__ = ("polys", "num_vars", "_cache")
+    __slots__ = ("num_vars", "_arrays", "_polys", "_cache")
 
     def __init__(self, polys: Iterable[Poly]):
         polys = tuple(polys)
@@ -249,15 +242,38 @@ class PolySystem:
         for p in polys:
             if p.num_vars != n:
                 raise ValueError("all polynomials in a system must share num_vars")
-        object.__setattr__(self, "polys", polys)
-        object.__setattr__(self, "num_vars", n)
-        object.__setattr__(self, "_cache", {})
+        expo = np.array([a for p in polys for a in p.terms], dtype=np.int16).reshape(-1, n)
+        coef = np.array([c for p in polys for c in p.terms.values()], dtype=complex)
+        row = np.repeat(np.arange(len(polys)), [len(p.terms) for p in polys])
+        self._store(expo, coef, row, len(polys), polys)
+
+    def _store(self, expo, coef, row, m: int, polys) -> None:
+        """Set the fields from checked terms, which are put in canonical
+        order here (np.lexsort sorts by its last key first)."""
+        order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
+        order = order[coef[order] != 0]
+        expo, row = expo[order].astype(np.int16, copy=False), row[order].astype(np.int64)
+        arrays = (expo, coef[order], row, m)
+        for name, value in zip(self.__slots__, (expo.shape[1], arrays, polys, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySystem is immutable")
 
+    @property
+    def polys(self) -> tuple[Poly, ...]:
+        """The rows as ``Poly`` objects: those the system was built from, if
+        it was, else built from the term arrays on first use."""
+        if self._polys is None:
+            expo, coef, row, m = self._arrays
+            terms = [{} for _ in range(m)]
+            for i, alpha, c in zip(row.tolist(), map(tuple, expo.tolist()), coef.tolist()):
+                terms[i][alpha] = c
+            object.__setattr__(self, "_polys", tuple(Poly(self.num_vars, t) for t in terms))
+        return self._polys
+
     def __len__(self):
-        return len(self.polys)
+        return self._arrays[3]
 
     def __iter__(self):
         return iter(self.polys)
@@ -266,41 +282,32 @@ class PolySystem:
         return self.polys[i]
 
     def __eq__(self, other):
-        return isinstance(other, PolySystem) and self.polys == other.polys
+        return isinstance(other, PolySystem) and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays)
+        )
 
     def __hash__(self):
-        return hash(self.polys)
+        # Not the coefficient bytes: 1+0j and 1-0j are equal.
+        expo, _, row, m = self._arrays
+        return hash((self.num_vars, m, expo.tobytes(), row.tobytes()))
 
     def degree(self) -> int:
-        return max(p.degree() for p in self.polys)
+        return int(self._arrays[0].sum(axis=1).max(initial=0))
 
     def is_square(self) -> bool:
-        return len(self.polys) == self.num_vars
-
-    def _flat(self):
-        """Flattened (exponents, coefficients, row ids, row count) arrays of
-        the terms; row i holds the terms of f_i in graded-lex order."""
-        cached = self._cache.get("eval")
-        if cached is None:
-            arrays = [p._arrays() for p in self.polys]
-            expo = np.concatenate([e for e, _ in arrays])
-            coef = np.concatenate([c for _, c in arrays])
-            row = np.repeat(np.arange(len(arrays), dtype=np.int64), [len(c) for _, c in arrays])
-            cached = (expo, coef, row, len(arrays))
-            self._cache["eval"] = cached
-        return cached
+        return len(self) == self.num_vars
 
     def _terms(self, name: str):
         """The "eval", "jac" or "hess" terms: (factor lists, coefficients,
         row ids, row count, k of each term; None for "eval").  "jac" is
         "eval" differentiated along every x_k, with row i*num_vars + k for
         df_i/dx_k; "hess" is "jac" differentiated along every x_k, with the
-        rows of "jac".  Only "eval" has dense exponents."""
+        rows of "jac"."""
         key = name + " terms"
         cached = self._cache.get(key)
         if cached is None:
             if name == "eval":
-                expo, coef, row, m = self._flat()
+                expo, coef, row, m = self._arrays
                 cached = (_factors(expo), coef, row, m, None)
             else:
                 factors, coef, row, m, _ = self._terms("eval" if name == "jac" else "jac")
@@ -343,7 +350,7 @@ class PolySystem:
 
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
-        return self._values("jac", self._check_point(x)).reshape(len(self.polys), self.num_vars)
+        return self._values("jac", self._check_point(x)).reshape(len(self), self.num_vars)
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
@@ -361,7 +368,7 @@ class PolySystem:
                 factors, coef, row, k = _differentiate(factors, coef, row)
             factors, coef, row = _weigh(factors, coef, row, v[k])
         vals = coef * _monomials(_factor_index(*factors, len(coef), self.num_vars), x)
-        return _segment_sums(vals, row, m).reshape(len(self.polys), self.num_vars)
+        return _segment_sums(vals, row, m).reshape(len(self), self.num_vars)
 
     def _check_point(self, x) -> np.ndarray:
         return _check_point(x, self.num_vars)
@@ -370,32 +377,20 @@ class PolySystem:
         return "\n".join(p.to_string(variable_names) for p in self.polys)
 
     def __repr__(self):
-        return f"PolySystem({len(self.polys)} polys in {self.num_vars} vars)"
+        return f"PolySystem({len(self)} polys in {self.num_vars} vars)"
 
 
 def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> PolySystem:
-    """The inverse of ``PolySystem._flat``: the system of ``m`` polynomials
-    with term ``coef[t] * X^expo[t]`` in polynomial ``row[t]``.  No (row,
-    exponent) pair may repeat; rows without terms are zero polynomials.
-
-    The arrays are checked once, with numpy, and the polynomials are built
-    without ``Poly``'s per-term check.  The terms are put in ``_flat`` order
-    (by row, then graded-lex, zero coefficients dropped) and seed the
-    system's term arrays, so they are not compiled again from the
-    polynomials."""
+    """The system of ``m`` polynomials with term ``coef[t] * X^expo[t]`` in
+    polynomial ``row[t]``.  No (row, exponent) pair may repeat; rows without
+    terms are zero polynomials.  The arrays are checked once, with numpy,
+    and become the system's term arrays; no ``Poly`` is built."""
+    if m < 1:
+        raise ValueError("a system needs at least one polynomial")
     expo, coef, row = np.asarray(expo), np.asarray(coef, dtype=complex), np.asarray(row)
     _check_terms(expo, coef, row, m)
-    # np.lexsort sorts by its last key first
-    order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
-    order = order[coef[order] != 0]
-    expo, coef, row = expo[order], coef[order], row[order].astype(np.int64)
-    bounds = np.searchsorted(row, np.arange(m + 1))
-    n = expo.shape[1]
-    system = PolySystem(
-        Poly._checked(n, dict(zip(map(tuple, expo[lo:hi].tolist()), coef[lo:hi].tolist())))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
-    system._cache["eval"] = (expo.astype(np.int16), coef, row, m)
+    system = object.__new__(PolySystem)
+    system._store(expo, coef, row, m, None)
     return system
 
 
@@ -435,6 +430,14 @@ def _check_point(x, num_vars: int) -> np.ndarray:
     if x.shape != (num_vars,):
         raise ValueError(f"point has {x.shape[0]} coordinates, expected {num_vars}")
     return _check_finite(x, "point coordinate")
+
+
+def _check_start_value(fx: np.ndarray) -> np.ndarray:
+    """``fx``, the value of f at a checked start point, or a ValueError if it
+    is not finite: with finite coefficients, the evaluation overflowed."""
+    if not np.isfinite(fx).all():
+        raise ValueError("f overflows at the start point: its value there is not finite")
+    return fx
 
 
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -762,10 +765,20 @@ class _LineParser:
             first = False
 
 
+# The line boundaries of ``str.splitlines``.
+_LINE_BREAK = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def parse_poly(text: str, variable_names: Sequence[str], lineno: int = 1) -> Poly:
-    """Parse one polynomial from its text form."""
+    """Parse one polynomial from its text form, which holds no line break."""
     if "i" in variable_names:
         raise ValueError("'i' is reserved for the imaginary unit")
+    if len(set(variable_names)) != len(variable_names):
+        twice = next(v for k, v in enumerate(variable_names) if v in variable_names[:k])
+        raise ValueError(f"variable name {twice!r} is given twice")
+    brk = _LINE_BREAK.search(text)
+    if brk:
+        raise PolyParseError("line break inside a polynomial", lineno, brk.start() + 1)
     return _LineParser(text, lineno, variable_names).parse()
 
 
@@ -783,13 +796,18 @@ def parse_system(text: str, variable_names: Sequence[str]) -> PolySystem:
 def load_system_json(path) -> tuple[PolySystem, list[str]]:
     """Load ``{"vars": [...], "polys": ["...", ...]}`` from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        names = list(data["vars"])
-        lines = list(data["polys"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: expected keys 'vars' and 'polys'") from exc
-    return parse_system("\n".join(lines), names), names
+        return _system_from_json(json.load(fh), path)
+
+
+def _system_from_json(data, source) -> tuple[PolySystem, list[str]]:
+    """The system and variable names of the decoded JSON object ``data``,
+    read from ``source``: the "vars" and "polys" lists of strings, polynomial
+    k parsed as line k."""
+    fields = [data.get(key) if isinstance(data, dict) else None for key in ("vars", "polys")]
+    if not all(isinstance(f, list) and all(isinstance(s, str) for s in f) for f in fields):
+        raise ValueError(f"{source}: expected keys 'vars' and 'polys', each a list of strings")
+    names, lines = fields
+    return PolySystem(parse_poly(line, names, k) for k, line in enumerate(lines, 1)), names
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +891,7 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     """
     xi = system._check_point(xi)
     n = system.num_vars
-    expo, w, row, m = system._flat()
+    expo, w, row, m = system._arrays
     top = max(n + order, int(expo.max(initial=0)))
     pascal = np.zeros((top + 1, top + 1), dtype=np.int64)  # pascal[a, b] = C(a, b)
     pascal[:, 0] = 1

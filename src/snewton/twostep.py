@@ -223,11 +223,11 @@ def two_step(
     x = system._check_point(x)
     t0 = time.perf_counter()
 
+    fx = polycore._check_start_value(system._eval_once(x))
     jac = system.jacobian(x)
     split = split_svd(jac, cfg.tol)
     kappa = split.kappa
     n = system.num_vars
-    fx = system._eval_once(x)
     res = {"x": float(np.linalg.norm(fx))}
 
     if kappa == 0:
@@ -321,7 +321,7 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [float(np.linalg.norm(system._eval_once(x)))]
+    residuals = [float(np.linalg.norm(polycore._check_start_value(system._eval_once(x))))]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"

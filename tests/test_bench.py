@@ -88,6 +88,21 @@ def test_corrupt_data_file_drops_only_that_entry(tmp_path):
     assert any("kss.json" in str(w.message) for w in caught)
 
 
+def test_data_files_are_checked_like_load_system_json(tmp_path):
+    """A catalog data file goes through the loader's checks: a string where
+    a list of strings belongs drops the entry."""
+    src = Path(bench._DATA_DIR)
+    shutil.copy(src / "mth191.json", tmp_path / "mth191.json")
+    data = json.loads((src / "kss.json").read_text())
+    data["vars"] = "".join(data["vars"])
+    (tmp_path / "kss.json").write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entries = {e.name for e in catalog(data_dir=tmp_path)}
+    assert "KSS" not in entries and "mth191" in entries
+    assert any("each a list of strings" in str(w.message) for w in caught)
+
+
 # -- random variants --------------------------------------------------------------
 
 

@@ -121,6 +121,25 @@ def test_refine_exponent_beyond_the_term_arrays_is_usage_error(capsys, tmp_path)
     assert "error: line 1, column 1: exponent exceeds 32767" in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vars": "xy", "polys": "x"}, "each a list of strings"),
+        ({"vars": ["x", "x"], "polys": ["x^2", "x"]}, "variable name 'x' is given twice"),
+        ({"vars": ["x", "y"], "polys": ["x^2", 3]}, "each a list of strings"),
+        ({"vars": ["x", "y"], "polys": ["x^2\n+ y", "y"]}, "line 1, column 4: line break"),
+    ],
+)
+def test_refine_malformed_file_is_usage_error(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path), "--x0", "1,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_refine_bad_file(capsys, tmp_path):
     missing = tmp_path / "none.json"
     code, _, err = run_cli(capsys, "refine", "--file", str(missing), "--x0", "1")

@@ -133,7 +133,7 @@ def test_deflation_does_no_polynomial_arithmetic(count_calls):
     gauss_newton(final, y, max_iter=3)
     assert sums == [] and products == [] and built == [] and from_terms == []
     symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
-    polycore.system_from_terms(*system._flat())
+    polycore.system_from_terms(*system._arrays)
     assert sums and products and built and from_terms  # the counters do count
 
 

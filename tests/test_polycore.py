@@ -1,6 +1,7 @@
 """Polynomial representation, parsing, and exact calculus."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -250,6 +251,41 @@ def test_load_system_json(tmp_path):
         load_system_json(bad)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vars": "xy", "polys": ["x", "y"]}, "each a list of strings"),
+        ({"vars": ["x", "y"], "polys": "x"}, "each a list of strings"),
+        ({"vars": ["x", "y"], "polys": ["x^2", 3]}, "each a list of strings"),
+        ({"vars": ["x", 1], "polys": ["x"]}, "each a list of strings"),
+        (["x", "y"], "each a list of strings"),
+        ({"vars": ["x", "x"], "polys": ["x"]}, "variable name 'x' is given twice"),
+        ({"vars": ["x", "y"], "polys": ["x", "y +\nx"]}, "line 2, column 4: line break"),
+        ({"vars": ["x"], "polys": ["x", ""]}, "line 2, column 1: empty polynomial"),
+        ({"vars": ["x"], "polys": []}, "at least one polynomial"),
+    ],
+)
+def test_load_system_json_rejects_malformed_files(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        load_system_json(path)
+
+
+def test_repeated_variable_names_are_rejected():
+    with pytest.raises(ValueError, match="variable name 'y' is given twice"):
+        parse_poly("x + y", ["x", "y", "z", "y"])
+    with pytest.raises(ValueError, match="variable name 'x' is given twice"):
+        parse_system("x\nx^2", ["x", "x"])
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+def test_parse_poly_rejects_line_breaks(brk):
+    with pytest.raises(PolyParseError, match="line 3, column 4: line break") as err:
+        parse_poly(f"x +{brk} y", ["x", "y"], lineno=3)
+    assert (err.value.line, err.value.col) == (3, 4)
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -432,7 +468,7 @@ def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
 
 
 def dense_terms(system, name):
-    """The ``_terms(name)`` with dense exponents, as ``_flat`` holds them:
+    """The ``_terms(name)`` with dense exponents, as ``_arrays`` holds them:
     (exponents, coefficients, row ids, row count)."""
     (term, var, exp), coef, row, m, _ = system._terms(name)
     expo = np.zeros((len(coef), system.num_vars), dtype=np.int16)
@@ -448,7 +484,7 @@ def assert_jacobian_terms_equal_symbolic(system):
     partials = PolySystem(d for row in symbolic_jacobian(system) for d in row)
     expo, coef, row, m = dense_terms(system, "jac")
     order = np.argsort(row, kind="stable")
-    got, want = (expo[order], coef[order], row[order], m), partials._flat()
+    got, want = (expo[order], coef[order], row[order], m), partials._arrays
     assert got[3] == want[3]
     for a, b in zip(got[:3], want[:3]):
         assert a.dtype == b.dtype
@@ -491,8 +527,8 @@ def test_dir_hessian_builds_no_polynomials(monkeypatch):
 
 def test_derivatives_keep_no_dense_exponents():
     """After eval, jacobian, dir_hessian and a k = 2 directional derivative,
-    the only 2-D array the system caches is the eval exponents: the
-    derivative terms are kept as factor lists."""
+    the system caches no 2-D array: the exponents are kept once, in the term
+    arrays, and every derived term set as factor lists."""
     from snewton.bench import random_variant
 
     system, zero = random_variant(12, 2, seed=3)
@@ -509,8 +545,8 @@ def test_derivatives_keep_no_dense_exponents():
             for item in value:
                 yield from arrays(item)
 
-    dense = [a for a in arrays(tuple(system._cache.values())) if a.ndim > 1]
-    assert len(dense) == 1 and dense[0] is system._flat()[0]
+    assert system._cache
+    assert not [a for a in arrays(tuple(system._cache.values())) if a.ndim > 1]
 
 
 # -- the dense evaluator as the oracle of the factor index ----------------------
@@ -573,7 +609,7 @@ def assert_evaluators_match_dense(system, x, v):
     for bit."""
     x, v = np.asarray(x, dtype=complex), np.asarray(v, dtype=complex)
     pairs = [
-        (system.eval(x), dense_values(system._flat(), x)),
+        (system.eval(x), dense_values(system._arrays, x)),
         (system.jacobian(x), dense_values(dense_terms(system, "jac"), x).reshape(len(system), -1)),
         (dir_hessian(system, x, v), dense_dir_hessian(system, x, v)),
     ]
@@ -630,8 +666,9 @@ def test_evaluators_match_the_dense_loop_on_catalog_and_variants():
 
 
 def test_system_from_terms_seeds_the_compiled_term_arrays():
-    """The seeded arrays equal a cold compile from the polynomials, whatever
-    the input order, and zero coefficients are dropped."""
+    """The term arrays, built without a ``Poly``, equal those compiled from
+    the polynomials, whatever the input order, and zero coefficients are
+    dropped."""
     from snewton.bench import catalog, get_entry
 
     rng = np.random.default_rng(43)
@@ -641,7 +678,7 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
     sources = [e.system for e in catalog()] + [s for s, _ in _deflated_systems()] + [structured]
     systems = []
     for source in sources:
-        expo, coef, row, m = source._flat()
+        expo, coef, row, m = source._arrays
         order = rng.permutation(len(coef))
         unused = np.zeros((1, expo.shape[1]), dtype=expo.dtype)
         unused[0, 0] = 99  # a term with a zero coefficient, to be dropped
@@ -649,8 +686,8 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
         coef, row = np.append(coef[order], 0), np.append(row[order], m - 1)
         systems.append((system_from_terms(expo, coef, row, m), source))
     for system, source in systems:
-        assert "eval" in system._cache
-        got, want = system._flat(), PolySystem(system.polys)._flat()
+        assert system._polys is None
+        got, want = system._arrays, PolySystem(system.polys)._arrays
         assert got[3] == want[3]
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype
@@ -690,18 +727,67 @@ def test_system_from_terms_rejects_what_poly_rejects():
 
 
 def test_system_from_terms_equals_the_checked_construction():
-    """The polynomials built without the per-term check equal those built
-    through ``Poly.__init__``: same keys and value types."""
+    """The polynomial view of a system built from term arrays equals the
+    polynomials it was compiled from: same keys and value types."""
     from snewton.bench import catalog, random_variant
 
     sources = [e.system for e in catalog()] + [random_variant(12, 3, seed=5)[0]]
     for source in sources:
-        system = system_from_terms(*source._flat())
+        system = system_from_terms(*source._arrays)
         rebuilt = PolySystem(Poly(p.num_vars, p.terms) for p in system)
         assert system == rebuilt == source
         for p in system:
             assert all(type(e) is int for alpha in p.terms for e in alpha)
             assert all(type(c) is complex and c != 0 for c in p.terms.values())
+
+
+def test_system_from_terms_needs_a_row():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="a system needs at least one polynomial"):
+            system_from_terms(np.zeros((0, 2), dtype=int), np.zeros(0), np.zeros(0, dtype=int), m)
+
+
+def test_constructions_of_one_system_are_equal_and_hash_equal():
+    """Parsed, built from term arrays and composed with the identity map, the
+    same system compares and hashes equal, also when a coefficient differs
+    only in the sign of a zero imaginary part."""
+    parsed = parse_system("x^2 - 2*x*y + 3\ny - 0.5", ["x", "y"])
+    expo, coef, row, m = parsed._arrays
+    negated_zero = coef.copy()
+    negated_zero.imag = -0.0
+    assert negated_zero.tobytes() != coef.tobytes()
+    systems = [
+        parsed,
+        system_from_terms(expo, coef, row, m),
+        system_from_terms(expo[::-1], negated_zero[::-1], row[::-1], m),
+        compose_affine(parsed, np.eye(2), [0.0, 0.0]),
+        PolySystem(Poly(2, p.terms) for p in parsed),
+    ]
+    for system in systems:
+        assert system == parsed and hash(system) == hash(parsed)
+    assert parsed != parse_system("x^2 - 2*x*y + 3\ny - 0.25", ["x", "y"])
+    assert parsed != parse_system("x^2 - 2*x*y + 3\ny - 0.5\n0", ["x", "y"])
+
+
+def test_analysis_builds_no_poly(count_calls):
+    """A variant is built, refined, deflated, solved by Gauss-Newton and
+    analysed from its term arrays alone: no ``Poly`` is made."""
+    from snewton.bench import random_variant, variant_rank_tolerance
+    from snewton.dualspace import is_deflation_one, multiplicity_structure
+    from snewton.lvz import deflate_once, gauss_newton
+    from snewton.twostep import StepConfig, refine
+
+    built = count_calls(Poly, "__init__")
+    system, zero = random_variant(8, 2, seed=1)
+    tol = variant_rank_tolerance(system, zero, 2)
+    start = zero + 1e-3
+    assert refine(system, start, StepConfig(tol=tol)).stop_reason == "residual"
+    deflated, y = deflate_once(system, start, tol, seed=1)
+    assert gauss_newton(deflated.system, y, max_iter=5).converged
+    assert multiplicity_structure(system, zero).multiplicity == 4
+    assert is_deflation_one(system, zero)
+    assert built == []
+    assert len(system.polys) == 8 and len(built) == 8  # the counter does count
 
 
 # -- normalized partials and functionals --------------------------------------

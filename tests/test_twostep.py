@@ -394,6 +394,19 @@ def test_refine_rejects_non_finite_start(running):
         two_step(running, [np.inf, 1.0, 1.0])
 
 
+def test_overflow_at_the_start_point_is_named():
+    """A finite start whose f overflows is blamed on the overflow, not on
+    the point, by refine, two_step and gauss_newton."""
+    from snewton.lvz import gauss_newton
+
+    for run in (refine, two_step, gauss_newton):
+        system = get_entry("running-example").system  # f not yet evaluated there
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(ValueError, match="f overflows at the start point"):
+                run(system, [1e200] * 3)
+        assert any("overflow" in str(w.message) for w in caught)
+
+
 def test_refine_is_reproducible_with_seed():
     entry = get_entry("running-example")
     x0 = np.array([1.01, 0.99, 1.01], dtype=complex)
