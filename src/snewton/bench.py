@@ -262,10 +262,28 @@ def catalog(data_dir: Path | str | None = None) -> list[CatalogEntry]:
 
 
 def get_entry(name: str, data_dir: Path | str | None = None) -> CatalogEntry:
-    for entry in catalog(data_dir):
+    """The entry called ``name``: a built-in, else the one in the data file
+    ``<name lowercased>.json``, which is how data files are named.  Only
+    when that file is missing or holds another entry is the whole catalog
+    loaded, so that a bad file is warned about and a ``KeyError`` lists
+    every entry, as with ``catalog``."""
+    for entry in _builtin_entries():
         if entry.name == name:
             return entry
-    known = ", ".join(e.name for e in catalog(data_dir))
+    directory = Path(data_dir) if data_dir is not None else _DATA_DIR
+    path = directory / f"{name.lower()}.json"
+    if path.parent == directory and path.is_file():
+        try:
+            entry = _load_data_entry(path)
+        except Exception:  # noqa: BLE001 - the catalog scan below warns about it
+            entry = None
+        if entry is not None and entry.name == name:
+            return entry
+    entries = catalog(data_dir)
+    for entry in entries:
+        if entry.name == name:
+            return entry
+    known = ", ".join(e.name for e in entries)
     raise KeyError(f"no catalog entry named {name!r} (available: {known})")
 
 

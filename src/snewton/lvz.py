@@ -119,10 +119,19 @@ class AugmentedSystem:
         """``[f(x), Df(x).(pinned + W lambda), normal^T lambda - 1]`` at y = (x, lambda)."""
         y = self._check_point(y)
         x, lam = y[: self.parent.num_vars], y[self.parent.num_vars :]
-        values = [self.parent.eval(x), self.parent.jacobian(x) @ (self.pinned + self.weights @ lam)]
+        jac = self.parent._at("jac", x)
+        values = [self.parent._at("eval", x), jac @ (self.pinned + self.weights @ lam)]
         if self.normal is not None:
             values.append([self.normal @ lam - 1])
         return np.concatenate(values)
+
+    def _at(self, name: str, y: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        """g(y) for "eval", Dg(y) for "jac" and D^2g(y).v for "hess", at a
+        checked point and direction, as ``PolySystem._at`` gives them for a
+        parent that is augmented in turn; nothing is kept here."""
+        if name == "eval":
+            return self.eval(y)
+        return self.directional_derivative(y, () if v is None else (v,))
 
     def jacobian(self, y) -> np.ndarray:
         """[[Df, 0], [D^2f.(pinned + W lambda), Df.W], [0, normal^T]] at ``y``."""
@@ -141,9 +150,12 @@ class AugmentedSystem:
         parent, w = self.parent, self.weights
         p, m = parent.num_vars, len(parent)
         x, lam = y[:p], y[p:]
-        us = [d[:p] for d in dirs]
-        top = parent.directional_derivative(x, us)
-        mid = parent.directional_derivative(x, [self.pinned + w @ lam, *us])
+        us, a = [d[:p] for d in dirs], self.pinned + w @ lam
+        if dirs:
+            top = parent.directional_derivative(x, us)
+            mid = parent.directional_derivative(x, [a, *us])
+        else:
+            top, mid = parent._at("jac", x), parent._at("hess", x, a)
         for i, d in enumerate(dirs):
             if d[p:].any():
                 mid = mid + parent.directional_derivative(x, [w @ d[p:], *us[:i], *us[i + 1 :]])

@@ -191,7 +191,7 @@ class Poly:
         if not self.terms:
             return 0.0 + 0.0j
         expo, coef = self._arrays()
-        vals = coef * _monomials(_factor_index(*_factors(expo), *expo.shape), x)
+        vals = np.multiply(coef, _monomials(_factor_index(*_factors(expo), *expo.shape), x))
         return complex(np.sum(vals))
 
     # -- formatting --------------------------------------------------------
@@ -299,23 +299,23 @@ class PolySystem:
 
     def _terms(self, name: str):
         """The "eval", "jac" or "hess" terms: (factor lists, coefficients,
-        row ids, row count, k of each term; None for "eval").  "jac" is
+        pair ids, row count, k of each term; None for "eval").  "jac" is
         "eval" differentiated along every x_k, with row i*num_vars + k for
         df_i/dx_k; "hess" is "jac" differentiated along every x_k, with the
-        rows of "jac"."""
+        rows of "jac".  A term of row r has the pair ids 2r and 2r + 1 (see
+        ``_pair_sums``); its row is half the first."""
         key = name + " terms"
         cached = self._cache.get(key)
         if cached is None:
             if name == "eval":
                 expo, coef, row, m = self._arrays
-                cached = (_factors(expo), coef, row, m, None)
+                factors, k = _factors(expo), None
             else:
-                factors, coef, row, m, _ = self._terms("eval" if name == "jac" else "jac")
-                factors, coef, row, k = _differentiate(factors, coef, row)
+                factors, coef, pairs, m, _ = self._terms("eval" if name == "jac" else "jac")
+                factors, coef, row, k = _differentiate(factors, coef, pairs[::2] >> 1)
                 if name == "jac":
                     row, m = row * self.num_vars + k, m * self.num_vars
-                cached = (factors, coef, row, m, k)
-            self._cache[key] = cached
+            cached = self._cache[key] = (factors, coef, _pair_ids(row), m, k)
         return cached
 
     def _index(self, name: str) -> _FactorIndex:
@@ -327,30 +327,37 @@ class PolySystem:
             index = self._cache[key] = _factor_index(*factors, len(coef), self.num_vars)
         return index
 
-    def _values(self, name: str, x: np.ndarray) -> np.ndarray:
-        """The row sums of the ``_terms(name)`` at a checked point."""
-        _, coef, row, m, _ = self._terms(name)
-        return _segment_sums(coef * _monomials(self._index(name), x), row, m)
+    def _values(self, name: str, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        """f(x) for "eval", Df(x) for "jac" and D^2f(x).v for "hess", at a
+        checked point and direction, computed anew."""
+        if name == "hess":
+            return _contract(self, x, v)
+        _, coef, pairs, m, _ = self._terms(name)
+        sums = _pair_sums(np.multiply(coef, _monomials(self._index(name), x)), pairs, m)
+        return sums if name == "eval" else sums.reshape(len(self), self.num_vars)
+
+    def _at(self, name: str, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+        """``_values(name, x, v)``, read-only and shared between callers: the
+        values at the point last asked for are kept, each computed when it
+        is first asked for, D^2f.v for the last direction only.  An iteration
+        needs f and Df at an iterate more than once."""
+        held = self._cache.get("point")
+        if held is None or held[0] != x.tobytes():
+            held = self._cache["point"] = (x.tobytes(), {})
+        tag = None if v is None else v.tobytes()
+        value = held[1].get(name)
+        if value is None or value[0] != tag:
+            value = held[1][name] = (tag, self._values(name, x, v))
+            value[1].flags.writeable = False
+        return value[1]
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
         return self._values("eval", self._check_point(x))
 
-    def _eval_once(self, x: np.ndarray) -> np.ndarray:
-        """``eval(x)`` for a checked point, reusing the value of the point last
-        evaluated here: an iteration needs f at an iterate more than once.
-        The array is shared between callers, so it is read-only."""
-        key = x.tobytes()
-        last = self._cache.get("last f")
-        if last is None or last[0] != key:
-            fx = self.eval(x)
-            fx.flags.writeable = False
-            last = self._cache["last f"] = (key, fx)
-        return last[1]
-
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
-        return self._values("jac", self._check_point(x)).reshape(len(self), self.num_vars)
+        return self._values("jac", self._check_point(x))
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
@@ -358,16 +365,18 @@ class PolySystem:
         k >= 2 the "hess" terms are weighted by v_1, then differentiated
         along every x_k and weighted by each further direction, anew on
         every call."""
+        x = self._check_point(x)
         dirs = [_check_direction(v, self.num_vars) for v in dirs]
         if len(dirs) < 2:
-            return dir_hessian(self, x, dirs[0]) if dirs else self.jacobian(x)
-        x = self._check_point(x)
-        factors, coef, row, m, k = self._terms("hess")
+            return self._values("hess" if dirs else "jac", x, *dirs)
+        factors, coef, pairs, m, k = self._terms("hess")
+        row = pairs[::2] >> 1
         for i, v in enumerate(dirs):
             if i:
                 factors, coef, row, k = _differentiate(factors, coef, row)
             factors, coef, row = _weigh(factors, coef, row, v[k])
-        vals = coef * _monomials(_factor_index(*factors, len(coef), self.num_vars), x)
+        index = _factor_index(*factors, len(coef), self.num_vars)
+        vals = np.multiply(coef, _monomials(index, x))
         return _segment_sums(vals, row, m).reshape(len(self), self.num_vars)
 
     def _check_point(self, x) -> np.ndarray:
@@ -545,7 +554,22 @@ def _weigh(factors, coef: np.ndarray, row: np.ndarray, weight: np.ndarray):
     return (number[term[kept]], var[kept], exp[kept]), (coef * weight)[keep], row[keep]
 
 
+def _pair_ids(row: np.ndarray) -> np.ndarray:
+    """The ids 2r and 2r + 1 of each row id r, in turn."""
+    return (2 * row[:, None] + np.arange(2)).reshape(-1)
+
+
+def _pair_sums(vals: np.ndarray, pairs: np.ndarray, m: int) -> np.ndarray:
+    """The ``m`` row sums of ``vals`` from one bincount over their real and
+    imaginary parts, with ``pairs`` from ``_pair_ids`` of the row ids: each
+    bin adds its parts in input order, as the two of ``_segment_sums`` do,
+    so a finite sum has the same bits."""
+    return np.bincount(pairs, weights=vals.view(float), minlength=2 * m).view(complex)
+
+
 def _segment_sums(vals: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
+    """The ``m`` row sums of ``vals`` with per-call row ids ``row``; cached
+    term sets keep pair ids for ``_pair_sums`` instead."""
     re = np.bincount(row, weights=vals.real, minlength=m)
     im = np.bincount(row, weights=vals.imag, minlength=m)
     return re + 1j * im
@@ -825,14 +849,20 @@ def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) 
     polynomial is built.
     """
     x = system._check_point(x)
-    v = _check_direction(v, system.num_vars)
-    _, coef, row, m, var = system._terms("hess")
+    return _contract(system, x, _check_direction(v, system.num_vars))
+
+
+def _contract(system: PolySystem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``dir_hessian`` at a checked point and direction."""
+    _, coef, pairs, m, var = system._terms("hess")
     weight = v[var]
     vals = coef * weight * _monomials(system._index("hess"), x)
-    if not weight.all():
+    if weight.all():
+        sums = _pair_sums(vals, pairs, m)
+    else:
         keep = weight != 0
-        vals, row = vals[keep], row[keep]
-    return _segment_sums(vals, row, m).reshape(len(system), system.num_vars)
+        sums = _segment_sums(vals[keep], (pairs[::2] >> 1)[keep], m)
+    return sums.reshape(len(system), system.num_vars)
 
 
 def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> complex:

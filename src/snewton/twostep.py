@@ -14,12 +14,15 @@ The two operators at the heart of the method:
 
 B is what gets solved; A only ever appears in analysis and tests.
 
-f, Df and D2f(x).v all come from the system's cached term arrays.  One
-iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the rank
+f, Df and D2f(x).v all come from the system's cached term arrays, each
+computed once per point (``PolySystem._at`` keeps those of the last point).
+One iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the rank
 tolerance from that spectrum), one ``random_direction`` draw, and one Hessian
-contraction, inside ``second_refinement``, which returns B' with the step.
-f is evaluated once per point (``PolySystem._eval_once``): at x' and at x'',
-whose value ``refine`` hands on as f(x) of the next iteration.
+contraction, inside the kernel step, which returns B' with the step.  It
+evaluates f at x' and at x'', whose value ``refine`` hands on as f(x) of the
+next iteration, Df at x and x', and D2f(x').v; a retried direction
+recomputes only the last.  ``two_step`` checks x and builds v itself, so its
+kernel step skips the checks of the public ``second_refinement``.
 """
 
 from __future__ import annotations
@@ -149,11 +152,16 @@ def _point_json(x: np.ndarray) -> list[list[float]]:
 
 def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The kappa x kappa compression U2* . (D2f(x).v) . V2."""
+    x, v = _check_kernel_args(system, x, v, u2, v2)
+    return u2.conj().T @ system._at("hess", x, v) @ v2
+
+
+def _check_kernel_args(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray):
+    """(x, v) checked, for a U2 of at least one column."""
     if u2.shape[1] == 0:
         raise ValueError("operator_B needs corank at least 1")
     v = _check_direction(v, system.num_vars, v2)
-    h = polycore.dir_hessian(system, x, v)
-    return u2.conj().T @ h @ v2
+    return system._check_point(x), v
 
 
 def _check_direction(v, n: int, v2: np.ndarray) -> np.ndarray:
@@ -178,7 +186,7 @@ def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    fx = system._eval_once(x)
+    fx = system._at("eval", x)
     y = split.v1 @ ((split.u1.conj().T @ fx) / split.sigma1)
     return x - y
 
@@ -191,8 +199,15 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
     Raises SingularMatrixError when B' is singular to working precision,
     which signals that the zero is not deflation-one at this scale.
     """
-    b_prime = operator_B(system, x_prime, v, u2, v2)
-    rhs = -(u2.conj().T @ (system.jacobian(x_prime) @ v))
+    x_prime, v = _check_kernel_args(system, x_prime, v, u2, v2)
+    return _kernel_step(system, x_prime, v, u2, v2)
+
+
+def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2):
+    """``second_refinement`` for arguments it would accept, unchecked; f's
+    derivatives at x' come from the system's point cache (``_at``)."""
+    b_prime = u2.conj().T @ system._at("hess", x_prime, v) @ v2
+    rhs = -(u2.conj().T @ (system._at("jac", x_prime) @ v))
     try:
         delta = solve(b_prime, rhs)
     except SingularMatrixError as exc:
@@ -223,8 +238,8 @@ def two_step(
     x = system._check_point(x)
     t0 = time.perf_counter()
 
-    fx = polycore._check_start_value(system._eval_once(x))
-    jac = system.jacobian(x)
+    fx = polycore._check_start_value(system._at("eval", x))
+    jac = system._at("jac", x)
     split = split_svd(jac, cfg.tol)
     kappa = split.kappa
     n = system.num_vars
@@ -232,7 +247,7 @@ def two_step(
 
     if kappa == 0:
         x_new = x - solve(jac, fx)
-        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._eval_once(x_new)))
+        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._at("eval", x_new)))
         return StepResult(
             kappa=0,
             split=split,
@@ -251,22 +266,20 @@ def two_step(
         res["x_prime"] = res["x"]
     else:
         x_prime, mode = first_refinement(system, x, split), "two-step"
-        res["x_prime"] = float(np.linalg.norm(system._eval_once(x_prime)))
+        res["x_prime"] = float(np.linalg.norm(system._at("eval", x_prime)))
 
     attempts = 1 if cfg.v_override is not None else 2
     last_error = None
     for _ in range(attempts):
         v = _draw_direction(cfg, split, rng)
         try:
-            delta, x_second, b_prime = second_refinement(
-                system, x_prime, v, split.u2, split.v2
-            )
+            delta, x_second, b_prime = _kernel_step(system, x_prime, v, split.u2, split.v2)
             break
         except SingularMatrixError as exc:
             last_error = exc
     else:
         raise last_error
-    res["x_double_prime"] = float(np.linalg.norm(system._eval_once(x_second)))
+    res["x_double_prime"] = float(np.linalg.norm(system._at("eval", x_second)))
 
     return StepResult(
         kappa=kappa,
@@ -321,7 +334,7 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [float(np.linalg.norm(polycore._check_start_value(system._eval_once(x))))]
+    residuals = [float(np.linalg.norm(polycore._check_start_value(system._at("eval", x))))]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"

@@ -28,3 +28,19 @@ def count_calls(monkeypatch):
 def contraction_calls(count_calls):
     """List that grows by one entry per call of ``polycore.dir_hessian``."""
     return count_calls(polycore, "dir_hessian")
+
+
+@pytest.fixture
+def evaluation_passes(monkeypatch):
+    """List that grows by the factor index of each evaluation pass over a
+    term set (a call of ``polycore._monomials``): compare an entry with
+    ``system._index(name)`` by identity to tell f, Df and D^2f.v apart."""
+    passes = []
+    real = polycore._monomials
+
+    def counting(index, x):
+        passes.append(index)
+        return real(index, x)
+
+    monkeypatch.setattr(polycore, "_monomials", counting)
+    return passes

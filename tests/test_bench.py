@@ -73,6 +73,44 @@ def test_unknown_entry_lists_alternatives():
         get_entry("nope")
 
 
+def test_get_entry_loads_only_its_own_data_file(monkeypatch):
+    loaded = []
+    real = bench._load_data_entry
+
+    def loading(path):
+        loaded.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(bench, "_load_data_entry", loading)
+    assert get_entry("cbms1").name == "cbms1"
+    assert get_entry("Cyclic9").name == "Cyclic9"
+    assert get_entry("running-example").name == "running-example"
+    assert loaded == ["cbms1.json", "cyclic9.json"]
+    loaded.clear()
+    with pytest.raises(KeyError) as caught:
+        get_entry("nope")  # no nope.json: the whole catalog, each file once
+    assert sorted(loaded) == sorted(p.name for p in Path(bench._DATA_DIR).glob("*.json"))
+    names = [e.name for e in catalog()]
+    assert str(caught.value).endswith(f"(available: {', '.join(names)})\"")
+
+
+def test_get_entry_with_a_bad_data_file_scans_and_warns(tmp_path):
+    src = Path(bench._DATA_DIR)
+    for path in src.glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    (tmp_path / "kss.json").write_text("{ not json")
+    data = json.loads((src / "cbms2.json").read_text())
+    (tmp_path / "cbms2.json").unlink()
+    (tmp_path / "other.json").write_text(json.dumps(data))  # cbms2 in another file
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert get_entry("cbms2", data_dir=tmp_path).name == "cbms2"
+        with pytest.raises(KeyError, match="cbms2") as missing:
+            get_entry("KSS", data_dir=tmp_path)
+    assert "KSS" not in str(missing.value).split("available:")[1]
+    assert any("kss.json" in str(w.message) for w in caught)
+
+
 def test_corrupt_data_file_drops_only_that_entry(tmp_path):
     src = Path(bench._DATA_DIR)
     for path in src.glob("*.json"):

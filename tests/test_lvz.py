@@ -188,11 +188,12 @@ def test_directional_derivative_matches_repeated_symbolic_partials(data, system,
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(scale)
 
 
-def test_directional_derivative_of_one_direction_is_dir_hessian(contraction_calls):
+def test_directional_derivative_of_one_direction_is_dir_hessian(evaluation_passes):
     system, zero = random_variant(6, 2, seed=3)
     v = np.arange(6) + 1j
     got = system.directional_derivative(zero, [v])
-    assert len(contraction_calls) == 1  # through polycore.dir_hessian, the cached path
+    # one pass, over the cached second-derivative terms
+    assert [index is system._index("hess") for index in evaluation_passes] == [True]
     assert np.array_equal(got, dir_hessian(system, zero, v))
     assert np.array_equal(system.directional_derivative(zero, []), system.jacobian(zero))
 
@@ -436,12 +437,18 @@ def test_gauss_newton_refines_deflated_system(running):
     assert np.linalg.norm(trace.x[:3] - XI) < 1e-9
 
 
-def test_gauss_newton_evaluates_once_per_iterate(running, count_calls):
-    deflated, y0 = deflate_once(running, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
-    evals = count_calls(PolySystem, "eval")
+def test_gauss_newton_evaluates_once_per_iterate(evaluation_passes):
+    # a fresh parent: its last point is not held from another test
+    parent = get_entry("running-example").system
+    deflated, y0 = deflate_once(parent, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
+    evaluation_passes.clear()
     trace = gauss_newton(deflated.system, y0, max_iter=50)
     assert trace.converged and trace.iterations >= 2
-    assert len(evals) == 1 + trace.iterations
+    # f and Df at the start; per iterate D^2f.a where Dg was asked for, then
+    # f and Df at the new point, Df being reused by the next Dg
+    assert len(evaluation_passes) == 2 + 3 * trace.iterations
+    hess = [index is parent._index("hess") for index in evaluation_passes]
+    assert sum(hess) == trace.iterations
 
 
 def test_gauss_newton_walks_to_stationary_point():

@@ -24,7 +24,7 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _segment_sums
+from snewton.polycore import _pair_ids, _pair_sums, _segment_sums
 
 from oracles import (
     AugmentOracle,
@@ -470,7 +470,8 @@ def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
 def dense_terms(system, name):
     """The ``_terms(name)`` with dense exponents, as ``_arrays`` holds them:
     (exponents, coefficients, row ids, row count)."""
-    (term, var, exp), coef, row, m, _ = system._terms(name)
+    (term, var, exp), coef, pairs, m, _ = system._terms(name)
+    row = pairs[::2] >> 1
     expo = np.zeros((len(coef), system.num_vars), dtype=np.int16)
     expo[term, var] = exp
     return expo, coef, row, m
@@ -571,7 +572,7 @@ def dense_monomials(expo, x):
 
 def dense_values(terms, x):
     expo, coef, row, m = terms
-    return _segment_sums(coef * dense_monomials(expo, x), row, m)
+    return _segment_sums(np.multiply(coef, dense_monomials(expo, x)), row, m)
 
 
 def partial_terms(expo, coef, row, k):
@@ -601,7 +602,7 @@ def dense_poly_eval(p, x):
     if p.is_zero():
         return 0j
     expo, coef = p._arrays()
-    return complex(np.sum(coef * dense_monomials(expo, x)))
+    return complex(np.sum(np.multiply(coef, dense_monomials(expo, x))))
 
 
 def assert_evaluators_match_dense(system, x, v):
@@ -663,6 +664,92 @@ def test_evaluators_match_the_dense_loop_on_catalog_and_variants():
         assert_evaluators_match_dense(system, x, v)
         v[::2] = 0
         assert_evaluators_match_dense(system, zero, v)
+
+
+def test_a_row_evaluates_alone_as_in_its_system():
+    """A row's f, Df and D^2f.v have the same bits in a system of any size:
+    past 16 384 terms numpy reuses a temporary operand of a product, which
+    must not swap the operands (the fused complex product is not
+    symmetric)."""
+    from snewton.bench import random_variant
+
+    system, zero = random_variant(100, 2, seed=0)
+    expo, coef, row, m = system._arrays
+    assert len(coef) > 16384
+    rng = np.random.default_rng(47)
+    x = zero + 1e-3 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    v = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    f, jac, h = system.eval(x), system.jacobian(x), dir_hessian(system, x, v)
+    for i in range(m):
+        mine = row == i
+        alone = system_from_terms(expo[mine], coef[mine], np.zeros(mine.sum(), dtype=int), 1)
+        assert alone.eval(x).tobytes() == f[i : i + 1].tobytes(), i
+        assert alone.jacobian(x).tobytes() == jac[i : i + 1].tobytes(), i
+        assert dir_hessian(alone, x, v).tobytes() == h[i : i + 1].tobytes(), i
+
+
+_NAMES = st.sampled_from(["eval", "jac", "hess"])
+
+
+@_PROPERTY
+@given(
+    data=st.data(),
+    system=_sparse_systems(),
+    walk=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), _NAMES), max_size=12),
+)
+def test_point_cache_equals_the_public_evaluators(data, system, walk):
+    """``_at`` gives the bits of ``eval``, ``jacobian`` and ``dir_hessian``
+    along a walk that repeats a point, alternates between two points and
+    changes the direction at a point, in any order of the three; the
+    directions may have zero entries."""
+    n = system.num_vars
+    points = [data.draw(_vectors(n)) for _ in range(2)]
+    dirs = [data.draw(_vectors(n)) for _ in range(2)]
+    fixed = [(0, 0, "eval"), (0, 0, "eval"), (1, 0, "jac"), (0, 0, "hess"), (0, 1, "hess")]
+    fixed += [(0, 0, "jac"), (1, 1, "hess"), (0, 1, "eval"), (1, 0, "hess"), (1, 0, "jac")]
+    public = {"eval": system.eval, "jac": system.jacobian}
+    for p, d, name in fixed + walk:
+        x, v = points[p].copy(), dirs[d].copy()  # equal values, new arrays
+        if name == "hess":
+            got, want = system._at(name, x, v), dir_hessian(system, x, v)
+        else:
+            got, want = system._at(name, x), public[name](x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_point_cache_is_read_only_and_public_values_are_fresh():
+    system = parse_system(RUNNING, XYZ)
+    x, v = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1, 0, 1j])
+    for name, direction in (("eval", None), ("jac", None), ("hess", v)):
+        held = system._at(name, x, direction)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1
+        assert system._at(name, x, direction) is held
+    for fresh in (system.eval(x), system.jacobian(x), dir_hessian(system, x, v)):
+        assert fresh.flags.writeable
+        fresh[...] = 0
+    assert system._at("eval", x).tobytes() == system.eval(x).tobytes()
+    assert system._at("hess", x, v).tobytes() == dir_hessian(system, x, v).tobytes()
+
+
+_PARTS = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([1e300, -1e300, 9.9e299, 0.0, -0.0, 5e-324, 1.0]),
+)
+
+
+@_PROPERTY
+@given(data=st.data(), m=st.integers(1, 6), count=st.integers(0, 24))
+def test_pair_sums_equal_two_bincounts(data, m, count):
+    """One bincount over the pair ids sums as the two over the row ids do,
+    bit for bit: rows without terms, signed zeros and parts near 1e300
+    (sums stay finite)."""
+    row = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=count, max_size=count)))
+    parts = data.draw(st.lists(_PARTS, min_size=2 * count, max_size=2 * count))
+    vals = np.array(parts, dtype=float).view(complex)
+    got = _pair_sums(vals, _pair_ids(row.astype(np.int64)), m)
+    want = _segment_sums(vals, row.astype(np.int64), m)
+    assert got.shape == (m,) and got.tobytes() == want.tobytes()
 
 
 def test_system_from_terms_seeds_the_compiled_term_arrays():

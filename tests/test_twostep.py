@@ -265,22 +265,31 @@ def test_two_step_auto_tolerance_on_exactly_singular_jacobian():
     assert np.linalg.norm(step.x_double_prime - midpoint) < 1e-15
 
 
-def test_two_step_contracts_the_hessian_once_per_iteration(running, contraction_calls):
-    calls = contraction_calls
+def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes):
+    # fresh systems, so that no value of another test's last point is held
+    passes = evaluation_passes
+
+    def contractions(system):
+        return sum(index is system._index("hess") for index in passes)
+
+    system = get_entry("running-example").system
     x = np.array([1.001, 0.999, 1.001], dtype=complex)
-    step = two_step(running, x, StepConfig(tol=0.1, v_override=V_RAW))
-    assert (step.mode, len(calls)) == ("two-step", 1)
-    b = operator_B(running, step.x_prime, step.v, step.split.u2, step.split.v2)
+    step = two_step(system, x, StepConfig(tol=0.1, v_override=V_RAW))
+    # f and Df at x, f at x', D^2f.v and Df at x', f at x''
+    assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 6)
+    b = operator_B(system, step.x_prime, step.v, step.split.u2, step.split.v2)
     assert np.array_equal(step.b_prime, b)
 
-    calls.clear()
-    step = two_step(get_entry("truncated-sin").system, np.full(3, 1e-4), StepConfig(tol=0.1))
-    assert (step.mode, len(calls)) == ("kernel-only", 1)
+    passes.clear()
+    system = get_entry("truncated-sin").system
+    step = two_step(system, np.full(3, 1e-4), StepConfig(tol=0.1))
+    # x' = x: f, Df and D^2f.v at x, f at x''
+    assert (step.mode, contractions(system), len(passes)) == ("kernel-only", 1, 4)
 
-    calls.clear()
+    passes.clear()
     linear = parse_system("x - 1\ny - 2", ["x", "y"])
     step = two_step(linear, np.array([1.1, 2.1]), StepConfig(tol=1e-6))
-    assert (step.mode, len(calls)) == ("newton", 0)
+    assert (step.mode, contractions(linear), len(passes)) == ("newton", 0, 3)
 
 
 def test_exactly_zero_jacobian_gets_one_fallback_tolerance(tmp_path, capsys, monkeypatch):
@@ -416,23 +425,27 @@ def test_refine_is_reproducible_with_seed():
     assert t1.residuals == t2.residuals
 
 
-def test_refine_evaluates_f_once_per_point(count_calls, monkeypatch):
+def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
     system, zero = random_variant(8, 2, seed=3)
     rng = np.random.default_rng(3)
     x0 = zero + 1e-3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     cfg = StepConfig(tol=variant_rank_tolerance(system, zero, 2), seed=1)
-    calls = count_calls(PolySystem, "eval")
+    evaluation_passes.clear()
     trace = refine(system, x0, cfg)
     assert trace.iterations >= 2
     assert {step.mode for step in trace.steps} == {"two-step"}
-    assert len(calls) == 1 + 2 * trace.iterations
-    # the same run with f evaluated afresh at every use gives the same bits
-    monkeypatch.setattr(PolySystem, "_eval_once", lambda self, x: self.eval(x))
+    # f at x0; per iteration Df at x, f at x', D^2f.v and Df at x', f at x''
+    assert len(evaluation_passes) == 1 + 5 * trace.iterations
+    f_passes = [index is system._index("eval") for index in evaluation_passes]
+    assert sum(f_passes) == 1 + 2 * trace.iterations
+    # the same run with every value computed afresh at every use gives the
+    # same bits: f at x twice more per iteration
+    monkeypatch.setattr(PolySystem, "_at", PolySystem._values)
     fresh = refine(system, x0, cfg)
-    assert len(calls) == 2 + 6 * trace.iterations
+    assert len(evaluation_passes) == 2 + 12 * trace.iterations
     assert fresh.residuals == trace.residuals
     for a, b in zip(fresh.steps + [fresh], trace.steps + [trace]):
-        for name in ("x_prime", "delta", "x_double_prime", "x"):
+        for name in ("x_prime", "delta", "x_double_prime", "x", "b_prime"):
             if hasattr(a, name):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
@@ -440,7 +453,7 @@ def test_refine_evaluates_f_once_per_point(count_calls, monkeypatch):
 def test_eval_once_reuses_only_the_last_point(running):
     x, y = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1.0, 1.2, 0.7], dtype=complex)
     for point in (x, y, x, x):
-        fx = running._eval_once(point)
+        fx = running._at("eval", point)
         assert fx.tobytes() == running.eval(point).tobytes()
         assert not fx.flags.writeable
 
