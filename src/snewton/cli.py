@@ -161,6 +161,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     system, entry = _load_system(args)
     x = _start_point(args, system, entry)
     tol = args.tol if args.tol == "auto" else float(args.tol)

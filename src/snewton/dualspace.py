@@ -280,6 +280,8 @@ def is_deflation_one(
     ``split_svd`` (the coarse tolerances used to steer refinement from far
     starts are too blunt here).  Returns False for a regular point.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     x = system._check_point(x)
     split = split_svd(system.jacobian(x), "auto" if tol is None else tol)
     if split.kappa == 0:

@@ -117,48 +117,43 @@ class AugmentedSystem:
 
     def eval(self, y) -> np.ndarray:
         """``[f(x), Df(x).(pinned + W lambda), normal^T lambda - 1]`` at y = (x, lambda)."""
-        y = self._check_point(y)
-        x, lam = y[: self.parent.num_vars], y[self.parent.num_vars :]
-        jac = self.parent._at("jac", x)
-        values = [self.parent._at("eval", x), jac @ (self.pinned + self.weights @ lam)]
-        if self.normal is not None:
-            values.append([self.normal @ lam - 1])
-        return np.concatenate(values)
-
-    def _at(self, name: str, y: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """g(y) for "eval", Dg(y) for "jac" and D^2g(y).v for "hess", at a
-        checked point and direction, as ``PolySystem._at`` gives them for a
-        parent that is augmented in turn; nothing is kept here."""
-        if name == "eval":
-            return self.eval(y)
-        return self.directional_derivative(y, () if v is None else (v,))
+        return self._values(0, self._check_point(y))
 
     def jacobian(self, y) -> np.ndarray:
         """[[Df, 0], [D^2f.(pinned + W lambda), Df.W], [0, normal^T]] at ``y``."""
-        return self.directional_derivative(y, ())
+        return self._values(1, self._check_point(y))
 
     def directional_derivative(self, y, dirs) -> np.ndarray:
-        """Jacobian of D^k g(y)[d_1, ..., d_k] for the k directions ``dirs``.
+        """Jacobian of D^k g(y)[d_1, ..., d_k] for the k directions ``dirs``."""
+        y = self._check_point(y)
+        dirs = [_check_direction(d, self.num_vars) for d in dirs]
+        return self._values(len(dirs) + 1, y, *dirs)
+
+    def _values(self, order: int, y: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
+        """g(y) for order 0, else the Jacobian of D^k g(y)[d_1, ..., d_k]
+        with k = order - 1, at a checked point and directions, as
+        ``PolySystem._values`` gives them; every term comes from the
+        parent's unchecked ``_at``, and nothing is kept here.
 
         With d_i = (u_i, mu_i) and a = pinned + W lambda, g is affine in
         lambda, so by the product rule the f rows are D^k f[u_1..u_k]; the
         middle rows are D^(k+1) f[a, u_1..u_k] + sum_i D^k f[W mu_i, u_(-i)]
         along x and D^k f[u_1..u_k].W along lambda; the normal row is there
-        for k = 0 only.  Each term is a ``directional_derivative`` of the parent."""
-        y = self._check_point(y)
-        dirs = [_check_direction(d, self.num_vars) for d in dirs]
+        for k = 0 only."""
         parent, w = self.parent, self.weights
         p, m = parent.num_vars, len(parent)
         x, lam = y[:p], y[p:]
-        us, a = [d[:p] for d in dirs], self.pinned + w @ lam
-        if dirs:
-            top = parent.directional_derivative(x, us)
-            mid = parent.directional_derivative(x, [a, *us])
-        else:
-            top, mid = parent._at("jac", x), parent._at("hess", x, a)
+        a = self.pinned + w @ lam
+        if order == 0:
+            values = [parent._at(0, x), parent._at(1, x) @ a]
+            if self.normal is not None:
+                values.append([self.normal @ lam - 1])
+            return np.concatenate(values)
+        us = [d[:p] for d in dirs]
+        top, mid = parent._at(order, x, *us), parent._at(order + 1, x, a, *us)
         for i, d in enumerate(dirs):
             if d[p:].any():
-                mid = mid + parent.directional_derivative(x, [w @ d[p:], *us[:i], *us[i + 1 :]])
+                mid = mid + parent._at(order, x, w @ d[p:], *us[:i], *us[i + 1 :])
         out = np.zeros((len(self), self.num_vars), dtype=complex)
         out[:m, :p] = top
         out[m : 2 * m, :p] = mid
@@ -166,6 +161,8 @@ class AugmentedSystem:
         if self.normal is not None and not dirs:
             out[2 * m, p:] = self.normal
         return out
+
+    _at = _values
 
 
 def deflate_once(

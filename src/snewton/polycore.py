@@ -56,7 +56,7 @@ class Poly:
     ``{(2, 1): 1+0j, (0, 0): 3+0j}``.  The zero polynomial has an empty map.
     """
 
-    __slots__ = ("num_vars", "terms", "_cache")
+    __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponent, complex] | None = None):
         if num_vars < 1:
@@ -79,7 +79,6 @@ class Poly:
                 clean[alpha] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -175,24 +174,10 @@ class Poly:
 
     # -- evaluation --------------------------------------------------------
 
-    def _arrays(self):
-        cache = self._cache
-        if cache is None:
-            order = sorted(self.terms, key=grlex_key)
-            expo = np.array(order, dtype=np.int16).reshape(len(order), self.num_vars)
-            coef = np.array([self.terms[a] for a in order], dtype=complex)
-            cache = (expo, coef)
-            object.__setattr__(self, "_cache", cache)
-        return cache
-
     def eval(self, x: Sequence[complex]) -> complex:
-        """Value at ``x``; terms are summed in graded-lex order."""
-        x = _check_point(x, self.num_vars)
-        if not self.terms:
-            return 0.0 + 0.0j
-        expo, coef = self._arrays()
-        vals = np.multiply(coef, _monomials(_factor_index(*_factors(expo), *expo.shape), x))
-        return complex(np.sum(vals))
+        """Value at ``x``: that of the polynomial as a system's row, its terms
+        summed in graded-lex order."""
+        return complex(PolySystem([self]).eval(x)[0])
 
     # -- formatting --------------------------------------------------------
 
@@ -297,87 +282,79 @@ class PolySystem:
     def is_square(self) -> bool:
         return len(self) == self.num_vars
 
-    def _terms(self, name: str):
-        """The "eval", "jac" or "hess" terms: (factor lists, coefficients,
-        pair ids, row count, k of each term; None for "eval").  "jac" is
-        "eval" differentiated along every x_k, with row i*num_vars + k for
-        df_i/dx_k; "hess" is "jac" differentiated along every x_k, with the
-        rows of "jac".  A term of row r has the pair ids 2r and 2r + 1 (see
+    def _terms(self, order: int):
+        """The terms of derivative order ``order``: (factor lists,
+        coefficients, pair ids, row count, tags).  Order 0 is f; order 1 is
+        Df, in row i*num_vars + k for df_i/dx_k; each higher order is the
+        one below differentiated along every x_k, keeping its rows and
+        appending k to its tags, one int array per direction (none below
+        order 2).  A term of row r has the pair ids 2r and 2r + 1 (see
         ``_pair_sums``); its row is half the first."""
-        key = name + " terms"
-        cached = self._cache.get(key)
+        cached = self._cache.get(("terms", order))
         if cached is None:
-            if name == "eval":
+            if order == 0:
                 expo, coef, row, m = self._arrays
-                factors, k = _factors(expo), None
+                factors, tags = _factors(expo), ()
             else:
-                factors, coef, pairs, m, _ = self._terms("eval" if name == "jac" else "jac")
-                factors, coef, row, k = _differentiate(factors, coef, pairs[::2] >> 1)
-                if name == "jac":
+                factors, coef, pairs, m, tags = self._terms(order - 1)
+                factors, coef, source, k = _differentiate(factors, coef)
+                row = (pairs[::2] >> 1)[source]
+                if order == 1:
                     row, m = row * self.num_vars + k, m * self.num_vars
-            cached = self._cache[key] = (factors, coef, _pair_ids(row), m, k)
+                else:
+                    tags = (*(tag[source] for tag in tags), k)
+            cached = self._cache[("terms", order)] = (factors, coef, _pair_ids(row), m, tags)
         return cached
 
-    def _index(self, name: str) -> _FactorIndex:
-        """The factor index of the ``_terms(name)``."""
-        key = name + " index"
-        index = self._cache.get(key)
+    def _index(self, order: int) -> _FactorIndex:
+        """The factor index of the ``_terms(order)``."""
+        index = self._cache.get(("index", order))
         if index is None:
-            factors, coef = self._terms(name)[:2]
-            index = self._cache[key] = _factor_index(*factors, len(coef), self.num_vars)
+            factors, coef = self._terms(order)[:2]
+            index = self._cache[("index", order)] = _factor_index(*factors, len(coef), self.num_vars)
         return index
 
-    def _values(self, name: str, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """f(x) for "eval", Df(x) for "jac" and D^2f(x).v for "hess", at a
-        checked point and direction, computed anew."""
-        if name == "hess":
-            return _contract(self, x, v)
-        _, coef, pairs, m, _ = self._terms(name)
-        sums = _pair_sums(np.multiply(coef, _monomials(self._index(name), x)), pairs, m)
-        return sums if name == "eval" else sums.reshape(len(self), self.num_vars)
+    def _values(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
+        """f(x) for order 0, else the Jacobian of D^k f(x)[v_1, ..., v_k]
+        with k = order - 1 for the directions ``dirs``, at a checked point
+        and directions, computed anew: each term's coefficient times
+        v_i[tag_i] in turn, times its monomial, summed by row in term order."""
+        _, coef, pairs, m, tags = self._terms(order)
+        for v, tag in zip(dirs, tags):
+            coef = np.multiply(coef, v[tag])  # the operand order of _monomials
+        sums = _pair_sums(np.multiply(coef, _monomials(self._index(order), x)), pairs, m)
+        return sums if order == 0 else sums.reshape(len(self), self.num_vars)
 
-    def _at(self, name: str, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-        """``_values(name, x, v)``, read-only and shared between callers: the
-        values at the point last asked for are kept, each computed when it
-        is first asked for, D^2f.v for the last direction only.  An iteration
-        needs f and Df at an iterate more than once."""
+    def _at(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
+        """``_values(order, x, *dirs)``, read-only and shared between callers:
+        the values at the point last asked for are kept, each order computed
+        when it is first asked for and kept for its last directions only.  An
+        iteration needs f and Df at an iterate more than once."""
         held = self._cache.get("point")
         if held is None or held[0] != x.tobytes():
             held = self._cache["point"] = (x.tobytes(), {})
-        tag = None if v is None else v.tobytes()
-        value = held[1].get(name)
+        tag = [v.tobytes() for v in dirs]
+        value = held[1].get(order)
         if value is None or value[0] != tag:
-            value = held[1][name] = (tag, self._values(name, x, v))
+            value = held[1][order] = (tag, self._values(order, x, *dirs))
             value[1].flags.writeable = False
         return value[1]
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
-        return self._values("eval", self._check_point(x))
+        return self._values(0, self._check_point(x))
 
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
-        return self._values("jac", self._check_point(x))
+        return self._values(1, self._check_point(x))
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
-        ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1.  For
-        k >= 2 the "hess" terms are weighted by v_1, then differentiated
-        along every x_k and weighted by each further direction, anew on
-        every call."""
+        ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1, each
+        k from its cached term set of order k + 1."""
         x = self._check_point(x)
         dirs = [_check_direction(v, self.num_vars) for v in dirs]
-        if len(dirs) < 2:
-            return self._values("hess" if dirs else "jac", x, *dirs)
-        factors, coef, pairs, m, k = self._terms("hess")
-        row = pairs[::2] >> 1
-        for i, v in enumerate(dirs):
-            if i:
-                factors, coef, row, k = _differentiate(factors, coef, row)
-            factors, coef, row = _weigh(factors, coef, row, v[k])
-        index = _factor_index(*factors, len(coef), self.num_vars)
-        vals = np.multiply(coef, _monomials(index, x))
-        return _segment_sums(vals, row, m).reshape(len(self), self.num_vars)
+        return self._values(len(dirs) + 1, x, *dirs)
 
     def _check_point(self, x) -> np.ndarray:
         return _check_point(x, self.num_vars)
@@ -519,9 +496,9 @@ def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
     return out[index.rank]
 
 
-def _differentiate(factors, coef: np.ndarray, row: np.ndarray):
-    """The terms (factor lists, coefficients, row ids) differentiated along
-    every x_k: (factor lists, coefficients, row ids, k of each term), by k,
+def _differentiate(factors, coef: np.ndarray):
+    """The terms (factor lists, coefficients) differentiated along every
+    x_k: (factor lists, coefficients, source term, k of each term), by k,
     then by source term.  Each factor x_k^e of a term yields one term, with
     the coefficient times e and that factor lowered to x_k^(e-1); the other
     factors keep their order, so the lists stay as ``_factors`` gives them."""
@@ -541,17 +518,7 @@ def _differentiate(factors, coef: np.ndarray, row: np.ndarray):
     coef = coef[source] * exp[pick]
     if not np.isfinite(coef).all():
         raise ValueError("a coefficient of a derivative overflows")
-    return (owner, var[factor][keep], lowered[keep]), coef, row[source], var[pick]
-
-
-def _weigh(factors, coef: np.ndarray, row: np.ndarray, weight: np.ndarray):
-    """The terms with their coefficients times ``weight``, those of weight 0
-    dropped and the factor lists renumbered."""
-    keep = weight != 0
-    term, var, exp = factors
-    kept = keep[term]
-    number = np.cumsum(keep, dtype=np.int32) - 1
-    return (number[term[kept]], var[kept], exp[kept]), (coef * weight)[keep], row[keep]
+    return (owner, var[factor][keep], lowered[keep]), coef, source, var[pick]
 
 
 def _pair_ids(row: np.ndarray) -> np.ndarray:
@@ -562,17 +529,9 @@ def _pair_ids(row: np.ndarray) -> np.ndarray:
 def _pair_sums(vals: np.ndarray, pairs: np.ndarray, m: int) -> np.ndarray:
     """The ``m`` row sums of ``vals`` from one bincount over their real and
     imaginary parts, with ``pairs`` from ``_pair_ids`` of the row ids: each
-    bin adds its parts in input order, as the two of ``_segment_sums`` do,
-    so a finite sum has the same bits."""
+    bin adds its parts in input order, starting from +0, so a finite sum has
+    the bits of two bincounts over the row ids, one per part."""
     return np.bincount(pairs, weights=vals.view(float), minlength=2 * m).view(complex)
-
-
-def _segment_sums(vals: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
-    """The ``m`` row sums of ``vals`` with per-call row ids ``row``; cached
-    term sets keep pair ids for ``_pair_sums`` instead."""
-    re = np.bincount(row, weights=vals.real, minlength=m)
-    im = np.bincount(row, weights=vals.imag, minlength=m)
-    return re + 1j * im
 
 
 def _default_names(n: int, names: Sequence[str] | None) -> Sequence[str]:
@@ -841,28 +800,12 @@ def _system_from_json(data, source) -> tuple[PolySystem, list[str]]:
 
 def dir_hessian(system: PolySystem, x: Sequence[complex], v: Sequence[complex]) -> np.ndarray:
     """Hessian tensor contracted with ``v``: the matrix with entries
-    sum_k d^2 f_i / dx_j dx_k (x) * v_k.
-
-    Evaluated from the cached second-derivative terms (the terms of each
-    df_i/dx_j differentiated along every x_k): the terms of each x_k with
-    v_k != 0 are weighted by v_k and summed in one pass; no tensor and no
-    polynomial is built.
-    """
-    x = system._check_point(x)
-    return _contract(system, x, _check_direction(v, system.num_vars))
-
-
-def _contract(system: PolySystem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``dir_hessian`` at a checked point and direction."""
-    _, coef, pairs, m, var = system._terms("hess")
-    weight = v[var]
-    vals = coef * weight * _monomials(system._index("hess"), x)
-    if weight.all():
-        sums = _pair_sums(vals, pairs, m)
-    else:
-        keep = weight != 0
-        sums = _segment_sums(vals[keep], (pairs[::2] >> 1)[keep], m)
-    return sums.reshape(len(system), system.num_vars)
+    sum_k d^2 f_i / dx_j dx_k (x) * v_k, that is
+    ``system.directional_derivative(x, [v])``: one pass over the cached
+    second-derivative terms (those of each df_i/dx_j differentiated along
+    every x_k), each weighted by its v_k; no tensor and no polynomial is
+    built."""
+    return system.directional_derivative(x, [v])
 
 
 def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> complex:
@@ -948,7 +891,7 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
         keep = w != 0
         term, w, deg, index = np.repeat(term, reps)[keep], w[keep], deg[keep], index[keep]
     index += pascal[n + deg - 1, n]
-    return _segment_sums(w, index, m * size).reshape(m, size)
+    return _pair_sums(w, _pair_ids(index), m * size).reshape(m, size)
 
 
 def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> PolySystem:

@@ -82,6 +82,8 @@ class StepConfig:
             self.tol = _check_tolerance(self.tol)
         if not self.stop_residual > 0:
             raise ValueError("stop_residual must be positive")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
 
 
 @dataclass
@@ -152,14 +154,14 @@ def _point_json(x: np.ndarray) -> list[list[float]]:
 
 def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The kappa x kappa compression U2* . (D2f(x).v) . V2."""
-    x, v = _check_kernel_args(system, x, v, u2, v2)
-    return u2.conj().T @ system._at("hess", x, v) @ v2
+    x, v = _check_kernel_args("operator_B", system, x, v, u2, v2)
+    return u2.conj().T @ system._at(2, x, v) @ v2
 
 
-def _check_kernel_args(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray):
-    """(x, v) checked, for a U2 of at least one column."""
+def _check_kernel_args(caller: str, system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray):
+    """(x, v) checked, for a U2 of at least one column; errors name ``caller``."""
     if u2.shape[1] == 0:
-        raise ValueError("operator_B needs corank at least 1")
+        raise ValueError(f"{caller} needs corank at least 1")
     v = _check_direction(v, system.num_vars, v2)
     return system._check_point(x), v
 
@@ -186,7 +188,7 @@ def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    fx = system._at("eval", x)
+    fx = system._at(0, x)
     y = split.v1 @ ((split.u1.conj().T @ fx) / split.sigma1)
     return x - y
 
@@ -199,15 +201,15 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
     Raises SingularMatrixError when B' is singular to working precision,
     which signals that the zero is not deflation-one at this scale.
     """
-    x_prime, v = _check_kernel_args(system, x_prime, v, u2, v2)
+    x_prime, v = _check_kernel_args("second_refinement", system, x_prime, v, u2, v2)
     return _kernel_step(system, x_prime, v, u2, v2)
 
 
 def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2):
     """``second_refinement`` for arguments it would accept, unchecked; f's
     derivatives at x' come from the system's point cache (``_at``)."""
-    b_prime = u2.conj().T @ system._at("hess", x_prime, v) @ v2
-    rhs = -(u2.conj().T @ (system._at("jac", x_prime) @ v))
+    b_prime = u2.conj().T @ system._at(2, x_prime, v) @ v2
+    rhs = -(u2.conj().T @ (system._at(1, x_prime) @ v))
     try:
         delta = solve(b_prime, rhs)
     except SingularMatrixError as exc:
@@ -238,8 +240,8 @@ def two_step(
     x = system._check_point(x)
     t0 = time.perf_counter()
 
-    fx = polycore._check_start_value(system._at("eval", x))
-    jac = system._at("jac", x)
+    fx = polycore._check_start_value(system._at(0, x))
+    jac = system._at(1, x)
     split = split_svd(jac, cfg.tol)
     kappa = split.kappa
     n = system.num_vars
@@ -247,7 +249,7 @@ def two_step(
 
     if kappa == 0:
         x_new = x - solve(jac, fx)
-        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._at("eval", x_new)))
+        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_new)))
         return StepResult(
             kappa=0,
             split=split,
@@ -266,7 +268,7 @@ def two_step(
         res["x_prime"] = res["x"]
     else:
         x_prime, mode = first_refinement(system, x, split), "two-step"
-        res["x_prime"] = float(np.linalg.norm(system._at("eval", x_prime)))
+        res["x_prime"] = float(np.linalg.norm(system._at(0, x_prime)))
 
     attempts = 1 if cfg.v_override is not None else 2
     last_error = None
@@ -279,7 +281,7 @@ def two_step(
             last_error = exc
     else:
         raise last_error
-    res["x_double_prime"] = float(np.linalg.norm(system._at("eval", x_second)))
+    res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
 
     return StepResult(
         kappa=kappa,
@@ -334,7 +336,7 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [float(np.linalg.norm(polycore._check_start_value(system._at("eval", x))))]
+    residuals = [float(np.linalg.norm(polycore._check_start_value(system._at(0, x))))]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"

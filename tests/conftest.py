@@ -34,7 +34,8 @@ def contraction_calls(count_calls):
 def evaluation_passes(monkeypatch):
     """List that grows by the factor index of each evaluation pass over a
     term set (a call of ``polycore._monomials``): compare an entry with
-    ``system._index(name)`` by identity to tell f, Df and D^2f.v apart."""
+    ``system._index(order)`` by identity to tell f, Df and D^2f.v apart
+    (orders 0, 1 and 2)."""
     passes = []
     real = polycore._monomials
 

@@ -1,6 +1,7 @@
 """Oracles shared by the tests: partial derivatives, contractions and the
 deflation augmentation, built with polynomial arithmetic; differential
-functionals applied through Taylor coefficients; the paper's operator A."""
+functionals applied through Taylor coefficients; the paper's operator A;
+row sums from two bincounts."""
 
 import numpy as np
 
@@ -145,3 +146,11 @@ def operator_A(system, x, v, v2):
     v = twostep._check_direction(v, system.num_vars, v2)
     proj = v2 @ v2.conj().T
     return system.jacobian(x) + dir_hessian(system, x, v) @ proj
+
+
+def segment_sums(vals, row, m):
+    """The ``m`` row sums of the complex ``vals`` with row ids ``row``: one
+    bincount per part, each adding its row's parts in input order."""
+    re = np.bincount(row, weights=vals.real, minlength=m)
+    im = np.bincount(row, weights=vals.imag, minlength=m)
+    return re + 1j * im

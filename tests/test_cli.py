@@ -122,6 +122,20 @@ def test_refine_exponent_beyond_the_term_arrays_is_usage_error(capsys, tmp_path)
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--catalog", "running-example", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["check", "--catalog", "x2-xy", "--x0", "1,1", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["refine", "--catalog", "running-example", "--iters", "-3"], "max_iters must be at least 0, got -3"),
+    ],
+)
+def test_counts_below_their_minimum_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "data, message",
     [
         ({"vars": "xy", "polys": "x"}, "each a list of strings"),

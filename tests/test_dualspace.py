@@ -484,6 +484,13 @@ def test_is_deflation_one_contracts_the_hessian_once_per_trial(contraction_calls
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_is_deflation_one_needs_at_least_one_trial(trials):
+    entry = get_entry("running-example")
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        is_deflation_one(entry.system, entry.zero, entry.tol, trials=trials)
+
+
 def test_non_finite_point_is_rejected_before_any_svd():
     entry = get_entry("running-example")
     with pytest.raises(ValueError, match="coordinate 1 is not finite"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snewton import polycore
+from snewton import lvz, polycore
 from snewton.bench import catalog, get_entry, random_variant, variant_rank_tolerance
 from snewton.lvz import (
     AugmentedSystem,
@@ -193,9 +193,40 @@ def test_directional_derivative_of_one_direction_is_dir_hessian(evaluation_passe
     v = np.arange(6) + 1j
     got = system.directional_derivative(zero, [v])
     # one pass, over the cached second-derivative terms
-    assert [index is system._index("hess") for index in evaluation_passes] == [True]
+    assert [index is system._index(2) for index in evaluation_passes] == [True]
     assert np.array_equal(got, dir_hessian(system, zero, v))
     assert np.array_equal(system.directional_derivative(zero, []), system.jacobian(zero))
+
+
+def test_higher_directional_derivatives_reuse_their_cached_terms(evaluation_passes):
+    system, zero = random_variant(6, 2, seed=3)
+    v, w = np.arange(6) + 1j, np.ones(6)
+    first = system.directional_derivative(zero, [v, w])
+    evaluation_passes.clear()
+    again = system.directional_derivative(zero, [v, w])
+    # one pass over the cached third-derivative terms, no new index
+    assert [index is system._index(3) for index in evaluation_passes] == [True]
+    assert again.tobytes() == first.tobytes()
+
+
+def test_augmented_directional_derivative_checks_its_direction_once(running, monkeypatch):
+    deflated, y = deflate_once(running, XI, 0.1, seed=3)
+    checked = []
+    real = polycore._check_direction
+
+    def counting(v, num_vars):
+        checked.append(num_vars)
+        return real(v, num_vars)
+
+    for module in (polycore, lvz):
+        monkeypatch.setattr(module, "_check_direction", counting)
+    d = np.arange(len(y)) + 1j  # nonzero along x and along the multipliers
+    got = deflated.system.directional_derivative(y, [d])
+    assert checked == [len(y)]
+    monkeypatch.undo()
+    oracle = AugmentOracle(running, deflated.b_matrix, normal=deflated.b_vector)
+    assert_matches_oracle(deflated.system, oracle, y, [d])
+    assert np.array_equal(got, deflated.system.directional_derivative(y, [d]))
 
 
 def test_directional_derivative_rejects_wrong_lengths(running):
@@ -447,7 +478,7 @@ def test_gauss_newton_evaluates_once_per_iterate(evaluation_passes):
     # f and Df at the start; per iterate D^2f.a where Dg was asked for, then
     # f and Df at the new point, Df being reused by the next Dg
     assert len(evaluation_passes) == 2 + 3 * trace.iterations
-    hess = [index is parent._index("hess") for index in evaluation_passes]
+    hess = [index is parent._index(2) for index in evaluation_passes]
     assert sum(hess) == trace.iterations
 
 

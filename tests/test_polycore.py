@@ -16,6 +16,7 @@ from snewton.polycore import (
     PolySystem,
     compose_affine,
     dir_hessian,
+    grlex_key,
     load_system_json,
     monomials_upto,
     normalized_partial,
@@ -24,12 +25,13 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _pair_ids, _pair_sums, _segment_sums
+from snewton.polycore import _pair_ids, _pair_sums
 
 from oracles import (
     AugmentOracle,
     apply_functional,
     magnitudes,
+    segment_sums,
     symbolic_derivative,
     symbolic_jacobian,
 )
@@ -467,10 +469,10 @@ def test_dir_hessian_matches_symbolic_oracle_on_deflated_systems(data, index):
     assert_dir_hessian_matches_oracle(system, x, v)
 
 
-def dense_terms(system, name):
-    """The ``_terms(name)`` with dense exponents, as ``_arrays`` holds them:
+def dense_terms(system, order):
+    """The ``_terms(order)`` with dense exponents, as ``_arrays`` holds them:
     (exponents, coefficients, row ids, row count)."""
-    (term, var, exp), coef, pairs, m, _ = system._terms(name)
+    (term, var, exp), coef, pairs, m, _ = system._terms(order)
     row = pairs[::2] >> 1
     expo = np.zeros((len(coef), system.num_vars), dtype=np.int16)
     expo[term, var] = exp
@@ -483,7 +485,7 @@ def assert_jacobian_terms_equal_symbolic(system):
     terms, same graded-lex order within each row, same coefficients, same
     dtypes."""
     partials = PolySystem(d for row in symbolic_jacobian(system) for d in row)
-    expo, coef, row, m = dense_terms(system, "jac")
+    expo, coef, row, m = dense_terms(system, 1)
     order = np.argsort(row, kind="stable")
     got, want = (expo[order], coef[order], row[order], m), partials._arrays
     assert got[3] == want[3]
@@ -572,7 +574,7 @@ def dense_monomials(expo, x):
 
 def dense_values(terms, x):
     expo, coef, row, m = terms
-    return _segment_sums(np.multiply(coef, dense_monomials(expo, x)), row, m)
+    return segment_sums(np.multiply(coef, dense_monomials(expo, x)), row, m)
 
 
 def partial_terms(expo, coef, row, k):
@@ -589,7 +591,7 @@ def partial_terms(expo, coef, row, k):
 def dense_dir_hessian(system, x, v):
     """Oracle: the dense Jacobian terms differentiated along each x_k with
     v_k != 0 on every call, weighted by v_k, concatenated in ascending k."""
-    expo, coef, row, m = dense_terms(system, "jac")
+    expo, coef, row, m = dense_terms(system, 1)
     parts = [(expo[:0], coef[:0], row[:0])]
     for k in np.flatnonzero(v):
         d, c, r = partial_terms(expo, coef, row, k)
@@ -599,10 +601,14 @@ def dense_dir_hessian(system, x, v):
 
 
 def dense_poly_eval(p, x):
-    if p.is_zero():
-        return 0j
-    expo, coef = p._arrays()
-    return complex(np.sum(np.multiply(coef, dense_monomials(expo, x))))
+    """Oracle: the terms' values in graded-lex order, added one by one."""
+    order = sorted(p.terms, key=grlex_key)
+    expo = np.array(order, dtype=np.int16).reshape(len(order), p.num_vars)
+    coef = np.array([p.terms[a] for a in order], dtype=complex)
+    total = 0j
+    for value in np.multiply(coef, dense_monomials(expo, x)):
+        total += value
+    return total
 
 
 def assert_evaluators_match_dense(system, x, v):
@@ -611,7 +617,7 @@ def assert_evaluators_match_dense(system, x, v):
     x, v = np.asarray(x, dtype=complex), np.asarray(v, dtype=complex)
     pairs = [
         (system.eval(x), dense_values(system._arrays, x)),
-        (system.jacobian(x), dense_values(dense_terms(system, "jac"), x).reshape(len(system), -1)),
+        (system.jacobian(x), dense_values(dense_terms(system, 1), x).reshape(len(system), -1)),
         (dir_hessian(system, x, v), dense_dir_hessian(system, x, v)),
     ]
     pairs += [(np.complex128(p.eval(x)), np.complex128(dense_poly_eval(p, x))) for p in system]
@@ -688,14 +694,14 @@ def test_a_row_evaluates_alone_as_in_its_system():
         assert dir_hessian(alone, x, v).tobytes() == h[i : i + 1].tobytes(), i
 
 
-_NAMES = st.sampled_from(["eval", "jac", "hess"])
+_ORDERS = st.sampled_from([0, 1, 2])
 
 
 @_PROPERTY
 @given(
     data=st.data(),
     system=_sparse_systems(),
-    walk=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), _NAMES), max_size=12),
+    walk=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), _ORDERS), max_size=12),
 )
 def test_point_cache_equals_the_public_evaluators(data, system, walk):
     """``_at`` gives the bits of ``eval``, ``jacobian`` and ``dir_hessian``
@@ -705,31 +711,61 @@ def test_point_cache_equals_the_public_evaluators(data, system, walk):
     n = system.num_vars
     points = [data.draw(_vectors(n)) for _ in range(2)]
     dirs = [data.draw(_vectors(n)) for _ in range(2)]
-    fixed = [(0, 0, "eval"), (0, 0, "eval"), (1, 0, "jac"), (0, 0, "hess"), (0, 1, "hess")]
-    fixed += [(0, 0, "jac"), (1, 1, "hess"), (0, 1, "eval"), (1, 0, "hess"), (1, 0, "jac")]
-    public = {"eval": system.eval, "jac": system.jacobian}
-    for p, d, name in fixed + walk:
+    fixed = [(0, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 2), (0, 1, 2)]
+    fixed += [(0, 0, 1), (1, 1, 2), (0, 1, 0), (1, 0, 2), (1, 0, 1)]
+    public = {0: system.eval, 1: system.jacobian}
+    for p, d, order in fixed + walk:
         x, v = points[p].copy(), dirs[d].copy()  # equal values, new arrays
-        if name == "hess":
-            got, want = system._at(name, x, v), dir_hessian(system, x, v)
+        if order == 2:
+            got, want = system._at(order, x, v), dir_hessian(system, x, v)
         else:
-            got, want = system._at(name, x), public[name](x)
+            got, want = system._at(order, x), public[order](x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_point_cache_is_read_only_and_public_values_are_fresh():
     system = parse_system(RUNNING, XYZ)
     x, v = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1, 0, 1j])
-    for name, direction in (("eval", None), ("jac", None), ("hess", v)):
-        held = system._at(name, x, direction)
+    for order, dirs in ((0, ()), (1, ()), (2, (v,))):
+        held = system._at(order, x, *dirs)
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 1
-        assert system._at(name, x, direction) is held
+        assert system._at(order, x, *dirs) is held
     for fresh in (system.eval(x), system.jacobian(x), dir_hessian(system, x, v)):
         assert fresh.flags.writeable
         fresh[...] = 0
-    assert system._at("eval", x).tobytes() == system.eval(x).tobytes()
-    assert system._at("hess", x, v).tobytes() == dir_hessian(system, x, v).tobytes()
+    assert system._at(0, x).tobytes() == system.eval(x).tobytes()
+    assert system._at(2, x, v).tobytes() == dir_hessian(system, x, v).tobytes()
+
+
+def test_poly_eval_has_the_bits_of_its_row_in_a_system():
+    """``Poly.eval`` sums in graded-lex order, as a system's row does, also
+    for polynomials long enough that a pairwise sum would round otherwise."""
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        p = random_poly(rng, 4, degree=4, terms=20)
+        assert len(p.terms) >= 9
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert np.complex128(p.eval(x)).tobytes() == PolySystem([p]).eval(x)[:1].tobytes()
+
+
+def test_taylor_coefficients_sum_as_two_bincounts(monkeypatch):
+    """The Taylor coefficients have the bits of the same terms summed by
+    two bincounts over the coefficient ids, one per part."""
+    from snewton import polycore
+    from snewton.bench import catalog, random_variant
+
+    cases = [(e.system, e.zero, 3) for e in catalog()]
+    cases += [(*random_variant(n, 2, seed=n), 2) for n in (10, 20, 30)]
+    rng = np.random.default_rng(59)
+    for system, zero, order in cases:
+        n = system.num_vars
+        xi = zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = taylor_coefficients(system, xi, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(polycore, "_pair_sums", lambda vals, pairs, m: segment_sums(vals, pairs[::2] >> 1, m))
+            want = taylor_coefficients(system, xi, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _PARTS = st.one_of(
@@ -748,7 +784,7 @@ def test_pair_sums_equal_two_bincounts(data, m, count):
     parts = data.draw(st.lists(_PARTS, min_size=2 * count, max_size=2 * count))
     vals = np.array(parts, dtype=float).view(complex)
     got = _pair_sums(vals, _pair_ids(row.astype(np.int64)), m)
-    want = _segment_sums(vals, row.astype(np.int64), m)
+    want = segment_sums(vals, row.astype(np.int64), m)
     assert got.shape == (m,) and got.tobytes() == want.tobytes()
 
 

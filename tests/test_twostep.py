@@ -270,7 +270,7 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes):
     passes = evaluation_passes
 
     def contractions(system):
-        return sum(index is system._index("hess") for index in passes)
+        return sum(index is system._index(2) for index in passes)
 
     system = get_entry("running-example").system
     x = np.array([1.001, 0.999, 1.001], dtype=complex)
@@ -342,6 +342,19 @@ def test_step_config_validation():
             StepConfig(tol=tol)
     with pytest.raises(ValueError):
         StepConfig(stop_residual=0.0)
+
+
+def test_step_config_rejects_a_negative_iteration_cap():
+    with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
+        StepConfig(max_iters=-1)
+    assert StepConfig(max_iters=0).max_iters == 0
+
+
+@pytest.mark.parametrize("step", [operator_B, second_refinement])
+def test_kernel_operators_at_corank_zero_name_the_function_called(running, step):
+    empty = np.zeros((3, 0))
+    with pytest.raises(ValueError, match=f"^{step.__name__} needs corank at least 1$"):
+        step(running, XI, V_RAW, empty, empty)
 
 
 # -- tolerance selection ----------------------------------------------------------------
@@ -436,7 +449,7 @@ def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
     assert {step.mode for step in trace.steps} == {"two-step"}
     # f at x0; per iteration Df at x, f at x', D^2f.v and Df at x', f at x''
     assert len(evaluation_passes) == 1 + 5 * trace.iterations
-    f_passes = [index is system._index("eval") for index in evaluation_passes]
+    f_passes = [index is system._index(0) for index in evaluation_passes]
     assert sum(f_passes) == 1 + 2 * trace.iterations
     # the same run with every value computed afresh at every use gives the
     # same bits: f at x twice more per iteration
@@ -453,7 +466,7 @@ def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
 def test_eval_once_reuses_only_the_last_point(running):
     x, y = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1.0, 1.2, 0.7], dtype=complex)
     for point in (x, y, x, x):
-        fx = running._at("eval", point)
+        fx = running._at(0, point)
         assert fx.tobytes() == running.eval(point).tobytes()
         assert not fx.flags.writeable
 
