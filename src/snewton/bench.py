@@ -105,19 +105,28 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _builtin_entries() -> list[CatalogEntry]:
-    entries = []
+_BUILTIN_NAMES = (
+    "running-example",
+    "x2-xy",
+    "x2-z3xy-y2",
+    "truncated-sin",
+    "stability-k2",
+    "robustness-pair",
+)
 
-    xyz = ["x", "y", "z"]
-    running = parse_system(
-        "x^2 - x + y + z - 2\n"
-        "y^2 + x - y + z - 2\n"
-        "z^2 + x + y - z - 2",
-        xyz,
-    )
-    entries.append(
-        CatalogEntry(
-            name="running-example",
+
+def _builtin(name: str) -> CatalogEntry | None:
+    """The built-in entry called ``name``, built alone, or None."""
+    xyz, xy = ["x", "y", "z"], ["x", "y"]
+    if name == "running-example":
+        running = parse_system(
+            "x^2 - x + y + z - 2\n"
+            "y^2 + x - y + z - 2\n"
+            "z^2 + x + y - z - 2",
+            xyz,
+        )
+        return CatalogEntry(
+            name=name,
             system=running,
             variables=xyz,
             zero=np.ones(3, dtype=complex),
@@ -128,12 +137,9 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-8,
             note="three-variable quadratic system with a fourfold zero at (1,1,1)",
         )
-    )
-
-    xy = ["x", "y"]
-    entries.append(
-        CatalogEntry(
-            name="x2-xy",
+    if name == "x2-xy":
+        return CatalogEntry(
+            name=name,
             system=parse_system("x^2\nx*y", xy),
             variables=xy,
             zero=np.zeros(2, dtype=complex),
@@ -144,11 +150,9 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-8,
             note="non-isolated zero embedded in the line x=0; dual space never stabilizes",
         )
-    )
-
-    entries.append(
-        CatalogEntry(
-            name="x2-z3xy-y2",
+    if name == "x2-z3xy-y2":
+        return CatalogEntry(
+            name=name,
             system=parse_system("x^2\nz^3 + x*y\ny^2", xyz),
             variables=xyz,
             zero=np.zeros(3, dtype=complex),
@@ -159,26 +163,22 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-8,
             note="isolated zero needing two deflation rounds",
         )
-    )
-
-    # sin truncated at degree 5; higher Taylor terms cannot change the local
-    # structure up to the orders probed here.
-    sin_y = Poly(3, {(0, 1, 0): 1.0, (0, 3, 0): -1.0 / 6.0})
-    sin_z = Poly(3, {(0, 0, 1): 1.0, (0, 0, 3): -1.0 / 6.0})
-    sin_x = Poly(3, {(1, 0, 0): 1.0, (3, 0, 0): -1.0 / 6.0})
-    zvar = Poly.variable(3, 2)
-    xvar = Poly.variable(3, 0)
-    yvar = Poly.variable(3, 1)
-    trunc_sin = PolySystem(
-        [
-            xvar**3 + zvar * sin_y,
-            yvar**3 + xvar * sin_z,
-            zvar**3 + yvar * sin_x,
-        ]
-    )
-    entries.append(
-        CatalogEntry(
-            name="truncated-sin",
+    if name == "truncated-sin":
+        # sin truncated at degree 5; higher Taylor terms cannot change the
+        # local structure up to the orders probed here.
+        sin_y = Poly(3, {(0, 1, 0): 1.0, (0, 3, 0): -1.0 / 6.0})
+        sin_z = Poly(3, {(0, 0, 1): 1.0, (0, 0, 3): -1.0 / 6.0})
+        sin_x = Poly(3, {(1, 0, 0): 1.0, (3, 0, 0): -1.0 / 6.0})
+        xvar, yvar, zvar = (Poly.variable(3, i) for i in range(3))
+        trunc_sin = PolySystem(
+            [
+                xvar**3 + zvar * sin_y,
+                yvar**3 + xvar * sin_z,
+                zvar**3 + yvar * sin_x,
+            ]
+        )
+        return CatalogEntry(
+            name=name,
             system=trunc_sin,
             variables=xyz,
             zero=np.zeros(3, dtype=complex),
@@ -189,11 +189,9 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-6,
             note="cubic/sine system with sin replaced by its degree-5 truncation",
         )
-    )
-
-    entries.append(
-        CatalogEntry(
-            name="stability-k2",
+    if name == "stability-k2":
+        return CatalogEntry(
+            name=name,
             system=stability_system(2),
             variables=xyz,
             zero=np.zeros(3, dtype=complex),
@@ -204,11 +202,9 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-8,
             note="x^2, y^2, z^2 + 1e-2 z; second zero at (0,0,-1e-2)",
         )
-    )
-
-    entries.append(
-        CatalogEntry(
-            name="robustness-pair",
+    if name == "robustness-pair":
+        return CatalogEntry(
+            name=name,
             system=parse_system("x - y^2\nx^2 - y^2", xy),
             variables=xy,
             zero=np.zeros(2, dtype=complex),
@@ -219,8 +215,7 @@ def _builtin_entries() -> list[CatalogEntry]:
             zero_tol=1e-8,
             note="corank-1 double zero at the origin; the deflated system has a spurious stationary point",
         )
-    )
-    return entries
+    return None
 
 
 def _load_data_entry(path: Path) -> CatalogEntry:
@@ -250,7 +245,7 @@ def catalog(data_dir: Path | str | None = None) -> list[CatalogEntry]:
     A data file that is missing or fails to load drops only its own entry
     (with a warning); everything else is still served.
     """
-    entries = _builtin_entries()
+    entries = [_builtin(name) for name in _BUILTIN_NAMES]
     directory = Path(data_dir) if data_dir is not None else _DATA_DIR
     if directory.is_dir():
         for path in sorted(directory.glob("*.json")):
@@ -267,9 +262,9 @@ def get_entry(name: str, data_dir: Path | str | None = None) -> CatalogEntry:
     when that file is missing or holds another entry is the whole catalog
     loaded, so that a bad file is warned about and a ``KeyError`` lists
     every entry, as with ``catalog``."""
-    for entry in _builtin_entries():
-        if entry.name == name:
-            return entry
+    entry = _builtin(name)
+    if entry is not None:
+        return entry
     directory = Path(data_dir) if data_dir is not None else _DATA_DIR
     path = directory / f"{name.lower()}.json"
     if path.parent == directory and path.is_file():
@@ -545,8 +540,7 @@ def run_table_convergence(
     the data-file benchmarks)."""
     entries = catalog(data_dir)
     if names is None:
-        builtin = {e.name for e in _builtin_entries()}
-        chosen = [e for e in entries if e.name not in builtin]
+        chosen = [e for e in entries if e.name not in _BUILTIN_NAMES]
     else:
         by_name = {e.name: e for e in entries}
         chosen = [by_name[name] for name in names]

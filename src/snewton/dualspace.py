@@ -24,15 +24,16 @@ based rank decisions; there is no exact-arithmetic path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import polycore, twostep
 from .numla import _check_tolerance, right_svd, singular_values, split_svd
-from .polycore import Exponent, PolySystem, monomials_upto, taylor_coefficients
+from .polycore import Exponent, PolySystem, _grlex, monomials_upto, taylor_coefficients
 
 __all__ = [
     "Functional",
@@ -77,7 +78,8 @@ class DualBasis:
     ``candidate_dim`` is the dimension of the intermediate candidate space
     C^(order) the basis was cut from.  ``ambiguous`` is set when a singular
     value of one of the rank decisions fell within a factor 10 of the
-    tolerance used.
+    tolerance used.  ``_coeffs`` (from ``next_order``, not compared) holds the
+    functionals as read-only columns over ``monomials_upto(n, order)``.
     """
 
     order: int
@@ -85,6 +87,7 @@ class DualBasis:
     tol: float
     candidate_dim: int
     ambiguous: bool = False
+    _coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -140,6 +143,8 @@ def next_order(
     xi,
     prev: DualBasis,
     rank_tol: float | None = None,
+    *,
+    _shift: dict | None = None,
 ) -> DualBasis:
     """One closedness step: from a basis of the order-(k-1) dual space to a
     basis of the order-k dual space.
@@ -149,50 +154,46 @@ def next_order(
     basis (see the module docstring), found by one thin SVD of MZ; the dual
     space is the kernel of the values of the candidates on the system, found
     by a second SVD.  Each spectrum sets its own rank tolerance unless
-    ``rank_tol`` is given.
+    ``rank_tol`` is given.  ``_shift`` lets the orders of one call share
+    their Taylor shift (see ``_taylor``).
     """
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
     xi = system._check_point(xi)
+    for lam in prev.functionals:
+        if lam.num_vars != n:
+            raise ValueError(f"the previous basis has {lam.num_vars} variables, the system has {n}")
     k = prev.order + 1
-    basis_k = monomials_upto(n, k)
-    nprev = math.comb(n + k - 1, n)  # the order-(k-1) monomials lead basis_k
-    index = {a: r for r, a in enumerate(basis_k)}
-
-    p = np.zeros((nprev, prev.dim), dtype=complex)
-    for j, lam in enumerate(prev.functionals):
-        for alpha, c in lam.terms.items():
-            p[index[alpha], j] = c
+    _, keys, up, support = _grlex(n, k)  # up[i, r] is the row of keys[r] + e_i: S_i c = c[up[i]]
+    p = prev._coeffs
+    if p is None:
+        index = {a: r for r, a in enumerate(keys)}
+        p = np.zeros((up.shape[1], prev.dim), dtype=complex)
+        for j, lam in enumerate(prev.functionals):
+            for alpha, c in lam.terms.items():
+                p[index[alpha], j] = c
     q, _ = np.linalg.qr(p)
     d = q.shape[1]
 
-    # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
-    up = np.array(
-        [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in basis_k[:nprev]] for i in range(n)]
-    )
     # Z: orthonormal basis of span{e_0} + range(D^+ W*), whose columns are
     # e_0 and the integrals D^+ S_i* q_j; the kernel of M lies in it.
-    integrals = np.zeros((len(basis_k), 1 + n * d), dtype=complex)
+    integrals = np.zeros((len(keys), 1 + n * d), dtype=complex)
     integrals[0, 0] = 1.0
-    for i in range(n):
-        integrals[up[i], 1 + i * d : 1 + (i + 1) * d] = q
-    support = np.count_nonzero(np.array(basis_k[1:]), axis=1)
-    integrals[1:] /= support[:, None]
+    integrals[up[:, :, None], 1 + np.arange(n * d).reshape(n, 1, d)] = q
+    integrals[1:] /= support[1:, None]
     z, _ = np.linalg.qr(integrals)
 
-    # MZ block by block: (I - QQ*) S_i Z, with S_i Z a row gather of Z.
-    blocks = []
-    for i in range(n):
-        shifted = z[up[i]]
-        blocks.append(shifted - q @ (q.conj().T @ shifted))
-    sig_m, v_m = right_svd(np.vstack(blocks))
+    # MZ: the blocks (I - QQ*) S_i Z, with S_i Z a row gather of Z.
+    mz = z[up]
+    mz -= q @ (q.conj().T @ mz)
+    sig_m, v_m = right_svd(mz.reshape(-1, mz.shape[2]))
     tol_m = _rank_tol(sig_m, rank_tol)
     candidates = z @ v_m[:, int(np.sum(sig_m > tol_m)) :]
     ambiguous = _near_tol(sig_m, tol_m)
 
     # Column j holds the values of the j-th candidate on f_1..f_m.
-    evaluation = taylor_coefficients(system, xi, k) @ candidates
+    evaluation = _taylor(system, xi, k, _shift) @ candidates
     if evaluation.any():
         sig_e, v_e = right_svd(evaluation)
         tol_e = _rank_tol(sig_e, rank_tol)
@@ -202,23 +203,45 @@ def next_order(
         coeffs = candidates
         tol_e = tol_m
 
-    functionals = []
-    for col in coeffs.T:
-        rows = np.flatnonzero(np.abs(col) > 1e-14)
-        terms = zip((basis_k[r] for r in rows), col[rows].tolist())
-        functionals.append(Functional(n, dict(terms)))
+    coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
+    coeffs.flags.writeable = False
+    cols, rows = np.nonzero(coeffs.T)  # by functional, then by row
+    terms = zip(map(keys.__getitem__, rows.tolist()), coeffs[rows, cols].tolist())
+    sizes = np.bincount(cols, minlength=coeffs.shape[1]).tolist()
+    functionals = [Functional(n, dict(itertools.islice(terms, size))) for size in sizes]
     return DualBasis(
         order=k,
         functionals=functionals,
         tol=tol_e,
         candidate_dim=candidates.shape[1],
         ambiguous=ambiguous,
+        _coeffs=coeffs,
     )
+
+
+def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:
+    """``taylor_coefficients(system, xi, k)``, read from ``held`` when the
+    orders of one call pass it along.  T_k is the first C(n + k, k) columns
+    of T_K for k <= K, and T_deg followed by zero columns for k >= deg f, so
+    a shift made one order ahead serves two orders, and none is made past
+    deg f.  ``held`` lives only as long as the call that made it."""
+    if held is None:
+        return taylor_coefficients(system, xi, k)
+    deg = system.degree()
+    if held.get("order", -1) < min(k, deg):
+        held["order"] = min(k + 1, deg)
+        held["shift"] = taylor_coefficients(system, xi, held["order"])
+    shift, size = held["shift"], math.comb(system.num_vars + k, k)
+    if shift.shape[1] >= size:
+        return shift[:, :size]
+    return np.hstack([shift, np.zeros((len(shift), size - shift.shape[1]), dtype=complex)])
 
 
 def _order_zero(num_vars: int) -> DualBasis:
     """The order-0 dual space, spanned by evaluation at the point."""
-    return DualBasis(order=0, functionals=[unit_functional(num_vars)], tol=0.0, candidate_dim=1)
+    unit = np.ones((1, 1), dtype=complex)
+    unit.flags.writeable = False
+    return DualBasis(0, [unit_functional(num_vars)], tol=0.0, candidate_dim=1, _coeffs=unit)
 
 
 def multiplicity_structure(
@@ -230,25 +253,20 @@ def multiplicity_structure(
     """Breadth, depth and multiplicity at ``xi`` by iterating ``next_order``
     until the dimension stabilizes (or ``max_order`` is hit, in which case
     the report is flagged unstabilized)."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     bases = [_order_zero(system.num_vars)]
-    stabilized = False
+    stabilized, shift = False, {}
     for _ in range(max_order):
-        nxt = next_order(system, xi, bases[-1], rank_tol)
-        bases.append(nxt)
-        if nxt.dim == bases[-2].dim:
+        bases.append(next_order(system, xi, bases[-1], rank_tol, _shift=shift))
+        if bases[-1].dim == bases[-2].dim:
             stabilized = True
             break
-    breadth = bases[1].dim - bases[0].dim if len(bases) > 1 else 0
-    if stabilized:
-        depth = bases[-2].order
-        multiplicity = bases[-2].dim
-    else:
-        depth = bases[-1].order
-        multiplicity = bases[-1].dim
+    last = bases[-2] if stabilized else bases[-1]
     return DualSpaceReport(
-        breadth=breadth,
-        depth=depth,
-        multiplicity=multiplicity,
+        breadth=bases[1].dim - bases[0].dim,
+        depth=last.order,
+        multiplicity=last.dim,
         bases=bases,
         stabilized=stabilized,
     )
@@ -257,8 +275,9 @@ def multiplicity_structure(
 def deflation_one_necessary(system: PolySystem, xi, rank_tol: float | None = None) -> bool:
     """Order-2 dimension test: dim C^(2) - dim D^(2) must equal n at a
     deflation-one singular zero.  Necessary, not sufficient."""
-    d1 = next_order(system, xi, _order_zero(system.num_vars), rank_tol)
-    d2 = next_order(system, xi, d1, rank_tol)
+    shift: dict = {}
+    d1 = next_order(system, xi, _order_zero(system.num_vars), rank_tol, _shift=shift)
+    d2 = next_order(system, xi, d1, rank_tol, _shift=shift)
     return d2.candidate_dim - d2.dim == system.num_vars
 
 

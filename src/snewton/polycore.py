@@ -14,7 +14,7 @@ run and across machines with the same float format.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import json
 import math
 import re
@@ -829,21 +829,42 @@ def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> 
 
 
 def monomials_upto(num_vars: int, order: int) -> list[Exponent]:
-    """All multi-indices with |alpha| <= order, in graded-lex order.
+    """All multi-indices with |alpha| <= order, in graded-lex order: by
+    degree, and within one degree in ascending lex order of the exponents."""
+    return list(_grlex(num_vars, order)[1]) if order >= 0 else []
 
-    Within one degree, reversed ``combinations_with_replacement`` order is
-    ascending lex order of the exponent counts.
-    """
-    out: list[Exponent] = []
-    for deg in range(order + 1):
-        block = []
-        for combo in itertools.combinations_with_replacement(range(num_vars), deg):
-            alpha = [0] * num_vars
-            for i in combo:
-                alpha[i] += 1
-            block.append(tuple(alpha))
-        out.extend(reversed(block))
-    return out
+
+def _pascal(top: int, width: int | None = None) -> np.ndarray:
+    """pascal[a, b] = C(a, b) for a <= top and b <= width (default top)."""
+    pascal = np.zeros((top + 1, (top if width is None else width) + 1), dtype=np.int64)
+    pascal[:, 0] = 1
+    for a in range(1, top + 1):
+        pascal[a, 1:] = pascal[a - 1, :-1] + pascal[a - 1, 1:]
+    return pascal
+
+
+@functools.lru_cache(maxsize=64)
+def _grlex(num_vars: int, order: int):
+    """Read-only tables of ``monomials_upto(num_vars, order)``: the exponents
+    (int64 rows and tuples), up[i, r] the row of alpha_r + e_i for the rows
+    r of lower order, and the nonzero exponent count of each row.  Order by
+    order, each step alpha + e_i goes to its graded-lex rank by the formula
+    of ``taylor_coefficients``, whose s_j grows by one for j <= i."""
+    n = num_vars
+    pascal, m = _pascal(n + order, n), np.arange(n - 1, -1, -1)
+    expo, up = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64)
+    for k in range(1, order + 1):
+        low, expo = expo, np.zeros((math.comb(n + k, n), n), dtype=np.int64)
+        s = np.cumsum(low[:, ::-1], axis=1)[:, ::-1]  # s[:, j] = alpha_j + ... + alpha_(n-1)
+        s1, t1, s0, t0 = (pascal[x + m, m] for x in (s + 1, s - low + 1, s, s - low))
+        before, at, after = s1 - t1, s1 - t0, s0 - t0  # the terms of x_j for j <, = and > i
+        after = np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after
+        up = (pascal[n + s[:, :1], n] + np.cumsum(before, axis=1) - before + at + after).T
+        for i in range(n):
+            expo[up[i]] = low + np.eye(1, n, i, dtype=np.int64)
+    support = np.count_nonzero(expo, axis=1)
+    expo.flags.writeable = up.flags.writeable = support.flags.writeable = False
+    return expo, tuple(map(tuple, expo.tolist())), up, support
 
 
 def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -> np.ndarray:
@@ -865,11 +886,7 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     xi = system._check_point(xi)
     n = system.num_vars
     expo, w, row, m = system._arrays
-    top = max(n + order, int(expo.max(initial=0)))
-    pascal = np.zeros((top + 1, top + 1), dtype=np.int64)  # pascal[a, b] = C(a, b)
-    pascal[:, 0] = 1
-    for a in range(1, top + 1):
-        pascal[a, 1 : a + 1] = pascal[a - 1, :a] + pascal[a - 1, 1 : a + 1]
+    pascal = _pascal(max(n + order, int(expo.max(initial=0))))
     size = int(pascal[n + order, n])
     term = np.arange(len(w))
     deg = np.zeros(len(w), dtype=np.int64)

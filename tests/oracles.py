@@ -1,11 +1,17 @@
 """Oracles shared by the tests: partial derivatives, contractions and the
 deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the paper's operator A;
-row sums from two bincounts."""
+row sums from two bincounts; graded-lex multi-indices from combinations;
+the dual-space step that rebuilds its tables from dicts at every order."""
+
+import itertools
+import math
 
 import numpy as np
 
 from snewton import twostep
+from snewton.dualspace import DualBasis, Functional, _near_tol, _rank_tol
+from snewton.numla import _check_tolerance, right_svd
 from snewton.polycore import (
     Poly,
     PolySystem,
@@ -154,3 +160,86 @@ def segment_sums(vals, row, m):
     re = np.bincount(row, weights=vals.real, minlength=m)
     im = np.bincount(row, weights=vals.imag, minlength=m)
     return re + 1j * im
+
+
+def monomials_by_combinations(num_vars, order):
+    """All multi-indices with |alpha| <= order, in graded-lex order: within
+    one degree, reversed ``combinations_with_replacement`` order is
+    ascending lex order of the exponent counts."""
+    out = []
+    for deg in range(order + 1):
+        block = []
+        for combo in itertools.combinations_with_replacement(range(num_vars), deg):
+            alpha = [0] * num_vars
+            for i in combo:
+                alpha[i] += 1
+            block.append(tuple(alpha))
+        out.extend(reversed(block))
+    return out
+
+
+def rebuilt_next_order(system, xi, prev, rank_tol=None):
+    """``dualspace.next_order`` with every table rebuilt at every order: the
+    multi-indices and their index dict, the previous coefficients from the
+    functionals' dicts, the rows of alpha + e_i by dict lookups, the
+    integrals scattered and MZ projected one variable at a time, and a
+    Taylor shift of its own."""
+    if rank_tol is not None:
+        rank_tol = _check_tolerance(rank_tol)
+    n = system.num_vars
+    xi = system._check_point(xi)
+    k = prev.order + 1
+    basis_k = monomials_by_combinations(n, k)
+    nprev = math.comb(n + k - 1, n)  # the order-(k-1) monomials lead basis_k
+    index = {a: r for r, a in enumerate(basis_k)}
+
+    p = np.zeros((nprev, prev.dim), dtype=complex)
+    for j, lam in enumerate(prev.functionals):
+        for alpha, c in lam.terms.items():
+            p[index[alpha], j] = c
+    q, _ = np.linalg.qr(p)
+    d = q.shape[1]
+
+    # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
+    up = np.array(
+        [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in basis_k[:nprev]] for i in range(n)]
+    )
+    integrals = np.zeros((len(basis_k), 1 + n * d), dtype=complex)
+    integrals[0, 0] = 1.0
+    for i in range(n):
+        integrals[up[i], 1 + i * d : 1 + (i + 1) * d] = q
+    support = np.count_nonzero(np.array(basis_k[1:]), axis=1)
+    integrals[1:] /= support[:, None]
+    z, _ = np.linalg.qr(integrals)
+
+    blocks = []
+    for i in range(n):
+        shifted = z[up[i]]
+        blocks.append(shifted - q @ (q.conj().T @ shifted))
+    sig_m, v_m = right_svd(np.vstack(blocks))
+    tol_m = _rank_tol(sig_m, rank_tol)
+    candidates = z @ v_m[:, int(np.sum(sig_m > tol_m)) :]
+    ambiguous = _near_tol(sig_m, tol_m)
+
+    evaluation = taylor_coefficients(system, xi, k) @ candidates
+    if evaluation.any():
+        sig_e, v_e = right_svd(evaluation)
+        tol_e = _rank_tol(sig_e, rank_tol)
+        coeffs = candidates @ v_e[:, int(np.sum(sig_e > tol_e)) :]
+        ambiguous = ambiguous or _near_tol(sig_e, tol_e)
+    else:
+        coeffs = candidates
+        tol_e = tol_m
+
+    functionals = []
+    for col in coeffs.T:
+        rows = np.flatnonzero(np.abs(col) > 1e-14)
+        terms = zip((basis_k[r] for r in rows), col[rows].tolist())
+        functionals.append(Functional(n, dict(terms)))
+    return DualBasis(
+        order=k,
+        functionals=functionals,
+        tol=tol_e,
+        candidate_dim=candidates.shape[1],
+        ambiguous=ambiguous,
+    )

@@ -94,6 +94,17 @@ def test_get_entry_loads_only_its_own_data_file(monkeypatch):
     assert str(caught.value).endswith(f"(available: {', '.join(names)})\"")
 
 
+def test_get_entry_builds_only_the_entry_asked_for(count_calls):
+    parses = count_calls(bench, "parse_system")
+    for name, want in [("running-example", 1), ("x2-xy", 1), ("truncated-sin", 0), ("cbms1", 0)]:
+        parses.clear()
+        assert get_entry(name).name == name
+        assert len(parses) == want, name
+    parses.clear()
+    catalog()
+    assert len(parses) == 4  # truncated-sin and stability-k2 are built with Poly arithmetic
+
+
 def test_get_entry_with_a_bad_data_file_scans_and_warns(tmp_path):
     src = Path(bench._DATA_DIR)
     for path in src.glob("*.json"):

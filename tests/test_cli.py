@@ -127,6 +127,8 @@ def test_refine_exponent_beyond_the_term_arrays_is_usage_error(capsys, tmp_path)
         (["check", "--catalog", "running-example", "--trials", "0"], "--trials must be at least 1, got 0"),
         (["check", "--catalog", "x2-xy", "--x0", "1,1", "--trials", "0"], "--trials must be at least 1, got 0"),
         (["refine", "--catalog", "running-example", "--iters", "-3"], "max_iters must be at least 0, got -3"),
+        (["analyze", "--catalog", "running-example", "--max-order", "0"], "max_order must be at least 1, got 0"),
+        (["analyze", "--catalog", "running-example", "--max-order", "-1"], "max_order must be at least 1, got -1"),
     ],
 )
 def test_counts_below_their_minimum_are_usage_errors(capsys, argv, message):

@@ -1,12 +1,14 @@
 """Dual-space recursion, multiplicity structure, deflation-one tests."""
 
+import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from snewton import polycore
+from snewton import dualspace, polycore
 from snewton.bench import catalog, get_entry, random_variant
 from snewton.dualspace import (
     DualBasis,
@@ -21,10 +23,10 @@ from snewton.dualspace import (
     unit_functional,
 )
 from snewton.numla import kernel_basis, singular_values, split_svd
-from snewton.polycore import Exponent, parse_system
+from snewton.polycore import Exponent, _grlex, parse_system, taylor_coefficients
 from snewton.twostep import operator_B
 
-from oracles import apply_functional
+from oracles import apply_functional, monomials_by_combinations, rebuilt_next_order
 
 
 def _make_functional(num_vars, terms):
@@ -273,6 +275,138 @@ def test_next_order_matches_dense_oracle_with_forced_tolerance():
     entry = get_entry("running-example")
     d1 = assert_step_matches_dense_oracle(entry.system, entry.zero, base_basis(3), rank_tol=1.0)
     assert d1.ambiguous
+
+
+# -- the oracle that rebuilds its tables at every order ------------------------------
+
+
+def assert_same_basis(got, want):
+    """Same order, tol, candidate_dim and ambiguous flag, and functionals
+    with the same multi-indices in the same order and the same coefficient
+    bytes."""
+    fields = ("order", "tol", "candidate_dim", "ambiguous")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert len(got.functionals) == len(want.functionals), got.order
+    for a, b in zip(got.functionals, want.functionals):
+        assert a.num_vars == b.num_vars and list(a.terms) == list(b.terms), got.order
+        values = [np.array(list(lam.terms.values()), dtype=complex).tobytes() for lam in (a, b)]
+        assert values[0] == values[1], got.order
+
+
+def assert_matches_rebuilt_oracle(monkeypatch, system, xi, rank_tol=None, max_order=12):
+    """``multiplicity_structure`` and ``deflation_one_necessary`` give what
+    they give with ``rebuilt_next_order`` as their step, basis by basis;
+    and each step from a basis without its coefficient matrix (read from
+    the functionals' dicts) gives the next basis too."""
+    report = multiplicity_structure(system, xi, rank_tol, max_order)
+    necessary = deflation_one_necessary(system, xi, rank_tol)
+    def rebuilt(system, xi, prev, rank_tol, _shift):
+        return rebuilt_next_order(system, xi, prev, rank_tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dualspace, "next_order", rebuilt)
+        want = multiplicity_structure(system, xi, rank_tol, max_order)
+        assert necessary == deflation_one_necessary(system, xi, rank_tol)
+    assert report == want
+    for got, basis in zip(report.bases, want.bases):
+        assert_same_basis(got, basis)
+    for prev, nxt in zip(report.bases, report.bases[1:]):
+        assert_same_basis(next_order(system, xi, dataclasses.replace(prev, _coeffs=None), rank_tol), nxt)
+
+
+def test_next_order_matches_rebuilt_oracle_on_catalog(monkeypatch):
+    for entry in catalog():
+        rank_tol = 1e-6 if entry.name == "Cyclic9" else None
+        assert_matches_rebuilt_oracle(monkeypatch, entry.system, entry.zero, rank_tol)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_next_order_matches_rebuilt_oracle_on_random_variants(monkeypatch, n):
+    for k in (1, 2, 3):
+        for seed in (0, 1, 2):
+            system, zero = random_variant(n, k, seed=seed)
+            assert_matches_rebuilt_oracle(monkeypatch, system, zero)
+
+
+def test_next_order_matches_rebuilt_oracle_at_non_isolated_zero(monkeypatch):
+    system = parse_system("x^2\nx*y", ["x", "y"])
+    assert_matches_rebuilt_oracle(monkeypatch, system, [0, 0], max_order=6)
+
+
+def test_next_order_matches_rebuilt_oracle_with_forced_tolerance(monkeypatch):
+    # Cyclic9 is left out: with every rank decision forced it takes minutes
+    for entry in catalog():
+        if entry.name != "Cyclic9":
+            assert_matches_rebuilt_oracle(monkeypatch, entry.system, entry.zero, 1.0, max_order=4)
+
+
+def test_grlex_tables_match_combinations():
+    for n in range(6):
+        for k in range(5):
+            expo, keys, up, support = _grlex(n, k)
+            assert list(keys) == monomials_by_combinations(n, k) == monomials_upto(n, k)
+            assert expo.tolist() == [list(a) for a in keys] and not expo.flags.writeable
+            index = {a: r for r, a in enumerate(keys)}
+            below = keys[: math.comb(n + k - 1, n)] if k else ()
+            want = [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in below] for i in range(n)]
+            assert up.shape == (n, len(below)) and up.tolist() == want
+            assert support.tolist() == [sum(e > 0 for e in a) for a in keys]
+
+
+def test_taylor_shift_of_a_lower_order_is_a_prefix_bit_for_bit():
+    # T_k is the first C(n + k, k) columns of T_K for k <= K, and T_deg
+    # followed by zero columns (+0) for k >= deg f
+    cases = [(e.system, e.zero) for e in catalog() if e.name != "Cyclic9"]
+    cases += [random_variant(n, k, seed=2) for n, k in ((6, 2), (8, 3))]
+    for system, xi in cases:
+        n, deg = system.num_vars, system.degree()
+        full = taylor_coefficients(system, xi, deg)
+        for k in range(deg + 3):
+            shift = taylor_coefficients(system, xi, k)
+            if k <= deg:
+                want = full[:, : math.comb(n + k, k)]
+            else:
+                want = np.hstack([full, np.zeros((len(full), shift.shape[1] - full.shape[1]), dtype=complex)])
+            assert shift.tobytes() == np.ascontiguousarray(want).tobytes(), k
+
+
+def test_one_call_makes_at_most_one_taylor_shift_per_order_below_the_degree(count_calls):
+    passes = count_calls(dualspace, "taylor_coefficients")
+    cases = [(e.system, e.zero, 1e-6 if e.name == "Cyclic9" else None) for e in catalog()]
+    cases += [(*random_variant(n, k, seed=0), None) for n, k in ((8, 2), (6, 3))]
+    for system, xi, rank_tol in cases:
+        passes.clear()
+        report = multiplicity_structure(system, xi, rank_tol)
+        first = len(passes)
+        assert 1 <= first <= min(report.depth + 1, system.degree())
+        # nothing made for (system, xi) outlives the call: a second call shifts again
+        assert multiplicity_structure(system, xi, rank_tol) == report
+        assert len(passes) == 2 * first
+        passes.clear()
+        deflation_one_necessary(system, xi, rank_tol)
+        assert len(passes) == 1
+    system, zero = random_variant(8, 3, seed=0)
+    passes.clear()
+    assert multiplicity_structure(system, zero).depth == 3  # orders 1-4 from one shift
+    assert len(passes) == 1
+
+
+def test_next_order_rejects_a_basis_of_another_variable_count(count_calls):
+    entry = get_entry("running-example")
+    d1 = next_order(entry.system, entry.zero, base_basis(3))
+    system, zero = random_variant(4, 1, seed=0)
+    qrs = count_calls(np.linalg, "qr")
+    for prev in (base_basis(3), d1):
+        with pytest.raises(ValueError, match="the previous basis has 3 variables, the system has 4"):
+            next_order(system, zero, prev)
+    assert qrs == []
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_multiplicity_structure_needs_at_least_order_one(max_order):
+    entry = get_entry("running-example")
+    with pytest.raises(ValueError, match=f"max_order must be at least 1, got {max_order}"):
+        multiplicity_structure(entry.system, entry.zero, max_order=max_order)
 
 
 def test_next_order_takes_no_partials_and_two_svds_per_order(count_calls):
