@@ -3,7 +3,8 @@
 write BENCH_dualspace.json.
 
     python3 scripts/bench_dualspace.py --parent PARENT_TREE --change CHANGE_TREE \\
-        --rounds 5 --pairs dual=921-930 --out BENCH_dualspace.json
+        --rounds 5 --pairs dual=951-960 --pairs catalog=961-970 \\
+        --pairs variants=971-980 --out BENCH_dualspace.json
 
 PARENT_TREE and CHANGE_TREE are two source trees (``src/`` and
 ``perfbench/``), for example ``git archive`` exports of the two commits.
@@ -11,13 +12,31 @@ The file records:
 
 * ``in_process``: on the instances of the perfbench ``dual`` workload (the
   catalog zeros but ``x2-xy``, and ``random_variant(n, k, seed=1)`` for its
-  six (n, k)) plus two larger variants, per instance: the first call of
-  ``multiplicity_structure`` in the process (cold: no graded-lex table
-  built yet), the medians of warm calls of ``multiplicity_structure`` and
-  ``deflation_one_necessary``, and the ``tracemalloc`` peaks of a cold and
-  a warm ``multiplicity_structure``.  One fresh process per revision and
-  round, the revision that goes first alternating; the values are the
-  medians over the rounds, in seconds and MB.
+  six (n, k)) plus two larger variants, per instance:
+  - the cold first calls of ``multiplicity_structure`` and
+    ``deflation_one_necessary`` (``cold_s``,
+    ``cold_deflation_one_necessary_s``), each on a fresh copy of the system
+    with every memoized table of ``polycore`` emptied: the median of
+    ``COLD_REPS`` calls per process, in short processes that alternate
+    between the revisions (``--cold-rounds``), so that drift of the
+    machine between the two sides stays small;
+  - the medians of warm calls of both;
+  - the Taylor shift at order min(2, deg f), the order every call makes:
+    warm ``taylor_coefficients`` (``shift_s``) and the loop over the
+    variables (``oracle_shift_s``: ``looped_taylor_shift`` of the tree's
+    ``tests/oracles.py``, or the tree's own ``taylor_coefficients`` where the
+    shift still is that loop);
+  - where the tree compiles shifts: the build of that plan
+    (``plan_build_s``), its bytes (``plan_bytes``) and the bytes of all the
+    plans the system holds after the warm calls (``plans_held_bytes``);
+  - the ``tracemalloc`` peaks of a cold and a warm ``multiplicity_structure``.
+  One fresh process per revision and round, the revision that goes first
+  alternating; the values are the medians over the rounds, in seconds,
+  bytes and MB, and ``cold_rounds`` keeps each round's cold calls;
+  ``cold_change_over_parent_by_round`` has the quartiles of the change over
+  the parent within each round's back-to-back pair of processes.
+  ``--merge`` starts from the existing file and replaces only what the run
+  measures (``--rounds 0`` or ``--cold-rounds 0`` skip a part).
 * ``end_to_end`` (with ``--pairs``): ``perfbench/run.py --workload W --seed
   S --seconds 30 --trace 0`` in each tree, one parent/change pair per seed,
   summarised as in ``BENCH_onepass.json`` by ``scripts/bench_onepass.py``.
@@ -39,12 +58,14 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_onepass import _machine, _revision, _run_perfbench, _seeds, _summary
+from bench_onepass import _machine, _quartiles, _revision, _run_perfbench, _seeds, _summary
 
 DUAL_VARIANTS = ((8, 2), (10, 2), (12, 2), (6, 3), (8, 3), (10, 3))  # as perfbench/workloads.py
 LARGE_VARIANTS = ((20, 2), (30, 2))
 WARM_SECONDS = 0.3  # per quantity and instance, after at least MIN_REPS calls
 MIN_REPS = 3
+COLD_REPS = 5  # cold calls per quantity, instance and round, each on a fresh copy
+COLD = (("cold_s", "multiplicity_structure"), ("cold_deflation_one_necessary_s", "deflation_one_necessary"))
 
 
 # -- the measuring side ------------------------------------------------------------------
@@ -61,12 +82,12 @@ def _median_call(fn):
 
 
 def _forget_tables():
-    """Empty the graded-lex table memo, where the revision has one."""
+    """Empty every memoized table of ``polycore`` (the graded-lex tables)."""
     from snewton import polycore
 
-    memo = getattr(polycore, "_grlex", None)
-    if memo is not None:
-        memo.cache_clear()
+    for value in vars(polycore).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def _peak_mb(fn) -> float:
@@ -80,7 +101,27 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def probe() -> dict:
+def _looped_shift():
+    """The Taylor shift as one loop over the variables: the tree's test
+    oracle, or its ``taylor_coefficients`` where that is still the loop."""
+    import snewton
+    from snewton.polycore import taylor_coefficients
+
+    sys.path.insert(0, str(Path(snewton.__file__).resolve().parents[2] / "tests"))
+    try:
+        import oracles
+    except ImportError:
+        return taylor_coefficients
+    return getattr(oracles, "looped_taylor_shift", taylor_coefficients)
+
+
+def _plan_bytes(plan) -> int:
+    return sum(part.nbytes for part in plan if isinstance(part, np.ndarray))
+
+
+def probe(cold: bool) -> dict:
+    """Per instance, the cold calls (``cold``) or everything else."""
+    from snewton import dualspace, polycore
     from snewton.bench import catalog, random_variant
     from snewton.dualspace import deflation_one_necessary, multiplicity_structure
 
@@ -88,31 +129,50 @@ def probe() -> dict:
     for n, k in DUAL_VARIANTS + LARGE_VARIANTS:
         cases.append((f"variant n={n} k={k}", *random_variant(n, k, seed=1)))
     np.linalg.svd(np.ones((64, 64)))  # start the BLAS threads before any timing
+    looped, build = _looped_shift(), getattr(polycore, "_shift_plan", None)
     out = {}
     for label, system, zero in cases:
-        _forget_tables()
-        t = time.perf_counter()
-        report = multiplicity_structure(system, zero)
-        cold = time.perf_counter() - t
-        _forget_tables()
-        cold_peak = _peak_mb(lambda: multiplicity_structure(system, zero))
-        out[label] = {
-            "mu": report.multiplicity,
-            "cold_s": cold,
-            "multiplicity_structure_s": _median_call(lambda: multiplicity_structure(system, zero)),
-            "deflation_one_necessary_s": _median_call(lambda: deflation_one_necessary(system, zero)),
-            "cold_peak_mb": cold_peak,
-            "warm_peak_mb": _peak_mb(lambda: multiplicity_structure(system, zero)),
-        }
+        def fresh():
+            _forget_tables()
+            return polycore.system_from_terms(*system._arrays)
+
+        row = out[label] = {}
+        if cold:
+            for name, fn in COLD:
+                times = []
+                for _ in range(COLD_REPS):
+                    copy = fresh()
+                    t = time.perf_counter()
+                    getattr(dualspace, fn)(copy, zero)
+                    times.append(time.perf_counter() - t)
+                row[name] = float(np.median(times))
+            continue
+        copy = fresh()
+        row["mu"] = multiplicity_structure(copy, zero).multiplicity
+        copy = fresh()
+        row["cold_peak_mb"] = _peak_mb(lambda: multiplicity_structure(copy, zero))
+        row["multiplicity_structure_s"] = _median_call(lambda: multiplicity_structure(system, zero))
+        row["deflation_one_necessary_s"] = _median_call(lambda: deflation_one_necessary(system, zero))
+        row["warm_peak_mb"] = _peak_mb(lambda: multiplicity_structure(system, zero))
+        order = min(2, system.degree())
+        row["shift_s"] = _median_call(lambda: polycore.taylor_coefficients(system, zero, order))
+        row["oracle_shift_s"] = _median_call(lambda: looped(system, zero, order))
+        if build is not None:
+            expo, _, rows, _ = system._arrays
+            row["plan_build_s"] = _median_call(lambda: build(expo, rows, order))
+            row["plan_bytes"] = _plan_bytes(build(expo, rows, order))
+            row["plans_held_bytes"] = sum(
+                _plan_bytes(plan) for key, plan in system._cache.items() if key[0] == "shift"
+            )
     return out
 
 
 # -- the driving side ------------------------------------------------------------------
 
 
-def _run_probe(tree: Path) -> dict:
+def _run_probe(tree: Path, cold: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-B", str(Path(__file__).resolve()), "--probe"]
+    cmd = [sys.executable, "-B", str(Path(__file__).resolve()), "--probe", "cold" if cold else "warm"]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -121,72 +181,122 @@ def _gmean(values) -> float:
     return float(np.exp(np.mean(np.log(values))))
 
 
+def _alternate(trees: dict, rounds: int, cold: bool) -> dict:
+    """``rounds`` probes per tree, the tree that goes first alternating."""
+    order, probes = list(trees), {side: [] for side in trees}
+    for r in range(rounds):
+        for side in order if r % 2 == 0 else order[::-1]:
+            probes[side].append(_run_probe(trees[side], cold))
+    return probes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--probe", choices=("cold", "warm"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path, default=Path("BENCH_dualspace.json"))
-    parser.add_argument("--rounds", type=int, default=5, help="in-process rounds per revision")
+    parser.add_argument("--rounds", type=int, default=5, help="warm in-process rounds per revision")
+    parser.add_argument("--cold-rounds", type=int, default=10, help="cold in-process rounds per revision")
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=FIRST-LAST",
                         help="one perfbench pair per seed of the range")
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--merge", action="store_true",
+                        help="start from --out and replace only what this run measures")
     args = parser.parse_args(argv)
 
     if args.probe:
-        print(json.dumps(probe()))
+        print(json.dumps(probe(args.probe == "cold")))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     order = list(trees)
-    doc = {
+    doc = json.loads(args.out.read_text()) if args.merge else {
         "schema": 1,
-        "what": "dual-space orders without per-order rebuilds: one Taylor shift handed from "
-                "order to order within a call, graded-lex tables memoized on (n, k), the basis "
-                "carrying its coefficient matrix, MZ from one gather and one batched projection",
+        "in_process": {"instances": {}},
+        "end_to_end": {"workloads": {}},
+    }
+    doc.update({
+        "what": "the Taylor shift compiled once per system and order: a read-only plan of "
+                "items, factor positions and bins cached with the system, and one vectorized "
+                "pass per point with the bits of the loop over the variables",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
-        "in_process": {
-            "method": f"one process per revision and round ({args.rounds} rounds, the first "
-                      "revision alternating); per instance, one cold multiplicity_structure "
-                      "(graded-lex memo emptied first), then medians of warm calls over at least "
-                      f"{MIN_REPS} calls and {WARM_SECONDS} s, then tracemalloc peaks of a cold "
-                      "and a warm call; values are medians over the rounds, seconds and MB",
-            "instances": {},
-        },
-        "end_to_end": {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                       "--trace 0, run in each tree",
-            "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
-                      "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
-                      "pairs; change_better_pairs counts pairs where the change reads lower",
-            "claimed": "dual solve_s.gmean",
-            "workloads": {},
-        },
-    }
+    })
+    doc["end_to_end"].update({
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                   "--trace 0, run in each tree",
+        "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
+                  "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
+                  "pairs; change_better_pairs counts pairs where the change reads lower",
+        "claimed": "dual second_s.gmean",
+    })
+    instances = doc["in_process"]["instances"]
 
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    rounds = {side: [] for side in trees}
-    for r in range(args.rounds):
-        for side in order if r % 2 == 0 else order[::-1]:
-            rounds[side].append(_run_probe(trees[side]))
-    labels = list(rounds["parent"][0])
-    dual = labels[: len(labels) - len(LARGE_VARIANTS)]  # the large variants come last
-    for label in labels:
-        doc["in_process"]["instances"][label] = {
-            side: {key: float(np.median([p[label][key] for p in probes]))
-                   for key in probes[0][label]}
-            for side, probes in rounds.items()
+    def dual_labels():
+        labels = list(instances)
+        return labels[: len(labels) - len(LARGE_VARIANTS)]  # the large variants come last
+
+    def gmeans(keys):
+        doc["in_process"].setdefault("dual_gmean_change_over_parent", {}).update({
+            key: _gmean([instances[lb]["change"][key] / instances[lb]["parent"][key]
+                         for lb in dual_labels()])
+            for key in keys
+        })
+
+    if args.rounds:
+        rounds = _alternate(trees, args.rounds, cold=False)
+        doc["in_process"]["method"] = (
+            f"warm: one process per revision and round ({args.rounds} rounds, the first revision "
+            "alternating); per instance, medians of warm calls (the dual-space calls, the Taylor "
+            "shift at order min(2, deg f), the looped shift, the plan build) over at least "
+            f"{MIN_REPS} calls and {WARM_SECONDS} s, and tracemalloc peaks of a cold and a warm "
+            "multiplicity_structure; values are medians over the rounds, in seconds, bytes and MB")
+        for label in rounds["parent"][0]:
+            for side, probes in rounds.items():
+                instances.setdefault(label, {}).setdefault(side, {}).update(
+                    {key: float(np.median([p[label][key] for p in probes])) for key in probes[0][label]})
+        gmeans(("multiplicity_structure_s", "deflation_one_necessary_s", "shift_s", "cold_peak_mb",
+                "warm_peak_mb"))
+        save()
+
+    if args.cold_rounds:
+        rounds = _alternate(trees, args.cold_rounds, cold=True)
+        doc["in_process"]["cold_method"] = (
+            f"cold: short processes, one per revision and round ({args.cold_rounds} rounds, the "
+            "first revision alternating), each timing per instance the median of "
+            f"{COLD_REPS} first calls, each on a fresh copy of the system with every memoized "
+            "table of polycore emptied; values are medians over the rounds, cold_rounds keeps "
+            "each round's value, and dual_parent_round_spread is each parent round over the "
+            "medians, as a gmean over the dual instances")
+        keys = [name for name, _ in COLD]
+        for label in rounds["parent"][0]:
+            for side, probes in rounds.items():
+                row = instances.setdefault(label, {}).setdefault(side, {})
+                row.update({key: float(np.median([p[label][key] for p in probes])) for key in keys})
+                row["cold_rounds"] = {key: [p[label][key] for p in probes] for key in keys}
+        gmeans(keys)
+        doc["in_process"]["dual_parent_round_spread"] = {
+            key: [_gmean([probe[lb][key] / instances[lb]["parent"][key] for lb in dual_labels()])
+                  for probe in rounds["parent"]]
+            for key in keys
         }
-    instances = doc["in_process"]["instances"]
-    doc["in_process"]["dual_gmean_change_over_parent"] = {
-        key: _gmean([instances[lb]["change"][key] / instances[lb]["parent"][key] for lb in dual])
-        for key in ("cold_s", "multiplicity_structure_s", "deflation_one_necessary_s",
-                    "cold_peak_mb", "warm_peak_mb")
-    }
+    if instances and all("cold_rounds" in row["change"] for row in instances.values()):
+        # the two processes of a round run back to back, so the ratio of a
+        # round's pair takes out most of the host's drift between rounds
+        paired = doc["in_process"]["cold_change_over_parent_by_round"] = {}
+        for label, row in instances.items():
+            paired[label] = {}
+            for key, change in row["change"]["cold_rounds"].items():
+                ratios = np.divide(change, row["parent"]["cold_rounds"][key])
+                paired[label][key] = _quartiles(ratios)
+        doc["in_process"]["dual_gmean_cold_change_over_parent_by_round"] = {
+            key: _gmean([paired[lb][key]["median"] for lb in dual_labels()]) for key in paired[label]
+        }
     save()
 
     for spec in args.pairs:

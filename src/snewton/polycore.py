@@ -26,6 +26,8 @@ Exponent = tuple[int, ...]
 
 # The term arrays store exponents as int16.
 MAX_EXPONENT = int(np.iinfo(np.int16).max)
+# The least integer that float() rounds past the float range.
+_FLOAT_END = 2**1024 - 2**970
 
 __all__ = [
     "Poly",
@@ -847,14 +849,15 @@ def _pascal(top: int, width: int | None = None) -> np.ndarray:
 def _grlex(num_vars: int, order: int):
     """Read-only tables of ``monomials_upto(num_vars, order)``: the exponents
     (int64 rows and tuples), up[i, r] the row of alpha_r + e_i for the rows
-    r of lower order, and the nonzero exponent count of each row.  Order by
-    order, each step alpha + e_i goes to its graded-lex rank by the formula
-    of ``taylor_coefficients``, whose s_j grows by one for j <= i."""
-    n = num_vars
-    pascal, m = _pascal(n + order, n), np.arange(n - 1, -1, -1)
+    r of lower order, and the nonzero exponent count of each row, from those
+    of order - 1.  alpha comes after C(n + |alpha| - 1, n) monomials of lower
+    degree and sum_j C(s_j + m_j, m_j) - C(s_(j+1) + m_j, m_j) of its own,
+    s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j (e_i adds 1 to s_j, j <= i)."""
+    n, m = num_vars, np.arange(num_vars - 1, -1, -1)
     expo, up = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64)
-    for k in range(1, order + 1):
-        low, expo = expo, np.zeros((math.comb(n + k, n), n), dtype=np.int64)
+    if order > 0:
+        pascal, low = _pascal(n + order, n), _grlex(n, order - 1)[0]
+        expo = np.zeros((math.comb(n + order, n), n), dtype=np.int64)
         s = np.cumsum(low[:, ::-1], axis=1)[:, ::-1]  # s[:, j] = alpha_j + ... + alpha_(n-1)
         s1, t1, s0, t0 = (pascal[x + m, m] for x in (s + 1, s - low + 1, s, s - low))
         before, at, after = s1 - t1, s1 - t0, s0 - t0  # the terms of x_j for j <, = and > i
@@ -873,42 +876,67 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     Entry [i, r] is the coefficient of ``(X - xi)^alpha`` in ``f_i``, that
     is ``normalized_partial(f_i, alpha, xi)``, for the r-th alpha of
     ``monomials_upto(n, order)``.  One shift per polynomial, all of them in
-    one pass over the cached term arrays: each term ``c X^beta`` expands into
-    the alpha <= beta with |alpha| <= order, with weight
-    ``c prod_j C(beta_j, alpha_j) xi_j^(beta_j - alpha_j)``, one variable at a
-    time from the last.  The graded-lex rank of alpha builds up along the
-    way: alpha is preceded by C(n + |alpha| - 1, n) monomials of lower
-    degree, and, within its degree, by
-    sum_j C(s_j + m_j, m_j) - C(s_(j+1) + m_j, m_j), where s_j is the sum
-    of alpha_j..alpha_(n-1) and m_j = n - 1 - j the number of variables
-    after x_j.
+    one pass over the system's cached ``_shift_plan``: each term
+    ``c X^beta`` expands into the alpha <= beta with |alpha| <= order, with
+    weight ``c prod_j C(beta_j, alpha_j) xi_j^(beta_j - alpha_j)``,
+    multiplied from the last variable.  The columns past deg f are zero.
     """
-    xi = system._check_point(xi)
-    n = system.num_vars
-    expo, w, row, m = system._arrays
-    pascal = _pascal(max(n + order, int(expo.max(initial=0))))
-    size = int(pascal[n + order, n])
-    term = np.arange(len(w))
-    deg = np.zeros(len(w), dtype=np.int64)
-    index = row * size  # row offset plus the rank of alpha so far
-    for j in reversed(range(n)):
-        col = expo[:, j]
-        if not col.any():
-            continue
-        beta = col[term].astype(np.int64)
-        reps = np.minimum(beta, order - deg) + 1
-        a = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        beta = np.repeat(beta, reps)
-        powers = xi[j] ** np.arange(int(col.max()) + 1)
-        w = np.repeat(w, reps) * pascal[beta, a] * powers[beta - a]
-        low = np.repeat(deg, reps)
-        deg = low + a
-        mj = n - 1 - j
-        index = np.repeat(index, reps) + pascal[deg + mj, mj] - pascal[low + mj, mj]
-        keep = w != 0
-        term, w, deg, index = np.repeat(term, reps)[keep], w[keep], deg[keep], index[keep]
-    index += pascal[n + deg - 1, n]
-    return _pair_sums(w, _pair_ids(index), m * size).reshape(m, size)
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
+    (expo, coef, row, m), n, k = system._arrays, system.num_vars, min(order, system.degree())
+    xi, plan = system._check_point(xi), system._cache.get(("shift", k))
+    if plan is None:  # compiled once per system and order
+        plan = system._cache[("shift", k)] = _shift_plan(expo, row, k)
+    exponents, binomials, term, factors, pairs, size = plan
+    table, vals = np.concatenate(((xi[:, None] ** exponents).reshape(-1), binomials)), coef[term]
+    for pos in factors:
+        vals = np.multiply(vals, table[pos])
+    shift = _pair_sums(vals, pairs, m * size).reshape(m, size)
+    pad = math.comb(n + order, n) - size
+    return np.hstack([shift, np.zeros((m, pad), dtype=complex)]) if pad else shift
+
+
+def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:
+    """The Taylor shift of order ``order`` of the terms ``expo``, ``row``
+    compiled into read-only arrays, all of it but the point.  Item t, one
+    (term, alpha), starts from the coefficient of ``term[t]`` and is
+    multiplied by ``table[pos[t]]`` for each row ``pos`` of ``factors`` in
+    turn; ``table`` holds xi_j^e at j * (h + 1) + e for e in ``exponents``,
+    0..h, then ``binomials``, C(b, a) at b * (order + 1) + a.  Its bins are
+    ``pairs``, of row * ``size`` + the graded-lex rank of alpha.
+
+    A term's places are its nonzero exponents beta_p from the last variable,
+    padded with zeros; at each, an item takes C(beta_p, alpha_p), then
+    x^(beta_p - alpha_p) (no binomials if none is above 1: multiplying by 1
+    or x^0 is exact).  Items of degree d + 1 raise those of degree d at their
+    last raised place or after it, so each degree is in term order; raising
+    x_j in an alpha of degree d with all units at x_j and after adds
+    C(n + d - 1, n - 1) + C(d + n - 1 - j, d + 1) to its rank."""
+    n, h, size = expo.shape[1], int(expo.max(initial=0)), math.comb(expo.shape[1] + order, order)
+    t, j = np.nonzero(expo[:, ::-1])
+    count = np.bincount(t, minlength=len(row))
+    beta, var = np.zeros((2, count.max(initial=1), len(row)), dtype=np.int64)
+    place, j = np.arange(len(t)) - (count.cumsum() - count)[t], n - 1 - j
+    beta[place, t], var[place, t] = expo[t, j], j
+    term, room, rank, last = np.arange(len(row)), beta.astype(np.int16), row * size, np.zeros_like(row)
+    items, places = [(term, room, rank)], np.arange(len(beta))[:, None]
+    for d in range(order):  # room = beta - alpha; step[j] raises x_j
+        step = np.array([math.comb(n + d - 1, n - 1) + math.comb(d + k, d + 1) for k in range(n)])[::-1]
+        last, src = np.nonzero(((room > 0) & (places >= last)).T)[::-1]
+        term, room, rank = term[src], room[:, src] - (places == last), rank[src] + step[var[last, term[src]]]
+        items.append((term, room, rank))
+    term, room, rank = (np.concatenate(a, axis=-1) for a in zip(*items))
+    cols = [n * (h + 1) + beta * (order + 2), var * (h + 1)][order == 0 or h < 2 :]
+    factors = np.take(np.stack(cols, axis=1).reshape(len(cols) * len(beta), -1), term, axis=1)
+    factors[len(cols) - 1 :: len(cols)] += room  # x^(beta - alpha), after C(beta, alpha) if any
+    if len(cols) == 2:
+        factors[::2] -= room
+    binomials = (math.comb(b, a) for b in range(h + 1) for a in range(order + 1))
+    binomials = np.array([float(c) if c < _FLOAT_END else math.inf for c in binomials])
+    plan = (np.arange(h + 1), binomials, term, factors, _pair_ids(rank))
+    for a in plan:
+        a.flags.writeable = False
+    return (*plan, size)
 
 
 def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> PolySystem:

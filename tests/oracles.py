@@ -2,14 +2,15 @@
 deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the paper's operator A;
 row sums from two bincounts; graded-lex multi-indices from combinations;
-the dual-space step that rebuilds its tables from dicts at every order."""
+the dual-space step that rebuilds its tables from dicts at every order;
+the Taylor shift as one loop over the variables."""
 
 import itertools
 import math
 
 import numpy as np
 
-from snewton import twostep
+from snewton import polycore, twostep
 from snewton.dualspace import DualBasis, Functional, _near_tol, _rank_tol
 from snewton.numla import _check_tolerance, right_svd
 from snewton.polycore import (
@@ -143,6 +144,40 @@ def apply_functional(functional, p, xi):
     for alpha in sorted(terms, key=grlex_key):
         total += terms[alpha] * coeffs[index[alpha]]
     return total
+
+
+def looped_taylor_shift(system, xi, order):
+    """``taylor_coefficients`` as one loop over the variables, from the last,
+    that expands the terms and multiplies their weights at each variable,
+    dropping the weights that became zero, with binomials from an int64
+    Pascal table as large as the largest exponent (they wrap past 2^63)."""
+    xi = system._check_point(xi)
+    n = system.num_vars
+    expo, w, row, m = system._arrays
+    top = max(n + order, int(expo.max(initial=0)))
+    pascal = polycore._pascal(top)
+    size = int(pascal[n + order, n])
+    term = np.arange(len(w))
+    deg = np.zeros(len(w), dtype=np.int64)
+    index = row * size  # row offset plus the rank of alpha so far
+    for j in reversed(range(n)):
+        col = expo[:, j]
+        if not col.any():
+            continue
+        beta = col[term].astype(np.int64)
+        reps = np.minimum(beta, order - deg) + 1
+        a = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        beta = np.repeat(beta, reps)
+        powers = xi[j] ** np.arange(int(col.max()) + 1)
+        w = np.repeat(w, reps) * pascal[beta, a] * powers[beta - a]
+        low = np.repeat(deg, reps)
+        deg = low + a
+        mj = n - 1 - j
+        index = np.repeat(index, reps) + pascal[deg + mj, mj] - pascal[low + mj, mj]
+        keep = w != 0
+        term, w, deg, index = np.repeat(term, reps)[keep], w[keep], deg[keep], index[keep]
+    index += pascal[n + deg - 1, n]
+    return polycore._pair_sums(w, polycore._pair_ids(index), m * size).reshape(m, size)
 
 
 def operator_A(system, x, v, v2):

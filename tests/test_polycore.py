@@ -30,6 +30,7 @@ from snewton.polycore import _pair_ids, _pair_sums
 from oracles import (
     AugmentOracle,
     apply_functional,
+    looped_taylor_shift,
     magnitudes,
     segment_sums,
     symbolic_derivative,
@@ -986,6 +987,108 @@ def test_taylor_coefficients_hand_values():
     want = {(0, 0): 5, (1, 0): 4, (0, 1): 1, (2, 0): 2, (1, 1): 2, (2, 1): 1}
     for alpha, c in zip(monomials_upto(2, 3), coeffs[0]):
         assert c == want.get(alpha, 0), alpha
+
+
+def assert_shift_is_the_loops(system, xi, orders):
+    """The compiled shift has the bytes of the loop over the variables, on
+    a fresh system and on the one that already holds its plans."""
+    fresh = system_from_terms(*system._arrays)
+    for order in orders:
+        want = looped_taylor_shift(system, xi, order)
+        for got in (taylor_coefficients(system, xi, order), taylor_coefficients(fresh, xi, order)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), order
+        fresh = system_from_terms(*system._arrays)
+
+
+def test_taylor_shift_has_the_bits_of_the_loop_at_catalog_zeros_and_near_them():
+    from snewton.bench import catalog
+
+    rng = np.random.default_rng(61)
+    for entry in catalog():
+        system, zero = entry.system, entry.zero
+        near = zero + 1e-3 * (rng.standard_normal(len(zero)) + 1j * rng.standard_normal(len(zero)))
+        for xi in (zero, near):
+            assert_shift_is_the_loops(system, xi, range(system.degree() + 3))
+
+
+def test_taylor_shift_has_the_bits_of_the_loop_on_random_variants():
+    from snewton.bench import random_variant
+
+    rng = np.random.default_rng(67)
+    for n in range(3, 13):
+        for kappa in (1, 2, 3):
+            system, zero = random_variant(n, kappa, seed=n + 100 * kappa)
+            near = zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for xi in (zero, near):
+                assert_shift_is_the_loops(system, xi, range(system.degree() + 3))
+
+
+@_PROPERTY
+@given(data=st.data(), system=_random_systems())
+def test_taylor_shift_has_the_bits_of_the_loop_on_random_systems(data, system):
+    xi = data.draw(_vectors(system.num_vars))
+    assert_shift_is_the_loops(system, xi, range(system.degree() + 3))
+
+
+def test_taylor_shift_plan_holds_nothing_of_the_point():
+    from snewton.bench import get_entry, random_variant
+
+    rng = np.random.default_rng(71)
+    cases = [(get_entry(name).system, 3) for name in ("Caprasse", "cbms2", "Cyclic9")]
+    cases += [(random_variant(8, 2, seed=3)[0], 2)]
+    for system, order in cases:
+        n = system.num_vars
+        xi_a, xi_b = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) / 2
+        taylor_coefficients(system, xi_a, order)
+        warm = taylor_coefficients(system, xi_b, order)
+        assert warm.tobytes() == taylor_coefficients(system_from_terms(*system._arrays), xi_b, order).tobytes()
+        plans = {key: plan for key, plan in system._cache.items() if key[0] == "shift"}
+        assert list(plans) == [("shift", order)]
+        for part in plans[("shift", order)][:-1]:
+            assert isinstance(part, np.ndarray) and not part.flags.writeable
+
+
+def test_orders_above_the_degree_share_the_plan_of_the_degree():
+    from snewton.bench import get_entry
+
+    system, zero = get_entry("Caprasse").system, get_entry("Caprasse").zero
+    deg, n = system.degree(), system.num_vars
+    full = taylor_coefficients(system, zero, deg)
+    for order in (deg + 1, deg + 4):
+        shift = taylor_coefficients(system, zero, order)
+        assert shift.shape == (len(system), math.comb(n + order, n))
+        assert shift[:, : full.shape[1]].tobytes() == full.tobytes() and not shift[:, full.shape[1] :].any()
+    assert [key for key in system._cache if key[0] == "shift"] == [("shift", deg)]
+
+
+def test_taylor_binomials_do_not_wrap():
+    # C(300, 12) = 8.88e20 is past int64; rounded once to float, as in
+    # normalized_partial
+    p = parse_poly("x^300", ["x"])
+    got = taylor_coefficients(PolySystem([p]), [1.0], 12)[0, 12]
+    assert got == normalized_partial(p, (12,), [1.0]) == float(math.comb(300, 12))
+    top = parse_system(f"x^{MAX_EXPONENT}", ["x"])
+    want = [float(math.comb(MAX_EXPONENT, a)) for a in range(3)]
+    assert taylor_coefficients(top, [1.0], 2)[0].tolist() == want
+
+
+def test_taylor_tables_grow_with_the_exponent_and_the_order_only():
+    import tracemalloc
+
+    system = parse_system("x^3000", ["x"])
+    tracemalloc.start()
+    try:
+        coeffs = taylor_coefficients(system, [1.0 + 1e-4j], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert coeffs.tobytes() == looped_taylor_shift(system, [1.0 + 1e-4j], 2).tobytes()
+
+
+def test_taylor_coefficients_reject_negative_orders():
+    with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+        taylor_coefficients(parse_system(RUNNING, XYZ), [1, 1, 1], -1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
