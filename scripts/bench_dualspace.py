@@ -3,12 +3,12 @@
 write BENCH_dualspace.json.
 
     python3 scripts/bench_dualspace.py --parent PARENT_TREE --change CHANGE_TREE \\
-        --rounds 5 --pairs dual=951-960 --pairs catalog=961-970 \\
-        --pairs variants=971-980 --out BENCH_dualspace.json
+        --rounds 5 --pairs dual=981-990 --pairs catalog=991-1000 \\
+        --pairs variants=1001-1010 --out BENCH_dualspace.json
 
 PARENT_TREE and CHANGE_TREE are two source trees (``src/`` and
 ``perfbench/``), for example ``git archive`` exports of the two commits.
-The file records:
+Every number in the file comes from the one run its header describes:
 
 * ``in_process``: on the instances of the perfbench ``dual`` workload (the
   catalog zeros but ``x2-xy``, and ``random_variant(n, k, seed=1)`` for its
@@ -17,10 +17,12 @@ The file records:
     ``deflation_one_necessary`` (``cold_s``,
     ``cold_deflation_one_necessary_s``), each on a fresh copy of the system
     with every memoized table of ``polycore`` emptied: the median of
-    ``COLD_REPS`` calls per process, in short processes that alternate
-    between the revisions (``--cold-rounds``), so that drift of the
-    machine between the two sides stays small;
+    ``COLD_REPS`` calls per process, in ``COLD_ROUNDS`` short processes per
+    revision that alternate between the revisions;
   - the medians of warm calls of both;
+  - ``several_points_s``: ``deflation_one_necessary`` at ``POINTS``
+    different points (the zero and points 1e-3 from it) on one fresh copy
+    of the system, the case where a compiled shift is reused;
   - the Taylor shift at order min(2, deg f), the order every call makes:
     warm ``taylor_coefficients`` (``shift_s``) and the loop over the
     variables (``oracle_shift_s``: ``looped_taylor_shift`` of the tree's
@@ -29,14 +31,17 @@ The file records:
   - where the tree compiles shifts: the build of that plan
     (``plan_build_s``), its bytes (``plan_bytes``) and the bytes of all the
     plans the system holds after the warm calls (``plans_held_bytes``);
-  - the ``tracemalloc`` peaks of a cold and a warm ``multiplicity_structure``.
+  - the ``tracemalloc`` peaks of cold and warm ``multiplicity_structure``
+    and cold ``deflation_one_necessary``.
   One fresh process per revision and round, the revision that goes first
   alternating; the values are the medians over the rounds, in seconds,
-  bytes and MB, and ``cold_rounds`` keeps each round's cold calls;
-  ``cold_change_over_parent_by_round`` has the quartiles of the change over
-  the parent within each round's back-to-back pair of processes.
-  ``--merge`` starts from the existing file and replaces only what the run
-  measures (``--rounds 0`` or ``--cold-rounds 0`` skip a part).
+  bytes and MB.  ``cold_parity`` checks the cold calls against the parent:
+  the gmean over the ``dual`` instances beside the spread of the parent's
+  own rounds, and the instances more than 10 % slower.
+* ``plan_reuse`` (trees that compile shifts): the share of Taylor shifts
+  that find their plan compiled already, over the perfbench ``dual`` tasks
+  (seed 7, a warm-up and ``PASSES`` passes, as perfbench runs them) and over
+  CLI ``analyze`` and ``check`` on every catalog entry.
 * ``end_to_end`` (with ``--pairs``): ``perfbench/run.py --workload W --seed
   S --seconds 30 --trace 0`` in each tree, one parent/change pair per seed,
   summarised as in ``BENCH_onepass.json`` by ``scripts/bench_onepass.py``.
@@ -49,23 +54,29 @@ side, run by the script in a process whose ``PYTHONPATH`` is the tree's
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 
-from bench_onepass import _machine, _quartiles, _revision, _run_perfbench, _seeds, _summary
+from bench_onepass import _machine, _revision, _run_perfbench, _seeds, _summary
 
 DUAL_VARIANTS = ((8, 2), (10, 2), (12, 2), (6, 3), (8, 3), (10, 3))  # as perfbench/workloads.py
 LARGE_VARIANTS = ((20, 2), (30, 2))
 WARM_SECONDS = 0.3  # per quantity and instance, after at least MIN_REPS calls
 MIN_REPS = 3
 COLD_REPS = 5  # cold calls per quantity, instance and round, each on a fresh copy
+COLD_ROUNDS = 10  # cold processes per revision
 COLD = (("cold_s", "multiplicity_structure"), ("cold_deflation_one_necessary_s", "deflation_one_necessary"))
+POINTS = 8  # points per system in several_points_s
+PASSES = 3  # passes over the perfbench dual tasks in plan_reuse
 
 
 # -- the measuring side ------------------------------------------------------------------
@@ -101,37 +112,50 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def _tree_module(directory: str, name: str):
+    """The module ``name`` from ``directory`` of the tree whose ``src/`` is
+    imported, or None."""
+    import importlib
+
+    import snewton
+
+    sys.path.insert(0, str(Path(snewton.__file__).resolve().parents[2] / directory))
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        return None
+
+
 def _looped_shift():
     """The Taylor shift as one loop over the variables: the tree's test
     oracle, or its ``taylor_coefficients`` where that is still the loop."""
-    import snewton
     from snewton.polycore import taylor_coefficients
 
-    sys.path.insert(0, str(Path(snewton.__file__).resolve().parents[2] / "tests"))
-    try:
-        import oracles
-    except ImportError:
-        return taylor_coefficients
-    return getattr(oracles, "looped_taylor_shift", taylor_coefficients)
+    return getattr(_tree_module("tests", "oracles"), "looped_taylor_shift", taylor_coefficients)
 
 
 def _plan_bytes(plan) -> int:
     return sum(part.nbytes for part in plan if isinstance(part, np.ndarray))
 
 
-def probe(cold: bool) -> dict:
-    """Per instance, the cold calls (``cold``) or everything else."""
-    from snewton import dualspace, polycore
+def _cases():
     from snewton.bench import catalog, random_variant
-    from snewton.dualspace import deflation_one_necessary, multiplicity_structure
 
     cases = [(e.name, e.system, e.zero) for e in catalog() if e.name != "x2-xy"]
     for n, k in DUAL_VARIANTS + LARGE_VARIANTS:
         cases.append((f"variant n={n} k={k}", *random_variant(n, k, seed=1)))
+    return cases
+
+
+def probe(cold: bool) -> dict:
+    """Per instance, the cold calls (``cold``) or everything else."""
+    from snewton import dualspace, polycore
+    from snewton.dualspace import deflation_one_necessary, multiplicity_structure
+
     np.linalg.svd(np.ones((64, 64)))  # start the BLAS threads before any timing
     looped, build = _looped_shift(), getattr(polycore, "_shift_plan", None)
     out = {}
-    for label, system, zero in cases:
+    for label, system, zero in _cases():
         def fresh():
             _forget_tables()
             return polycore.system_from_terms(*system._arrays)
@@ -151,9 +175,22 @@ def probe(cold: bool) -> dict:
         row["mu"] = multiplicity_structure(copy, zero).multiplicity
         copy = fresh()
         row["cold_peak_mb"] = _peak_mb(lambda: multiplicity_structure(copy, zero))
+        copy = fresh()
+        row["cold_deflation_one_necessary_peak_mb"] = _peak_mb(lambda: deflation_one_necessary(copy, zero))
         row["multiplicity_structure_s"] = _median_call(lambda: multiplicity_structure(system, zero))
         row["deflation_one_necessary_s"] = _median_call(lambda: deflation_one_necessary(system, zero))
         row["warm_peak_mb"] = _peak_mb(lambda: multiplicity_structure(system, zero))
+        rng = np.random.default_rng(5)
+        n = system.num_vars
+        points = [zero] + [zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                           for _ in range(POINTS - 1)]
+
+        def several_points():
+            copy = polycore.system_from_terms(*system._arrays)
+            for xi in points:
+                deflation_one_necessary(copy, xi)
+
+        row["several_points_s"] = _median_call(several_points)
         order = min(2, system.degree())
         row["shift_s"] = _median_call(lambda: polycore.taylor_coefficients(system, zero, order))
         row["oracle_shift_s"] = _median_call(lambda: looped(system, zero, order))
@@ -167,12 +204,60 @@ def probe(cold: bool) -> dict:
     return out
 
 
+def probe_reuse() -> dict:
+    """The Taylor shifts that find their plan compiled already, over the
+    perfbench ``dual`` tasks and over CLI ``analyze`` and ``check``."""
+    import snewton
+    from snewton import bench, cli, dualspace, lvz, numla, polycore, twostep
+
+    if not hasattr(polycore, "_shift_plan"):
+        return {}
+    counts = {"shifts": 0, "plans_built": 0}
+
+    def counting(key, real):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    dualspace.taylor_coefficients = counting("shifts", dualspace.taylor_coefficients)
+    polycore._shift_plan = counting("plans_built", polycore._shift_plan)
+
+    def share(run):
+        counts.update(shifts=0, plans_built=0)
+        run()
+        return {**counts, "reused_share": 1 - counts["plans_built"] / max(counts["shifts"], 1)}
+
+    workloads = _tree_module("perfbench", "workloads")
+    sn = types.SimpleNamespace(package=snewton, bench=bench, cli=cli, dualspace=dualspace, lvz=lvz,
+                               numla=numla, polycore=polycore, twostep=twostep)
+    tasks = workloads.build_dual(sn, 7)
+    pipelines = {task.pipeline: task for task in reversed(tasks)}  # the first task of each
+
+    def passes():
+        for task in pipelines.values():  # the warm-up, as perfbench's set-up makes it
+            task.run()
+        for _ in range(PASSES):
+            for task in tasks:
+                task.run()
+
+    def clis():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for entry in bench.catalog():
+                if entry.name != "x2-xy":
+                    for command in ("analyze", "check"):
+                        cli.main([command, "--catalog", entry.name, "--format", "json"])
+
+    return {"dual_tasks": share(passes), "cli_analyze_and_check": share(clis)}
+
+
 # -- the driving side ------------------------------------------------------------------
 
 
-def _run_probe(tree: Path, cold: bool) -> dict:
+def _run_probe(tree: Path, kind: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-B", str(Path(__file__).resolve()), "--probe", "cold" if cold else "warm"]
+    cmd = [sys.executable, "-B", str(Path(__file__).resolve()), "--probe", kind]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -181,122 +266,108 @@ def _gmean(values) -> float:
     return float(np.exp(np.mean(np.log(values))))
 
 
-def _alternate(trees: dict, rounds: int, cold: bool) -> dict:
+def _alternate(trees: dict, rounds: int, kind: str) -> dict:
     """``rounds`` probes per tree, the tree that goes first alternating."""
     order, probes = list(trees), {side: [] for side in trees}
     for r in range(rounds):
         for side in order if r % 2 == 0 else order[::-1]:
-            probes[side].append(_run_probe(trees[side], cold))
+            probes[side].append(_run_probe(trees[side], kind))
     return probes
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--probe", choices=("cold", "warm"), help=argparse.SUPPRESS)
+    parser.add_argument("--probe", choices=("cold", "warm", "reuse"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path, default=Path("BENCH_dualspace.json"))
     parser.add_argument("--rounds", type=int, default=5, help="warm in-process rounds per revision")
-    parser.add_argument("--cold-rounds", type=int, default=10, help="cold in-process rounds per revision")
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=FIRST-LAST",
                         help="one perfbench pair per seed of the range")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--merge", action="store_true",
-                        help="start from --out and replace only what this run measures")
     args = parser.parse_args(argv)
 
     if args.probe:
-        print(json.dumps(probe(args.probe == "cold")))
+        print(json.dumps(probe_reuse() if args.probe == "reuse" else probe(args.probe == "cold")))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     order = list(trees)
-    doc = json.loads(args.out.read_text()) if args.merge else {
+    doc = {
         "schema": 1,
-        "in_process": {"instances": {}},
-        "end_to_end": {"workloads": {}},
-    }
-    doc.update({
         "what": "the Taylor shift compiled once per system and order: a read-only plan of "
                 "items, factor positions and bins cached with the system, and one vectorized "
                 "pass per point with the bits of the loop over the variables",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
-    })
-    doc["end_to_end"].update({
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0, run in each tree",
-        "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
-                  "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
-                  "pairs; change_better_pairs counts pairs where the change reads lower",
-        "claimed": "dual second_s.gmean",
-    })
-    instances = doc["in_process"]["instances"]
+        "in_process": {"instances": {}},
+        "end_to_end": {
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                       "--trace 0, run in each tree",
+            "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
+                      "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
+                      "pairs; change_better_pairs counts pairs where the change reads lower",
+            "claimed": "dual second_s.gmean",
+            "workloads": {},
+        },
+    }
+    section, instances = doc["in_process"], doc["in_process"]["instances"]
 
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    def dual_labels():
-        labels = list(instances)
-        return labels[: len(labels) - len(LARGE_VARIANTS)]  # the large variants come last
+    def ratios(key, labels):
+        return {lb: instances[lb]["change"][key] / instances[lb]["parent"][key] for lb in labels}
 
-    def gmeans(keys):
-        doc["in_process"].setdefault("dual_gmean_change_over_parent", {}).update({
-            key: _gmean([instances[lb]["change"][key] / instances[lb]["parent"][key]
-                         for lb in dual_labels()])
-            for key in keys
-        })
-
-    if args.rounds:
-        rounds = _alternate(trees, args.rounds, cold=False)
-        doc["in_process"]["method"] = (
-            f"warm: one process per revision and round ({args.rounds} rounds, the first revision "
-            "alternating); per instance, medians of warm calls (the dual-space calls, the Taylor "
-            "shift at order min(2, deg f), the looped shift, the plan build) over at least "
-            f"{MIN_REPS} calls and {WARM_SECONDS} s, and tracemalloc peaks of a cold and a warm "
-            "multiplicity_structure; values are medians over the rounds, in seconds, bytes and MB")
-        for label in rounds["parent"][0]:
-            for side, probes in rounds.items():
+    section["method"] = (
+        f"warm: one process per revision and round ({args.rounds} rounds, the first revision "
+        "alternating); per instance, medians of warm calls (the dual-space calls, the Taylor "
+        "shift at order min(2, deg f), the looped shift, the plan build, deflation_one_necessary "
+        f"at {POINTS} points on one fresh system) over at least {MIN_REPS} calls and "
+        f"{WARM_SECONDS} s, and tracemalloc peaks; values are medians over the rounds, in "
+        "seconds, bytes and MB")
+    section["cold_method"] = (
+        f"cold: short processes, one per revision and round ({COLD_ROUNDS} rounds, the first "
+        f"revision alternating), each timing per instance the median of {COLD_REPS} first calls, "
+        "each on a fresh copy of the system with every memoized table of polycore emptied; "
+        "values are medians over the rounds")
+    for kind, rounds in (("warm", args.rounds), ("cold", COLD_ROUNDS)):
+        probes = _alternate(trees, rounds, kind)
+        for label in probes["parent"][0]:
+            for side, runs in probes.items():
                 instances.setdefault(label, {}).setdefault(side, {}).update(
-                    {key: float(np.median([p[label][key] for p in probes])) for key in probes[0][label]})
-        gmeans(("multiplicity_structure_s", "deflation_one_necessary_s", "shift_s", "cold_peak_mb",
-                "warm_peak_mb"))
+                    {key: float(np.median([p[label][key] for p in runs])) for key in runs[0][label]})
+        dual = list(instances)[: len(instances) - len(LARGE_VARIANTS)]  # the large variants come last
+        if kind == "cold":
+            spread = section["dual_parent_round_spread"] = {}
+            for key, _ in COLD:
+                spread[key] = [_gmean([p[lb][key] / instances[lb]["parent"][key] for lb in dual])
+                               for p in probes["parent"]]
         save()
-
-    if args.cold_rounds:
-        rounds = _alternate(trees, args.cold_rounds, cold=True)
-        doc["in_process"]["cold_method"] = (
-            f"cold: short processes, one per revision and round ({args.cold_rounds} rounds, the "
-            "first revision alternating), each timing per instance the median of "
-            f"{COLD_REPS} first calls, each on a fresh copy of the system with every memoized "
-            "table of polycore emptied; values are medians over the rounds, cold_rounds keeps "
-            "each round's value, and dual_parent_round_spread is each parent round over the "
-            "medians, as a gmean over the dual instances")
-        keys = [name for name, _ in COLD]
-        for label in rounds["parent"][0]:
-            for side, probes in rounds.items():
-                row = instances.setdefault(label, {}).setdefault(side, {})
-                row.update({key: float(np.median([p[label][key] for p in probes])) for key in keys})
-                row["cold_rounds"] = {key: [p[label][key] for p in probes] for key in keys}
-        gmeans(keys)
-        doc["in_process"]["dual_parent_round_spread"] = {
-            key: [_gmean([probe[lb][key] / instances[lb]["parent"][key] for lb in dual_labels()])
-                  for probe in rounds["parent"]]
-            for key in keys
+    keys = ("multiplicity_structure_s", "deflation_one_necessary_s", "several_points_s", "shift_s",
+            "cold_s", "cold_deflation_one_necessary_s", "cold_peak_mb",
+            "cold_deflation_one_necessary_peak_mb", "warm_peak_mb")
+    section["dual_gmean_change_over_parent"] = {key: _gmean(list(ratios(key, dual).values())) for key in keys}
+    section["cold_parity"] = {
+        key: {
+            "gmean_change_over_parent": section["dual_gmean_change_over_parent"][key],
+            "parent_round_spread": [min(section["dual_parent_round_spread"][key]),
+                                    max(section["dual_parent_round_spread"][key])],
+            "worst_instance": max(ratios(key, dual).items(), key=lambda kv: kv[1]),
+            "instances_above_1.10": {lb: r for lb, r in ratios(key, dual).items() if r > 1.10},
         }
-    if instances and all("cold_rounds" in row["change"] for row in instances.values()):
-        # the two processes of a round run back to back, so the ratio of a
-        # round's pair takes out most of the host's drift between rounds
-        paired = doc["in_process"]["cold_change_over_parent_by_round"] = {}
-        for label, row in instances.items():
-            paired[label] = {}
-            for key, change in row["change"]["cold_rounds"].items():
-                ratios = np.divide(change, row["parent"]["cold_rounds"][key])
-                paired[label][key] = _quartiles(ratios)
-        doc["in_process"]["dual_gmean_cold_change_over_parent_by_round"] = {
-            key: _gmean([paired[lb][key]["median"] for lb in dual_labels()]) for key in paired[label]
-        }
+        for key, _ in COLD
+    }
+    doc["plan_reuse"] = {
+        "what": "shares of the Taylor shifts (dualspace calls of taylor_coefficients) that find "
+                f"their plan compiled already; dual_tasks: perfbench build_dual(seed 7), one "
+                f"warm-up call per pipeline and {PASSES} passes over all tasks; "
+                "cli_analyze_and_check: cli.main analyze and check on every catalog entry",
+        **_run_probe(trees["change"], "reuse"),
+    }
     save()
 
     for spec in args.pairs:

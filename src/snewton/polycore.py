@@ -846,18 +846,24 @@ def _pascal(top: int, width: int | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _grlex_memo(num_vars: int) -> dict:  # the _grlex tables asked for so far, by order
+    return {}
+
+
 def _grlex(num_vars: int, order: int):
-    """Read-only tables of ``monomials_upto(num_vars, order)``: the exponents
-    (int64 rows and tuples), up[i, r] the row of alpha_r + e_i for the rows
-    r of lower order, and the nonzero exponent count of each row, from those
-    of order - 1.  alpha comes after C(n + |alpha| - 1, n) monomials of lower
-    degree and sum_j C(s_j + m_j, m_j) - C(s_(j+1) + m_j, m_j) of its own,
-    s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j (e_i adds 1 to s_j, j <= i)."""
-    n, m = num_vars, np.arange(num_vars - 1, -1, -1)
+    """Read-only tables of ``monomials_upto(num_vars, order)``, built in a loop up
+    from the highest order held: exponents (int64 rows and tuples), up[i, r] the
+    row of alpha_r + e_i for the rows r of lower order, each row's nonzero count.
+    alpha follows C(n + |alpha| - 1, n) monomials of lower degree and sum_j C(s_j + m_j, m_j)
+    - C(s_(j+1) + m_j, m_j) of its own, s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j."""
+    n, m, tables = num_vars, np.arange(num_vars - 1, -1, -1), _grlex_memo(num_vars)
+    top = max((k for k in list(tables) if k <= order), default=-1)
+    if top == order:
+        return tables[order]
     expo, up = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64)
-    if order > 0:
-        pascal, low = _pascal(n + order, n), _grlex(n, order - 1)[0]
-        expo = np.zeros((math.comb(n + order, n), n), dtype=np.int64)
+    expo, pascal = tables[top][0] if top > 0 else expo, _pascal(n + order, n)
+    for k in range(max(top, 0) + 1, order + 1):
+        low, expo = expo, np.zeros((math.comb(n + k, n), n), dtype=np.int64)
         s = np.cumsum(low[:, ::-1], axis=1)[:, ::-1]  # s[:, j] = alpha_j + ... + alpha_(n-1)
         s1, t1, s0, t0 = (pascal[x + m, m] for x in (s + 1, s - low + 1, s, s - low))
         before, at, after = s1 - t1, s1 - t0, s0 - t0  # the terms of x_j for j <, = and > i
@@ -867,7 +873,7 @@ def _grlex(num_vars: int, order: int):
             expo[up[i]] = low + np.eye(1, n, i, dtype=np.int64)
     support = np.count_nonzero(expo, axis=1)
     expo.flags.writeable = up.flags.writeable = support.flags.writeable = False
-    return expo, tuple(map(tuple, expo.tolist())), up, support
+    return tables.setdefault(order, (expo, tuple(map(tuple, expo.tolist())), up, support))
 
 
 def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -> np.ndarray:
@@ -875,11 +881,10 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
 
     Entry [i, r] is the coefficient of ``(X - xi)^alpha`` in ``f_i``, that
     is ``normalized_partial(f_i, alpha, xi)``, for the r-th alpha of
-    ``monomials_upto(n, order)``.  One shift per polynomial, all of them in
-    one pass over the system's cached ``_shift_plan``: each term
-    ``c X^beta`` expands into the alpha <= beta with |alpha| <= order, with
-    weight ``c prod_j C(beta_j, alpha_j) xi_j^(beta_j - alpha_j)``,
-    multiplied from the last variable.  The columns past deg f are zero.
+    ``monomials_upto(n, order)``.  One pass over the system's cached
+    ``_shift_plan``: each term ``c X^beta`` expands into the alpha <= beta
+    with |alpha| <= order, weighted by ``c prod_j C(beta_j, alpha_j)
+    xi_j^(beta_j - alpha_j)`` from the last variable.  Columns past deg f are 0.
     """
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
@@ -887,34 +892,32 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     xi, plan = system._check_point(xi), system._cache.get(("shift", k))
     if plan is None:  # compiled once per system and order
         plan = system._cache[("shift", k)] = _shift_plan(expo, row, k)
-    exponents, binomials, term, factors, pairs, size = plan
-    table, vals = np.concatenate(((xi[:, None] ** exponents).reshape(-1), binomials)), coef[term]
+    owner, exponents, binomials, term, factors, pairs, size = plan
+    table, vals = np.concatenate((xi[owner] ** exponents, binomials)), coef.take(term)
     for pos in factors:
-        vals = np.multiply(vals, table[pos])
-    shift = _pair_sums(vals, pairs, m * size).reshape(m, size)
-    pad = math.comb(n + order, n) - size
+        vals = np.multiply(vals, table.take(pos))
+    shift, pad = _pair_sums(vals, pairs, m * size).reshape(m, size), math.comb(n + order, n) - size
     return np.hstack([shift, np.zeros((m, pad), dtype=complex)]) if pad else shift
 
 
 def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:
-    """The Taylor shift of order ``order`` of the terms ``expo``, ``row``
-    compiled into read-only arrays, all of it but the point.  Item t, one
-    (term, alpha), starts from the coefficient of ``term[t]`` and is
-    multiplied by ``table[pos[t]]`` for each row ``pos`` of ``factors`` in
-    turn; ``table`` holds xi_j^e at j * (h + 1) + e for e in ``exponents``,
-    0..h, then ``binomials``, C(b, a) at b * (order + 1) + a.  Its bins are
-    ``pairs``, of row * ``size`` + the graded-lex rank of alpha.
+    """The Taylor shift of order ``order`` of the terms ``expo``, ``row``, all of
+    it but the point, in read-only arrays.  Item t, one (term, alpha), is the
+    coefficient of ``term[t]`` times ``table[pos[t]]`` for each row ``pos`` of
+    ``factors`` in turn, in the bins ``pairs`` of row * ``size`` + the rank of
+    alpha.  ``table`` holds xi_j^e, e <= h_j (the largest exponent of x_j), at
+    base_j + e (``owner`` j, ``exponents`` e), then C(b, a) at b * (order + 1) + order - a.
 
-    A term's places are its nonzero exponents beta_p from the last variable,
-    padded with zeros; at each, an item takes C(beta_p, alpha_p), then
-    x^(beta_p - alpha_p) (no binomials if none is above 1: multiplying by 1
-    or x^0 is exact).  Items of degree d + 1 raise those of degree d at their
-    last raised place or after it, so each degree is in term order; raising
-    x_j in an alpha of degree d with all units at x_j and after adds
-    C(n + d - 1, n - 1) + C(d + n - 1 - j, d + 1) to its rank."""
-    n, h, size = expo.shape[1], int(expo.max(initial=0)), math.comb(expo.shape[1] + order, order)
-    t, j = np.nonzero(expo[:, ::-1])
-    count = np.bincount(t, minlength=len(row))
+    Each place, a nonzero exponent beta_p of the term from the last variable
+    or padding, gives C(beta_p, alpha_p) (if any exponent is above 1), then
+    x^(beta_p - alpha_p); 1 and x^0 multiply exactly.  Items of degree d + 1
+    raise those of degree d at their last raised place or after, so each
+    degree is in term order; raising x_j in an alpha of degree d with all
+    units at x_j and after adds C(n + d - 1, n - 1) + C(d + n - 1 - j, d + 1)."""
+    n, size = expo.shape[1], math.comb(expo.shape[1] + order, order)
+    tops = expo.max(axis=0, initial=0).astype(np.int64) + 1  # h_j + 1 powers of x_j
+    h, base, owner = int(tops.max(initial=1)) - 1, np.cumsum(tops) - tops, np.repeat(np.arange(n), tops)
+    (t, j), count = np.nonzero(expo[:, ::-1]), np.count_nonzero(expo, axis=1)
     beta, var = np.zeros((2, count.max(initial=1), len(row)), dtype=np.int64)
     place, j = np.arange(len(t)) - (count.cumsum() - count)[t], n - 1 - j
     beta[place, t], var[place, t] = expo[t, j], j
@@ -925,15 +928,14 @@ def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:
         last, src = np.nonzero(((room > 0) & (places >= last)).T)[::-1]
         term, room, rank = term[src], room[:, src] - (places == last), rank[src] + step[var[last, term[src]]]
         items.append((term, room, rank))
-    term, room, rank = (np.concatenate(a, axis=-1) for a in zip(*items))
-    cols = [n * (h + 1) + beta * (order + 2), var * (h + 1)][order == 0 or h < 2 :]
-    factors = np.take(np.stack(cols, axis=1).reshape(len(cols) * len(beta), -1), term, axis=1)
-    factors[len(cols) - 1 :: len(cols)] += room  # x^(beta - alpha), after C(beta, alpha) if any
-    if len(cols) == 2:
-        factors[::2] -= room
-    binomials = (math.comb(b, a) for b in range(h + 1) for a in range(order + 1))
+    term, room, rank = items = [np.concatenate(a, axis=-1) for a in zip(*items)]  # the parts freed
+    cols = np.stack([len(owner) + order + beta * order, base[var]][order == 0 or h < 2 :], axis=1)
+    factors = cols.astype(np.int32).take(term, axis=2)  # by place, factor, item
+    factors += room[:, None]  # C(beta, beta - room), then xi^room
+    binomials = (math.comb(b, a) for b in range(h + 1) for a in range(order, -1, -1))
     binomials = np.array([float(c) if c < _FLOAT_END else math.inf for c in binomials])
-    plan = (np.arange(h + 1), binomials, term, factors, _pair_ids(rank))
+    plan = (owner, np.arange(len(owner)) - base[owner], binomials, term.astype(np.int32),
+            factors.reshape(cols.shape[0] * cols.shape[1], -1), _pair_ids(rank))
     for a in plan:
         a.flags.writeable = False
     return (*plan, size)

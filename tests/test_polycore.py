@@ -25,7 +25,7 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _pair_ids, _pair_sums
+from snewton.polycore import _grlex_memo, _pair_ids, _pair_sums
 
 from oracles import (
     AugmentOracle,
@@ -1084,6 +1084,36 @@ def test_taylor_tables_grow_with_the_exponent_and_the_order_only():
         tracemalloc.stop()
     assert peak < 1e6, peak
     assert coeffs.tobytes() == looped_taylor_shift(system, [1.0 + 1e-4j], 2).tobytes()
+
+
+def test_power_tables_are_sized_by_each_variables_own_exponent():
+    import tracemalloc
+
+    names = [f"x{i}" for i in range(1, 101)]
+    system = parse_system(f"x1^{MAX_EXPONENT} + x2*x3\nx100^2", names)
+    xi = np.full(100, 1.0 + 0j)
+    taylor_coefficients(system, xi, 2)
+    owner = system._cache[("shift", 2)][0]
+    assert len(owner) == (MAX_EXPONENT + 1) + 2 + 2 + 96 + 3  # h_j + 1 powers of each x_j
+    tracemalloc.start()
+    try:
+        coeffs = taylor_coefficients(system, xi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak  # one table of all n * (h + 1) powers would take 52 MB
+    monomials = monomials_upto(100, 2)
+    for alpha in [(0,) * 100, (2,) + (0,) * 99, (0, 1, 1) + (0,) * 97, (0,) * 99 + (1,)]:
+        r = monomials.index(alpha)
+        assert coeffs[:, r].tolist() == [normalized_partial(p, alpha, xi) for p in system]
+
+
+def test_monomials_of_a_high_order_from_an_empty_memo():
+    # built in a loop, not by one call per lower order
+    _grlex_memo.cache_clear()
+    assert monomials_upto(1, 1500) == [(k,) for k in range(1501)]
+    assert monomials_upto(1, 700) == [(k,) for k in range(701)]
+    assert monomials_upto(2, 2)[-3:] == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_taylor_coefficients_reject_negative_orders():
