@@ -73,7 +73,7 @@ LARGE_VARIANTS = ((20, 2), (30, 2))
 WARM_SECONDS = 0.3  # per quantity and instance, after at least MIN_REPS calls
 MIN_REPS = 3
 COLD_REPS = 5  # cold calls per quantity, instance and round, each on a fresh copy
-COLD_ROUNDS = 10  # cold processes per revision
+COLD_ROUNDS = 20  # cold processes per revision (one process can read 40 % off on a shared 2-CPU host)
 COLD = (("cold_s", "multiplicity_structure"), ("cold_deflation_one_necessary_s", "deflation_one_necessary"))
 POINTS = 8  # points per system in several_points_s
 PASSES = 3  # passes over the perfbench dual tasks in plan_reuse
