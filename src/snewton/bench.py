@@ -22,7 +22,8 @@ import numpy as np
 
 from . import lvz
 from .numla import cond, singular_values
-from .polycore import Poly, PolySystem, _system_from_json, parse_system, system_from_terms
+from .polycore import Poly, PolySystem, _system_from_json, compose_affine, parse_system
+from .polycore import system_from_terms
 from .twostep import StepConfig, refine, two_step
 
 __all__ = [
@@ -291,19 +292,16 @@ def template_system(n: int, k: int) -> PolySystem:
     """[x_1^2, ..., x_k^2, x_{k+1}, ..., x_n]; corank k at the origin."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    polys = [Poly.variable(n, i) ** 2 for i in range(k)]
-    polys += [Poly.variable(n, i) for i in range(k, n)]
-    return PolySystem(polys)
+    return system_from_terms(np.diag(1 + (np.arange(n) < k)), np.ones(n), np.arange(n), n)
 
 
 def random_variant(n: int, k: int, seed=0) -> tuple[PolySystem, np.ndarray]:
     """Affine variant X -> template(A (X - b)) with a random well-conditioned
     A and random b; the returned point b is its singular zero (corank k,
     multiplicity 2^k)."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    template = template_system(n, k)
     a, b = _variant_map(n, seed)
-    return _composed_template(a, b, k), b
+    return compose_affine(template, a, b), b
 
 
 def _variant_map(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -315,36 +313,6 @@ def _variant_map(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
             break
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return a, b
-
-
-def _composed_template(a: np.ndarray, b: np.ndarray, k: int) -> PolySystem:
-    """``compose_affine(template_system(n, k), a, b)``, built from numpy
-    products instead of polynomial arithmetic.
-
-    Row i is the linear form l_i = a_i . X - (a b)_i for i >= k, and l_i^2
-    for i < k.  compose_affine forms l_i^2 from products of coefficient
-    pairs in Python complex arithmetic, adding them to 0.0 in turn (two
-    products for each cross term), and adds every coefficient to 0.0 once
-    more when it multiplies by the template's coefficient 1.  The same
-    roundings are made here, so the coefficients are equal.
-    """
-    n = len(b)
-    lin = np.column_stack([a, 0.0 - a @ b])  # coefficients of x_1, ..., x_n, 1
-    j, l = np.triu_indices(n + 1)
-    re, im = lin[:k].real, lin[:k].imag
-    prod = (re[:, j] * re[:, l] - im[:, j] * im[:, l]) + 1j * (
-        re[:, j] * im[:, l] + im[:, j] * re[:, l]
-    )
-    square = 0.0 + prod
-    square[:, j != l] += prod[:, j != l]
-    pairs = np.zeros((len(j), n + 1), dtype=np.int16)
-    pairs[np.arange(len(j)), j] += 1
-    pairs[np.arange(len(j)), l] += 1
-    linear = np.eye(n + 1, n, dtype=np.int16)
-    expo = np.concatenate([np.tile(pairs[:, :n], (k, 1)), np.tile(linear, (n - k, 1))])
-    coef = np.concatenate([square.reshape(-1), (0.0 + lin[k:]).reshape(-1)])
-    row = np.concatenate([np.repeat(np.arange(k), len(j)), np.repeat(np.arange(k, n), n + 1)])
-    return system_from_terms(expo, coef, row, n)
 
 
 def variant_rank_tolerance(system: PolySystem, zero, corank: int) -> float:

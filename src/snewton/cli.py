@@ -73,14 +73,18 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _parse_point(text: str, n: int) -> np.ndarray:
+def _parse_point(text: str, n: int, option: str) -> np.ndarray:
+    """The ``n`` comma-separated entries of ``option``, like 1.5, inf, -i or
+    2+0.5i; an error names the entry it cannot read."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise ValueError(f"point has {len(parts)} coordinates, system has {n} variables")
+        raise ValueError(f"{option} has {len(parts)} coordinates, system has {n} variables")
     values = []
-    for part in parts:
-        v = part.replace("i", "j")
-        values.append(complex(v))
+    for k, part in enumerate(parts, 1):
+        try:  # only a trailing i is the imaginary unit
+            values.append(complex(part[:-1] + "j" if part.endswith("i") else part))
+        except ValueError:
+            raise ValueError(f"{option} entry {k} is not a complex number: {part!r}") from None
     return np.array(values, dtype=complex)
 
 
@@ -105,7 +109,7 @@ def _load_system(args):
 
 def _start_point(args, system, entry) -> np.ndarray:
     if args.x0:
-        return _parse_point(args.x0, system.num_vars)
+        return _parse_point(args.x0, system.num_vars, "--x0")
     if entry is not None:
         return entry.zero
     raise ValueError("--x0 is required when loading a system from a file")
@@ -124,7 +128,7 @@ def _cmd_refine(args) -> int:
     cfg = StepConfig(tol=args.tol, seed=_seed(args), stop_residual=args.stop, max_iters=args.iters)
     reference = None
     if args.reference:
-        reference = _parse_point(args.reference, system.num_vars)
+        reference = _parse_point(args.reference, system.num_vars, "--reference")
     elif entry is not None:
         reference = entry.zero
     trace = refine(system, x0, cfg, reference=reference)

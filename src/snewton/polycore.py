@@ -279,7 +279,10 @@ class PolySystem:
         return hash((self.num_vars, m, expo.tobytes(), row.tobytes()))
 
     def degree(self) -> int:
-        return int(self._arrays[0].sum(axis=1).max(initial=0))
+        """Total degree (0 for the zero system), summed once and then kept."""
+        if "degree" not in self._cache:
+            self._cache["degree"] = int(self._arrays[0].sum(axis=1).max(initial=0))
+        return self._cache["degree"]
 
     def is_square(self) -> bool:
         return len(self) == self.num_vars
@@ -856,10 +859,11 @@ def _grlex(num_vars: int, order: int):
     row of alpha_r + e_i for the rows r of lower order, each row's nonzero count.
     alpha follows C(n + |alpha| - 1, n) monomials of lower degree and sum_j C(s_j + m_j, m_j)
     - C(s_(j+1) + m_j, m_j) of its own, s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j."""
-    n, m, tables = num_vars, np.arange(num_vars - 1, -1, -1), _grlex_memo(num_vars)
-    top = max((k for k in list(tables) if k <= order), default=-1)
-    if top == order:
+    tables = _grlex_memo(num_vars)
+    if order in tables:
         return tables[order]
+    n, m = num_vars, np.arange(num_vars - 1, -1, -1)
+    top = max((k for k in list(tables) if k <= order), default=-1)
     expo, up = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64)
     expo, pascal = tables[top][0] if top > 0 else expo, _pascal(n + order, n)
     for k in range(max(top, 0) + 1, order + 1):
@@ -945,46 +949,49 @@ def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> P
     """The system ``X -> f(A (X - b))``, expanded to canonical sparse form.
 
     If 0 is a zero of ``f`` then ``b`` is a zero of the result, with the same
-    local structure whenever ``A`` is invertible.
+    local structure whenever ``A`` is invertible.  A term c X^beta becomes c
+    times the linear forms l_j = a_j . X - (a b)_j of its factors, in
+    ascending variable order.  The product grows by one form at a time, over
+    the graded-lex monomials of its degree, with each coefficient product
+    rounded as Python rounds a complex product; each row then adds its terms
+    in term order.  No ``Poly`` is built.
     """
-    n = system.num_vars
+    n, (expo, coef, row, m) = system.num_vars, system._arrays
     a = np.asarray(a, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"matrix has shape {a.shape}, expected ({n}, {n})")
     b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape != (n,):
         raise ValueError("offset length does not match the number of variables")
-
-    # Row i of A applied to (X - b), as a linear polynomial.
-    shift = a @ b
-    linear = []
-    for i in range(n):
-        terms: dict[Exponent, complex] = {}
-        for j in range(n):
-            if a[i, j] != 0:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = a[i, j]
-        if shift[i] != 0:
-            terms[(0,) * n] = terms.get((0,) * n, 0.0) - shift[i]
-        linear.append(Poly(n, terms))
-
-    # Substitute, caching powers of each linear form.
-    powers: list[list[Poly]] = [[Poly.constant(n, 1.0), linear[i]] for i in range(n)]
-
-    def power(i: int, k: int) -> Poly:
-        while len(powers[i]) <= k:
-            powers[i].append(powers[i][-1] * linear[i])
-        return powers[i][k]
-
-    out = []
-    for p in system.polys:
-        q = Poly.zero(n)
-        for alpha, c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])):
-            term = Poly.constant(n, c)
-            for i, e in enumerate(alpha):
-                if e:
-                    term = term * power(i, e)
-            q = q + term
-        out.append(q)
-    return PolySystem(out)
+    _check_finite(a, "matrix entry")
+    _check_finite(b, "offset entry")
+    deg, top = expo.sum(axis=1, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    np.maximum.at(top, row, deg)  # each row's degree
+    size = [math.comb(n + d, n) for d in range(int(top.max(initial=0)) + 1)]  # monomials of degree <= d
+    width = np.array(size)[top]
+    start = np.cumsum(width) - width  # each row's first coefficient
+    order = np.argsort(-deg, kind="stable")  # the terms that have an s-th form lead
+    stop = np.cumsum(expo[order], axis=1, dtype=np.int64)  # the s-th form is l_j, j the first with stop > s
+    vals, done, parts = coef[order][:, None], len(order), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        forms = np.column_stack([a, 0.0 - a @ b])  # the coefficients of x_1, ..., x_n, 1
+        for s in range(len(size)):
+            live = np.count_nonzero(deg > s)  # the terms of degree s are complete
+            parts.append((start[row[order[live:done]], None] + np.arange(size[s]), vals[live:]))
+            if not live:
+                break
+            form = forms[np.count_nonzero(stop[:live] <= s, axis=1), :, None]
+            vals, done = vals[:live, None], live
+            prod = np.empty((live, n + 1, size[s]), dtype=complex)
+            prod.real = vals.real * form.real - vals.imag * form.imag
+            prod.imag = vals.real * form.imag + vals.imag * form.real
+            to = np.vstack([_grlex(n, s + 1)[2], np.arange(size[s])])  # alpha + e_j, then alpha
+            to = (np.arange(live)[:, None, None] * size[s + 1] + to).reshape(-1)
+            vals = _pair_sums(prod.reshape(-1), _pair_ids(to), live * size[s + 1]).reshape(live, -1)
+    at, vals = (np.concatenate([p.reshape(-1) for p in part]) for part in zip(*parts))
+    sums = _pair_sums(vals, _pair_ids(at), width.sum())
+    if not np.isfinite(sums).all():
+        raise ValueError("a coefficient of the composition overflows")
+    out = np.repeat(np.arange(m), width)
+    expo = _grlex(n, len(size) - 1)[0].astype(np.int16)[np.arange(len(out)) - start[out]]
+    return system_from_terms(expo, sums, out, m)

@@ -3,7 +3,8 @@ deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the paper's operator A;
 row sums from two bincounts; graded-lex multi-indices from combinations;
 the dual-space step that rebuilds its tables from dicts at every order;
-the Taylor shift as one loop over the variables."""
+the Taylor shift as one loop over the variables; the affine substitution
+f(A(X - b)) by polynomial arithmetic."""
 
 import itertools
 import math
@@ -278,3 +279,40 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
         candidate_dim=candidates.shape[1],
         ambiguous=ambiguous,
     )
+
+
+def symbolic_compose_affine(system, a, b):
+    """``compose_affine`` with polynomial arithmetic: each row adds, in
+    graded-lex order, its terms c * l_1^e_1 * ... * l_n^e_n, with the powers
+    of each linear form l_i = a_i . X - (a b)_i built by repeated products."""
+    n = system.num_vars
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    shift = a @ b
+    linear = []
+    for i in range(n):
+        terms = {}
+        for j in range(n):
+            if a[i, j] != 0:
+                terms[tuple(int(j == k) for k in range(n))] = a[i, j]
+        if shift[i] != 0:
+            terms[(0,) * n] = 0.0 - shift[i]
+        linear.append(Poly(n, terms))
+    powers = [[Poly.constant(n, 1.0), linear[i]] for i in range(n)]
+
+    def power(i, k):
+        while len(powers[i]) <= k:
+            powers[i].append(powers[i][-1] * linear[i])
+        return powers[i][k]
+
+    out = []
+    for p in system.polys:
+        q = Poly.zero(n)
+        for alpha in sorted(p.terms, key=grlex_key):
+            term = Poly.constant(n, p.terms[alpha])
+            for i, e in enumerate(alpha):
+                if e:
+                    term = term * power(i, e)
+            q = q + term
+        out.append(q)
+    return PolySystem(out)

@@ -26,6 +26,8 @@ from snewton.bench import (
 from snewton.dualspace import multiplicity_structure
 from snewton.polycore import compose_affine
 
+from oracles import symbolic_compose_affine
+
 EXTERNAL = {"cbms1", "cbms2", "mth191", "KSS", "Caprasse", "Cyclic9"}
 
 
@@ -166,6 +168,7 @@ def test_template_system_shape():
 def test_identity_variant_is_the_template():
     template = template_system(4, 2)
     assert compose_affine(template, np.eye(4), np.zeros(4)) == template
+    assert symbolic_compose_affine(template, np.eye(4), np.zeros(4)) == template
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30])
@@ -175,7 +178,7 @@ def test_random_variant_equals_the_symbolic_composition(n):
             system, zero = random_variant(n, k, seed=seed)
             a, b = bench._variant_map(n, seed)
             assert np.array_equal(zero, b)
-            assert system == compose_affine(template_system(n, k), a, b)
+            assert system == symbolic_compose_affine(template_system(n, k), a, b)
     with pytest.raises(ValueError):
         random_variant(n, n + 1)
 

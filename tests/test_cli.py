@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from snewton.cli import main
+from snewton.cli import _parse_point, main
 
 
 def run_cli(capsys, *argv):
@@ -272,3 +272,26 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.delenv("SNEWTON_SEED")
     _, with_default, _ = run_cli(capsys, *args, "--seed", "11")
     assert with_env == with_default
+
+
+def test_point_entries_take_i_as_the_imaginary_unit_only_at_their_end():
+    point = _parse_point(" 1.5, 2+0.5i,-i , inf, 1e-3-2i, nan", 6, "--x0")
+    want = [1.5, 2 + 0.5j, -1j, np.inf, 1e-3 - 2j]
+    assert point[:5].tolist() == want and np.isnan(point[5])
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--x0", "inf,1,1", "point coordinate 1 is not finite"),
+        ("--reference", "1,1,-inf", "point coordinate 3 is not finite"),
+        ("--x0", "1,x,1", "--x0 entry 2 is not a complex number: 'x'"),
+        ("--reference", "1,1,1i2", "--reference entry 3 is not a complex number: '1i2'"),
+        ("--x0", "1,,1", "--x0 entry 2 is not a complex number: ''"),
+        ("--reference", "1,1", "--reference has 2 coordinates, system has 3 variables"),
+    ],
+)
+def test_refine_names_a_bad_point_entry(capsys, option, text, message):
+    code, out, err = run_cli(capsys, "refine", "--catalog", "running-example", f"{option}={text}")
+    assert code == 1 and out == ""
+    assert f"error: {message}" in err

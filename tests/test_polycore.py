@@ -33,6 +33,7 @@ from oracles import (
     looped_taylor_shift,
     magnitudes,
     segment_sums,
+    symbolic_compose_affine,
     symbolic_derivative,
     symbolic_jacobian,
 )
@@ -1149,7 +1150,42 @@ def test_order_zero_functional_reproduces_eval():
     assert abs(apply_functional({(0, 0, 0): 1.0}, p, xi) - p.eval(xi)) < 1e-12 * (1 + abs(p.eval(xi)))
 
 
+def test_degree_is_summed_once_and_kept():
+    """The first ``degree()`` sums the exponents and keeps the result with the
+    system; later calls, such as each Taylor shift's, read it."""
+    system = parse_system(RUNNING, XYZ)
+    assert "degree" not in system._cache
+    taylor_coefficients(system, [1, 1, 1], 3)
+    assert system._cache["degree"] == 2
+    system._cache["degree"] = 7  # a kept value that the exponents do not give
+    assert system.degree() == 7
+
+
 # -- affine composition --------------------------------------------------------
+
+
+def random_map(rng, n):
+    """A complex Gaussian matrix A and offset b."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def cubic_template(n, k):
+    """[x_1^3, ..., x_k^3, x_{k+1}, ..., x_n]."""
+    return system_from_terms(np.diag(1 + 2 * (np.arange(n) < k)), np.ones(n), np.arange(n), n)
+
+
+def assert_composes(composed, system, a, b, rng, oracle=None, rel=1e-12):
+    """At random points x, ``composed`` evaluates as f(A(x - b)) and as the
+    ``oracle`` system, if one is given, within ``rel`` of the moduli of f's
+    coefficients at |A|(|x| + |b|), which bound every product either sums."""
+    n = system.num_vars
+    for _ in range(3):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        scale = np.linalg.norm(magnitudes(system).eval(np.abs(a) @ (np.abs(x) + np.abs(b))))
+        got = composed.eval(x)
+        for want in [system.eval(a @ (x - b))] + ([] if oracle is None else [oracle.eval(x)]):
+            assert np.linalg.norm(got - want) <= rel * scale
 
 
 def test_compose_affine_identity():
@@ -1170,6 +1206,59 @@ def test_compose_affine_evaluation_commutes():
         assert err <= 1e-12 * (1 + np.linalg.norm(direct))
 
 
+def test_compose_affine_matches_the_symbolic_composition_on_the_catalog():
+    """Each catalog system composed with the identity map is itself, and with
+    a random map evaluates as the symbolic composition.  Cyclic9, which the
+    symbolic composition takes seconds to expand, is checked by evaluation."""
+    from snewton.bench import catalog
+
+    rng = np.random.default_rng(41)
+    for entry in catalog():
+        system, n = entry.system, entry.system.num_vars
+        assert compose_affine(system, np.eye(n), np.zeros(n)) == system, entry.name
+        a, b = random_map(rng, n)
+        oracle = None if entry.name == "Cyclic9" else symbolic_compose_affine(system, a, b)
+        assert_composes(compose_affine(system, a, b), system, a, b, rng, oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_compose_affine_matches_the_symbolic_composition_on_cubic_templates(n):
+    rng = np.random.default_rng(43 + n)
+    for k in range(1, min(n, 3) + 1):
+        template = cubic_template(n, k)
+        assert compose_affine(template, np.eye(n), np.zeros(n)) == template
+        a, b = random_map(rng, n)
+        composed = compose_affine(template, a, b)
+        assert composed.degree() == 3 and len(composed) == n
+        assert_composes(composed, template, a, b, rng, symbolic_compose_affine(template, a, b))
+
+
+def test_compose_affine_of_non_square_zero_and_constant_rows():
+    """Rows past the variable count, a zero row and a constant row: the zero
+    row stays zero and the constant row keeps its coefficient exactly."""
+    rng = np.random.default_rng(47)
+    rows = "x^3*y - 2*i*y^2 + 1\nx*y\n(0.5-1i)*y^4 - x\nx^2 + y^2 - 3"
+    expo = np.array([[2, 1], [0, 0], [0, 1]])
+    coef = np.array([1.5, 2 - 1j, -1])
+    sparse = system_from_terms(expo, coef, np.array([0, 2, 3]), 4)
+    for system in (parse_system(rows, ["x", "y"]), sparse):
+        assert compose_affine(system, np.eye(2), np.zeros(2)) == system
+        a, b = random_map(rng, 2)
+        composed = compose_affine(system, a, b)
+        assert_composes(composed, system, a, b, rng, symbolic_compose_affine(system, a, b))
+    assert composed[1].is_zero()
+    assert composed[2].terms == {(0, 0): 2 - 1j}
+
+
+def test_compose_affine_builds_no_poly(count_calls):
+    system = system_from_terms(*parse_system(RUNNING, XYZ)._arrays)
+    built = count_calls(Poly, "__init__")
+    composed = compose_affine(system, 2 * np.eye(3), np.ones(3))
+    assert built == []
+    # small integer coefficients: both expansions are exact
+    assert composed == symbolic_compose_affine(system, 2 * np.eye(3), np.ones(3))
+
+
 def test_compose_affine_preserves_degree_and_corank():
     from snewton.bench import template_system
 
@@ -1183,6 +1272,29 @@ def test_compose_affine_preserves_degree_and_corank():
     sigma = np.linalg.svd(composed.jacobian(b), compute_uv=False)
     assert np.sum(sigma < 1e-10 * (1 + sigma[0])) == k
     assert np.linalg.norm(composed.eval(b)) < 1e-12
+
+
+def test_compose_affine_names_a_non_finite_entry():
+    system = parse_system("x^2 + y\nx*y", ["x", "y"])
+    with pytest.raises(ValueError, match=r"offset entry 1 is not finite: \(inf\+0j\)"):
+        compose_affine(system, np.eye(2), [np.inf, 0])
+    a = np.eye(2, dtype=complex)
+    a[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"matrix entry \(2, 1\) is not finite"):
+        compose_affine(system, a, [0, 0])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1e150 * np.eye(2), [0, 0]),  # the cube of x's form, 1e450, overflows
+        (np.diag([1e300, 1.0]), [1e300, 0]),  # A b overflows
+    ],
+)
+def test_compose_affine_overflow_is_an_error(a, b):
+    system = parse_system("x^3\ny", ["x", "y"])
+    with pytest.raises(ValueError, match="a coefficient of the composition overflows"):
+        compose_affine(system, a, b)
 
 
 def test_compose_affine_dimension_checks():
