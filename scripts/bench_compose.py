@@ -14,12 +14,14 @@ Every number in the file comes from the one run its header describes:
   that goes first alternating; the values are the medians over the rounds,
   in seconds.
   - ``compose_affine`` of Cyclic9 and of the cubic templates
-    [x_1^3, x_2^3, x_3^3, x_4, ..., x_n] at n = 20 and 50, each under the
-    map of ``random_variant(n, k, seed=0)``: the first call of the process
-    (``cold_s``, which builds the graded-lex tables the expansion reads) and
-    the second (``warm_s``).
+    [x_1^3, x_2^3, x_3^3, x_4, ..., x_n] at n = 20, 50 and 100, each under
+    the map of ``random_variant(n, k, seed=0)``: the first call of the
+    process (``cold_s``, which builds the graded-lex tables the expansion
+    reads) and the second (``warm_s``).
   - ``random_variant(n, 2)`` at n = 10, 15 and 20: the median of
     ``VARIANT_CALLS`` calls with seeds 0, 1, ..., after one warm-up call.
+  - ``process``: the probe process's peak resident set size in MB
+    (``ru_maxrss``), read after all of the above; the cubic at n = 100 sets it.
 * ``end_to_end`` (with ``--pairs``): ``perfbench/run.py --workload W --seed
   S --seconds 30 --trace 0`` in each tree, one parent/change pair per seed,
   summarised as in ``BENCH_onepass.json`` by ``scripts/bench_onepass.py``.
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -43,7 +46,7 @@ import numpy as np
 
 from bench_onepass import _machine, _revision, _run_perfbench, _seeds, _summary
 
-CUBIC_SIZES = (20, 50)
+CUBIC_SIZES = (20, 50, 100)
 VARIANT_SIZES = (10, 15, 20)
 VARIANT_CALLS = 50
 
@@ -74,6 +77,7 @@ def probe() -> dict:
             bench.random_variant(n, 2, seed=seed)
             times.append(time.perf_counter() - start)
         out[f"random_variant n={n}"] = {"variant_s": float(np.median(times))}
+    out["process"] = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     return out
 
 
@@ -118,8 +122,8 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "schema": 1,
-        "what": "compose_affine expanded from the term arrays, one linear form at a time, in place of "
-                "the Poly expansion; random_variant built by it instead of bench._composed_template",
+        "what": "the dual basis held as its coefficient matrix alone (functionals built on request) and "
+                "the graded-lex tables held as arrays alone (monomials_upto builds its tuples per call)",
         "machine": _machine(),
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "rounds": args.rounds,

@@ -182,7 +182,7 @@ def _cmd_check(args) -> int:
     sufficient = dualspace.is_deflation_one(
         system, x, split.tol, trials=args.trials, seed=_seed(args)
     )
-    verdict = "deflation-one" if sufficient else "NOT deflation-one"
+    verdict = "deflation-one" if necessary and sufficient else "NOT deflation-one"
     payload = {
         "schema": 1,
         "kappa": split.kappa,

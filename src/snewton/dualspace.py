@@ -24,16 +24,17 @@ based rank decisions; there is no exact-arithmetic path.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import polycore, twostep
 from .numla import _check_tolerance, right_svd, singular_values, split_svd
-from .polycore import Exponent, PolySystem, _grlex, monomials_upto, taylor_coefficients
+from .polycore import Exponent, PolySystem, _check_finite, _grlex, monomials_upto, taylor_coefficients
 
 __all__ = [
     "Functional",
@@ -52,46 +53,52 @@ class Functional:
     """A member of the span of the normalized differential functionals.
 
     ``terms`` maps multi-indices to complex coefficients, exactly like a
-    sparse polynomial; the functional's order is the largest |alpha|.
+    sparse polynomial.
     """
 
     num_vars: int
     terms: dict[Exponent, complex]
 
-    @property
-    def order(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
 
-def unit_functional(num_vars: int) -> Functional:
-    """The order-0 functional (evaluation at the point)."""
-    return Functional(num_vars, {(0,) * num_vars: 1.0 + 0j})
-
-
 @dataclass
 class DualBasis:
-    """Spanning functionals of the dual space truncated at ``order``.
+    """The dual space truncated at ``order``: its spanning functionals are the
+    columns of the read-only matrix ``coeffs``, over the rows of
+    ``monomials_upto(num_vars, order)``, with entries of modulus <= 1e-14 set
+    to 0.
 
     ``candidate_dim`` is the dimension of the intermediate candidate space
     C^(order) the basis was cut from.  ``ambiguous`` is set when a singular
     value of one of the rank decisions fell within a factor 10 of the
-    tolerance used.  ``_coeffs`` (from ``next_order``, not compared) holds the
-    functionals as read-only columns over ``monomials_upto(n, order)``.
+    tolerance used.
     """
 
     order: int
-    functionals: list[Functional]
+    num_vars: int
+    coeffs: np.ndarray
     tol: float
     candidate_dim: int
     ambiguous: bool = False
-    _coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.functionals)
+        return self.coeffs.shape[1]
+
+    @functools.cached_property
+    def functionals(self) -> list[Functional]:
+        """The columns as dicts of their nonzero entries, built on first use."""
+        expo = _grlex(self.num_vars, self.order)[0]
+        terms = ((map(tuple, expo[c != 0].tolist()), c[c != 0].tolist()) for c in self.coeffs.T)
+        return [Functional(self.num_vars, dict(zip(*t))) for t in terms]
+
+    def __eq__(self, other):
+        key = operator.attrgetter("order", "num_vars", "tol", "candidate_dim", "ambiguous")
+        if not isinstance(other, DualBasis):
+            return NotImplemented
+        return key(self) == key(other) and np.array_equal(self.coeffs, other.coeffs)
 
 
 @dataclass
@@ -161,24 +168,22 @@ def next_order(
         rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
     xi = system._check_point(xi)
-    for lam in prev.functionals:
-        if lam.num_vars != n:
-            raise ValueError(f"the previous basis has {lam.num_vars} variables, the system has {n}")
-    k = prev.order + 1
-    _, keys, up, support = _grlex(n, k)  # up[i, r] is the row of keys[r] + e_i: S_i c = c[up[i]]
-    p = prev._coeffs
-    if p is None:
-        index = {a: r for r, a in enumerate(keys)}
-        p = np.zeros((up.shape[1], prev.dim), dtype=complex)
-        for j, lam in enumerate(prev.functionals):
-            for alpha, c in lam.terms.items():
-                p[index[alpha], j] = c
+    if prev.num_vars != n:
+        raise ValueError(f"the previous basis has {prev.num_vars} variables, the system has {n}")
+    p, k, rows = np.asarray(prev.coeffs), prev.order + 1, math.comb(n + prev.order, n)
+    if p.ndim != 2 or p.shape[0] != rows:
+        raise ValueError(
+            f"the previous basis coefficients have shape {p.shape}, expected ({rows}, dim): "
+            f"one row per monomial of degree <= {prev.order} in {n} variables"
+        )
+    _check_finite(p, "previous basis coefficient")
+    _, up, support = _grlex(n, k)  # up[i, r] is the row of alpha_r + e_i: S_i c = c[up[i]]
     q, _ = np.linalg.qr(p)
     d = q.shape[1]
 
     # Z: orthonormal basis of span{e_0} + range(D^+ W*), whose columns are
     # e_0 and the integrals D^+ S_i* q_j; the kernel of M lies in it.
-    integrals = np.zeros((len(keys), 1 + n * d), dtype=complex)
+    integrals = np.zeros((len(support), 1 + n * d), dtype=complex)
     integrals[0, 0] = 1.0
     integrals[up[:, :, None], 1 + np.arange(n * d).reshape(n, 1, d)] = q
     integrals[1:] /= support[1:, None]
@@ -205,18 +210,7 @@ def next_order(
 
     coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
     coeffs.flags.writeable = False
-    cols, rows = np.nonzero(coeffs.T)  # by functional, then by row
-    terms = zip(map(keys.__getitem__, rows.tolist()), coeffs[rows, cols].tolist())
-    sizes = np.bincount(cols, minlength=coeffs.shape[1]).tolist()
-    functionals = [Functional(n, dict(itertools.islice(terms, size))) for size in sizes]
-    return DualBasis(
-        order=k,
-        functionals=functionals,
-        tol=tol_e,
-        candidate_dim=candidates.shape[1],
-        ambiguous=ambiguous,
-        _coeffs=coeffs,
-    )
+    return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=candidates.shape[1], ambiguous=ambiguous)
 
 
 def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:
@@ -241,7 +235,7 @@ def _order_zero(num_vars: int) -> DualBasis:
     """The order-0 dual space, spanned by evaluation at the point."""
     unit = np.ones((1, 1), dtype=complex)
     unit.flags.writeable = False
-    return DualBasis(0, [unit_functional(num_vars)], tol=0.0, candidate_dim=1, _coeffs=unit)
+    return DualBasis(0, num_vars, unit, tol=0.0, candidate_dim=1)
 
 
 def multiplicity_structure(

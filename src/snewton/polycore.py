@@ -835,8 +835,9 @@ def normalized_partial(p: Poly, alpha: Sequence[int], xi: Sequence[complex]) -> 
 
 def monomials_upto(num_vars: int, order: int) -> list[Exponent]:
     """All multi-indices with |alpha| <= order, in graded-lex order: by
-    degree, and within one degree in ascending lex order of the exponents."""
-    return list(_grlex(num_vars, order)[1]) if order >= 0 else []
+    degree, and within one degree in ascending lex order of the exponents.
+    The tuples are made from the ``_grlex`` rows on each call."""
+    return list(map(tuple, _grlex(num_vars, order)[0].tolist())) if order >= 0 else []
 
 
 def _pascal(top: int, width: int | None = None) -> np.ndarray:
@@ -855,7 +856,7 @@ def _grlex_memo(num_vars: int) -> dict:  # the _grlex tables asked for so far, b
 
 def _grlex(num_vars: int, order: int):
     """Read-only tables of ``monomials_upto(num_vars, order)``, built in a loop up
-    from the highest order held: exponents (int64 rows and tuples), up[i, r] the
+    from the highest order held: exponents (int64 rows), up[i, r] the
     row of alpha_r + e_i for the rows r of lower order, each row's nonzero count.
     alpha follows C(n + |alpha| - 1, n) monomials of lower degree and sum_j C(s_j + m_j, m_j)
     - C(s_(j+1) + m_j, m_j) of its own, s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j."""
@@ -877,7 +878,7 @@ def _grlex(num_vars: int, order: int):
             expo[up[i]] = low + np.eye(1, n, i, dtype=np.int64)
     support = np.count_nonzero(expo, axis=1)
     expo.flags.writeable = up.flags.writeable = support.flags.writeable = False
-    return tables.setdefault(order, (expo, tuple(map(tuple, expo.tolist())), up, support))
+    return tables.setdefault(order, (expo, up, support))
 
 
 def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -> np.ndarray:
@@ -985,7 +986,7 @@ def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> P
             prod = np.empty((live, n + 1, size[s]), dtype=complex)
             prod.real = vals.real * form.real - vals.imag * form.imag
             prod.imag = vals.real * form.imag + vals.imag * form.real
-            to = np.vstack([_grlex(n, s + 1)[2], np.arange(size[s])])  # alpha + e_j, then alpha
+            to = np.vstack([_grlex(n, s + 1)[1], np.arange(size[s])])  # alpha + e_j, then alpha
             to = (np.arange(live)[:, None, None] * size[s + 1] + to).reshape(-1)
             vals = _pair_sums(prod.reshape(-1), _pair_ids(to), live * size[s + 1]).reshape(live, -1)
     at, vals = (np.concatenate([p.reshape(-1) for p in part]) for part in zip(*parts))

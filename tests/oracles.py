@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from snewton import polycore, twostep
-from snewton.dualspace import DualBasis, Functional, _near_tol, _rank_tol
+from snewton.dualspace import DualBasis, _near_tol, _rank_tol
 from snewton.numla import _check_tolerance, right_svd
 from snewton.polycore import (
     Poly,
@@ -216,10 +216,9 @@ def monomials_by_combinations(num_vars, order):
 
 def rebuilt_next_order(system, xi, prev, rank_tol=None):
     """``dualspace.next_order`` with every table rebuilt at every order: the
-    multi-indices and their index dict, the previous coefficients from the
-    functionals' dicts, the rows of alpha + e_i by dict lookups, the
-    integrals scattered and MZ projected one variable at a time, and a
-    Taylor shift of its own."""
+    multi-indices and their index dict, the rows of alpha + e_i by dict
+    lookups, the integrals scattered and MZ projected one variable at a
+    time, and a Taylor shift of its own."""
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
@@ -229,11 +228,7 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
     nprev = math.comb(n + k - 1, n)  # the order-(k-1) monomials lead basis_k
     index = {a: r for r, a in enumerate(basis_k)}
 
-    p = np.zeros((nprev, prev.dim), dtype=complex)
-    for j, lam in enumerate(prev.functionals):
-        for alpha, c in lam.terms.items():
-            p[index[alpha], j] = c
-    q, _ = np.linalg.qr(p)
+    q, _ = np.linalg.qr(prev.coeffs)
     d = q.shape[1]
 
     # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
@@ -267,14 +262,12 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
         coeffs = candidates
         tol_e = tol_m
 
-    functionals = []
-    for col in coeffs.T:
-        rows = np.flatnonzero(np.abs(col) > 1e-14)
-        terms = zip((basis_k[r] for r in rows), col[rows].tolist())
-        functionals.append(Functional(n, dict(terms)))
+    coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
+    coeffs.flags.writeable = False
     return DualBasis(
         order=k,
-        functionals=functionals,
+        num_vars=n,
+        coeffs=coeffs,
         tol=tol_e,
         candidate_dim=candidates.shape[1],
         ambiguous=ambiguous,

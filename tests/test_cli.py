@@ -219,6 +219,31 @@ def test_check_verdicts(capsys):
     assert "verdict: deflation-one" in out
 
 
+@pytest.mark.parametrize("n, k", [(6, 1), (10, 2)])
+def test_check_verdict_needs_the_necessary_test(capsys, tmp_path, n, k):
+    # at the zero b of the cubic variant f(A(X - b)) of [x_1^3, ..., x_k^3,
+    # x_(k+1), ..., x_n] the order-2 dimension test fails, so the verdict is
+    # "NOT deflation-one" even where the randomized test passes on noise
+    from snewton.bench import _variant_map
+    from snewton.polycore import compose_affine, system_from_terms
+
+    cubic = system_from_terms(np.diag(1 + 2 * (np.arange(n) < k)), np.ones(n), np.arange(n), n)
+    a, b = _variant_map(n, 0)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    polys = [p.to_string(names) for p in compose_affine(cubic, a, b)]
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"vars": names, "polys": polys}))
+    args = ["check", "--file", str(path), "--x0", ",".join(map(str, b))]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "necessary (order-2 dimension) test: FAIL" in out
+    assert out.splitlines()[-1] == "verdict: NOT deflation-one"
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["necessary_dimension_test"] is False
+    assert payload["verdict"] == "NOT deflation-one"
+
+
 def test_check_regular_point(capsys, tmp_path):
     path = tmp_path / "reg.json"
     path.write_text(json.dumps({"vars": ["x"], "polys": ["x - 1"]}))

@@ -20,7 +20,6 @@ from snewton.dualspace import (
     monomials_upto,
     multiplicity_structure,
     next_order,
-    unit_functional,
 )
 from snewton.numla import kernel_basis, singular_values, split_svd
 from snewton.polycore import Exponent, _grlex, parse_system, taylor_coefficients
@@ -50,7 +49,7 @@ def phi(functional, index):
 
 
 def base_basis(n):
-    return DualBasis(order=0, functionals=[unit_functional(n)], tol=0.0, candidate_dim=1)
+    return DualBasis(order=0, num_vars=n, coeffs=np.ones((1, 1), dtype=complex), tol=0.0, candidate_dim=1)
 
 
 def dense_next_order(system, xi, prev, rank_tol=None):
@@ -66,11 +65,7 @@ def dense_next_order(system, xi, prev, rank_tol=None):
     index_prev = {a: i for i, a in enumerate(basis_prev)}
     nk, nprev = len(basis_k), len(basis_prev)
 
-    p = np.zeros((nprev, prev.dim), dtype=complex)
-    for j, lam in enumerate(prev.functionals):
-        for alpha, c in lam.terms.items():
-            p[index_prev[alpha], j] = c
-    q, _ = np.linalg.qr(p)
+    q, _ = np.linalg.qr(prev.coeffs)
 
     blocks = []
     proj = np.eye(nprev, dtype=complex) - q @ q.conj().T
@@ -104,33 +99,19 @@ def dense_next_order(system, xi, prev, rank_tol=None):
         kernel = np.eye(candidates.shape[1], dtype=complex)
         tol_e = tol_m
     coeffs = candidates @ kernel
-
-    functionals = []
-    for j in range(coeffs.shape[1]):
-        terms = {
-            alpha: coeffs[r, j]
-            for r, alpha in enumerate(basis_k)
-            if abs(coeffs[r, j]) > 1e-14
-        }
-        functionals.append(_make_functional(n, terms))
     return DualBasis(
         order=k,
-        functionals=functionals,
+        num_vars=n,
+        coeffs=np.where(np.abs(coeffs) > 1e-14, coeffs, 0),
         tol=tol_e,
         candidate_dim=candidates.shape[1],
         ambiguous=ambiguous,
     )
 
 
-def span_projector(basis, n):
+def span_projector(basis):
     """Orthogonal projector onto the span of the basis coefficient vectors."""
-    monomials = monomials_upto(n, basis.order)
-    index = {a: i for i, a in enumerate(monomials)}
-    coeffs = np.zeros((len(monomials), basis.dim), dtype=complex)
-    for j, lam in enumerate(basis.functionals):
-        for alpha, c in lam.terms.items():
-            coeffs[index[alpha], j] = c
-    q, _ = np.linalg.qr(coeffs)
+    q, _ = np.linalg.qr(basis.coeffs)
     return q @ q.conj().T
 
 
@@ -140,8 +121,7 @@ def assert_step_matches_dense_oracle(system, xi, prev, rank_tol=None):
     got = (fast.dim, fast.candidate_dim, fast.ambiguous)
     assert got == (dense.dim, dense.candidate_dim, dense.ambiguous), fast.order
     assert fast.tol == pytest.approx(dense.tol, rel=1e-9), fast.order
-    n = system.num_vars
-    gap = np.abs(span_projector(fast, n) - span_projector(dense, n)).max()
+    gap = np.abs(span_projector(fast) - span_projector(dense)).max()
     assert gap <= 1e-8, (fast.order, gap)
     return fast
 
@@ -184,7 +164,7 @@ def test_phi_commutes():
 
 def test_phi_index_range():
     with pytest.raises(ValueError):
-        phi(unit_functional(2), 2)
+        phi(Functional(2, {(0, 0): 1.0}), 2)
 
 
 def test_monomials_upto_counts_and_order():
@@ -229,15 +209,9 @@ def test_dual_space_span_contains_unit_functional():
     entry = get_entry("running-example")
     report = multiplicity_structure(entry.system, entry.zero)
     basis = report.bases[-1]
-    monomials = monomials_upto(3, basis.order)
-    index = {a: i for i, a in enumerate(monomials)}
-    coeffs = np.zeros((len(monomials), basis.dim), dtype=complex)
-    for j, lam in enumerate(basis.functionals):
-        for alpha, c in lam.terms.items():
-            coeffs[index[alpha], j] = c
-    unit = np.zeros(len(monomials), dtype=complex)
-    unit[index[(0, 0, 0)]] = 1.0
-    q, _ = np.linalg.qr(coeffs)
+    unit = np.zeros(basis.coeffs.shape[0], dtype=complex)
+    unit[monomials_upto(3, basis.order).index((0, 0, 0))] = 1.0
+    q, _ = np.linalg.qr(basis.coeffs)
     residual = unit - q @ (q.conj().T @ unit)
     assert np.linalg.norm(residual) < 1e-10
 
@@ -281,23 +255,17 @@ def test_next_order_matches_dense_oracle_with_forced_tolerance():
 
 
 def assert_same_basis(got, want):
-    """Same order, tol, candidate_dim and ambiguous flag, and functionals
-    with the same multi-indices in the same order and the same coefficient
-    bytes."""
-    fields = ("order", "tol", "candidate_dim", "ambiguous")
+    """Same order, variable count, tol, candidate_dim and ambiguous flag,
+    and read-only coefficient matrices of the same shape and bytes."""
+    fields = ("order", "num_vars", "tol", "candidate_dim", "ambiguous")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-    assert len(got.functionals) == len(want.functionals), got.order
-    for a, b in zip(got.functionals, want.functionals):
-        assert a.num_vars == b.num_vars and list(a.terms) == list(b.terms), got.order
-        values = [np.array(list(lam.terms.values()), dtype=complex).tobytes() for lam in (a, b)]
-        assert values[0] == values[1], got.order
+    assert got.coeffs.shape == want.coeffs.shape and not got.coeffs.flags.writeable, got.order
+    assert got.coeffs.tobytes() == want.coeffs.tobytes(), got.order
 
 
 def assert_matches_rebuilt_oracle(monkeypatch, system, xi, rank_tol=None, max_order=12):
     """``multiplicity_structure`` and ``deflation_one_necessary`` give what
-    they give with ``rebuilt_next_order`` as their step, basis by basis;
-    and each step from a basis without its coefficient matrix (read from
-    the functionals' dicts) gives the next basis too."""
+    they give with ``rebuilt_next_order`` as their step, basis by basis."""
     report = multiplicity_structure(system, xi, rank_tol, max_order)
     necessary = deflation_one_necessary(system, xi, rank_tol)
     def rebuilt(system, xi, prev, rank_tol, _shift):
@@ -310,8 +278,6 @@ def assert_matches_rebuilt_oracle(monkeypatch, system, xi, rank_tol=None, max_or
     assert report == want
     for got, basis in zip(report.bases, want.bases):
         assert_same_basis(got, basis)
-    for prev, nxt in zip(report.bases, report.bases[1:]):
-        assert_same_basis(next_order(system, xi, dataclasses.replace(prev, _coeffs=None), rank_tol), nxt)
 
 
 def test_next_order_matches_rebuilt_oracle_on_catalog(monkeypatch):
@@ -343,9 +309,10 @@ def test_next_order_matches_rebuilt_oracle_with_forced_tolerance(monkeypatch):
 def test_grlex_tables_match_combinations():
     for n in range(6):
         for k in range(5):
-            expo, keys, up, support = _grlex(n, k)
-            assert list(keys) == monomials_by_combinations(n, k) == monomials_upto(n, k)
-            assert expo.tolist() == [list(a) for a in keys] and not expo.flags.writeable
+            expo, up, support = _grlex(n, k)
+            keys = list(map(tuple, expo.tolist()))
+            assert keys == monomials_by_combinations(n, k) == monomials_upto(n, k)
+            assert not expo.flags.writeable
             index = {a: r for r, a in enumerate(keys)}
             below = keys[: math.comb(n + k - 1, n)] if k else ()
             want = [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in below] for i in range(n)]
@@ -402,6 +369,35 @@ def test_next_order_rejects_a_basis_of_another_variable_count(count_calls):
     assert qrs == []
 
 
+def malformed_basis(case):
+    """A basis of the running example and the error it gives: at order 1,
+    coefficients that are not a finite (monomials, functionals) matrix of
+    C(3 + 1, 1) = 4 rows; at order 0, one of 2 rows."""
+    entry = get_entry("running-example")
+    d1 = next_order(entry.system, entry.zero, base_basis(3))
+    above = np.vstack([d1.coeffs, np.ones((6, d1.dim))])  # terms of degree 2 in an order-1 basis
+    nan = d1.coeffs.copy()
+    nan[2, 1] = np.nan
+    prev, coeffs, message = {
+        "one axis": (d1, d1.coeffs[:, 0], r"shape \(4,\), expected \(4, dim\)"),
+        "a term above the order": (d1, above, r"\(10, 3\), expected \(4, dim\): one row per monomial"),
+        "a row short": (d1, d1.coeffs[:3], r"shape \(3, 3\), expected \(4, dim\)"),
+        "order 0": (base_basis(3), np.ones((2, 1)), r"shape \(2, 1\), expected \(1, dim\)"),
+        "not finite": (d1, nan, r"previous basis coefficient \(3, 2\) is not finite: \(nan"),
+    }[case]
+    return dataclasses.replace(prev, coeffs=coeffs), message
+
+
+@pytest.mark.parametrize("case", ["one axis", "a term above the order", "a row short", "order 0", "not finite"])
+def test_next_order_rejects_a_malformed_basis_before_any_qr(count_calls, case):
+    prev, message = malformed_basis(case)
+    entry = get_entry("running-example")
+    qrs = count_calls(np.linalg, "qr")
+    with pytest.raises(ValueError, match=message):
+        next_order(entry.system, entry.zero, prev)
+    assert qrs == []
+
+
 @pytest.mark.parametrize("max_order", [0, -1])
 def test_multiplicity_structure_needs_at_least_order_one(max_order):
     entry = get_entry("running-example")
@@ -433,6 +429,48 @@ def test_multiplicity_structure_memory_stays_small():
         tracemalloc.stop()
     assert (report.breadth, report.depth, report.multiplicity) == (3, 3, 8)
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_analysis_builds_no_functional(count_calls, capsys):
+    """The multiplicity structure, the necessary test and the CLI ``analyze``
+    and ``check`` read the coefficient matrices alone: no ``Functional`` is
+    made."""
+    from snewton.cli import main
+
+    built = count_calls(Functional, "__init__")
+    system, zero = random_variant(8, 2, seed=1)
+    report = multiplicity_structure(system, zero)
+    assert report.multiplicity == 4
+    assert deflation_one_necessary(system, zero)
+    for command in ("analyze", "check"):
+        assert main([command, "--catalog", "running-example"]) == 0
+    assert "verdict: deflation-one" in capsys.readouterr().out
+    assert built == []
+    assert len(report.bases[1].functionals) == 3 and len(built) == 3  # the counter does count
+
+
+def test_one_last_bit_makes_two_reports_unequal():
+    entry = get_entry("running-example")
+    report = multiplicity_structure(entry.system, entry.zero)
+    assert report == multiplicity_structure(entry.system, entry.zero)
+    bases = list(report.bases)
+    coeffs = bases[2].coeffs.copy()
+    r, j = np.argwhere(coeffs)[-1]
+    coeffs[r, j] = complex(np.nextafter(coeffs[r, j].real, np.inf), coeffs[r, j].imag)
+    bases[2] = dataclasses.replace(bases[2], coeffs=coeffs)
+    changed = dataclasses.replace(report, bases=bases)
+    assert changed != report and bases[2] != report.bases[2]
+    assert dataclasses.replace(report, bases=list(report.bases)) == report
+
+
+def test_functionals_are_the_nonzero_entries_of_the_columns():
+    entry = get_entry("x2-z3xy-y2")
+    for basis in multiplicity_structure(entry.system, entry.zero).bases:
+        keys = monomials_upto(3, basis.order)
+        want = [{keys[r]: c for r, c in enumerate(col.tolist()) if c != 0} for col in basis.coeffs.T]
+        assert [lam.terms for lam in basis.functionals] == want
+        assert all(lam.num_vars == 3 for lam in basis.functionals)
+        assert basis.functionals is basis.functionals  # built once
 
 
 def test_dual_basis_functionals_annihilate_the_system():

@@ -25,7 +25,7 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _grlex_memo, _pair_ids, _pair_sums
+from snewton.polycore import _grlex, _grlex_memo, _pair_ids, _pair_sums
 
 from oracles import (
     AugmentOracle,
@@ -1115,6 +1115,25 @@ def test_monomials_of_a_high_order_from_an_empty_memo():
     assert monomials_upto(1, 1500) == [(k,) for k in range(1501)]
     assert monomials_upto(1, 700) == [(k,) for k in range(701)]
     assert monomials_upto(2, 2)[-3:] == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_grlex_tables_of_a_large_order_are_arrays_only():
+    """_grlex(100, 3) holds its 176 851 exponent rows once, as int64: no
+    tuple view (which took as much again), and a peak within twice the rows."""
+    import tracemalloc
+
+    _grlex_memo.cache_clear()
+    tracemalloc.start()
+    try:
+        expo, up, support = _grlex(100, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tables = list(_grlex_memo(100).values())
+    finally:
+        tracemalloc.stop()
+        _grlex_memo.cache_clear()
+    assert expo.shape == (176851, 100) and up.shape == (100, 5151) and support.shape == (176851,)
+    assert all(isinstance(a, np.ndarray) for table in tables for a in table)
+    assert peak < 250e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_taylor_coefficients_reject_negative_orders():
