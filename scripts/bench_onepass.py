@@ -16,10 +16,16 @@ The script writes one JSON file in the layout of ``BENCH_evaluator.json``:
   the parent's interquartile range.
 * ``in_process``: per-call medians of ``eval``, ``jacobian``, ``dir_hessian``,
   a Newton step (``jacobian`` plus ``np.linalg.solve``), ``two_step``,
-  ``refine`` and one Gauss-Newton iterate on the deflated system (``eval``,
-  ``jacobian`` and the least-squares step at a new point) on
+  ``two_step_newton`` (a corank-0 ``two_step``: a fixed tolerance below the
+  kernel singular values), ``refine``, ``refine_auto`` (``tol="auto"`` from
+  1e-2 off the zero to a residual of 1e-10) and one Gauss-Newton iterate on the deflated system
+  (``eval``, ``jacobian`` and the least-squares step at a new point) on
   ``random_variant(n, 2, seed=1)``, in one fresh process per revision, size
-  and round; the rounds alternate which revision goes first.
+  and round; the rounds alternate which revision goes first.  Each probe
+  also counts the ``np.linalg.svd`` calls of one ``two_step`` and of one
+  ``two_step_newton``, and reports the ``refine_auto`` run: iterations, the
+  steps per mode, the stop reason, the final distance to the zero and a
+  digest of the final point's bytes.
 * ``cache``: the bytes ``tracemalloc`` still counts after one ``refine`` at
   n = 200 has returned, its result dropped: what the system's caches keep.
 
@@ -38,6 +44,7 @@ import platform
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,31 @@ import numpy as np
 SIZES = (10, 15, 20, 50, 100, 200)
 PROBE_SECONDS = 0.4  # time per quantity, after at least MIN_REPS calls
 MIN_REPS = 3
+# What each value of an in-process probe is; a timed name NAME also has
+# NAME_reps, the calls its median was taken over.
+FIELDS = {
+    "eval": "s per call: f at x, 1e-5*offset off the zero (offset a seeded complex Gaussian n-vector)",
+    "jacobian": "s per call: Df at x",
+    "dir_hessian": "s per call: D2f(x).v, v a seeded complex Gaussian n-vector",
+    "newton_lu": "s per call: Df and f at x and np.linalg.solve",
+    "two_step": "s per call: two_step at x with the oracle tolerance variant_rank_tolerance (corank 2)",
+    "two_step_newton": "s per call: two_step at x with tol=1e-9, below the two kernel singular "
+                       "values, so corank 0",
+    "refine": "s per call: refine with the oracle tolerance from zero + 1e-3*offset",
+    "refine_auto": "s per call: refine with tol='auto' from zero + 1e-2*offset/|offset| to a "
+                   "residual of 1e-10, at most 30 iterations",
+    "gauss_newton_iterate": "s per call: eval, jacobian and least_squares of the once-deflated "
+                            "system at a new point",
+    "refine_iterations": "iterations of the oracle-tolerance refine run",
+    "two_step_newton_mode": "the mode of the tol=1e-9 two_step",
+    "two_step_svds": "np.linalg.svd calls in one oracle-tolerance two_step (Df, then B')",
+    "two_step_newton_svds": "np.linalg.svd calls in one tol=1e-9 two_step",
+    "refine_auto_iterations": "iterations of the tol='auto' refine run",
+    "refine_auto_modes": "its steps counted per mode",
+    "refine_auto_stop": "its stop reason",
+    "refine_auto_distance": "the 2-norm distance of its final point to the zero",
+    "refine_auto_x_sha256": "sha256 of its final point's bytes",
+}
 
 
 # -- the measuring side ------------------------------------------------------------------
@@ -60,8 +92,25 @@ def _median_call(fn, seconds=PROBE_SECONDS, max_reps=400):
     return float(np.median(times)), len(times)
 
 
+def _svd_calls(fn) -> int:
+    """The ``np.linalg.svd`` calls that one call of ``fn`` makes."""
+    real, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    np.linalg.svd = counting
+    try:
+        fn()
+    finally:
+        np.linalg.svd = real
+    return len(calls)
+
+
 def probe(n: int) -> dict:
-    """Per-call medians in seconds at ``random_variant(n, 2, seed=1)``."""
+    """Per-call medians in seconds at ``random_variant(n, 2, seed=1)``, and
+    the counts and the ``tol="auto"`` run that ``main``'s docstring names."""
     from snewton.bench import random_variant, variant_rank_tolerance
     from snewton.lvz import deflate_once
     from snewton.numla import least_squares
@@ -75,7 +124,12 @@ def probe(n: int) -> dict:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     tol = variant_rank_tolerance(system, zero, 2)
     cfg = StepConfig(tol=tol, seed=0)
+    # the two kernel singular values at x are O(1e-5); 1e-9 keeps them
+    newton_cfg = StepConfig(tol=1e-9, seed=0)
     x0 = zero + 1e-3 * offset
+    x_auto = zero + 1e-2 * offset / np.linalg.norm(offset)
+    # ROADMAP item 1's setting: to a residual of 1e-10, at most 30 iterations
+    auto_cfg = StepConfig(tol="auto", seed=0, stop_residual=1e-10, max_iters=30)
     deflated, y0 = deflate_once(system, x, tol, seed=2)
     g = deflated.system
     points = [y0, y0 + 1e-9]  # a new point at every iterate, as in a run
@@ -91,10 +145,23 @@ def probe(n: int) -> dict:
         "dir_hessian": lambda: dir_hessian(system, x, v),
         "newton_lu": lambda: np.linalg.solve(system.jacobian(x), system.eval(x)),
         "two_step": lambda: two_step(system, x, cfg),
+        "two_step_newton": lambda: two_step(system, x, newton_cfg),
         "refine": lambda: refine(system, x0, cfg),
+        "refine_auto": lambda: refine(system, x_auto, auto_cfg),
         "gauss_newton_iterate": gn_iterate,
     }
-    out = {"refine_iterations": refine(system, x0, cfg).iterations}
+    auto = refine(system, x_auto, auto_cfg)
+    out = {
+        "refine_iterations": refine(system, x0, cfg).iterations,
+        "two_step_newton_mode": two_step(system, x, newton_cfg).mode,
+        "two_step_svds": _svd_calls(calls["two_step"]),
+        "two_step_newton_svds": _svd_calls(calls["two_step_newton"]),
+        "refine_auto_iterations": auto.iterations,
+        "refine_auto_modes": dict(sorted(Counter(step.mode for step in auto.steps).items())),
+        "refine_auto_stop": auto.stop_reason,
+        "refine_auto_distance": float(np.linalg.norm(auto.x - zero)),
+        "refine_auto_x_sha256": hashlib.sha256(auto.x.tobytes()).hexdigest(),
+    }
     for name, fn in calls.items():
         fn()  # compile the term sets and factor indexes first
         out[name], out[f"{name}_reps"] = _median_call(fn)
@@ -190,6 +257,20 @@ def _summary(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def _over_rounds(probes: list[dict]) -> dict:
+    """Times and repeat counts as their median over the rounds; every other
+    value as it was in each round, or the list of them where the rounds
+    disagree."""
+    out = {}
+    for name, first in probes[0].items():
+        values = [p[name] for p in probes]
+        if isinstance(first, float) or name.endswith("_reps"):
+            out[name] = float(np.median(values))
+        else:
+            out[name] = first if all(value == first for value in values) else values
+    return out
+
+
 def _revision(tree: Path) -> dict:
     """A digest of the tree's ``src/`` files, which names what was measured
     whether or not it is committed, and the commit of a git checkout."""
@@ -245,9 +326,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "schema": 1,
-        "what": "f, Df and D2f.v once per point (PolySystem._at), row sums by one bincount over "
-                "pair ids, one validation per contraction, the operand order of the coefficient "
-                "product pinned, and get_entry reading one data file.",
+        "what": "one two_step path for every corank: the corank-0 (Newton) step is the "
+                "projection step from the split's own SVD, so that no second SVD of Df is taken; "
+                "numla's matrix arguments checked by one helper. No gain is claimed.",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
         "end_to_end": {
@@ -255,15 +336,20 @@ def main(argv=None) -> int:
                        "--trace 0, run in each tree",
             "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
                       "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
-                      "pairs; change_better_pairs counts pairs where the change reads lower",
-            "claimed": "variants solve_s.gmean",
+                      "pairs; change_better_pairs counts pairs where the change reads lower. Per "
+                      "workload: digests_match (perfbench outcome digests equal in every pair), "
+                      "correct, failed, attempted and failures as each run reports them, and per "
+                      "metric its value in every run (parent_runs, change_runs)",
+            "claimed": None,
             "workloads": {},
         },
         "in_process": {
             "method": f"one process per revision, size and round ({args.rounds} rounds, the first "
                       "revision alternating); in each, per-call medians over at least "
-                      f"{MIN_REPS} calls and {PROBE_SECONDS} s after one warm-up call; the "
-                      "values are the medians over the rounds, in seconds",
+                      f"{MIN_REPS} calls and {PROBE_SECONDS} s after one warm-up call, on "
+                      "random_variant(n, 2, seed=1); times are the medians over the rounds, "
+                      "every other value is the same in every round (a list where it is not)",
+            "fields": FIELDS,
             "runs": {},
         },
     }
@@ -288,8 +374,7 @@ def main(argv=None) -> int:
             for side in order if r % 2 == 0 else order[::-1]:
                 rounds[side].append(_run_probe(trees[side], str(n)))
         doc["in_process"]["runs"][f"n{n}"] = {
-            side: {name: float(np.median([p[name] for p in probes])) for name in probes[0]}
-            for side, probes in rounds.items()
+            side: _over_rounds(probes) for side, probes in rounds.items()
         }
         save()
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polycore import _check_finite
+
 __all__ = [
     "SvdSplit",
     "SingularMatrixError",
@@ -74,9 +76,7 @@ def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
     ``auto_tolerance``; an all-zero spectrum has no gap and gets 1e-8, which
     makes the whole space kernel.  The tolerance used is ``split.tol``.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"split_svd needs a square matrix, got shape {m.shape}")
+    m = _matrix("split_svd", matrix, square=True)
     if tol != "auto":
         tol = _check_tolerance(tol)
     n = m.shape[0]
@@ -137,30 +137,45 @@ def _check_tolerance(tol) -> float:
     return tol
 
 
+def _matrix(caller: str, matrix, square: bool = False) -> np.ndarray:
+    """``matrix`` as a complex 2-D array with at least one entry, square when
+    asked and finite, or a ValueError that names ``caller`` and the shape or
+    the first non-finite entry."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.size == 0 or (square and m.shape[0] != m.shape[1]):
+        kind = "a non-empty square matrix" if square else "a non-empty matrix"
+        raise ValueError(f"{caller} needs {kind}, got shape {m.shape}")
+    return _check_finite(m, f"{caller}: matrix entry")
+
+
+def _check_conditioned(s: np.ndarray) -> None:
+    """SingularMatrixError when the descending spectrum ``s`` is all zero or
+    its smallest value lies below 1e-12 times its largest."""
+    if s[0] == 0 or s[-1] < 1e-12 * s[0]:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (sigma_min={s[-1]:.3e}, "
+            f"sigma_max={s[0]:.3e})"
+        )
+
+
 def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a square linear system via SVD.
 
     Raises SingularMatrixError when the smallest singular value is below
     1e-12 times the largest (or the matrix is exactly zero).
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"solve needs a square matrix, got shape {m.shape}")
+    m = _matrix("solve", matrix, square=True)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
     u, s, vh = np.linalg.svd(m)
-    if s[0] == 0 or s[-1] < 1e-12 * s[0]:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (sigma_min={s[-1]:.3e}, "
-            f"sigma_max={s[0]:.3e})"
-        )
+    _check_conditioned(s)
     return vh.conj().T @ ((u.conj().T @ rhs) / s)
 
 
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ y ~ rhs``."""
-    m = np.asarray(matrix, dtype=complex)
+    m = _matrix("least_squares", matrix)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
@@ -172,15 +187,15 @@ def kernel_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the right singular subspace for sigma <= tol.
 
     Returns an (n, d) matrix; d = 0 means full numerical rank.  Singular
-    values missing from a wide/tall factorization count as zero.
+    values missing from a wide/tall factorization count as zero, and a
+    matrix of no rows has the whole space as its kernel.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("kernel_basis needs a matrix")
     tol = _check_tolerance(tol)
-    n = m.shape[1]
-    if m.shape[0] == 0 or not m.any():
-        return np.eye(n, dtype=complex)
+    if np.ndim(matrix) == 2 and np.shape(matrix)[0] == 0:
+        return np.eye(np.shape(matrix)[1], dtype=complex)
+    m = _matrix("kernel_basis", matrix)
+    if not m.any():
+        return np.eye(m.shape[1], dtype=complex)
     s, v = right_svd(m)
     return v[:, int(np.sum(s > tol)) :]
 
@@ -193,9 +208,7 @@ def right_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A tall matrix is reduced to the R factor of its QR first, which has the
     same singular values and right singular vectors and no tall U to form.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        raise ValueError("empty matrix has no singular values")
+    m = _matrix("right_svd", matrix)
     rows, cols = m.shape
     if rows > cols:
         m = np.linalg.qr(m, mode="r")
@@ -204,15 +217,12 @@ def right_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.size == 0:
-        raise ValueError("empty matrix has no singular values")
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(_matrix("singular_values", matrix), compute_uv=False)
 
 
 def cond(matrix: np.ndarray) -> float:
     """Spectral condition number; inf when singular to machine precision."""
-    s = singular_values(matrix)
+    s = np.linalg.svd(_matrix("cond", matrix), compute_uv=False)
     if s[-1] == 0:
         return float("inf")
     return float(s[0] / s[-1])

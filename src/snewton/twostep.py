@@ -16,11 +16,13 @@ B is what gets solved; A only ever appears in analysis and tests.
 
 f, Df and D2f(x).v all come from the system's cached term arrays, each
 computed once per point (``PolySystem._at`` keeps those of the last point).
-One iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the rank
-tolerance from that spectrum), one ``random_direction`` draw, and one Hessian
-contraction, inside the kernel step, which returns B' with the step.  It
-evaluates f at x' and at x'', whose value ``refine`` hands on as f(x) of the
-next iteration, Df at x and x', and D2f(x').v; a retried direction
+Every iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the
+rank tolerance from that spectrum) and one path for every corank kappa: at
+kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is Newton's
+step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the kernel step
+draws one ``random_direction`` and contracts the Hessian once, returning B'
+with the step.  f is evaluated at x' and at x'' (``refine`` hands it on as
+the next f(x)), Df at x and x', and D2f(x').v; a retried direction
 recomputes only the last.  ``two_step`` checks x and builds v itself, so its
 kernel step skips the checks of the public ``second_refinement``.
 """
@@ -36,6 +38,7 @@ from . import polycore
 from .numla import (
     SingularMatrixError,
     SvdSplit,
+    _check_conditioned,
     _check_tolerance,
     auto_tolerance,
     solve,
@@ -90,10 +93,10 @@ class StepConfig:
 class StepResult:
     """Intermediates of one iteration.
 
-    ``mode`` is "two-step" for the generic path, "kernel-only" when the
-    detected corank equals n (the projection step is skipped), and "newton"
-    when the Jacobian has full numerical rank and an ordinary Newton step was
-    taken instead.
+    ``mode`` names the corank's place on the one path: "two-step" for
+    0 < kappa < n, "kernel-only" for kappa = n (x' = x, no projection step),
+    and "newton" for kappa = 0, where the projection step is Newton's step
+    and x'' = x' (no kernel step: v, B' and delta are None).
     """
 
     kappa: int
@@ -181,16 +184,15 @@ def _check_direction(v, n: int, v2: np.ndarray) -> np.ndarray:
 def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
     """Projection step: x' = x - V1 Sigma1^-1 U1* f(x).
 
-    Moves x only along the regular directions, so V2*(x' - x) = 0.
+    Moves x only along the regular directions, so V2*(x' - x) = 0.  At
+    corank 0 it is Newton's step, from the split's SVD of Df.
     """
     x = np.asarray(x, dtype=complex)
     if split.kappa >= split.n:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    fx = system._at(0, x)
-    y = split.v1 @ ((split.u1.conj().T @ fx) / split.sigma1)
-    return x - y
+    return x - split.v1 @ ((split.u1.conj().T @ system._at(0, x)) / split.sigma1)
 
 
 def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.ndarray):
@@ -226,12 +228,12 @@ def two_step(
     cfg: StepConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> StepResult:
-    """One full iteration (split, projection step, kernel step).
+    """One full iteration: split, projection step, kernel step.
 
-    Corank 0 falls back to an ordinary Newton step; corank n skips the
-    projection step.  On a singular kernel operator with a random direction
-    the step is retried once with a fresh direction before the error
-    surfaces.
+    Corank 0 ends after the projection step, which is then Newton's step;
+    corank n skips it.  On a singular kernel operator with a random
+    direction the step is retried once with a fresh direction before the
+    error surfaces.
     """
     if not system.is_square():
         raise ValueError("two_step needs a square system")
@@ -241,47 +243,27 @@ def two_step(
     t0 = time.perf_counter()
 
     fx = polycore._check_start_value(system._at(0, x))
-    jac = system._at(1, x)
-    split = split_svd(jac, cfg.tol)
-    kappa = split.kappa
-    n = system.num_vars
-    res = {"x": float(np.linalg.norm(fx))}
-
+    split = split_svd(system._at(1, x), cfg.tol)
+    kappa, n = split.kappa, split.n
     if kappa == 0:
-        x_new = x - solve(jac, fx)
-        res["x_prime"] = res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_new)))
-        return StepResult(
-            kappa=0,
-            split=split,
-            x_prime=x_new,
-            v=None,
-            b_prime=None,
-            delta=None,
-            x_double_prime=x_new,
-            residuals=res,
-            mode="newton",
-            elapsed=time.perf_counter() - t0,
-        )
+        _check_conditioned(split.sigma1)  # Newton's step refuses a near-singular Df
+    x_prime = x if kappa == n else first_refinement(system, x, split)
+    res = {"x": float(np.linalg.norm(fx))}
+    res["x_prime"] = res["x"] if kappa == n else float(np.linalg.norm(system._at(0, x_prime)))
 
-    if kappa == n:
-        x_prime, mode = x, "kernel-only"
-        res["x_prime"] = res["x"]
-    else:
-        x_prime, mode = first_refinement(system, x, split), "two-step"
-        res["x_prime"] = float(np.linalg.norm(system._at(0, x_prime)))
-
-    attempts = 1 if cfg.v_override is not None else 2
-    last_error = None
-    for _ in range(attempts):
-        v = _draw_direction(cfg, split, rng)
-        try:
-            delta, x_second, b_prime = _kernel_step(system, x_prime, v, split.u2, split.v2)
-            break
-        except SingularMatrixError as exc:
-            last_error = exc
-    else:
-        raise last_error
-    res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
+    v = b_prime = delta = None
+    x_second, res["x_double_prime"] = x_prime, res["x_prime"]
+    if kappa:
+        attempts = 1 if cfg.v_override is not None else 2
+        for attempt in range(attempts):
+            v = _draw_direction(cfg, split, rng)
+            try:
+                delta, x_second, b_prime = _kernel_step(system, x_prime, v, split.u2, split.v2)
+                break
+            except SingularMatrixError:
+                if attempt == attempts - 1:
+                    raise
+        res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
 
     return StepResult(
         kappa=kappa,
@@ -292,7 +274,7 @@ def two_step(
         delta=delta,
         x_double_prime=x_second,
         residuals=res,
-        mode=mode,
+        mode="newton" if kappa == 0 else "kernel-only" if kappa == n else "two-step",
         elapsed=time.perf_counter() - t0,
     )
 

@@ -23,7 +23,8 @@ from snewton.bench import (
     template_system,
     variant_rank_tolerance,
 )
-from snewton.dualspace import multiplicity_structure
+from snewton.dualspace import is_deflation_one, multiplicity_structure
+from snewton.lvz import deflate_once, gauss_newton
 from snewton.polycore import compose_affine
 
 from oracles import symbolic_compose_affine
@@ -294,3 +295,29 @@ def test_report_json_roundtrip():
     assert payload["schema"] == 1
     assert payload["experiment"] == "stability"
     assert len(payload["rows"]) == 1
+
+
+def test_caprasse_baseline_from_two_digits_can_reach_the_mirror_zero():
+    # Caprasse maps its zero set to itself under (x1, x3) -> (-x1, -x3):
+    # f(Sx) = diag(1, 1, -1, -1) f(x).  Deflation plus Gauss-Newton from the
+    # 2-digit start, with the step seed that perfbench's catalog workload
+    # draws at seed 1711, leaves the catalog zero and converges (23
+    # iterations) to its mirror, a zero with the same multiplicity
+    # structure, not to a stall.
+    entry = get_entry("Caprasse")
+    mirror_map = np.array([-1, 1, -1, 1])
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert np.allclose(entry.system.eval(mirror_map * x), [1, 1, -1, -1] * entry.system.eval(x))
+    mirror = mirror_map * entry.zero
+
+    step_seed = int(np.random.default_rng([1711, 2, *b"Caprasse"]).integers(2**31))
+    deflated, y0 = deflate_once(entry.system, perturbed_start(entry.zero, 2), entry.tol, seed=step_seed)
+    gn = gauss_newton(deflated.system, y0, stop=1e-13)
+    assert gn.converged and gn.residuals[-1] <= 1e-13
+    assert np.linalg.norm(gn.x[:4] - mirror) < 1e-12
+    assert np.linalg.norm(gn.x[:4] - entry.zero) > 5
+
+    report = multiplicity_structure(entry.system, mirror)
+    assert (report.breadth, report.depth, report.multiplicity) == (entry.kappa, entry.rho, entry.mu) == (2, 2, 4)
+    assert is_deflation_one(entry.system, mirror)

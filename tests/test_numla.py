@@ -8,6 +8,7 @@ from snewton.numla import (
     cond,
     kernel_basis,
     least_squares,
+    right_svd,
     singular_values,
     solve,
     split_svd,
@@ -192,3 +193,53 @@ def test_spectrum_consistent_with_split():
     split = split_svd(m, 0.5)
     assert np.allclose(np.sort(singular_values(m)), np.sort(split.sigma))
     assert singular_values(m)[-1] == pytest.approx(split.sigma[-1])
+
+
+# -- input checks ----------------------------------------------------------------
+
+INF, NAN = np.inf, np.nan
+NON_FINITE = [
+    (split_svd, ([[INF, 1], [0, 1]], 0.1), r"split_svd: matrix entry \(1, 1\) is not finite: \(inf"),
+    (split_svd, ([[1, 0], [0, NAN]], "auto"), r"split_svd: matrix entry \(2, 2\) is not finite: \(nan"),
+    (kernel_basis, ([[INF, 0]], 0.1), r"kernel_basis: matrix entry \(1, 1\) is not finite"),
+    (solve, ([[1, NAN], [0, 1]], [1, 1]), r"solve: matrix entry \(1, 2\) is not finite"),
+    (least_squares, ([[1], [1j * INF]], [1, 1]), r"least_squares: matrix entry \(2, 1\) is not"),
+    (right_svd, ([[1, 2, NAN]],), r"right_svd: matrix entry \(1, 3\) is not finite"),
+    (singular_values, ([[NAN]],), r"singular_values: matrix entry \(1, 1\) is not finite"),
+    (cond, ([[1, 0], [-INF, 1]],), r"cond: matrix entry \(2, 1\) is not finite"),
+]
+SQUARE, MATRIX = "needs a non-empty square matrix, got shape", "needs a non-empty matrix, got shape"
+MISSHAPEN = [
+    (split_svd, (np.zeros((0, 0)), "auto"), rf"^split_svd {SQUARE} \(0, 0\)$"),
+    (split_svd, (np.ones(3), 0.1), rf"^split_svd {SQUARE} \(3,\)$"),
+    (solve, (np.zeros((0, 0)), []), rf"^solve {SQUARE} \(0, 0\)$"),
+    (solve, (np.ones((2, 3)), [1, 1]), rf"^solve {SQUARE} \(2, 3\)$"),
+    (least_squares, (np.zeros((2, 0)), [1, 1]), rf"^least_squares {MATRIX} \(2, 0\)$"),
+    (kernel_basis, (np.ones(3), 0.1), rf"^kernel_basis {MATRIX} \(3,\)$"),
+    (right_svd, (np.zeros((0, 2)),), rf"^right_svd {MATRIX} \(0, 2\)$"),
+    (singular_values, (np.zeros((3, 0)),), rf"^singular_values {MATRIX} \(3, 0\)$"),
+    (cond, (np.zeros((0, 0)),), rf"^cond {MATRIX} \(0, 0\)$"),
+]
+
+
+def _case_ids(cases):
+    return [f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("fn, args, message", NON_FINITE, ids=_case_ids(NON_FINITE))
+def test_non_finite_matrices_name_the_function_and_the_first_bad_entry(fn, args, message):
+    # unchecked, these returned NaN spectra (kappa = 2 for the inf matrix),
+    # a NaN kernel basis, or failed with "SVD did not converge"
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", MISSHAPEN, ids=_case_ids(MISSHAPEN))
+def test_empty_and_misshapen_matrices_are_refused_by_name(fn, args, message):
+    # unchecked, the empty split and solve raised IndexError
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_kernel_of_a_matrix_without_rows_is_the_whole_space():
+    assert np.array_equal(kernel_basis(np.zeros((0, 3)), 0.1), np.eye(3))

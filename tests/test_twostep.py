@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from snewton.bench import get_entry, random_variant, variant_rank_tolerance
-from snewton.numla import SingularMatrixError, split_svd
+from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
+from snewton.numla import SingularMatrixError, solve, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
     StepConfig,
@@ -192,6 +192,45 @@ def test_two_step_regular_zero_takes_newton_step():
     assert np.linalg.norm(step.x_double_prime - [1, 2]) < 1e-4
 
 
+def newton_point(system, x):
+    """The corank-0 step as the parent of the one-path ``two_step`` took it."""
+    return x - solve(system.jacobian(x), system.eval(x))
+
+
+def test_corank_zero_step_is_the_newton_step_bit_for_bit():
+    # on x - 1, y - 2; on a regular start of a catalog entry (the 1-digit
+    # start of the running example, tol 1e-9); on a corank-0 run of a variant
+    linear = parse_system("x - 1\ny - 2", ["x", "y"])
+    cases = [(linear, np.array([1.1, 2.1], dtype=complex), StepConfig(tol=1e-6))]
+    running = get_entry("running-example")
+    cases.append((running.system, perturbed_start(running.zero, 1), StepConfig(tol=1e-9)))
+    steps = [two_step(system, x, cfg) for system, x, cfg in cases]
+    system, zero = random_variant(8, 1, seed=4)
+    rng = np.random.default_rng(4)
+    x0 = zero + 1e-2 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    trace = refine(system, x0, StepConfig(tol=1e-14, seed=0, max_iters=6))
+    iterates = [x0] + [step.x_double_prime for step in trace.steps]
+    cases += [(system, x, None) for x in iterates[:-1]]
+    steps += trace.steps
+    assert len(steps) == 2 + 6
+    for (system, x, _), step in zip(cases, steps):
+        assert (step.mode, step.kappa) == ("newton", 0)
+        assert step.v is step.b_prime is step.delta is None
+        assert step.x_prime is step.x_double_prime
+        assert step.x_double_prime.tobytes() == newton_point(system, x).tobytes()
+        assert step.residuals["x_prime"] == step.residuals["x_double_prime"]
+
+
+def test_corank_zero_step_refuses_a_near_singular_jacobian():
+    # sigma_min / sigma_max = 1e-14 lies above the fixed tolerance, so the
+    # split keeps both directions, but the step would divide by 1e-14
+    system = parse_system("x - 1\n1e-14*y - 2", ["x", "y"])
+    assert split_svd(system.jacobian([0, 0]), 1e-20).kappa == 0
+    message = r"singular to working precision \(sigma_min=1\.000e-14"
+    with pytest.raises(SingularMatrixError, match=message):
+        two_step(system, [0, 0], StepConfig(tol=1e-20))
+
+
 def test_two_step_corank_n_skips_projection():
     entry = get_entry("truncated-sin")
     x = np.full(3, 1e-4, dtype=complex)
@@ -265,31 +304,53 @@ def test_two_step_auto_tolerance_on_exactly_singular_jacobian():
     assert np.linalg.norm(step.x_double_prime - midpoint) < 1e-15
 
 
-def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes):
+def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, monkeypatch):
     # fresh systems, so that no value of another test's last point is held
     passes = evaluation_passes
+    svd_args = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        svd_args.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
 
     def contractions(system):
         return sum(index is system._index(2) for index in passes)
+
+    def check_svds(system, x, step):
+        # one SVD of Df(x), the split's; the only other one is of the
+        # kappa x kappa B', inside the kernel step's solve
+        assert np.array_equal(svd_args[0], system.jacobian(x))
+        assert len(svd_args) == (1 if step.mode == "newton" else 2)
+        assert step.mode == "newton" or np.array_equal(svd_args[1], step.b_prime)
+        passes.clear()
+        svd_args.clear()
 
     system = get_entry("running-example").system
     x = np.array([1.001, 0.999, 1.001], dtype=complex)
     step = two_step(system, x, StepConfig(tol=0.1, v_override=V_RAW))
     # f and Df at x, f at x', D^2f.v and Df at x', f at x''
     assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 6)
+    check_svds(system, x, step)
     b = operator_B(system, step.x_prime, step.v, step.split.u2, step.split.v2)
     assert np.array_equal(step.b_prime, b)
 
     passes.clear()
     system = get_entry("truncated-sin").system
-    step = two_step(system, np.full(3, 1e-4), StepConfig(tol=0.1))
+    x = np.full(3, 1e-4, dtype=complex)
+    step = two_step(system, x, StepConfig(tol=0.1))
     # x' = x: f, Df and D^2f.v at x, f at x''
     assert (step.mode, contractions(system), len(passes)) == ("kernel-only", 1, 4)
+    check_svds(system, x, step)
 
-    passes.clear()
     linear = parse_system("x - 1\ny - 2", ["x", "y"])
-    step = two_step(linear, np.array([1.1, 2.1]), StepConfig(tol=1e-6))
+    x = np.array([1.1, 2.1], dtype=complex)
+    step = two_step(linear, x, StepConfig(tol=1e-6))
+    # f and Df at x, f at x' = x''
     assert (step.mode, contractions(linear), len(passes)) == ("newton", 0, 3)
+    check_svds(linear, x, step)
 
 
 def test_exactly_zero_jacobian_gets_one_fallback_tolerance(tmp_path, capsys, monkeypatch):
