@@ -8,6 +8,7 @@ extracted.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,11 @@ def _matrix(caller: str, matrix, square: bool = False) -> np.ndarray:
     if m.ndim != 2 or m.size == 0 or (square and m.shape[0] != m.shape[1]):
         kind = "a non-empty square matrix" if square else "a non-empty matrix"
         raise ValueError(f"{caller} needs {kind}, got shape {m.shape}")
-    return _check_finite(m, f"{caller}: matrix entry")
+    # A NaN or inf entry makes the sum of |m_ij|^2 non-finite; one BLAS pass
+    # over the entries costs less than an elementwise test on every call.
+    if not cmath.isfinite(np.vdot(m, m)):
+        _check_finite(m, f"{caller}: matrix entry")
+    return m
 
 
 def _check_conditioned(s: np.ndarray) -> None:

@@ -241,5 +241,10 @@ def test_empty_and_misshapen_matrices_are_refused_by_name(fn, args, message):
         fn(*args)
 
 
+def test_finite_entries_whose_squares_overflow_pass_the_check():
+    # the sum of |m_ij|^2 overflows to inf, yet every entry is finite
+    assert np.array_equal(singular_values([[1e200, 0], [0, -1e200j]]), [1e200, 1e200])
+
+
 def test_kernel_of_a_matrix_without_rows_is_the_whole_space():
     assert np.array_equal(kernel_basis(np.zeros((0, 3)), 0.1), np.eye(3))
