@@ -18,8 +18,9 @@ The script writes one JSON file in the layout of ``BENCH_evaluator.json``:
   a Newton step (``jacobian`` plus ``np.linalg.solve``), ``two_step``,
   ``two_step_newton`` (a corank-0 ``two_step``: a fixed tolerance below the
   kernel singular values), ``refine``, ``refine_auto`` (``tol="auto"`` from
-  1e-2 off the zero to a residual of 1e-10) and one Gauss-Newton iterate on the deflated system
-  (``eval``, ``jacobian`` and the least-squares step at a new point) on
+  1e-2 off the zero to a residual of 1e-10) and one Gauss-Newton iterate on
+  the deflated system (``eval``, ``jacobian`` and the least-squares step at
+  a new point) on
   ``random_variant(n, 2, seed=1)``, in one fresh process per revision, size
   and round; the rounds alternate which revision goes first.  Each probe
   also counts the ``np.linalg.svd`` calls of one ``two_step`` and of one
@@ -110,7 +111,7 @@ def _svd_calls(fn) -> int:
 
 def probe(n: int) -> dict:
     """Per-call medians in seconds at ``random_variant(n, 2, seed=1)``, and
-    the counts and the ``tol="auto"`` run that ``main``'s docstring names."""
+    the counts and the ``tol="auto"`` run that the module docstring names."""
     from snewton.bench import random_variant, variant_rank_tolerance
     from snewton.lvz import deflate_once
     from snewton.numla import least_squares
@@ -339,7 +340,9 @@ def main(argv=None) -> int:
                       "pairs; change_better_pairs counts pairs where the change reads lower. Per "
                       "workload: digests_match (perfbench outcome digests equal in every pair), "
                       "correct, failed, attempted and failures as each run reports them, and per "
-                      "metric its value in every run (parent_runs, change_runs)",
+                      "metric its value in every run (parent_runs, change_runs), the ratio of the "
+                      "medians (change_over_parent), whether the medians differ by more than the "
+                      "parent's q3 - q1 (median_gap_exceeds_parent_iqr) and the pairs run",
             "claimed": None,
             "workloads": {},
         },
@@ -380,8 +383,9 @@ def main(argv=None) -> int:
 
     doc["cache"] = {
         "method": "tracemalloc started after building random_variant(200, 2, seed=1); the "
-                  "oracle tolerance (one jacobian) and one refine from 1e-3 off the zero; bytes "
-                  "still traced once its result is dropped",
+                  "oracle tolerance (one jacobian) and one refine from 1e-3 off the zero; kept_mb is "
+                  "the bytes still traced once its result is dropped, peak_mb the traced peak, "
+                  "refine_iterations the iterations of that refine",
         **{side: _run_probe(tree, "cache") for side, tree in trees.items()},
     }
     save()
