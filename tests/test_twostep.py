@@ -193,7 +193,8 @@ def test_two_step_regular_zero_takes_newton_step():
 
 
 def newton_point(system, x):
-    """The corank-0 step as the parent of the one-path ``two_step`` took it."""
+    """Newton's step through ``numla.solve``, which takes its own SVD of Df:
+    the oracle for the corank-0 step."""
     return x - solve(system.jacobian(x), system.eval(x))
 
 
