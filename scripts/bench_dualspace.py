@@ -16,9 +16,9 @@ Every number in the file comes from the one run its header describes:
   - the cold first calls of ``multiplicity_structure`` and
     ``deflation_one_necessary`` (``cold_s``,
     ``cold_deflation_one_necessary_s``), each on a fresh copy of the system
-    with every memoized table of ``polycore`` emptied: the median of
-    ``COLD_REPS`` calls per process, in ``COLD_ROUNDS`` short processes per
-    revision that alternate between the revisions;
+    with every memoized table of ``polycore`` and ``dualspace`` emptied:
+    the median of ``COLD_REPS`` calls per process, in ``COLD_ROUNDS`` short
+    processes per revision that alternate between the revisions;
   - the medians of warm calls of both;
   - ``several_points_s``: ``deflation_one_necessary`` at ``POINTS``
     different points (the zero and points 1e-3 from it) on one fresh copy
@@ -38,6 +38,13 @@ Every number in the file comes from the one run its header describes:
   bytes and MB.  ``cold_parity`` checks the cold calls against the parent:
   the gmean over the ``dual`` instances beside the spread of the parent's
   own rounds, and the instances more than 10 % slower.
+* ``factorizations``: per instance and order of ``multiplicity_structure``
+  (the instances above, one process per revision), the shape of the array
+  that every ``np.linalg.qr`` and ``np.linalg.svd`` call in ``next_order``
+  sees, and ``work``, the sum over those calls of batch x rows x columns x
+  min(rows, columns): a count of the factorization work that does not
+  depend on the host's speed, where the cold timings cannot resolve a
+  change of a few per cent per instance.
 * ``plan_reuse`` (trees that compile shifts): the share of Taylor shifts
   that find their plan compiled already, over the perfbench ``dual`` tasks
   (seed 7, a warm-up and ``PASSES`` passes, as perfbench runs them) and over
@@ -93,12 +100,14 @@ def _median_call(fn):
 
 
 def _forget_tables():
-    """Empty every memoized table of ``polycore`` (the graded-lex tables)."""
-    from snewton import polycore
+    """Empty every memoized table of ``polycore`` and ``dualspace`` (the
+    graded-lex tables and the block index of the candidate basis)."""
+    from snewton import dualspace, polycore
 
-    for value in vars(polycore).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    for module in (polycore, dualspace):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def _peak_mb(fn) -> float:
@@ -204,6 +213,43 @@ def probe(cold: bool) -> dict:
     return out
 
 
+def probe_factorizations() -> dict:
+    """Per instance and order of ``multiplicity_structure``, the shapes the
+    QRs and SVDs of ``next_order`` see and their work count."""
+    from snewton import dualspace
+    from snewton.dualspace import multiplicity_structure
+
+    calls, orders = [], []
+
+    def recording(kind, real):
+        def wrapped(a, *args, **kwargs):
+            calls.append((kind, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        return wrapped
+
+    def step(*args, **kwargs):
+        calls.clear()
+        basis = real_step(*args, **kwargs)
+        work = sum(int(np.prod(shape)) * min(shape[-2:]) for _, shape in calls)
+        orders.append({"order": basis.order, "work": work,
+                       **{kind: [list(shape) for k, shape in calls if k == kind] for kind in ("qr", "svd")}})
+        return basis
+
+    real_qr, real_svd, real_step = np.linalg.qr, np.linalg.svd, dualspace.next_order
+    np.linalg.qr, np.linalg.svd = recording("qr", real_qr), recording("svd", real_svd)
+    dualspace.next_order = step
+    out = {}
+    try:
+        for label, system, zero in _cases():
+            orders = out.setdefault(label, {"orders": []})["orders"]
+            multiplicity_structure(system, zero)
+            out[label]["work"] = sum(order["work"] for order in orders)
+    finally:
+        np.linalg.qr, np.linalg.svd, dualspace.next_order = real_qr, real_svd, real_step
+    return out
+
+
 def probe_reuse() -> dict:
     """The Taylor shifts that find their plan compiled already, over the
     perfbench ``dual`` tasks and over CLI ``analyze`` and ``check``."""
@@ -277,7 +323,7 @@ def _alternate(trees: dict, rounds: int, kind: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--probe", choices=("cold", "warm", "reuse"), help=argparse.SUPPRESS)
+    parser.add_argument("--probe", choices=("cold", "warm", "reuse", "factorizations"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path, default=Path("BENCH_dualspace.json"))
@@ -288,7 +334,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.probe:
-        print(json.dumps(probe_reuse() if args.probe == "reuse" else probe(args.probe == "cold")))
+        probes = {"reuse": probe_reuse, "factorizations": probe_factorizations}
+        print(json.dumps(probes.get(args.probe, lambda: probe(args.probe == "cold"))()))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
@@ -298,9 +345,11 @@ def main(argv=None) -> int:
     order = list(trees)
     doc = {
         "schema": 1,
-        "what": "the Taylor shift compiled once per system and order: a read-only plan of "
-                "items, factor positions and bins cached with the system, and one vectorized "
-                "pass per point with the bits of the loop over the variables",
+        "what": "the candidate basis Z of each dual-space order from restricted integrals: "
+                "e_0 and, per variable x_i, an orthonormal basis of the integral along x_i of the "
+                "previous basis restricted to x_(>i) = 0, from one batched QR of n copies of "
+                "C(n + k - 1, k - 1) rows, in place of one QR of the D^+ integrals over all "
+                "C(n + k, k) rows",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
         "in_process": {"instances": {}},
@@ -310,7 +359,7 @@ def main(argv=None) -> int:
             "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
                       "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
                       "pairs; change_better_pairs counts pairs where the change reads lower",
-            "claimed": "dual second_s.gmean",
+            "claimed": "dual solve_s.gmean",
             "workloads": {},
         },
     }
@@ -318,6 +367,17 @@ def main(argv=None) -> int:
 
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    work = {side: _run_probe(tree, "factorizations") for side, tree in trees.items()}
+    doc["factorizations"] = {
+        "what": "per instance and order of multiplicity_structure, the shape of the array each "
+                "np.linalg.qr and np.linalg.svd call in next_order sees, and work: the sum over "
+                "those calls of batch x rows x columns x min(rows, columns)",
+        "work_change_over_parent": {lb: work["change"][lb]["work"] / work["parent"][lb]["work"]
+                                    for lb in work["parent"]},
+        **work,
+    }
+    save()
 
     def ratios(key, labels):
         return {lb: instances[lb]["change"][key] / instances[lb]["parent"][key] for lb in labels}
@@ -332,8 +392,8 @@ def main(argv=None) -> int:
     section["cold_method"] = (
         f"cold: short processes, one per revision and round ({COLD_ROUNDS} rounds, the first "
         f"revision alternating), each timing per instance the median of {COLD_REPS} first calls, "
-        "each on a fresh copy of the system with every memoized table of polycore emptied; "
-        "values are medians over the rounds")
+        "each on a fresh copy of the system with every memoized table of polycore and "
+        "dualspace emptied; values are medians over the rounds")
     for kind, rounds in (("warm", args.rounds), ("cold", COLD_ROUNDS)):
         probes = _alternate(trees, rounds, kind)
         for label in probes["parent"][0]:

@@ -8,15 +8,15 @@ holds the functionals all of whose down-shifts S_i (d^alpha -> d^(alpha-e_i))
 stay in span(Q), the kernel of M = vstack_i (I - QQ*) S_i; the order-k dual
 space is the part of C^(k) that annihilates the system.
 
-M is never formed.  The S_i have disjoint column supports, so
-M*M = D - W*W with D = diag(#{i : alpha_i > 0}) and W = vstack_i Q* S_i,
-which has n * dim(Q) rows.  Mc = 0 gives Dc = W*Wc, so the kernel lies in
-span{1} + range(D^+ W*): the integrals of the previous basis functionals,
-as in the integration method of Mourrain (*Isolated points, duality and
-residues*, J. Pure Appl. Algebra 117-118, 1997) and Mantzaflaris and
-Mourrain (ISSAC 2011).  Each order therefore solves a membership system with
-1 + n * dim(Q) columns instead of C(n + k, k), and reads the values of the
-candidates on the system off one Taylor shift per polynomial.
+M is never formed.  Every c of order <= k is c(0) e_0 plus the restricted
+integrals of the S_i c, the integral along x_i taking d^beta to d^(beta+e_i)
+if beta has no x_(>i) and dropping it otherwise: d^alpha comes back from its
+last variable only.  So ker M lies in the span Z of e_0 and the restricted
+integrals of Q (Mourrain, *Isolated points, duality and residues*, J. Pure
+Appl. Algebra 117-118, 1997; Mantzaflaris and Mourrain, ISSAC 2011).  Those
+along x_i land on the monomials of last variable x_i, so one batched QR of n
+copies of Q, of at most C(n + k - 1, k - 1) rows, makes Z orthonormal.  Each
+order has at most 1 + n dim(Q) unknowns, not C(n + k, k), and one Taylor shift.
 
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
@@ -157,12 +157,12 @@ def next_order(
     basis of the order-k dual space.
 
     The candidate space is the kernel of the membership operator M restricted
-    to the span Z of the unit functional and the integrals of the previous
-    basis (see the module docstring), found by one thin SVD of MZ; the dual
-    space is the kernel of the values of the candidates on the system, found
-    by a second SVD.  Each spectrum sets its own rank tolerance unless
-    ``rank_tol`` is given.  ``_shift`` lets the orders of one call share
-    their Taylor shift (see ``_taylor``).
+    to the span Z of the unit functional and the restricted integrals of the
+    previous basis (see the module docstring), found by one thin SVD of MZ;
+    the dual space is the kernel of the values of the candidates on the
+    system, found by a second SVD.  Each spectrum sets its own rank
+    tolerance unless ``rank_tol`` is given.  ``_shift`` lets the orders of
+    one call share their Taylor shift (see ``_taylor``).
     """
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
@@ -177,17 +177,16 @@ def next_order(
             f"one row per monomial of degree <= {prev.order} in {n} variables"
         )
     _check_finite(p, "previous basis coefficient")
-    _, up, support = _grlex(n, k)  # up[i, r] is the row of alpha_r + e_i: S_i c = c[up[i]]
+    up, by_last, to = _blocks(n, k)  # up[i, r] is the row of alpha_r + e_i: S_i c = c[up[i]]
     q, _ = np.linalg.qr(p)
     d = q.shape[1]
 
-    # Z: orthonormal basis of span{e_0} + range(D^+ W*), whose columns are
-    # e_0 and the integrals D^+ S_i* q_j; the kernel of M lies in it.
-    integrals = np.zeros((len(support), 1 + n * d), dtype=complex)
-    integrals[0, 0] = 1.0
-    integrals[up[:, :, None], 1 + np.arange(n * d).reshape(n, 1, d)] = q
-    integrals[1:] /= support[1:, None]
-    z, _ = np.linalg.qr(integrals)
+    # Z: e_0 and, per x_i, an orthonormal basis of the restricted integrals of Q.
+    blocks, _ = np.linalg.qr(np.where(to[:, :, None] < 0, 0, q[by_last]))
+    z = np.zeros((math.comb(n + k, n) + 1, 1 + n * d), dtype=complex)  # row -1 takes the padding
+    z[0, 0] = 1.0
+    z[to[:, :, None], 1 + np.arange(n * d).reshape(n, 1, d)] = blocks
+    z = z[:-1, np.append(True, to[:, :d] >= 0)]  # block i keeps min(its rows, d) columns
 
     # MZ: the blocks (I - QQ*) S_i Z, with S_i Z a row gather of Z.
     mz = z[up]
@@ -211,6 +210,17 @@ def next_order(
     coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
     coeffs.flags.writeable = False
     return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=candidates.shape[1], ambiguous=ambiguous)
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only: up of ``_grlex(n, k)``, the rows r_j of order k - 1 sorted by last variable,
+    and to[i, j], the row of alpha_(r_j) + e_i, or -1 when alpha_(r_j) has a variable past x_i."""
+    _, up, last = _grlex(n, k)
+    by_last = np.argsort(last[: up.shape[1]], kind="stable")
+    to = np.where(last[by_last] <= np.arange(n)[:, None], up[:, by_last], -1)
+    by_last.flags.writeable = to.flags.writeable = False
+    return up, by_last, to
 
 
 def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:

@@ -108,7 +108,7 @@ def auto_tolerance(matrix: np.ndarray) -> float:
     smallest singular value is returned, which makes the matrix look full
     rank to ``split_svd``.
     """
-    s = singular_values(matrix)
+    s = np.linalg.svd(_matrix("auto_tolerance", matrix), compute_uv=False)
     if s[0] == 0:
         raise ValueError("auto tolerance is undefined for the zero matrix")
     return _gap_tolerance(s)
@@ -173,6 +173,7 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
+    _check_finite(rhs, "solve: right-hand side entry")
     u, s, vh = np.linalg.svd(m)
     _check_conditioned(s)
     return vh.conj().T @ ((u.conj().T @ rhs) / s)
@@ -184,6 +185,7 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
+    _check_finite(rhs, "least_squares: right-hand side entry")
     y, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     return y
 

@@ -855,9 +855,9 @@ def _grlex_memo(num_vars: int) -> dict:  # the _grlex tables asked for so far, b
 
 
 def _grlex(num_vars: int, order: int):
-    """Read-only tables of ``monomials_upto(num_vars, order)``, built in a loop up
-    from the highest order held: exponents (int64 rows), up[i, r] the
-    row of alpha_r + e_i for the rows r of lower order, each row's nonzero count.
+    """Read-only tables of ``monomials_upto(num_vars, order)``, built in a loop up from the
+    highest order held: exponents (int64 rows), up[i, r] the row of alpha_r + e_i for the rows
+    r of lower order, each row's last variable i with alpha_i > 0 (-1 for the zero row).
     alpha follows C(n + |alpha| - 1, n) monomials of lower degree and sum_j C(s_j + m_j, m_j)
     - C(s_(j+1) + m_j, m_j) of its own, s_j = alpha_j + ... + alpha_(n-1), m_j = n - 1 - j."""
     tables = _grlex_memo(num_vars)
@@ -865,7 +865,7 @@ def _grlex(num_vars: int, order: int):
         return tables[order]
     n, m = num_vars, np.arange(num_vars - 1, -1, -1)
     top = max((k for k in list(tables) if k <= order), default=-1)
-    expo, up = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64)
+    expo, up, last = np.zeros((1, n), dtype=np.int64), np.zeros((n, 0), dtype=np.int64), np.full(1, -1)
     expo, pascal = tables[top][0] if top > 0 else expo, _pascal(n + order, n)
     for k in range(max(top, 0) + 1, order + 1):
         low, expo = expo, np.zeros((math.comb(n + k, n), n), dtype=np.int64)
@@ -874,11 +874,11 @@ def _grlex(num_vars: int, order: int):
         before, at, after = s1 - t1, s1 - t0, s0 - t0  # the terms of x_j for j <, = and > i
         after = np.cumsum(after[:, ::-1], axis=1)[:, ::-1] - after
         up = (pascal[n + s[:, :1], n] + np.cumsum(before, axis=1) - before + at + after).T
-        for i in range(n):
-            expo[up[i]] = low + np.eye(1, n, i, dtype=np.int64)
-    support = np.count_nonzero(expo, axis=1)
-    expo.flags.writeable = up.flags.writeable = support.flags.writeable = False
-    return tables.setdefault(order, (expo, up, support))
+        last = np.full(len(expo), -1)
+        for i in range(n):  # the last i with alpha_i > 0 writes last[alpha]
+            expo[up[i]], last[up[i]] = low + np.eye(1, n, i, dtype=np.int64), i
+    expo.flags.writeable = up.flags.writeable = last.flags.writeable = False
+    return tables.setdefault(order, (expo, up, last))
 
 
 def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -> np.ndarray:

@@ -8,14 +8,15 @@ from snewton import polycore
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(owner, name)`` wraps ``owner.name`` for the test and
-    returns a list that grows by one entry per call."""
+    returns a list that grows by one entry per call: its positional
+    arguments."""
 
     def install(owner, name):
         calls = []
         real = getattr(owner, name)
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)

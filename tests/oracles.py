@@ -2,7 +2,8 @@
 deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the paper's operator A;
 row sums from two bincounts; graded-lex multi-indices from combinations;
-the dual-space step that rebuilds its tables from dicts at every order;
+the dual-space step that rebuilds its tables from dicts at every order,
+on restricted integrals and on the D^+ integrals it replaced;
 the Taylor shift as one loop over the variables; the affine substitution
 f(A(X - b)) by polynomial arithmetic."""
 
@@ -217,31 +218,66 @@ def monomials_by_combinations(num_vars, order):
 def rebuilt_next_order(system, xi, prev, rank_tol=None):
     """``dualspace.next_order`` with every table rebuilt at every order: the
     multi-indices and their index dict, the rows of alpha + e_i by dict
-    lookups, the integrals scattered and MZ projected one variable at a
-    time, and a Taylor shift of its own."""
+    lookups, and one variable at a time the copy of Q restricted to
+    x_(>i) = 0 (its rows sorted by last variable, padded with zero rows), its
+    own QR, its integrals scattered into Z and its MZ block projected; and a
+    Taylor shift of its own."""
+
+    def restricted_integrals(q, basis_k, below, up):
+        last = [max((j for j, e in enumerate(a) if e), default=-1) for a in below]
+        ranked = sorted(range(len(below)), key=last.__getitem__)
+        columns = [np.eye(len(basis_k), 1, dtype=complex)]
+        for i in range(len(up)):
+            held = [r for r in ranked if last[r] <= i]
+            restricted = np.zeros_like(q)
+            restricted[: len(held)] = q[held]
+            block, _ = np.linalg.qr(restricted)
+            integral = np.zeros((len(basis_k), min(len(held), q.shape[1])), dtype=complex)
+            for j, r in enumerate(held):
+                integral[up[i, r]] = block[j, : integral.shape[1]]
+            columns.append(integral)
+        return np.hstack(columns)
+
+    return _closedness_step(system, xi, prev, rank_tol, restricted_integrals)
+
+
+def integral_next_order(system, xi, prev, rank_tol=None):
+    """The closedness step on the integrals D^+ S_i* q_j of the whole previous
+    basis, D = diag(#{i : alpha_i > 0}), orthonormalized with e_0 by one QR
+    over all C(n + k, k) rows: the construction ``next_order`` used before
+    its restricted integrals, with the same tables, MZ and rank rules as
+    ``rebuilt_next_order``."""
+
+    def integrals(q, basis_k, below, up):
+        n, d = len(up), q.shape[1]
+        out = np.zeros((len(basis_k), 1 + n * d), dtype=complex)
+        out[0, 0] = 1.0
+        for i in range(n):
+            out[up[i], 1 + i * d : 1 + (i + 1) * d] = q
+        support = np.count_nonzero(np.array(basis_k[1:]), axis=1)
+        out[1:] /= support[:, None]
+        return np.linalg.qr(out)[0]
+
+    return _closedness_step(system, xi, prev, rank_tol, integrals)
+
+
+def _closedness_step(system, xi, prev, rank_tol, candidate_basis):
+    """One order from tables rebuilt by dict lookups, with the orthonormal
+    Z = candidate_basis(Q, order-k multi-indices, order-(k-1) ones, up)."""
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
     xi = system._check_point(xi)
     k = prev.order + 1
     basis_k = monomials_by_combinations(n, k)
-    nprev = math.comb(n + k - 1, n)  # the order-(k-1) monomials lead basis_k
+    below = basis_k[: math.comb(n + k - 1, n)]  # the order-(k-1) monomials lead basis_k
     index = {a: r for r, a in enumerate(basis_k)}
 
     q, _ = np.linalg.qr(prev.coeffs)
-    d = q.shape[1]
 
     # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
-    up = np.array(
-        [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in basis_k[:nprev]] for i in range(n)]
-    )
-    integrals = np.zeros((len(basis_k), 1 + n * d), dtype=complex)
-    integrals[0, 0] = 1.0
-    for i in range(n):
-        integrals[up[i], 1 + i * d : 1 + (i + 1) * d] = q
-    support = np.count_nonzero(np.array(basis_k[1:]), axis=1)
-    integrals[1:] /= support[:, None]
-    z, _ = np.linalg.qr(integrals)
+    up = np.array([[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in below] for i in range(n)])
+    z = candidate_basis(q, basis_k, below, up)
 
     blocks = []
     for i in range(n):

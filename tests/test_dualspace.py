@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snewton import dualspace, polycore
 from snewton.bench import catalog, get_entry, random_variant
@@ -21,11 +23,11 @@ from snewton.dualspace import (
     multiplicity_structure,
     next_order,
 )
-from snewton.numla import kernel_basis, singular_values, split_svd
+from snewton.numla import kernel_basis, right_svd, singular_values, split_svd
 from snewton.polycore import Exponent, _grlex, parse_system, taylor_coefficients
 from snewton.twostep import operator_B
 
-from oracles import apply_functional, monomials_by_combinations, rebuilt_next_order
+from oracles import apply_functional, integral_next_order, monomials_by_combinations, rebuilt_next_order
 
 
 def _make_functional(num_vars, terms):
@@ -306,18 +308,157 @@ def test_next_order_matches_rebuilt_oracle_with_forced_tolerance(monkeypatch):
             assert_matches_rebuilt_oracle(monkeypatch, entry.system, entry.zero, 1.0, max_order=4)
 
 
+# -- restricted integrals --------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), density=st.floats(0, 1))
+def test_a_functional_is_its_value_at_zero_plus_its_restricted_integrals(n, k, seed, density):
+    """c = c(0) e_0 + sum_i int_i (S_i c)|_(x_(>i) = 0) term by term, where the
+    restricted integral int_i takes d^beta with no x_(>i) to d^(beta + e_i):
+    each term of c comes back once, from the last variable of its index.  So
+    a c whose every S_i c lies in span(Q) lies in span(e_0, int_i Q)."""
+    rng = np.random.default_rng(seed)
+    keys = monomials_upto(n, k)
+    values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    c = _make_functional(n, dict(zip(keys, values * (rng.random(len(keys)) < density))))
+    total = {a: v for a, v in c.terms.items() if not any(a)}
+    for i in range(n):
+        for beta, value in phi(c, i).terms.items():
+            if not any(beta[i + 1 :]):
+                alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                assert alpha not in total
+                total[alpha] = value
+    assert total == c.terms
+
+
+def candidate_basis(monkeypatch, system, xi, prev):
+    """The orthonormal Z of ``next_order(system, xi, prev)``, read off its second
+    SVD: with a zero spectrum and the identity as right vectors from the first
+    (membership) SVD, the candidates are Z, and with the identity as the
+    Taylor shift, the evaluation matrix is Z too."""
+    seen = []
+
+    def spectra(matrix):
+        seen.append(np.array(matrix))
+        return (np.zeros(matrix.shape[1]), np.eye(matrix.shape[1])) if len(seen) == 1 else right_svd(matrix)
+
+    def identity(system, xi, k, held):
+        return np.eye(math.comb(system.num_vars + k, k), dtype=complex)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dualspace, "right_svd", spectra)
+        patch.setattr(dualspace, "_taylor", identity)
+        next_order(system, xi, prev)
+    assert len(seen) == 2
+    return seen[1]
+
+
+@pytest.mark.parametrize("name", ["running-example", "x2-z3xy-y2", "KSS", "variant 6 2", "variant 5 3"])
+def test_candidate_basis_is_orthonormal_with_disjoint_blocks_that_hold_the_dual_space(monkeypatch, name):
+    if name.startswith("variant"):
+        system, zero = random_variant(*map(int, name.split()[1:]), seed=0)
+    else:
+        entry = get_entry(name)
+        system, zero = entry.system, entry.zero
+    n, prev = system.num_vars, base_basis(system.num_vars)
+    for k in range(1, 5):
+        z = candidate_basis(monkeypatch, system, zero, prev)
+        keys = monomials_upto(n, k)
+        last = np.array([max((i for i, e in enumerate(a) if e), default=-1) for a in keys])
+        d = np.linalg.matrix_rank(prev.coeffs)
+        rows = [math.comb(i + k, k - 1) for i in range(n)]  # the monomials of order k - 1 in x_0..x_i
+        assert z.shape == (len(keys), 1 + sum(min(r, d) for r in rows)), k
+        assert np.array_equal(z[:, 0], np.eye(len(keys))[0]), k
+        # column j of block i lives on the rows of last variable i, the blocks in order
+        block = np.repeat(np.arange(n), [min(r, d) for r in rows])
+        for j, i in enumerate(block, start=1):
+            assert set(last[np.flatnonzero(z[:, j])]) <= {i}, (k, j)
+        assert np.abs(z.conj().T @ z - np.eye(z.shape[1])).max() <= 1e-13, k
+        # the order-k dual space of the dense oracle lies in range(Z)
+        dense = dense_next_order(system, zero, prev)
+        assert np.abs(dense.coeffs - z @ (z.conj().T @ dense.coeffs)).max() <= 1e-9, k
+        nxt = next_order(system, zero, prev)
+        if nxt.dim == prev.dim:
+            break
+        prev = nxt
+
+
+def test_no_qr_or_svd_of_next_order_sees_a_row_per_monomial(count_calls):
+    """The QRs see the previous basis and the n restricted copies of Q in one
+    batch (C(n + k - 1, k - 1) rows each), and the tall MZ (n times as many) or
+    evaluation (a row per polynomial) before their SVDs; none sees the
+    C(n + k, k) monomials of order k, over which the integrals D^+ S_i* q_j
+    were orthonormalized before.  The SVDs see at most 1 + n dim(Q) rows, the
+    columns of Z, or a row per polynomial."""
+    qrs, svds = count_calls(np.linalg, "qr"), count_calls(np.linalg, "svd")
+    cases = [(e.system, e.zero, 1e-6 if e.name == "Cyclic9" else None) for e in catalog()]
+    cases += [(*random_variant(n, k, seed=0), None) for n, k in ((6, 2), (8, 3), (10, 3))]
+    for system, xi, rank_tol in cases:
+        n, prev = system.num_vars, base_basis(system.num_vars)
+        if n < 3:  # n = 2 has n * C(k + 1, 2) = C(k + 2, 2) rows in MZ at k = 2
+            continue
+        for k in range(1, 13):
+            qrs.clear()
+            svds.clear()
+            nxt = next_order(system, xi, prev, rank_tol)
+            below = math.comb(n + k - 1, k - 1)
+            d = np.linalg.matrix_rank(prev.coeffs)
+            batched = [args[0].shape for args in qrs if np.ndim(args[0]) == 3]
+            assert batched == [(n, below, d)], k
+            factored = {np.shape(args[0])[-2] for args in qrs}
+            assert factored <= {below, n * below, len(system)} and math.comb(n + k, k) not in factored, k
+            assert max(np.shape(args[0])[0] for args in svds) <= max(1 + n * d, len(system)), k
+            if nxt.dim == prev.dim:
+                break
+            prev = nxt
+
+
+# -- the D^+ integrals that the restricted integrals replaced ----------------------
+
+
+def assert_recursion_matches_integral_oracle(system, xi, rank_tol=None):
+    """Each order of ``next_order`` and of ``integral_next_order``, from the same
+    previous basis, agree in dim, candidate_dim and ambiguous flag, in tol to a
+    relative 1e-9 and in span to a projector gap of 1e-8."""
+    prev = base_basis(system.num_vars)
+    for _ in range(12):
+        got, want = next_order(system, xi, prev, rank_tol), integral_next_order(system, xi, prev, rank_tol)
+        assert (got.dim, got.candidate_dim, got.ambiguous) == (want.dim, want.candidate_dim, want.ambiguous)
+        assert got.tol == pytest.approx(want.tol, rel=1e-9), got.order
+        gap = np.abs(span_projector(got) - span_projector(want)).max()
+        assert gap <= 1e-8, (got.order, gap)
+        if got.dim == prev.dim:
+            return
+        prev = got
+
+
+def test_restricted_integrals_match_the_integral_oracle_on_catalog():
+    for entry in catalog():
+        rank_tol = 1e-6 if entry.name == "Cyclic9" else None
+        assert_recursion_matches_integral_oracle(entry.system, entry.zero, rank_tol)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_restricted_integrals_match_the_integral_oracle_on_random_variants(n):
+    for k in (1, 2, 3):
+        for seed in (0, 1, 2):
+            assert_recursion_matches_integral_oracle(*random_variant(n, k, seed=seed))
+
+
 def test_grlex_tables_match_combinations():
     for n in range(6):
         for k in range(5):
-            expo, up, support = _grlex(n, k)
+            expo, up, last = _grlex(n, k)
             keys = list(map(tuple, expo.tolist()))
             assert keys == monomials_by_combinations(n, k) == monomials_upto(n, k)
-            assert not expo.flags.writeable
+            assert not (expo.flags.writeable or up.flags.writeable or last.flags.writeable)
             index = {a: r for r, a in enumerate(keys)}
             below = keys[: math.comb(n + k - 1, n)] if k else ()
             want = [[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in below] for i in range(n)]
             assert up.shape == (n, len(below)) and up.tolist() == want
-            assert support.tolist() == [sum(e > 0 for e in a) for a in keys]
+            assert last.shape == (len(keys),)
+            assert last.tolist() == [max((i for i, e in enumerate(a) if e > 0), default=-1) for a in keys]
 
 
 def test_taylor_shift_of_a_lower_order_is_a_prefix_bit_for_bit():

@@ -5,6 +5,7 @@ import pytest
 
 from snewton.numla import (
     SingularMatrixError,
+    auto_tolerance,
     cond,
     kernel_basis,
     least_squares,
@@ -207,6 +208,7 @@ NON_FINITE = [
     (right_svd, ([[1, 2, NAN]],), r"right_svd: matrix entry \(1, 3\) is not finite"),
     (singular_values, ([[NAN]],), r"singular_values: matrix entry \(1, 1\) is not finite"),
     (cond, ([[1, 0], [-INF, 1]],), r"cond: matrix entry \(2, 1\) is not finite"),
+    (auto_tolerance, ([[NAN]],), r"^auto_tolerance: matrix entry \(1, 1\) is not finite"),
 ]
 SQUARE, MATRIX = "needs a non-empty square matrix, got shape", "needs a non-empty matrix, got shape"
 MISSHAPEN = [
@@ -232,6 +234,21 @@ def test_non_finite_matrices_name_the_function_and_the_first_bad_entry(fn, args,
     # a NaN kernel basis, or failed with "SVD did not converge"
     with pytest.raises(ValueError, match=message):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, rhs, message",
+    [
+        (solve, [NAN, 1], r"^solve: right-hand side entry 1 is not finite: \(nan"),
+        (least_squares, [INF, 1], r"^least_squares: right-hand side entry 1 is not finite: \(inf"),
+        (least_squares, [1, 1j * NAN], r"^least_squares: right-hand side entry 2 is not finite"),
+    ],
+    ids=["solve-nan", "least_squares-inf", "least_squares-imaginary-nan"],
+)
+def test_non_finite_right_hand_sides_name_the_function_and_the_first_bad_entry(fn, rhs, message):
+    # unchecked, both returned [nan+nanj, nan+nanj] without an error
+    with pytest.raises(ValueError, match=message):
+        fn(np.eye(2), rhs)
 
 
 @pytest.mark.parametrize("fn, args, message", MISSHAPEN, ids=_case_ids(MISSHAPEN))

@@ -1125,13 +1125,13 @@ def test_grlex_tables_of_a_large_order_are_arrays_only():
     _grlex_memo.cache_clear()
     tracemalloc.start()
     try:
-        expo, up, support = _grlex(100, 3)
+        expo, up, last = _grlex(100, 3)
         peak = tracemalloc.get_traced_memory()[1]
         tables = list(_grlex_memo(100).values())
     finally:
         tracemalloc.stop()
         _grlex_memo.cache_clear()
-    assert expo.shape == (176851, 100) and up.shape == (100, 5151) and support.shape == (176851,)
+    assert expo.shape == (176851, 100) and up.shape == (100, 5151) and last.shape == (176851,)
     assert all(isinstance(a, np.ndarray) for table in tables for a in table)
     assert peak < 250e6, f"peak {peak / 1e6:.0f} MB"
 
