@@ -41,7 +41,7 @@ Every number in the file comes from the one run its header describes:
 * ``factorizations``: per instance and order of ``multiplicity_structure``
   (the instances above, one process per revision), the shape of the array
   that every ``np.linalg.qr`` and ``np.linalg.svd`` call in ``next_order``
-  sees, and ``work``, the sum over those calls of batch x rows x columns x
+  sees ("batch x rows x columns"), and ``work``, the sum over those calls of batch x rows x columns x
   min(rows, columns): a count of the factorization work that does not
   depend on the host's speed, where the cold timings cannot resolve a
   change of a few per cent per instance.
@@ -233,7 +233,8 @@ def probe_factorizations() -> dict:
         basis = real_step(*args, **kwargs)
         work = sum(int(np.prod(shape)) * min(shape[-2:]) for _, shape in calls)
         orders.append({"order": basis.order, "work": work,
-                       **{kind: [list(shape) for k, shape in calls if k == kind] for kind in ("qr", "svd")}})
+                       **{kind: ["x".join(map(str, shape)) for k, shape in calls if k == kind]
+                          for kind in ("qr", "svd")}})
         return basis
 
     real_qr, real_svd, real_step = np.linalg.qr, np.linalg.svd, dualspace.next_order

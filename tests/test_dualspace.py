@@ -396,7 +396,7 @@ def test_no_qr_or_svd_of_next_order_sees_a_row_per_monomial(count_calls):
     cases += [(*random_variant(n, k, seed=0), None) for n, k in ((6, 2), (8, 3), (10, 3))]
     for system, xi, rank_tol in cases:
         n, prev = system.num_vars, base_basis(system.num_vars)
-        if n < 3:  # n = 2 has n * C(k + 1, 2) = C(k + 2, 2) rows in MZ at k = 2
+        if n < 3:  # at n = k = 2, MZ's n C(n + k - 1, k - 1) rows are C(n + k, k) = 6
             continue
         for k in range(1, 13):
             qrs.clear()
