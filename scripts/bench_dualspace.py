@@ -41,10 +41,17 @@ Every number in the file comes from the one run its header describes:
 * ``factorizations``: per instance and order of ``multiplicity_structure``
   (the instances above, one process per revision), the shape of the array
   that every ``np.linalg.qr`` and ``np.linalg.svd`` call in ``next_order``
-  sees ("batch x rows x columns"), and ``work``, the sum over those calls of batch x rows x columns x
-  min(rows, columns): a count of the factorization work that does not
-  depend on the host's speed, where the cold timings cannot resolve a
-  change of a few per cent per instance.
+  sees ("batch x rows x columns"), ``closedness``, the shape of the matrix
+  whose kernel gives the candidates (the ``right_svd`` argument made before
+  the order's Taylor shift: MZ or the commutation matrix K, none where the
+  order has no such SVD), and ``work``, the sum over those calls of batch x
+  rows x columns x min(rows, columns): a count of the factorization work
+  that does not depend on the host's speed, where the cold timings cannot
+  resolve a change of a few per cent per instance.
+* ``large_first_call``: one first call of ``multiplicity_structure`` on
+  ``random_variant(30, 3, seed=1)`` per revision, in a fresh process, under
+  ``tracemalloc``: its time (building the system not counted), peak and
+  dimensions.
 * ``plan_reuse`` (trees that compile shifts): the share of Taylor shifts
   that find their plan compiled already, over the perfbench ``dual`` tasks
   (seed 7, a warm-up and ``PASSES`` passes, as perfbench runs them) and over
@@ -77,6 +84,7 @@ from bench_onepass import _machine, _revision, _run_perfbench, _seeds, _summary
 
 DUAL_VARIANTS = ((8, 2), (10, 2), (12, 2), (6, 3), (8, 3), (10, 3))  # as perfbench/workloads.py
 LARGE_VARIANTS = ((20, 2), (30, 2))
+LARGE_FIRST_CALL = (30, 3)  # one first call per revision: 1.5 GB before the commutation matrix
 WARM_SECONDS = 0.3  # per quantity and instance, after at least MIN_REPS calls
 MIN_REPS = 3
 COLD_REPS = 5  # cold calls per quantity, instance and round, each on a fresh copy
@@ -219,7 +227,7 @@ def probe_factorizations() -> dict:
     from snewton import dualspace
     from snewton.dualspace import multiplicity_structure
 
-    calls, orders = [], []
+    calls, orders, closedness, shifted = [], [], [], []
 
     def recording(kind, real):
         def wrapped(a, *args, **kwargs):
@@ -230,16 +238,28 @@ def probe_factorizations() -> dict:
 
     def step(*args, **kwargs):
         calls.clear()
+        closedness.clear()
+        shifted.clear()
         basis = real_step(*args, **kwargs)
         work = sum(int(np.prod(shape)) * min(shape[-2:]) for _, shape in calls)
-        orders.append({"order": basis.order, "work": work,
+        orders.append({"order": basis.order, "work": work, "closedness": closedness[0] if closedness else None,
                        **{kind: ["x".join(map(str, shape)) for k, shape in calls if k == kind]
                           for kind in ("qr", "svd")}})
         return basis
 
+    def spectrum(a, *args, **kwargs):
+        if not shifted:
+            closedness.append("x".join(map(str, np.shape(a))))
+        return real_spectrum(a, *args, **kwargs)
+
+    def taylor(*args, **kwargs):
+        shifted.append(True)
+        return real_taylor(*args, **kwargs)
+
     real_qr, real_svd, real_step = np.linalg.qr, np.linalg.svd, dualspace.next_order
+    real_spectrum, real_taylor = dualspace.right_svd, dualspace._taylor
     np.linalg.qr, np.linalg.svd = recording("qr", real_qr), recording("svd", real_svd)
-    dualspace.next_order = step
+    dualspace.next_order, dualspace.right_svd, dualspace._taylor = step, spectrum, taylor
     out = {}
     try:
         for label, system, zero in _cases():
@@ -248,7 +268,29 @@ def probe_factorizations() -> dict:
             out[label]["work"] = sum(order["work"] for order in orders)
     finally:
         np.linalg.qr, np.linalg.svd, dualspace.next_order = real_qr, real_svd, real_step
+        dualspace.right_svd, dualspace._taylor = real_spectrum, real_taylor
     return out
+
+
+def probe_large() -> dict:
+    """One first call of ``multiplicity_structure`` on ``random_variant(30, 3,
+    seed=1)`` under ``tracemalloc``."""
+    import tracemalloc
+
+    from snewton.bench import random_variant
+    from snewton.dualspace import multiplicity_structure
+
+    system, zero = random_variant(*LARGE_FIRST_CALL, seed=1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = multiplicity_structure(system, zero)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"s": seconds, "peak_mb": peak / 1e6, "dims": report.dims,
+            "candidate_dims": [basis.candidate_dim for basis in report.bases]}
 
 
 def probe_reuse() -> dict:
@@ -324,7 +366,8 @@ def _alternate(trees: dict, rounds: int, kind: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--probe", choices=("cold", "warm", "reuse", "factorizations"), help=argparse.SUPPRESS)
+    parser.add_argument("--probe", choices=("cold", "warm", "reuse", "factorizations", "large"),
+                        help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--out", type=Path, default=Path("BENCH_dualspace.json"))
@@ -335,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.probe:
-        probes = {"reuse": probe_reuse, "factorizations": probe_factorizations}
+        probes = {"reuse": probe_reuse, "factorizations": probe_factorizations, "large": probe_large}
         print(json.dumps(probes.get(args.probe, lambda: probe(args.probe == "cold"))()))
         return 0
     if args.parent is None or args.change is None:
@@ -346,11 +389,10 @@ def main(argv=None) -> int:
     order = list(trees)
     doc = {
         "schema": 1,
-        "what": "the candidate basis Z of each dual-space order from restricted integrals: "
-                "e_0 and, per variable x_i, an orthonormal basis of the integral along x_i of the "
-                "previous basis restricted to x_(>i) = 0, from one batched QR of n copies of "
-                "C(n + k - 1, k - 1) rows, in place of one QR of the D^+ integrals over all "
-                "C(n + k, k) rows",
+        "what": "the candidates of each dual-space order from the kernel of the commutation "
+                "matrix K of the restricted-integral coefficients (C(n, 2) min(d, C(n + k - 2, "
+                "k - 2)) rows, n d columns, d = dim D^(k-1)), in place of the membership matrix MZ "
+                "(n C(n + k - 1, k - 1) rows)",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
         "in_process": {"instances": {}},
@@ -372,11 +414,19 @@ def main(argv=None) -> int:
     work = {side: _run_probe(tree, "factorizations") for side, tree in trees.items()}
     doc["factorizations"] = {
         "what": "per instance and order of multiplicity_structure, the shape of the array each "
-                "np.linalg.qr and np.linalg.svd call in next_order sees, and work: the sum over "
-                "those calls of batch x rows x columns x min(rows, columns)",
+                "np.linalg.qr and np.linalg.svd call in next_order sees, closedness: the shape of "
+                "the matrix whose kernel gives the candidates (MZ or K), and work: the sum over "
+                "the qr and svd calls of batch x rows x columns x min(rows, columns)",
         "work_change_over_parent": {lb: work["change"][lb]["work"] / work["parent"][lb]["work"]
                                     for lb in work["parent"]},
         **work,
+    }
+    save()
+    doc["large_first_call"] = {
+        "what": "one first call of multiplicity_structure(random_variant({}, {}, seed=1)) per "
+                "revision in a fresh process under tracemalloc: seconds (the system "
+                "built before), peak MB, dims and candidate dims by order".format(*LARGE_FIRST_CALL),
+        **{side: _run_probe(tree, "large") for side, tree in trees.items()},
     }
     save()
 

@@ -11,12 +11,18 @@ space is the part of C^(k) that annihilates the system.
 M is never formed.  Every c of order <= k is c(0) e_0 plus the restricted
 integrals of the S_i c, the integral along x_i taking d^beta to d^(beta+e_i)
 if beta has no x_(>i) and dropping it otherwise: d^alpha comes back from its
-last variable only.  So ker M lies in the span Z of e_0 and the restricted
-integrals of Q (Mourrain, *Isolated points, duality and residues*, J. Pure
-Appl. Algebra 117-118, 1997; Mantzaflaris and Mourrain, ISSAC 2011).  Those
-along x_i land on the monomials of last variable x_i, so one batched QR of n
-copies of Q, of at most C(n + k - 1, k - 1) rows, makes Z orthonormal.  Each
-order has at most 1 + n dim(Q) unknowns, not C(n + k, k), and one Taylor shift.
+last variable only (Mourrain, *Isolated points, duality and residues*, J. Pure
+Appl. Algebra 117-118, 1997; Mantzaflaris and Mourrain, ISSAC 2011).  Let
+W a = sum_i int_i (Q a_i)|_(x_(>i) = 0).  If S_l Q a_j = S_j Q a_l for all
+j < l, then S_j W a = Q a_j, as S_j W a - Q a_j sums the restricted integrals
+along x_l, l > j, of S_j Q a_l - S_l Q a_j; and a closed c is c(0) e_0 + W a
+with a_i = Q* S_i c, which commute as S_l S_j c = S_j S_l c.  So C^(k) is e_0
+plus W times the solutions a, on which W is one to one with
+|a|^2 = sum_j |S_j W a|^2 <= min(n, k) |W a|^2.  Both sides of a constraint
+lie in the order-(k-2) dual space, inside the range of Q's rows of order
+<= k - 2; with P an orthonormal basis of that range, on which P* keeps norms,
+the constraints are the C(n, 2) min(d, C(n + k - 2, k - 2)) rows of
+K = [P* S_l Q a_j - P* S_j Q a_l]_(j<l) in the n d = n dim(Q) unknowns a.
 
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
@@ -156,13 +162,12 @@ def next_order(
     """One closedness step: from a basis of the order-(k-1) dual space to a
     basis of the order-k dual space.
 
-    The candidate space is the kernel of the membership operator M restricted
-    to the span Z of the unit functional and the restricted integrals of the
-    previous basis (see the module docstring), found by one thin SVD of MZ;
-    the dual space is the kernel of the values of the candidates on the
-    system, found by a second SVD.  Each spectrum sets its own rank
-    tolerance unless ``rank_tol`` is given.  ``_shift`` lets the orders of
-    one call share their Taylor shift (see ``_taylor``).
+    The candidate space is e_0 plus W times the kernel of the commutation
+    matrix K (see the module docstring), found by one thin SVD of K and made
+    orthonormal by one QR; the dual space is the kernel of the values of the
+    candidates on the system, found by a second SVD.  Each spectrum sets its
+    own rank tolerance unless ``rank_tol`` is given.  ``_shift`` lets the
+    orders of one call share their Taylor shift (see ``_taylor``).
     """
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
@@ -177,24 +182,26 @@ def next_order(
             f"one row per monomial of degree <= {prev.order} in {n} variables"
         )
     _check_finite(p, "previous basis coefficient")
-    up, by_last, to = _blocks(n, k)  # up[i, r] is the row of alpha_r + e_i: S_i c = c[up[i]]
     q, _ = np.linalg.qr(p)
-    d = q.shape[1]
+    d, (by_last, to, (pair, j, l)) = q.shape[1], _blocks(n, k)
 
-    # Z: e_0 and, per x_i, an orthonormal basis of the restricted integrals of Q.
-    blocks, _ = np.linalg.qr(np.where(to[:, :, None] < 0, 0, q[by_last]))
-    z = np.zeros((math.comb(n + k, n) + 1, 1 + n * d), dtype=complex)  # row -1 takes the padding
-    z[0, 0] = 1.0
-    z[to[:, :, None], 1 + np.arange(n * d).reshape(n, 1, d)] = blocks
-    z = z[:-1, np.append(True, to[:, :d] >= 0)]  # block i keeps min(its rows, d) columns
-
-    # MZ: the blocks (I - QQ*) S_i Z, with S_i Z a row gather of Z.
-    mz = z[up]
-    mz -= q @ (q.conj().T @ mz)
-    sig_m, v_m = right_svd(mz.reshape(-1, mz.shape[2]))
+    # K: per pair j < l, the rows P* S_l Q a_j - P* S_j Q a_l, S_i Q a row gather of Q.
+    shifted = q[_grlex(n, k - 1)[1]]  # n blocks of C(n + k - 2, k - 2) rows
+    if shifted.shape[1] > d:  # else P is square and leaves out nothing: K goes without it
+        shifted = np.linalg.qr(q[: shifted.shape[1]])[0].conj().T @ shifted
+    kmat = np.zeros((len(pair), shifted.shape[1], n, d), dtype=complex)
+    kmat[pair, :, j], kmat[pair, :, l] = shifted[l], -shifted[j]
+    kmat = kmat.reshape(-1, n * d)
+    sig_m, v_m = right_svd(kmat) if kmat.size else (np.zeros(0), np.eye(n * d, dtype=complex))
     tol_m = _rank_tol(sig_m, rank_tol)
-    candidates = z @ v_m[:, int(np.sum(sig_m > tol_m)) :]
+    kernel = v_m[:, int(np.sum(sig_m > tol_m)) :]
     ambiguous = _near_tol(sig_m, tol_m)
+
+    # e_0, then W times the kernel (block i on the monomials of last variable x_i) made orthonormal.
+    qa, candidates = q[by_last], np.zeros((math.comb(n + k, n), 1 + kernel.shape[1]), dtype=complex)
+    for targets, a in zip(to, kernel.reshape(n, d, kernel.shape[1])):
+        candidates[targets, 1:] = qa[: len(targets)] @ a
+    candidates[0, 0], candidates[:, 1:] = 1.0, np.linalg.qr(candidates[:, 1:])[0]
 
     # Column j holds the values of the j-th candidate on f_1..f_m.
     evaluation = _taylor(system, xi, k, _shift) @ candidates
@@ -213,14 +220,17 @@ def next_order(
 
 
 @functools.lru_cache(maxsize=64)
-def _blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only: up of ``_grlex(n, k)``, the rows r_j of order k - 1 sorted by last variable,
-    and to[i, j], the row of alpha_(r_j) + e_i, or -1 when alpha_(r_j) has a variable past x_i."""
+def _blocks(n: int, k: int) -> tuple:
+    """Read-only: the rows r_j of order k - 1 sorted by last variable, per x_i the rows of alpha_(r_j)
+    + e_i for the r_j with no variable past x_i (a prefix), and the pairs j < l with their ranks."""
     _, up, last = _grlex(n, k)
     by_last = np.argsort(last[: up.shape[1]], kind="stable")
-    to = np.where(last[by_last] <= np.arange(n)[:, None], up[:, by_last], -1)
-    by_last.flags.writeable = to.flags.writeable = False
-    return up, by_last, to
+    held = np.searchsorted(last[by_last], np.arange(n), side="right")
+    to = tuple(up[i, by_last[:h]] for i, h in enumerate(held))
+    pairs = (np.arange(math.comb(n, 2)), *np.triu_indices(n, 1))
+    for a in (by_last, *to, *pairs):
+        a.flags.writeable = False
+    return by_last, to, pairs
 
 
 def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:

@@ -146,11 +146,13 @@ def _matrix(caller: str, matrix, square: bool = False) -> np.ndarray:
     if m.ndim != 2 or m.size == 0 or (square and m.shape[0] != m.shape[1]):
         kind = "a non-empty square matrix" if square else "a non-empty matrix"
         raise ValueError(f"{caller} needs {kind}, got shape {m.shape}")
-    # A NaN or inf entry makes the sum of |m_ij|^2 non-finite; one BLAS pass
-    # over the entries costs less than an elementwise test on every call.
-    if not cmath.isfinite(np.vdot(m, m)):
-        _check_finite(m, f"{caller}: matrix entry")
-    return m
+    return _finite(m, f"{caller}: matrix entry")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or ``_check_finite``'s error: a NaN or inf entry makes the sum of |a_i|^2
+    non-finite, and that one BLAS pass costs less than an elementwise scan on every call."""
+    return a if cmath.isfinite(np.vdot(a, a)) else _check_finite(a, what)
 
 
 def _check_conditioned(s: np.ndarray) -> None:
@@ -173,7 +175,7 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
-    _check_finite(rhs, "solve: right-hand side entry")
+    _finite(rhs, "solve: right-hand side entry")
     u, s, vh = np.linalg.svd(m)
     _check_conditioned(s)
     return vh.conj().T @ ((u.conj().T @ rhs) / s)
@@ -185,7 +187,7 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
-    _check_finite(rhs, "least_squares: right-hand side entry")
+    _finite(rhs, "least_squares: right-hand side entry")
     y, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     return y
 

@@ -898,8 +898,9 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     if plan is None:  # compiled once per system and order
         plan = system._cache[("shift", k)] = _shift_plan(expo, row, k)
     owner, exponents, binomials, term, factors, pairs, size = plan
-    table, vals = np.concatenate((xi[owner] ** exponents, binomials)), coef.take(term)
-    for pos in factors:
+    powers, vals = xi[owner] ** exponents, coef.take(term)
+    tables = (binomials, powers)[2 - factors.shape[1] :] * len(factors)  # per place, C(b, a) if any
+    for pos, table in zip(factors.reshape(len(tables), -1), tables):
         vals = np.multiply(vals, table.take(pos))
     shift, pad = _pair_sums(vals, pairs, m * size).reshape(m, size), math.comb(n + order, n) - size
     return np.hstack([shift, np.zeros((m, pad), dtype=complex)]) if pad else shift
@@ -908,10 +909,13 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
 def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:
     """The Taylor shift of order ``order`` of the terms ``expo``, ``row``, all of
     it but the point, in read-only arrays.  Item t, one (term, alpha), is the
-    coefficient of ``term[t]`` times ``table[pos[t]]`` for each row ``pos`` of
-    ``factors`` in turn, in the bins ``pairs`` of row * ``size`` + the rank of
-    alpha.  ``table`` holds xi_j^e, e <= h_j (the largest exponent of x_j), at
-    base_j + e (``owner`` j, ``exponents`` e), then C(b, a) at b * (order + 1) + order - a.
+    coefficient of ``term[t]`` times, for each place of ``factors`` in turn,
+    ``binomials[pos[t]]`` and ``powers[pos'[t]]`` for its rows ``pos``, ``pos'``
+    (the second only when the plan has no binomials), in the bins ``pairs`` of
+    row * ``size`` + the rank of alpha.  ``powers`` holds xi_j^e, e <= h_j (the
+    largest exponent of x_j), at base_j + e (``owner`` j, ``exponents`` e), and
+    ``binomials`` C(b, a) at b * (order + 1) + order - a, complex so that no
+    shift casts or copies them.
 
     Each place, a nonzero exponent beta_p of the term from the last variable
     or padding, gives C(beta_p, alpha_p) (if any exponent is above 1), then
@@ -934,13 +938,13 @@ def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:
         term, room, rank = term[src], room[:, src] - (places == last), rank[src] + step[var[last, term[src]]]
         items.append((term, room, rank))
     term, room, rank = items = [np.concatenate(a, axis=-1) for a in zip(*items)]  # the parts freed
-    cols = np.stack([len(owner) + order + beta * order, base[var]][order == 0 or h < 2 :], axis=1)
+    cols = np.stack([order + beta * order, base[var]][order == 0 or h < 2 :], axis=1)
     factors = cols.astype(np.int32).take(term, axis=2)  # by place, factor, item
     factors += room[:, None]  # C(beta, beta - room), then xi^room
     binomials = (math.comb(b, a) for b in range(h + 1) for a in range(order, -1, -1))
-    binomials = np.array([float(c) if c < _FLOAT_END else math.inf for c in binomials])
-    plan = (owner, np.arange(len(owner)) - base[owner], binomials, term.astype(np.int32),
-            factors.reshape(cols.shape[0] * cols.shape[1], -1), _pair_ids(rank))
+    binomials = np.array([float(c) if c < _FLOAT_END else math.inf for c in binomials], dtype=complex)
+    plan = (owner, np.arange(len(owner)) - base[owner], binomials, term.astype(np.int32), factors,
+            _pair_ids(rank))
     for a in plan:
         a.flags.writeable = False
     return (*plan, size)

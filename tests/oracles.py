@@ -3,7 +3,8 @@ deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the paper's operator A;
 row sums from two bincounts; graded-lex multi-indices from combinations;
 the dual-space step that rebuilds its tables from dicts at every order,
-on restricted integrals and on the D^+ integrals it replaced;
+on the commutation matrix of the restricted-integral coefficients, and the
+membership steps on restricted integrals and on the D^+ integrals;
 the Taylor shift as one loop over the variables; the affine substitution
 f(A(X - b)) by polynomial arithmetic."""
 
@@ -215,15 +216,82 @@ def monomials_by_combinations(num_vars, order):
     return out
 
 
+def _raised(alpha, i):
+    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+
+
+def commutation_matrix(q, n, k):
+    """K of ``dualspace.next_order`` for the orthonormal basis ``q`` of the
+    order-(k-1) dual space, by dict lookups: per pair j < l in
+    ``itertools.combinations`` order, the rows P* S_l Q in the columns of
+    a_j and -P* S_j Q in those of a_l, with P from the QR of Q's rows of
+    order <= k - 2 when they are more than d = dim(Q), and S_i Q gathered
+    one row at a time."""
+    below = monomials_by_combinations(n, k - 1)
+    index = {alpha: r for r, alpha in enumerate(below)}
+    lower = below[: math.comb(n + k - 2, n)]
+    d = q.shape[1]
+    shifted = [q[[index[_raised(alpha, i)] for alpha in lower]] for i in range(n)]
+    if len(lower) > d:  # else P would be square, and next_order leaves it out
+        p = np.linalg.qr(q[: len(lower)])[0]
+        shifted = [p.conj().T @ block for block in shifted]
+    rows = [np.zeros((0, n * d), dtype=complex)]
+    for j, l in itertools.combinations(range(n), 2):
+        row = np.zeros((min(d, len(lower)), n * d), dtype=complex)
+        row[:, j * d : (j + 1) * d], row[:, l * d : (l + 1) * d] = shifted[l], -shifted[j]
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def restricted_integrals(q, coef, n, k):
+    """W coef, for the blocks coef_i = coef[i d : (i + 1) d] of d = dim(Q)
+    rows: the sum over x_i of the integral along x_i of Q coef_i restricted
+    to x_(>i) = 0, by dict lookups, one variable at a time over the rows of
+    order <= k - 1 sorted by last variable."""
+    basis_k = monomials_by_combinations(n, k)
+    below = basis_k[: math.comb(n + k - 1, n)]
+    index = {alpha: r for r, alpha in enumerate(basis_k)}
+    last = [max((j for j, e in enumerate(alpha) if e), default=-1) for alpha in below]
+    ranked = sorted(range(len(below)), key=last.__getitem__)
+    blocks = coef.reshape(n, q.shape[1], coef.shape[1])
+    out = np.zeros((len(basis_k), coef.shape[1]), dtype=complex)
+    for i in range(n):
+        held = [r for r in ranked if last[r] <= i]
+        out[[index[_raised(below[r], i)] for r in held]] = q[held] @ blocks[i]
+    return out
+
+
 def rebuilt_next_order(system, xi, prev, rank_tol=None):
     """``dualspace.next_order`` with every table rebuilt at every order: the
-    multi-indices and their index dict, the rows of alpha + e_i by dict
-    lookups, and one variable at a time the copy of Q restricted to
-    x_(>i) = 0 (its rows sorted by last variable, padded with zero rows), its
-    own QR, its integrals scattered into Z and its MZ block projected; and a
-    Taylor shift of its own."""
+    commutation matrix K and the restricted integrals of its kernel by dict
+    lookups (``commutation_matrix``, ``restricted_integrals``), and a Taylor
+    shift of its own."""
+    if rank_tol is not None:
+        rank_tol = _check_tolerance(rank_tol)
+    n = system.num_vars
+    xi = system._check_point(xi)
+    k = prev.order + 1
+    q, _ = np.linalg.qr(prev.coeffs)
+    kmat = commutation_matrix(q, n, k)
+    if len(kmat):
+        sig_m, v_m = right_svd(kmat)
+    else:
+        sig_m, v_m = np.zeros(0), np.eye(kmat.shape[1], dtype=complex)
+    tol_m = _rank_tol(sig_m, rank_tol)
+    integrals = restricted_integrals(q, v_m[:, int(np.sum(sig_m > tol_m)) :], n, k)
+    candidates = np.hstack([np.eye(len(integrals), 1, dtype=complex), np.linalg.qr(integrals)[0]])
+    return _annihilating_part(system, xi, k, candidates, tol_m, _near_tol(sig_m, tol_m), rank_tol)
 
-    def restricted_integrals(q, basis_k, below, up):
+
+def membership_next_order(system, xi, prev, rank_tol=None):
+    """The closedness step on the membership matrix MZ, with Z the unit
+    functional and one orthonormal block per variable of the restricted
+    integrals of Q: one variable at a time the copy of Q restricted to
+    x_(>i) = 0 (its rows sorted by last variable, padded with zero rows),
+    its own QR and its integrals scattered into Z by dict lookups.  The
+    construction ``next_order`` used before the commutation matrix."""
+
+    def restricted_blocks(q, basis_k, below, up):
         last = [max((j for j, e in enumerate(a) if e), default=-1) for a in below]
         ranked = sorted(range(len(below)), key=last.__getitem__)
         columns = [np.eye(len(basis_k), 1, dtype=complex)]
@@ -238,15 +306,15 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
             columns.append(integral)
         return np.hstack(columns)
 
-    return _closedness_step(system, xi, prev, rank_tol, restricted_integrals)
+    return _closedness_step(system, xi, prev, rank_tol, restricted_blocks)
 
 
 def integral_next_order(system, xi, prev, rank_tol=None):
     """The closedness step on the integrals D^+ S_i* q_j of the whole previous
     basis, D = diag(#{i : alpha_i > 0}), orthonormalized with e_0 by one QR
-    over all C(n + k, k) rows: the construction ``next_order`` used before
-    its restricted integrals, with the same tables, MZ and rank rules as
-    ``rebuilt_next_order``."""
+    over all C(n + k, k) rows, with the same tables, MZ and rank rules as
+    ``membership_next_order``: the one oracle beside the dense one whose
+    candidates do not come from restricted integrals."""
 
     def integrals(q, basis_k, below, up):
         n, d = len(up), q.shape[1]
@@ -276,7 +344,7 @@ def _closedness_step(system, xi, prev, rank_tol, candidate_basis):
     q, _ = np.linalg.qr(prev.coeffs)
 
     # up[i, r] is the row of basis_k[r] + e_i, so S_i c = c[up[i]].
-    up = np.array([[index[a[:i] + (a[i] + 1,) + a[i + 1 :]] for a in below] for i in range(n)])
+    up = np.array([[index[_raised(a, i)] for a in below] for i in range(n)])
     z = candidate_basis(q, basis_k, below, up)
 
     blocks = []
@@ -286,8 +354,12 @@ def _closedness_step(system, xi, prev, rank_tol, candidate_basis):
     sig_m, v_m = right_svd(np.vstack(blocks))
     tol_m = _rank_tol(sig_m, rank_tol)
     candidates = z @ v_m[:, int(np.sum(sig_m > tol_m)) :]
-    ambiguous = _near_tol(sig_m, tol_m)
+    return _annihilating_part(system, xi, k, candidates, tol_m, _near_tol(sig_m, tol_m), rank_tol)
 
+
+def _annihilating_part(system, xi, k, candidates, tol_m, ambiguous, rank_tol):
+    """The order-k basis cut from the orthonormal ``candidates`` by the
+    kernel of their values on the system, from a Taylor shift of its own."""
     evaluation = taylor_coefficients(system, xi, k) @ candidates
     if evaluation.any():
         sig_e, v_e = right_svd(evaluation)
@@ -302,7 +374,7 @@ def _closedness_step(system, xi, prev, rank_tol, candidate_basis):
     coeffs.flags.writeable = False
     return DualBasis(
         order=k,
-        num_vars=n,
+        num_vars=system.num_vars,
         coeffs=coeffs,
         tol=tol_e,
         candidate_dim=candidates.shape[1],

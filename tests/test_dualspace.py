@@ -1,6 +1,7 @@
 """Dual-space recursion, multiplicity structure, deflation-one tests."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -27,7 +28,15 @@ from snewton.numla import kernel_basis, right_svd, singular_values, split_svd
 from snewton.polycore import Exponent, _grlex, parse_system, taylor_coefficients
 from snewton.twostep import operator_B
 
-from oracles import apply_functional, integral_next_order, monomials_by_combinations, rebuilt_next_order
+from oracles import (
+    apply_functional,
+    commutation_matrix,
+    integral_next_order,
+    membership_next_order,
+    monomials_by_combinations,
+    rebuilt_next_order,
+    restricted_integrals,
+)
 
 
 def _make_functional(num_vars, terms):
@@ -332,16 +341,69 @@ def test_a_functional_is_its_value_at_zero_plus_its_restricted_integrals(n, k, s
     assert total == c.terms
 
 
+def _case(name):
+    """A catalog zero by name, or ``random_variant(n, k, seed)`` for (n, k, seed)."""
+    if isinstance(name, tuple):
+        n, k, seed = name
+        return (*random_variant(n, k, seed=seed), None)
+    entry = get_entry(name)
+    return entry.system, entry.zero, 1e-6 if name == "Cyclic9" else None
+
+
+@functools.cache
+def dense_bases(name):
+    """The bases of orders 0, 1, ... of the dense oracle, up to order 3 or
+    the order where the dimension stays."""
+    system, zero, rank_tol = _case(name)
+    bases = [base_basis(system.num_vars)]
+    while len(bases) < 4 and (len(bases) < 2 or bases[-1].dim != bases[-2].dim):
+        bases.append(dense_next_order(system, zero, bases[-1], rank_tol))
+    return system.num_vars, tuple(bases)
+
+
+LEMMA_CASES = [e.name for e in catalog()] + [(n, k, s) for n in range(3, 9) for k in (1, 2, 3) for s in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(LEMMA_CASES), order=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_kernel_of_the_commutation_matrix_gives_closed_functionals(case, order, seed):
+    """For a in the kernel of K, built on a basis Q of the dense oracle's
+    order-(k-1) dual space, c(a) = W a has S_j c(a) = Q a_j for every x_j
+    (so c(a) is closed), and |a| <= sqrt(min(n, k)) |c(a)|: a -> c(a) is one
+    to one on the kernel, with a bounded inverse."""
+    n, bases = dense_bases(case)
+    k = min(order, len(bases))
+    q, _ = np.linalg.qr(bases[k - 1].coeffs)
+    d = q.shape[1]
+    kmat = commutation_matrix(q, n, k)
+    assert kmat.shape == (math.comb(n, 2) * min(d, math.comb(n + k - 2, n)), n * d)
+    if len(kmat):
+        sig, v = right_svd(kmat)
+        kernel = v[:, int(np.sum(sig > _rank_tol(sig, None))) :]
+    else:  # at order 1, or in one variable, nothing constrains a
+        kernel = np.eye(n * d)
+    rng = np.random.default_rng(seed)
+    a = kernel @ (rng.standard_normal(kernel.shape[1]) + 1j * rng.standard_normal(kernel.shape[1]))
+    a /= np.linalg.norm(a)
+    c = restricted_integrals(q, a[:, None], n, k)[:, 0]
+    keys = monomials_upto(n, k)
+    index = {alpha: r for r, alpha in enumerate(keys)}
+    below = keys[: math.comb(n + k - 1, k - 1)]
+    for j in range(n):
+        shift = c[[index[alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]] for alpha in below]]
+        assert np.abs(shift - q @ a[j * d : (j + 1) * d]).max() <= 1e-10, (case, k, j)
+    assert 1 <= math.sqrt(min(n, k)) * np.linalg.norm(c) * (1 + 1e-12), (case, k)
+
+
 def candidate_basis(monkeypatch, system, xi, prev):
-    """The orthonormal Z of ``next_order(system, xi, prev)``, read off its second
-    SVD: with a zero spectrum and the identity as right vectors from the first
-    (membership) SVD, the candidates are Z, and with the identity as the
-    Taylor shift, the evaluation matrix is Z too."""
+    """The candidates of ``next_order(system, xi, prev)``, read off its last
+    SVD: with the identity as the Taylor shift, the evaluation matrix is the
+    candidate basis itself."""
     seen = []
 
     def spectra(matrix):
         seen.append(np.array(matrix))
-        return (np.zeros(matrix.shape[1]), np.eye(matrix.shape[1])) if len(seen) == 1 else right_svd(matrix)
+        return right_svd(matrix)
 
     def identity(system, xi, k, held):
         return np.eye(math.comb(system.num_vars + k, k), dtype=complex)
@@ -350,80 +412,83 @@ def candidate_basis(monkeypatch, system, xi, prev):
         patch.setattr(dualspace, "right_svd", spectra)
         patch.setattr(dualspace, "_taylor", identity)
         next_order(system, xi, prev)
-    assert len(seen) == 2
-    return seen[1]
+    return seen[-1]
 
 
 @pytest.mark.parametrize("name", ["running-example", "x2-z3xy-y2", "KSS", "variant 6 2", "variant 5 3"])
 def test_candidate_basis_is_orthonormal_with_disjoint_blocks_that_hold_the_dual_space(monkeypatch, name):
-    if name.startswith("variant"):
-        system, zero = random_variant(*map(int, name.split()[1:]), seed=0)
-    else:
-        entry = get_entry(name)
-        system, zero = entry.system, entry.zero
+    """The candidates are e_0 and an orthonormal basis inside the range of
+    W = [W_0 .. W_(n-1)], W_i the restricted integrals along x_i of Q, whose
+    block i lives on the monomials of last variable x_i; together they hold
+    the order-k dual space of the dense oracle."""
+    system, zero, _ = _case(tuple(map(int, name.split()[1:])) + (0,) if name.startswith("variant") else name)
     n, prev = system.num_vars, base_basis(system.num_vars)
     for k in range(1, 5):
         z = candidate_basis(monkeypatch, system, zero, prev)
+        nxt = next_order(system, zero, prev)
         keys = monomials_upto(n, k)
-        last = np.array([max((i for i, e in enumerate(a) if e), default=-1) for a in keys])
-        d = np.linalg.matrix_rank(prev.coeffs)
-        rows = [math.comb(i + k, k - 1) for i in range(n)]  # the monomials of order k - 1 in x_0..x_i
-        assert z.shape == (len(keys), 1 + sum(min(r, d) for r in rows)), k
+        assert z.shape == (len(keys), nxt.candidate_dim), k
         assert np.array_equal(z[:, 0], np.eye(len(keys))[0]), k
-        # column j of block i lives on the rows of last variable i, the blocks in order
-        block = np.repeat(np.arange(n), [min(r, d) for r in rows])
-        for j, i in enumerate(block, start=1):
-            assert set(last[np.flatnonzero(z[:, j])]) <= {i}, (k, j)
         assert np.abs(z.conj().T @ z - np.eye(z.shape[1])).max() <= 1e-13, k
+        q, _ = np.linalg.qr(prev.coeffs)
+        d = q.shape[1]
+        w = restricted_integrals(q, np.eye(n * d, dtype=complex), n, k)
+        last = np.array([max((i for i, e in enumerate(a) if e), default=-1) for a in keys])
+        for i in range(n):
+            assert set(last[np.flatnonzero(w[:, i * d : (i + 1) * d].any(axis=1))]) <= {i}, (k, i)
+        u, sig, _ = np.linalg.svd(w, full_matrices=False)
+        wq = u[:, sig > 1e-12 * sig[0]]
+        assert np.abs(z[:, 1:] - wq @ (wq.conj().T @ z[:, 1:])).max() <= 1e-10, k
         # the order-k dual space of the dense oracle lies in range(Z)
         dense = dense_next_order(system, zero, prev)
         assert np.abs(dense.coeffs - z @ (z.conj().T @ dense.coeffs)).max() <= 1e-9, k
-        nxt = next_order(system, zero, prev)
         if nxt.dim == prev.dim:
             break
         prev = nxt
 
 
-def test_no_qr_or_svd_of_next_order_sees_a_row_per_monomial(count_calls):
-    """The QRs see the previous basis and the n restricted copies of Q in one
-    batch (C(n + k - 1, k - 1) rows each), and the tall MZ (n times as many) or
-    evaluation (a row per polynomial) before their SVDs; none sees the
-    C(n + k, k) monomials of order k, over which the integrals D^+ S_i* q_j
-    were orthonormalized before.  The SVDs see at most 1 + n dim(Q) rows, the
-    columns of Z, or a row per polynomial."""
+def test_closedness_is_decided_on_the_commutation_matrix(count_calls):
+    """Per order k, with d = dim(Q): K, the first matrix given to ``right_svd``,
+    has C(n, 2) min(d, C(n + k - 2, k - 2)) rows and n d columns (there is
+    none at order 1 or in one variable); no QR or SVD sees the
+    n C(n + k - 1, k - 1) rows MZ had; and the one factorization over
+    C(n + k, k) rows, a row per monomial, is the QR of the dim C^(k) - 1
+    candidates past e_0 (K itself can have more rows: 60 at KSS order 3,
+    against C(5 + 3, 3) = 56 monomials)."""
     qrs, svds = count_calls(np.linalg, "qr"), count_calls(np.linalg, "svd")
-    cases = [(e.system, e.zero, 1e-6 if e.name == "Cyclic9" else None) for e in catalog()]
-    cases += [(*random_variant(n, k, seed=0), None) for n, k in ((6, 2), (8, 3), (10, 3))]
+    spectra = count_calls(dualspace, "right_svd")
+    cases = [_case(e.name) for e in catalog()] + [_case((n, k, 0)) for n, k in ((6, 2), (8, 3), (10, 3))]
     for system, xi, rank_tol in cases:
         n, prev = system.num_vars, base_basis(system.num_vars)
-        if n < 3:  # at n = k = 2, MZ's n C(n + k - 1, k - 1) rows are C(n + k, k) = 6
-            continue
         for k in range(1, 13):
-            qrs.clear()
-            svds.clear()
+            for calls in (qrs, svds, spectra):
+                calls.clear()
             nxt = next_order(system, xi, prev, rank_tol)
-            below = math.comb(n + k - 1, k - 1)
-            d = np.linalg.matrix_rank(prev.coeffs)
-            batched = [args[0].shape for args in qrs if np.ndim(args[0]) == 3]
-            assert batched == [(n, below, d)], k
-            factored = {np.shape(args[0])[-2] for args in qrs}
-            assert factored <= {below, n * below, len(system)} and math.comb(n + k, k) not in factored, k
-            assert max(np.shape(args[0])[0] for args in svds) <= max(1 + n * d, len(system)), k
+            d, kmat = prev.dim, spectra[0][0] if k > 1 and n > 1 else None
+            if kmat is not None:
+                assert kmat.shape == (math.comb(n, 2) * min(d, math.comb(n + k - 2, k - 2)), n * d), k
+            else:
+                assert all(args[0].shape[1] == nxt.candidate_dim for args in spectra), k
+            rows = [np.shape(args[0])[-2] for args in qrs + svds]
+            # MZ had n rows at order 1, as many as the evaluation of a square system, and 6 at
+            # n = k = 2, as many as the candidates
+            if k > 1 and n > 2:
+                assert n * math.comb(n + k - 1, k - 1) not in rows, k
+            monomials = math.comb(n + k, k)
+            tall = [np.shape(args[0]) for args in qrs + svds if np.shape(args[0])[-2] >= monomials]
+            assert [shape for shape in tall if shape != np.shape(kmat)] == [(monomials, nxt.candidate_dim - 1)], k
             if nxt.dim == prev.dim:
                 break
             prev = nxt
 
 
-# -- the D^+ integrals that the restricted integrals replaced ----------------------
-
-
-def assert_recursion_matches_integral_oracle(system, xi, rank_tol=None):
-    """Each order of ``next_order`` and of ``integral_next_order``, from the same
-    previous basis, agree in dim, candidate_dim and ambiguous flag, in tol to a
+def assert_recursion_matches(oracle, system, xi, rank_tol=None, max_order=12):
+    """Each order of ``next_order`` and of ``oracle``, from the same previous
+    basis, agree in dim, candidate_dim and ambiguous flag, in tol to a
     relative 1e-9 and in span to a projector gap of 1e-8."""
     prev = base_basis(system.num_vars)
-    for _ in range(12):
-        got, want = next_order(system, xi, prev, rank_tol), integral_next_order(system, xi, prev, rank_tol)
+    for _ in range(max_order):
+        got, want = next_order(system, xi, prev, rank_tol), oracle(system, xi, prev, rank_tol)
         assert (got.dim, got.candidate_dim, got.ambiguous) == (want.dim, want.candidate_dim, want.ambiguous)
         assert got.tol == pytest.approx(want.tol, rel=1e-9), got.order
         gap = np.abs(span_projector(got) - span_projector(want)).max()
@@ -433,17 +498,42 @@ def assert_recursion_matches_integral_oracle(system, xi, rank_tol=None):
         prev = got
 
 
+# -- the membership matrix MZ that the commutation matrix replaced -------------------
+
+
+def test_commutation_matches_the_membership_oracle_on_catalog():
+    for entry in catalog():
+        rank_tol = 1e-6 if entry.name == "Cyclic9" else None
+        assert_recursion_matches(membership_next_order, entry.system, entry.zero, rank_tol)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_commutation_matches_the_membership_oracle_on_random_variants(n):
+    for k in (1, 2, 3):
+        for seed in (0, 1, 2):
+            assert_recursion_matches(membership_next_order, *random_variant(n, k, seed=seed))
+
+
+def test_commutation_matches_the_membership_oracle_at_order_one_with_forced_tolerance():
+    # past order 1, a forced tolerance makes each order depend on the basis it is fed
+    for entry in catalog():
+        assert_recursion_matches(membership_next_order, entry.system, entry.zero, 1.0, max_order=1)
+
+
+# -- the D^+ integrals that the restricted integrals replaced ----------------------
+
+
 def test_restricted_integrals_match_the_integral_oracle_on_catalog():
     for entry in catalog():
         rank_tol = 1e-6 if entry.name == "Cyclic9" else None
-        assert_recursion_matches_integral_oracle(entry.system, entry.zero, rank_tol)
+        assert_recursion_matches(integral_next_order, entry.system, entry.zero, rank_tol)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_restricted_integrals_match_the_integral_oracle_on_random_variants(n):
     for k in (1, 2, 3):
         for seed in (0, 1, 2):
-            assert_recursion_matches_integral_oracle(*random_variant(n, k, seed=seed))
+            assert_recursion_matches(integral_next_order, *random_variant(n, k, seed=seed))
 
 
 def test_grlex_tables_match_combinations():
