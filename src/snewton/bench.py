@@ -165,8 +165,8 @@ def _builtin(name: str) -> CatalogEntry | None:
             note="isolated zero needing two deflation rounds",
         )
     if name == "truncated-sin":
-        # sin truncated at degree 5; higher Taylor terms cannot change the
-        # local structure up to the orders probed here.
+        # sin t as t - t^3/6, of degree 3: the dropped terms, such as z*y^5/120, have degree
+        # >= 6, past the orders the dual space probes, so kappa 3, rho 4 and mu 11 still hold.
         sin_y = Poly(3, {(0, 1, 0): 1.0, (0, 3, 0): -1.0 / 6.0})
         sin_z = Poly(3, {(0, 0, 1): 1.0, (0, 0, 3): -1.0 / 6.0})
         sin_x = Poly(3, {(1, 0, 0): 1.0, (3, 0, 0): -1.0 / 6.0})
@@ -188,7 +188,7 @@ def _builtin(name: str) -> CatalogEntry | None:
             mu=11,
             tol=0.1,
             zero_tol=1e-6,
-            note="cubic/sine system with sin replaced by its degree-5 truncation",
+            note="cubic/sine system with sin replaced by its degree-3 Taylor polynomial",
         )
     if name == "stability-k2":
         return CatalogEntry(

@@ -203,8 +203,9 @@ def next_order(
         candidates[targets, 1:] = qa[: len(targets)] @ a
     candidates[0, 0], candidates[:, 1:] = 1.0, np.linalg.qr(candidates[:, 1:])[0]
 
-    # Column j holds the values of the j-th candidate on f_1..f_m.
-    evaluation = _taylor(system, xi, k, _shift) @ candidates
+    # Column j holds the values of the j-th candidate on f_1..f_m (Taylor coefficients past deg f are 0).
+    shift = _taylor(system, xi, k, _shift)
+    evaluation = shift @ candidates[: shift.shape[1]]
     if evaluation.any():
         sig_e, v_e = right_svd(evaluation)
         tol_e = _rank_tol(sig_e, rank_tol)
@@ -234,21 +235,19 @@ def _blocks(n: int, k: int) -> tuple:
 
 
 def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:
-    """``taylor_coefficients(system, xi, k)``, read from ``held`` when the
+    """``taylor_coefficients(system, xi, k)`` without its zero columns past
+    deg f, so at most C(n + deg f, deg f) columns, read from ``held`` when the
     orders of one call pass it along.  T_k is the first C(n + k, k) columns
-    of T_K for k <= K, and T_deg followed by zero columns for k >= deg f, so
-    a shift made one order ahead serves two orders, and none is made past
-    deg f.  ``held`` lives only as long as the call that made it."""
+    of T_K for k <= K, so a shift made one order ahead serves two orders, and
+    none is made past deg f.  ``held`` lives only as long as the call that
+    made it."""
+    deg, k = system.degree(), min(k, system.degree())
     if held is None:
         return taylor_coefficients(system, xi, k)
-    deg = system.degree()
-    if held.get("order", -1) < min(k, deg):
+    if held.get("order", -1) < k:
         held["order"] = min(k + 1, deg)
         held["shift"] = taylor_coefficients(system, xi, held["order"])
-    shift, size = held["shift"], math.comb(system.num_vars + k, k)
-    if shift.shape[1] >= size:
-        return shift[:, :size]
-    return np.hstack([shift, np.zeros((len(shift), size - shift.shape[1]), dtype=complex)])
+    return held["shift"][:, : math.comb(system.num_vars + k, k)]
 
 
 def _order_zero(num_vars: int) -> DualBasis:

@@ -9,9 +9,9 @@ and a least-squares estimate of the multipliers at the current point.  The
 augmented system is numeric (``AugmentedSystem``): g, its Jacobian and its
 directional derivatives are assembled from those of f, which come from the
 parent's cached term arrays, so no polynomial is built.  It has the
-evaluation interface of a polynomial system, so ``gauss_newton`` applies to
-it, and deflation can be iterated on its own output for zeros that need
-several rounds.
+evaluator interface of a polynomial system, so ``gauss_newton`` applies to
+it, ``twostep`` runs on a square one, and deflation can be iterated on its
+own output for zeros that need several rounds.
 
 ``deflate_structured`` is the variant with a pinned kernel block: the
 multipliers attached to a chosen kernel basis are fixed constants and only
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numla import _check_tolerance, least_squares, singular_values
-from .polycore import PolySystem, _check_direction, _check_finite, _check_point, _check_start_value
+from .polycore import PolySystem, _check_direction, _check_finite, _check_start_value
 
 __all__ = [
     "AugmentedSystem",
@@ -94,9 +94,11 @@ class AugmentedSystem:
     """g(x, lambda) = [f(x) ; Df(x).(pinned + W lambda) ; normal^T lambda - 1]
     in the parent variables x and one multiplier per column of W =
     ``weights``; no pinned part when ``pinned`` is None, no last row when
-    ``normal`` is None.  It has the ``len``, ``num_vars``, ``eval``,
-    ``jacobian`` and ``directional_derivative`` of a ``PolySystem``, taken
-    from those of the parent (which may be augmented too); no polynomial is
+    ``normal`` is None.  Its Jacobian is [[Df, 0], [D^2f.(pinned + W lambda),
+    Df.W], [0, normal^T]].  It is an evaluator as ``PolySystem`` documents
+    one: its ``_values`` come from the parent's ``_at`` (the parent may be
+    augmented too), and ``eval``, ``jacobian``, ``directional_derivative``,
+    ``_check_point`` and ``is_square`` are ``PolySystem``'s; no polynomial is
     built."""
 
     def __init__(self, parent, weights, pinned=None, normal=None):
@@ -111,23 +113,6 @@ class AugmentedSystem:
 
     def __repr__(self):
         return f"AugmentedSystem({len(self)} rows in {self.num_vars} vars)"
-
-    def _check_point(self, y) -> np.ndarray:
-        return _check_point(y, self.num_vars)
-
-    def eval(self, y) -> np.ndarray:
-        """``[f(x), Df(x).(pinned + W lambda), normal^T lambda - 1]`` at y = (x, lambda)."""
-        return self._values(0, self._check_point(y))
-
-    def jacobian(self, y) -> np.ndarray:
-        """[[Df, 0], [D^2f.(pinned + W lambda), Df.W], [0, normal^T]] at ``y``."""
-        return self._values(1, self._check_point(y))
-
-    def directional_derivative(self, y, dirs) -> np.ndarray:
-        """Jacobian of D^k g(y)[d_1, ..., d_k] for the k directions ``dirs``."""
-        y = self._check_point(y)
-        dirs = [_check_direction(d, self.num_vars) for d in dirs]
-        return self._values(len(dirs) + 1, y, *dirs)
 
     def _values(self, order: int, y: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
         """g(y) for order 0, else the Jacobian of D^k g(y)[d_1, ..., d_k]
@@ -163,6 +148,8 @@ class AugmentedSystem:
         return out
 
     _at = _values
+    eval, jacobian, _check_point = PolySystem.eval, PolySystem.jacobian, PolySystem._check_point
+    directional_derivative, is_square = PolySystem.directional_derivative, PolySystem.is_square
 
 
 def deflate_once(

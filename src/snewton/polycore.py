@@ -217,6 +217,12 @@ class PolySystem:
     in graded-lex order, without zero coefficients.  Factor indexes for
     evaluation and the ``Poly`` view ``polys`` are built lazily and cached
     (the system itself stays immutable, so sharing across threads is safe).
+
+    It is the one evaluator interface: an evaluator supplies ``num_vars``,
+    ``__len__``, ``_values`` and ``_at`` (the same values, maybe shared
+    read-only) as here, and binds by name the ``eval``, ``jacobian``,
+    ``directional_derivative``, ``_check_point`` and ``is_square`` written
+    here once (``lvz.AugmentedSystem``); ``twostep`` reads nothing more.
     """
 
     __slots__ = ("num_vars", "_arrays", "_polys", "_cache")
@@ -355,8 +361,8 @@ class PolySystem:
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
-        ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1, each
-        k from its cached term set of order k + 1."""
+        ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1, that
+        is ``_values(k + 1, x, *dirs)`` at the checked point and directions."""
         x = self._check_point(x)
         dirs = [_check_direction(v, self.num_vars) for v in dirs]
         return self._values(len(dirs) + 1, x, *dirs)

@@ -14,8 +14,9 @@ The two operators at the heart of the method:
 
 B is what gets solved; A only ever appears in analysis and tests.
 
-f, Df and D2f(x).v all come from the system's cached term arrays, each
-computed once per point (``PolySystem._at`` keeps those of the last point).
+f, Df and D2f(x).v all come from the system's ``_at``, so any square
+evaluator (see ``PolySystem``) will do; a ``PolySystem`` computes each once
+per point from its cached term arrays and keeps those of the last point.
 Every iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the
 rank tolerance from that spectrum) and one path for every corank kappa: at
 kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is Newton's
@@ -308,6 +309,8 @@ def refine(
     iteration cap.  ``reference``, when given, only annotates the trace with
     log10 error exponents (initial point first); it never steers the run.
     """
+    if not system.is_square():  # also when x0 already meets the residual target
+        raise ValueError("two_step needs a square system")
     cfg = cfg or StepConfig()
     rng = np.random.default_rng(cfg.seed)
     x = system._check_point(x0)

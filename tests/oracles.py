@@ -1,6 +1,7 @@
 """Oracles shared by the tests: partial derivatives, contractions and the
 deflation augmentation, built with polynomial arithmetic; differential
-functionals applied through Taylor coefficients; the paper's operator A;
+functionals applied through Taylor coefficients; the square randomisation
+R.g of an evaluator, numeric and symbolic; the paper's operator A;
 row sums from two bincounts; graded-lex multi-indices from combinations;
 the dual-space step that rebuilds its tables from dicts at every order,
 on the commutation matrix of the restricted-integral coefficients, and the
@@ -109,6 +110,35 @@ class AugmentOracle:
         absolute = [None if a is None else np.abs(a) for a in (pinned, normal)]
         self.system = symbolic_augment(parent[0], weights, pinned, normal)
         self.magnitude = magnitudes(symbolic_augment(parent[1], np.abs(weights), *absolute))
+
+
+class SquareRandomization:
+    """R.g for an evaluator g and R with unit complex Gaussian entries from
+    ``rng``, one row per variable of g and one column per row: a square
+    evaluator that defines only the four names of the interface
+    ``PolySystem`` documents and binds the rest, as ``lvz.AugmentedSystem``
+    does."""
+
+    def __init__(self, g, rng):
+        shape = (g.num_vars, len(g))
+        self.g, self.num_vars = g, g.num_vars
+        self.r = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def __len__(self):
+        return self.r.shape[0]
+
+    def _values(self, order, x, *dirs):
+        return self.r @ self.g._at(order, x, *dirs)
+
+    _at = _values
+    eval, jacobian, _check_point = PolySystem.eval, PolySystem.jacobian, PolySystem._check_point
+    directional_derivative, is_square = PolySystem.directional_derivative, PolySystem.is_square
+
+
+def symbolic_randomization(system, r):
+    """R.f built with polynomial arithmetic: row i is sum_j R[i, j] f_j."""
+    zero = Poly.zero(system.num_vars)
+    return PolySystem(sum((f * complex(c) for f, c in zip(system, row)), zero) for row in r)
 
 
 def assert_matches_oracle(g, oracle, y, dirs_list, rel=1e-12):

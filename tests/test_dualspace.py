@@ -568,6 +568,29 @@ def test_taylor_shift_of_a_lower_order_is_a_prefix_bit_for_bit():
             assert shift.tobytes() == np.ascontiguousarray(want).tobytes(), k
 
 
+def test_taylor_shift_past_the_degree_makes_no_zero_columns(monkeypatch):
+    # for k > deg f the dual space reads T_deg, not T_k: no array it makes is
+    # wider than C(n + deg f, deg f)
+    made, real = [], dualspace.taylor_coefficients
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(dualspace, "taylor_coefficients", recording)
+    cases = [(e.system, e.zero) for e in catalog() if e.name != "Cyclic9"]
+    cases += [random_variant(n, k, seed=2) for n, k in ((6, 2), (8, 3))]
+    for system, xi in cases:
+        deg = system.degree()
+        width = math.comb(system.num_vars + deg, deg)
+        for held in (None, {}):
+            for k in range(deg + 1, deg + 4):
+                made.clear()
+                shift = dualspace._taylor(system, xi, k, held)
+                assert max(a.shape[1] for a in (shift, *made)) <= width, k
+                assert shift.tobytes() == real(system, xi, k)[:, :width].tobytes(), k
+
+
 def test_one_call_makes_at_most_one_taylor_shift_per_order_below_the_degree(count_calls):
     passes = count_calls(dualspace, "taylor_coefficients")
     cases = [(e.system, e.zero, 1e-6 if e.name == "Cyclic9" else None) for e in catalog()]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
+from snewton.lvz import deflate_once
 from snewton.numla import SingularMatrixError, solve, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
@@ -17,7 +18,12 @@ from snewton.twostep import (
     two_step,
 )
 
-from oracles import operator_A
+from oracles import (
+    SquareRandomization,
+    operator_A,
+    symbolic_augment,
+    symbolic_randomization,
+)
 
 XI = np.ones(3, dtype=complex)
 V_RAW = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
@@ -287,10 +293,52 @@ def test_v_override_of_the_wrong_length_is_rejected(running):
         refine(running, XI + 1e-3, cfg)
 
 
-def test_two_step_rejects_non_square():
-    system = parse_system("x^2\nx\nx - 1", ["x"])
-    with pytest.raises(ValueError):
-        two_step(system, [0.5], StepConfig(tol=0.1))
+def test_two_step_rejects_non_square(running):
+    deflated, y = deflate_once(running, XI + 1e-3, 0.1)
+    at_zero, y0 = deflate_once(running, XI, 0.1)  # refine would stop at once
+    cases = [(parse_system("x^2\nx\nx - 1", ["x"]), [0.5]), (deflated.system, y), (at_zero.system, y0)]
+    for system, x in cases:
+        assert not system.is_square()
+        for run in (two_step, refine):
+            with pytest.raises(ValueError, match="two_step needs a square system"):
+                run(system, x, StepConfig(tol=0.1))
+
+
+def randomized_deflation(system, x0, tol):
+    """R.g over g = deflate_once(system, x0, tol), R from default_rng(0), its
+    symbolic twin R.symbolic_augment(...), and the augmented start."""
+    deflated, y = deflate_once(system, x0, tol)
+    g = SquareRandomization(deflated.system, np.random.default_rng(0))
+    augmented = symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
+    return g, symbolic_randomization(augmented, g.r), y
+
+
+@pytest.mark.parametrize("case", ["x2-z3xy-y2", "variant 5 2 seed 1"])
+def test_refine_runs_unchanged_on_a_randomized_deflation(case):
+    if case.startswith("variant"):
+        system, zero = random_variant(5, 2, seed=1)
+        tol = variant_rank_tolerance(system, zero, 2)
+    else:
+        entry = get_entry(case)
+        system, zero, tol = entry.system, entry.zero, entry.tol
+    g, symbolic, y = randomized_deflation(system, perturbed_start(zero, 3), tol)
+    assert g.is_square() and (len(g), g.num_vars) == (len(symbolic), symbolic.num_vars)
+    cfg = StepConfig(tol=1e-2, max_iters=3)
+    ours, want = refine(g, y, cfg), refine(symbolic, y, cfg)
+    assert ours.iterations == want.iterations == 3
+    for a, b in zip(ours.steps, want.steps):
+        assert a.kappa == b.kappa
+        assert np.linalg.norm(a.x_double_prime - b.x_double_prime) <= 1e-10 * np.linalg.norm(b.x_double_prime)
+
+
+def test_one_deflation_round_then_the_two_step_reaches_a_depth_five_zero():
+    # x2-z3xy-y2 is not deflation-one; after one round the two-step takes kappa 1 at every step
+    entry = get_entry("x2-z3xy-y2")
+    g, _, y = randomized_deflation(entry.system, perturbed_start(entry.zero, 3), entry.tol)
+    trace = refine(g, y, StepConfig(tol=1e-2))
+    assert trace.stop_reason == "residual"
+    assert [step.kappa for step in trace.steps] == [1] * trace.iterations
+    assert np.linalg.norm(trace.x[:3] - entry.zero) <= 1e-10
 
 
 def test_two_step_auto_tolerance_on_exactly_singular_jacobian():
