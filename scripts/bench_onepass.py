@@ -13,20 +13,24 @@ The script writes one JSON file in the layout of ``BENCH_evaluator.json``:
   --trace 0`` in each tree, one parent/change pair per seed, the side that
   runs first alternating from pair to pair; per metric the quartiles of each
   side, the pairs the change wins and whether the gap of the medians exceeds
-  the parent's interquartile range.
+  the parent's interquartile range; whether the iterations of every solve
+  and the stop reason of every ``refine`` equal the parent's.
 * ``in_process``: per-call medians of ``eval``, ``jacobian``, ``dir_hessian``,
-  a Newton step (``jacobian`` plus ``np.linalg.solve``), ``two_step``,
-  ``two_step_newton`` (a corank-0 ``two_step``: a fixed tolerance below the
-  kernel singular values), ``refine``, ``refine_auto`` (``tol="auto"`` from
-  1e-2 off the zero to a residual of 1e-10) and one Gauss-Newton iterate on
-  the deflated system (``eval``, ``jacobian`` and the least-squares step at
-  a new point) on
-  ``random_variant(n, 2, seed=1)``, in one fresh process per revision, size
-  and round; the rounds alternate which revision goes first.  Each probe
-  also counts the ``np.linalg.svd`` calls of one ``two_step`` and of one
-  ``two_step_newton``, and reports the ``refine_auto`` run: iterations, the
-  steps per mode, the stop reason, the final distance to the zero and a
-  digest of the final point's bytes.
+  a Newton step (``eval``, ``jacobian`` and ``np.linalg.solve``),
+  ``two_step``, ``two_step_newton`` (a corank-0 ``two_step``: a fixed
+  tolerance below the kernel singular values), ``refine``, ``refine_auto``
+  (``tol="auto"`` from 1e-2 off the zero to a residual of 1e-10) and one
+  Gauss-Newton iterate on the deflated system (``eval``, ``jacobian`` and
+  the least-squares step at a new point) on ``random_variant(n, 2,
+  seed=1)``, in one fresh process per revision, size and round; the rounds
+  alternate which revision goes first.  The Newton step and both
+  ``two_step`` take a fresh point at every call, and ``step_over_newton``
+  is the ratio of their medians.  Each probe also counts the
+  ``np.linalg.svd`` calls and the evaluation passes (``polycore._monomials``
+  calls) of one ``two_step`` and of one ``two_step_newton``, and the passes
+  of the ``refine`` run; it reports the iterations and the stop reason of
+  that run, and of the ``refine_auto`` run also the steps per mode, the
+  final distance to the zero and a digest of the final point's bytes.
 * ``cache``: the bytes ``tracemalloc`` still counts after one ``refine`` at
   n = 200 has returned, its result dropped: what the system's caches keep.
 
@@ -59,19 +63,25 @@ FIELDS = {
     "eval": "s per call: f at x, 1e-5*offset off the zero (offset a seeded complex Gaussian n-vector)",
     "jacobian": "s per call: Df at x",
     "dir_hessian": "s per call: D2f(x).v, v a seeded complex Gaussian n-vector",
-    "newton_lu": "s per call: Df and f at x and np.linalg.solve",
-    "two_step": "s per call: two_step at x with the oracle tolerance variant_rank_tolerance (corank 2)",
-    "two_step_newton": "s per call: two_step at x with tol=1e-9, below the two kernel singular "
-                       "values, so corank 0",
+    "newton_lu": "s per call: f and Df at a fresh point near x and np.linalg.solve",
+    "two_step": "s per call: two_step at a fresh point near x with the oracle tolerance "
+                "variant_rank_tolerance (corank 2)",
+    "two_step_newton": "s per call: two_step at a fresh point near x with tol=1e-9, below the two "
+                       "kernel singular values, so corank 0",
+    "step_over_newton": "two_step / newton_lu",
     "refine": "s per call: refine with the oracle tolerance from zero + 1e-3*offset",
     "refine_auto": "s per call: refine with tol='auto' from zero + 1e-2*offset/|offset| to a "
                    "residual of 1e-10, at most 30 iterations",
     "gauss_newton_iterate": "s per call: eval, jacobian and least_squares of the once-deflated "
                             "system at a new point",
     "refine_iterations": "iterations of the oracle-tolerance refine run",
+    "refine_stop": "its stop reason (max_iters: it ran to the cap of 50)",
+    "refine_passes": "its evaluation passes (f at the start point, then per iteration)",
     "two_step_newton_mode": "the mode of the tol=1e-9 two_step",
-    "two_step_svds": "np.linalg.svd calls in one oracle-tolerance two_step (Df, then B')",
+    "two_step_svds": "np.linalg.svd calls in one oracle-tolerance two_step",
     "two_step_newton_svds": "np.linalg.svd calls in one tol=1e-9 two_step",
+    "two_step_passes": "evaluation passes in one oracle-tolerance two_step at a fresh point",
+    "two_step_newton_passes": "evaluation passes in one tol=1e-9 two_step at a fresh point",
     "refine_auto_iterations": "iterations of the tol='auto' refine run",
     "refine_auto_modes": "its steps counted per mode",
     "refine_auto_stop": "its stop reason",
@@ -93,25 +103,26 @@ def _median_call(fn, seconds=PROBE_SECONDS, max_reps=400):
     return float(np.median(times)), len(times)
 
 
-def _svd_calls(fn) -> int:
-    """The ``np.linalg.svd`` calls that one call of ``fn`` makes."""
-    real, calls = np.linalg.svd, []
+def _calls(owner, name: str, fn) -> int:
+    """The calls of ``owner.name`` that one call of ``fn`` makes."""
+    real, calls = getattr(owner, name), []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    np.linalg.svd = counting
+    setattr(owner, name, counting)
     try:
         fn()
     finally:
-        np.linalg.svd = real
+        setattr(owner, name, real)
     return len(calls)
 
 
 def probe(n: int) -> dict:
     """Per-call medians in seconds at ``random_variant(n, 2, seed=1)``, and
     the counts and the ``tol="auto"`` run that the module docstring names."""
+    from snewton import polycore
     from snewton.bench import random_variant, variant_rank_tolerance
     from snewton.lvz import deflate_once
     from snewton.numla import least_squares
@@ -135,28 +146,41 @@ def probe(n: int) -> dict:
     g = deflated.system
     points = [y0, y0 + 1e-9]  # a new point at every iterate, as in a run
     turn = iter(range(1 << 62))
+    near = [x + 1e-9 * k for k in range(2)]  # fresh points near x, in turn
+
+    def fresh():
+        return near[next(turn) % 2]
 
     def gn_iterate():
         y = points[next(turn) % 2]
         least_squares(g.jacobian(y), g.eval(y))
 
+    def newton_lu():
+        y = fresh()
+        np.linalg.solve(system.jacobian(y), system.eval(y))
+
     calls = {
         "eval": lambda: system.eval(x),
         "jacobian": lambda: system.jacobian(x),
         "dir_hessian": lambda: dir_hessian(system, x, v),
-        "newton_lu": lambda: np.linalg.solve(system.jacobian(x), system.eval(x)),
-        "two_step": lambda: two_step(system, x, cfg),
-        "two_step_newton": lambda: two_step(system, x, newton_cfg),
+        "newton_lu": newton_lu,
+        "two_step": lambda: two_step(system, fresh(), cfg),
+        "two_step_newton": lambda: two_step(system, fresh(), newton_cfg),
         "refine": lambda: refine(system, x0, cfg),
         "refine_auto": lambda: refine(system, x_auto, auto_cfg),
         "gauss_newton_iterate": gn_iterate,
     }
     auto = refine(system, x_auto, auto_cfg)
+    oracle = refine(system, x0, cfg)
     out = {
-        "refine_iterations": refine(system, x0, cfg).iterations,
+        "refine_iterations": oracle.iterations,
+        "refine_stop": oracle.stop_reason,
+        "refine_passes": _calls(polycore, "_monomials", calls["refine"]),
         "two_step_newton_mode": two_step(system, x, newton_cfg).mode,
-        "two_step_svds": _svd_calls(calls["two_step"]),
-        "two_step_newton_svds": _svd_calls(calls["two_step_newton"]),
+        "two_step_svds": _calls(np.linalg, "svd", calls["two_step"]),
+        "two_step_newton_svds": _calls(np.linalg, "svd", calls["two_step_newton"]),
+        "two_step_passes": _calls(polycore, "_monomials", calls["two_step"]),
+        "two_step_newton_passes": _calls(polycore, "_monomials", calls["two_step_newton"]),
         "refine_auto_iterations": auto.iterations,
         "refine_auto_modes": dict(sorted(Counter(step.mode for step in auto.steps).items())),
         "refine_auto_stop": auto.stop_reason,
@@ -166,6 +190,7 @@ def probe(n: int) -> dict:
     for name, fn in calls.items():
         fn()  # compile the term sets and factor indexes first
         out[name], out[f"{name}_reps"] = _median_call(fn)
+    out["step_over_newton"] = out["two_step"] / out["newton_lu"]
     return out
 
 
@@ -211,6 +236,8 @@ def _run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict
     metrics = {**report["metrics"], **result["metrics"]}
     return {
         "digest": report["outcome_digest"],
+        "iterations": {task: iterations for task, (_, iterations) in report["instances"].items()},
+        "refine_stops": report["refine_stops"],
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -247,6 +274,8 @@ def _summary(runs: list[tuple[dict, dict]]) -> dict:
         }
     return {
         "digests_match": all(p["digest"] == c["digest"] for p, c in runs),
+        "iterations_match": all(p["iterations"] == c["iterations"] for p, c in runs),
+        "refine_stops_match": all(p["refine_stops"] == c["refine_stops"] for p, c in runs),
         "correct": {"parent": all(p["correct"] for p, _ in runs),
                     "change": all(c["correct"] for _, c in runs)},
         "failed": {"parent": [p["failed"] for p, _ in runs], "change": [c["failed"] for _, c in runs]},
@@ -327,9 +356,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "schema": 1,
-        "what": "one two_step path for every corank: the corank-0 (Newton) step is the "
-                "projection step from the split's own SVD, so that no second SVD of Df is taken; "
-                "numla's matrix arguments checked by one helper. No gain is claimed.",
+        "what": "three evaluation passes and one SVD per two-step iteration: Df(x') and "
+                "D2f(x').v from one pass, no f(x'), the kappa x kappa solve by one inverse; "
+                "term arrays already in canonical order stored without a sort",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
         "end_to_end": {
@@ -343,7 +372,7 @@ def main(argv=None) -> int:
                       "metric its value in every run (parent_runs, change_runs), the ratio of the "
                       "medians (change_over_parent), whether the medians differ by more than the "
                       "parent's q3 - q1 (median_gap_exceeds_parent_iqr) and the pairs run",
-            "claimed": None,
+            "claimed": "variants solve_s.gmean",
             "workloads": {},
         },
         "in_process": {

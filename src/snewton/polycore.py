@@ -242,9 +242,14 @@ class PolySystem:
 
     def _store(self, expo, coef, row, m: int, polys) -> None:
         """Set the fields from checked terms, which are put in canonical
-        order here (np.lexsort sorts by its last key first)."""
-        order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
-        order = order[coef[order] != 0]
+        order here (np.lexsort sorts by its last key first) unless they are
+        in it already."""
+        degree = expo.sum(axis=1)
+        if _in_order(expo, degree, row):
+            order = np.flatnonzero(coef != 0)
+        else:
+            order = np.lexsort((*expo.T[::-1], degree, row))
+            order = order[coef[order] != 0]
         expo, row = expo[order].astype(np.int16, copy=False), row[order].astype(np.int64)
         arrays = (expo, coef[order], row, m)
         for name, value in zip(self.__slots__, (expo.shape[1], arrays, polys, {})):
@@ -317,12 +322,17 @@ class PolySystem:
             cached = self._cache[("terms", order)] = (factors, coef, _pair_ids(row), m, tags)
         return cached
 
-    def _index(self, order: int) -> _FactorIndex:
-        """The factor index of the ``_terms(order)``."""
-        index = self._cache.get(("index", order))
+    def _index(self, *orders: int) -> _FactorIndex:
+        """The factor index of the ``_terms`` of ``orders``, concatenated in
+        turn; each term keeps its factor list."""
+        index = self._cache.get(("index", *orders))
         if index is None:
-            factors, coef = self._terms(order)[:2]
-            index = self._cache[("index", order)] = _factor_index(*factors, len(coef), self.num_vars)
+            factors = [self._terms(order)[0] for order in orders]
+            sizes = [len(self._terms(order)[1]) for order in orders]
+            first = np.cumsum([0, *sizes[:-1]]).tolist()  # each set's first term
+            term = np.concatenate([f[0] + s for f, s in zip(factors, first)])
+            var, exp = (np.concatenate([f[i] for f in factors]) for i in (1, 2))
+            index = self._cache[("index", *orders)] = _factor_index(term, var, exp, sum(sizes), self.num_vars)
         return index
 
     def _values(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
@@ -336,19 +346,39 @@ class PolySystem:
         sums = _pair_sums(np.multiply(coef, _monomials(self._index(order), x)), pairs, m)
         return sums if order == 0 else sums.reshape(len(self), self.num_vars)
 
+    def _jacobian_and_hessian(self, x: np.ndarray, v: np.ndarray):
+        """``_values(1, x)`` and ``_values(2, x, v)`` from one pass: one
+        ``_monomials`` call over both term sets and one bincount, whose bins
+        add the parts of each set in term order as their own passes do."""
+        _, coef1, pairs1, m, _ = self._terms(1)
+        _, coef2, pairs2, _, (tag,) = self._terms(2)
+        pairs = self._cache.get(("pairs", 1, 2))
+        if pairs is None:
+            pairs = self._cache[("pairs", 1, 2)] = np.concatenate((pairs1, pairs2 + 2 * m))
+        coef = np.concatenate((coef1, np.multiply(coef2, v[tag])))
+        sums = _pair_sums(np.multiply(coef, _monomials(self._index(1, 2), x)), pairs, 2 * m)
+        return sums.reshape(2, len(self), self.num_vars)
+
     def _at(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
         """``_values(order, x, *dirs)``, read-only and shared between callers:
         the values at the point last asked for are kept, each order computed
         when it is first asked for and kept for its last directions only.  An
-        iteration needs f and Df at an iterate more than once."""
-        held = self._cache.get("point")
-        if held is None or held[0] != x.tobytes():
-            held = self._cache["point"] = (x.tobytes(), {})
+        iteration needs f and Df at an iterate more than once; D2f.v asked
+        for before Df comes with Df from one pass."""
+        key, held = x.tobytes(), self._cache.get("point")
+        if held is None or held[0] != key:
+            held = self._cache["point"] = (key, {})
         tag = [v.tobytes() for v in dirs]
         value = held[1].get(order)
         if value is None or value[0] != tag:
-            value = held[1][order] = (tag, self._values(order, x, *dirs))
-            value[1].flags.writeable = False
+            if order == 2 and 1 not in held[1]:
+                jac, values = self._jacobian_and_hessian(x, *dirs)
+                jac.flags.writeable = False
+                held[1][1] = ([], jac)
+            else:
+                values = self._values(order, x, *dirs)
+            values.flags.writeable = False
+            value = held[1][order] = (tag, values)
         return value[1]
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
@@ -389,6 +419,17 @@ def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: in
     system = object.__new__(PolySystem)
     system._store(expo, coef, row, m, None)
     return system
+
+
+def _in_order(expo: np.ndarray, degree: np.ndarray, row: np.ndarray) -> bool:
+    """Whether no term's key (row, degree, exponents) exceeds the next
+    term's, compared for all adjacent pairs at once: at the first exponent
+    column where two terms differ, if any."""
+    t = np.arange(len(row) - 1)
+    col = (expo[1:] != expo[:-1]).argmax(axis=1)
+    expo_up = expo[t + 1, col] >= expo[t, col]
+    degree_up = (degree[1:] > degree[:-1]) | ((degree[1:] == degree[:-1]) & expo_up)
+    return bool(((row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & degree_up)).all())
 
 
 def _check_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> None:

@@ -21,11 +21,15 @@ Every iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the
 rank tolerance from that spectrum) and one path for every corank kappa: at
 kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is Newton's
 step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the kernel step
-draws one ``random_direction`` and contracts the Hessian once, returning B'
-with the step.  f is evaluated at x' and at x'' (``refine`` hands it on as
-the next f(x)), Df at x and x', and D2f(x').v; a retried direction
-recomputes only the last.  ``two_step`` checks x and builds v itself, so its
-kernel step skips the checks of the public ``second_refinement``.
+draws one ``random_direction``, contracts the Hessian once and solves the
+kappa x kappa system by one inverse (``numla.solve``), returning B' with
+the step.  An iteration with 0 < kappa < n makes three evaluation passes:
+Df at x (f(x) is the previous f(x''), which ``refine`` hands on), one pass
+at x' that gives D2f(x').v and Df(x') together (``PolySystem._at``), and f
+at x''; f(x') is not evaluated.  A retried direction recomputes only
+D2f(x').v.  ``two_step`` checks x and builds v itself, so its projection
+and kernel steps skip the checks of the public ``first_refinement`` and
+``second_refinement``.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ class StepResult:
     0 < kappa < n, "kernel-only" for kappa = n (x' = x, no projection step),
     and "newton" for kappa = 0, where the projection step is Newton's step
     and x'' = x' (no kernel step: v, B' and delta are None).
+
+    ``residuals`` holds the norms of f at "x" and "x_double_prime", and at
+    "x_prime" only where it costs no evaluation: at kappa = 0 it equals
+    "x_double_prime" and at kappa = n it equals "x".  f(x') is not evaluated
+    otherwise; ``system.eval(step.x_prime)`` gives it.
     """
 
     kappa: int
@@ -193,7 +202,13 @@ def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    return x - split.v1 @ ((split.u1.conj().T @ system._at(0, x)) / split.sigma1)
+    return _projection_step(x, system._at(0, x), split)
+
+
+def _projection_step(x: np.ndarray, fx: np.ndarray, split: SvdSplit) -> np.ndarray:
+    """``first_refinement`` for arguments it would accept, unchecked, with
+    f(x) given."""
+    return x - split.v1 @ ((split.u1.conj().T @ fx) / split.sigma1)
 
 
 def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.ndarray):
@@ -211,8 +226,9 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
 def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2):
     """``second_refinement`` for arguments it would accept, unchecked; f's
     derivatives at x' come from the system's point cache (``_at``)."""
-    b_prime = u2.conj().T @ system._at(2, x_prime, v) @ v2
-    rhs = -(u2.conj().T @ (system._at(1, x_prime) @ v))
+    u2h = u2.conj().T
+    b_prime = u2h @ system._at(2, x_prime, v) @ v2
+    rhs = -(u2h @ (system._at(1, x_prime) @ v))
     try:
         delta = solve(b_prime, rhs)
     except SingularMatrixError as exc:
@@ -248,12 +264,11 @@ def two_step(
     kappa, n = split.kappa, split.n
     if kappa == 0:
         _check_conditioned(split.sigma1)  # Newton's step refuses a near-singular Df
-    x_prime = x if kappa == n else first_refinement(system, x, split)
+    x_prime = x if kappa == n else _projection_step(x, fx, split)
     res = {"x": float(np.linalg.norm(fx))}
-    res["x_prime"] = res["x"] if kappa == n else float(np.linalg.norm(system._at(0, x_prime)))
 
     v = b_prime = delta = None
-    x_second, res["x_double_prime"] = x_prime, res["x_prime"]
+    x_second = x_prime
     if kappa:
         attempts = 1 if cfg.v_override is not None else 2
         for attempt in range(attempts):
@@ -264,7 +279,9 @@ def two_step(
             except SingularMatrixError:
                 if attempt == attempts - 1:
                     raise
-        res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
+    res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
+    if kappa in (0, n):  # x'' = x' at kappa = 0, x' = x at kappa = n
+        res["x_prime"] = res["x_double_prime" if kappa == 0 else "x"]
 
     return StepResult(
         kappa=kappa,

@@ -25,11 +25,12 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _grlex, _grlex_memo, _pair_ids, _pair_sums
+from snewton.polycore import _grlex, _grlex_memo, _in_order, _pair_ids, _pair_sums
 
 from oracles import (
     AugmentOracle,
     apply_functional,
+    lexsorted_arrays,
     looped_taylor_shift,
     magnitudes,
     segment_sums,
@@ -740,6 +741,39 @@ def test_point_cache_is_read_only_and_public_values_are_fresh():
     assert system._at(2, x, v).tobytes() == dir_hessian(system, x, v).tobytes()
 
 
+def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluation_passes):
+    """D^2f.v asked of ``_at`` at a point whose Df it does not hold fills
+    both from one pass over the Df and D^2f.v terms; each has the bits of
+    its own pass: the catalog, variants n = 6-30 and a term set past
+    16 384 terms, with directions with and without zero entries."""
+    from snewton.bench import catalog, random_variant
+
+    cases = [(e.system, e.zero) for e in catalog()]
+    cases += [random_variant(n, k, seed=n + k) for n in (6, 10, 15, 20, 30) for k in (1, 3)]
+    cases.append(random_variant(100, 2, seed=0))
+    assert len(cases[-1][0]._terms(1)[1]) > 16384
+    rng = np.random.default_rng(67)
+    for system, zero in cases:
+        n = system.num_vars
+        for zeros in (False, True):
+            x = zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if zeros:
+                v[::2] = 0
+            evaluation_passes.clear()
+            hess, jac = system._at(2, x, v), system._at(1, x)
+            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._index(1, 2)
+            assert not hess.flags.writeable and not jac.flags.writeable
+            assert hess.tobytes() == system._values(2, x, v).tobytes()
+            assert jac.tobytes() == system._values(1, x).tobytes()
+            # Df held: another direction makes its own D^2f.v pass
+            evaluation_passes.clear()
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            other = system._at(2, x, w)
+            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._index(2)
+            assert other.tobytes() == system._values(2, x, w).tobytes()
+
+
 def test_poly_eval_has_the_bits_of_its_row_in_a_system():
     """``Poly.eval`` sums in graded-lex order, as a system's row does, also
     for polynomials long enough that a pairwise sum would round otherwise."""
@@ -818,6 +852,65 @@ def test_system_from_terms_seeds_the_compiled_term_arrays():
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
         assert system == source
+
+
+def assert_arrays_identical(got, want):
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_terms_in_canonical_order_skip_the_sort(count_calls):
+    """Input already in canonical order is stored without ``np.lexsort``,
+    input out of order is sorted, and both give the arrays of the lexsort
+    oracle: the catalog, reversed and in order; parsed rows whose terms are
+    out of order; variants n = 10-200, which ``compose_affine`` emits in
+    order."""
+    from snewton.bench import catalog, random_variant
+
+    sources = [e.system for e in catalog()]
+    sorts = count_calls(np, "lexsort")
+    for source in sources:
+        expo, coef, row, m = source._arrays
+        assert_arrays_identical(system_from_terms(expo, coef, row, m)._arrays, source._arrays)
+        assert len(sorts) == 0
+        order = np.arange(len(coef))[::-1]
+        backwards = expo[order].astype(np.int64), coef[order], row[order], m
+        got = system_from_terms(*backwards)._arrays
+        assert len(sorts) == 1
+        assert_arrays_identical(got, lexsorted_arrays(*backwards))
+        sorts.clear()
+    parsed = parse_system("y^2 + x*y + 3 - x\n2i - x^3*y + x + y*x^2", ["x", "y"])
+    assert len(sorts) == 1
+    terms = [(i, a, c) for i, p in enumerate(parsed.polys) for a, c in p.terms.items()]
+    raw = [np.array(part) for part in zip(*terms)]
+    assert_arrays_identical(parsed._arrays, lexsorted_arrays(raw[1], raw[2], raw[0], 2))
+    sorts.clear()
+    for n in (10, 20, 50, 100, 200):
+        system, _ = random_variant(n, 2, seed=n)
+        assert len(sorts) == 0
+        assert_arrays_identical(system._arrays, lexsorted_arrays(*system._arrays))
+        sorts.clear()
+
+
+@_PROPERTY
+@given(data=st.data(), n=st.integers(1, 4), count=st.integers(0, 12))
+def test_in_order_agrees_with_lexsort(data, n, count):
+    """``_in_order`` is true exactly when the lexsort of the keys is the
+    identity, for distinct (row, exponent) keys in any order, in order or
+    near it."""
+    keys = st.tuples(st.integers(0, 2), st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple))
+    terms = data.draw(st.lists(keys, min_size=count, max_size=count, unique=True))
+    if data.draw(st.booleans()):
+        terms.sort(key=lambda t: (t[0], sum(t[1]), t[1]))
+        if len(terms) > 1 and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(terms) - 2))
+            terms[i], terms[i + 1] = terms[i + 1], terms[i]
+    row = np.array([r for r, _ in terms], dtype=np.int64)
+    expo = np.array([a for _, a in terms], dtype=np.int16).reshape(-1, n)
+    degree = expo.sum(axis=1)
+    want = np.array_equal(np.lexsort((*expo.T[::-1], degree, row)), np.arange(len(terms)))
+    assert _in_order(expo, degree, row) == want
 
 
 @pytest.mark.parametrize(

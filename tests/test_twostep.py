@@ -5,7 +5,7 @@ import pytest
 
 from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
 from snewton.lvz import deflate_once
-from snewton.numla import SingularMatrixError, solve, split_svd
+from snewton.numla import SingularMatrixError, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
     StepConfig,
@@ -22,6 +22,7 @@ from oracles import (
     SquareRandomization,
     operator_A,
     symbolic_augment,
+    svd_solve,
     symbolic_randomization,
 )
 
@@ -199,9 +200,9 @@ def test_two_step_regular_zero_takes_newton_step():
 
 
 def newton_point(system, x):
-    """Newton's step through ``numla.solve``, which takes its own SVD of Df:
-    the oracle for the corank-0 step."""
-    return x - solve(system.jacobian(x), system.eval(x))
+    """Newton's step through ``oracles.svd_solve``, which takes its own SVD
+    of Df: the oracle for the corank-0 step."""
+    return x - svd_solve(system.jacobian(x), system.eval(x))
 
 
 def test_corank_zero_step_is_the_newton_step_bit_for_bit():
@@ -366,22 +367,23 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
 
     def contractions(system):
-        return sum(index is system._index(2) for index in passes)
+        # passes over the D^2f.v terms: alone, or with Df's in one pass
+        return sum(index is system._index(2) or index is system._index(1, 2) for index in passes)
 
     def check_svds(system, x, step):
-        # one SVD of Df(x), the split's; the only other one is of the
-        # kappa x kappa B', inside the kernel step's solve
+        # one SVD, of Df(x), the split's; B' is solved by an inverse
+        assert len(svd_args) == 1
         assert np.array_equal(svd_args[0], system.jacobian(x))
-        assert len(svd_args) == (1 if step.mode == "newton" else 2)
-        assert step.mode == "newton" or np.array_equal(svd_args[1], step.b_prime)
         passes.clear()
         svd_args.clear()
 
     system = get_entry("running-example").system
     x = np.array([1.001, 0.999, 1.001], dtype=complex)
     step = two_step(system, x, StepConfig(tol=0.1, v_override=V_RAW))
-    # f and Df at x, f at x', D^2f.v and Df at x', f at x''
-    assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 6)
+    # f and Df at x, D^2f.v and Df at x' in one pass, f at x''
+    assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 4)
+    assert passes[2] is system._index(1, 2)
+    assert sorted(step.residuals) == ["x", "x_double_prime"]
     check_svds(system, x, step)
     b = operator_B(system, step.x_prime, step.v, step.split.u2, step.split.v2)
     assert np.array_equal(step.b_prime, b)
@@ -390,8 +392,10 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
     system = get_entry("truncated-sin").system
     x = np.full(3, 1e-4, dtype=complex)
     step = two_step(system, x, StepConfig(tol=0.1))
-    # x' = x: f, Df and D^2f.v at x, f at x''
+    # x' = x: f and Df at x, then D^2f.v at x alone, f at x''
     assert (step.mode, contractions(system), len(passes)) == ("kernel-only", 1, 4)
+    assert passes[2] is system._index(2)
+    assert step.residuals["x_prime"] == step.residuals["x"]
     check_svds(system, x, step)
 
     linear = parse_system("x - 1\ny - 2", ["x", "y"])
@@ -554,18 +558,31 @@ def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
     x0 = zero + 1e-3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     cfg = StepConfig(tol=variant_rank_tolerance(system, zero, 2), seed=1)
     evaluation_passes.clear()
+    svds = []  # per np.linalg.svd call: whether it computes the vectors
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     trace = refine(system, x0, cfg)
     assert trace.iterations >= 2
     assert {step.mode for step in trace.steps} == {"two-step"}
-    # f at x0; per iteration Df at x, f at x', D^2f.v and Df at x', f at x''
-    assert len(evaluation_passes) == 1 + 5 * trace.iterations
+    # f at x0; per iteration Df at x, D^2f.v and Df at x' in one pass, f at
+    # x''; one SVD, with vectors, of Df at x
+    assert len(evaluation_passes) == 1 + 3 * trace.iterations
     f_passes = [index is system._index(0) for index in evaluation_passes]
-    assert sum(f_passes) == 1 + 2 * trace.iterations
-    # the same run with every value computed afresh at every use gives the
-    # same bits: f at x twice more per iteration
+    assert sum(f_passes) == 1 + trace.iterations
+    shared = [index is system._index(1, 2) for index in evaluation_passes]
+    assert sum(shared) == trace.iterations
+    assert svds == [True] * trace.iterations
+    # the same run with every value computed afresh at every use, each
+    # order in its own pass, gives the same bits: f at x once more, and Df
+    # and D^2f.v at x' apart, per iteration
     monkeypatch.setattr(PolySystem, "_at", PolySystem._values)
     fresh = refine(system, x0, cfg)
-    assert len(evaluation_passes) == 2 + 12 * trace.iterations
+    assert len(evaluation_passes) == 2 + 8 * trace.iterations
     assert fresh.residuals == trace.residuals
     for a, b in zip(fresh.steps + [fresh], trace.steps + [trace]):
         for name in ("x_prime", "delta", "x_double_prime", "x", "b_prime"):
