@@ -356,9 +356,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "schema": 1,
-        "what": "three evaluation passes and one SVD per two-step iteration: Df(x') and "
-                "D2f(x').v from one pass, no f(x'), the kappa x kappa solve by one inverse; "
-                "term arrays already in canonical order stored without a sort",
+        "what": "three evaluation passes per two-step iteration: Df(x') and D2f(x').v from "
+                "one pass over a factor index that Df and D2f share, no f(x'); term arrays "
+                "already in canonical order stored without a sort",
         "revisions": {side: _revision(tree) for side, tree in trees.items()},
         "machine": _machine(),
         "end_to_end": {

@@ -322,17 +322,27 @@ class PolySystem:
             cached = self._cache[("terms", order)] = (factors, coef, _pair_ids(row), m, tags)
         return cached
 
-    def _index(self, *orders: int) -> _FactorIndex:
-        """The factor index of the ``_terms`` of ``orders``, concatenated in
-        turn; each term keeps its factor list."""
-        index = self._cache.get(("index", *orders))
+    def _index(self, order: int) -> _FactorIndex:
+        """The factor index of the ``_terms(order)``."""
+        index = self._cache.get(("index", order))
         if index is None:
-            factors = [self._terms(order)[0] for order in orders]
-            sizes = [len(self._terms(order)[1]) for order in orders]
-            first = np.cumsum([0, *sizes[:-1]]).tolist()  # each set's first term
-            term = np.concatenate([f[0] + s for f, s in zip(factors, first)])
-            var, exp = (np.concatenate([f[i] for f in factors]) for i in (1, 2))
-            index = self._cache[("index", *orders)] = _factor_index(term, var, exp, sum(sizes), self.num_vars)
+            factors, coef = self._terms(order)[:2]
+            index = self._cache[("index", order)] = _factor_index(*factors, len(coef), self.num_vars)
+        return index
+
+    def _shared_index(self) -> _FactorIndex:
+        """The factor index of the Df and D2f terms together, Df's first.
+        Once it is built, ``_index(1)`` and ``_index(2)`` are views of it,
+        so each set's index is kept once."""
+        index = self._cache.get("shared index")
+        if index is None:
+            (factors1, coef1), (factors2, coef2) = self._terms(1)[:2], self._terms(2)[:2]
+            size = len(coef1)
+            factors2 = (factors2[0] + size, *factors2[1:])  # term ids after Df's
+            term, var, exp = (np.concatenate(pair) for pair in zip(factors1, factors2))
+            index = _factor_index(term, var, exp, size + len(coef2), self.num_vars, first=size)
+            self._cache["shared index"] = index
+            self._cache[("index", 1)], self._cache[("index", 2)] = _split_index(index, size)
         return index
 
     def _values(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
@@ -348,16 +358,13 @@ class PolySystem:
 
     def _jacobian_and_hessian(self, x: np.ndarray, v: np.ndarray):
         """``_values(1, x)`` and ``_values(2, x, v)`` from one pass: one
-        ``_monomials`` call over both term sets and one bincount, whose bins
-        add the parts of each set in term order as their own passes do."""
+        ``_monomials`` call over both term sets, then one bincount per set."""
         _, coef1, pairs1, m, _ = self._terms(1)
         _, coef2, pairs2, _, (tag,) = self._terms(2)
-        pairs = self._cache.get(("pairs", 1, 2))
-        if pairs is None:
-            pairs = self._cache[("pairs", 1, 2)] = np.concatenate((pairs1, pairs2 + 2 * m))
         coef = np.concatenate((coef1, np.multiply(coef2, v[tag])))
-        sums = _pair_sums(np.multiply(coef, _monomials(self._index(1, 2), x)), pairs, 2 * m)
-        return sums.reshape(2, len(self), self.num_vars)
+        vals, size = np.multiply(coef, _monomials(self._shared_index(), x)), len(coef1)
+        sums = _pair_sums(vals[:size], pairs1, m), _pair_sums(vals[size:], pairs2, m)
+        return (part.reshape(len(self), self.num_vars) for part in sums)
 
     def _at(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
         """``_values(order, x, *dirs)``, read-only and shared between callers:
@@ -494,16 +501,18 @@ class _FactorIndex(NamedTuple):
     """The nonzero factors x_j^e of a set of terms, compiled for evaluation.
 
     A call builds the power table x_j^e once, for the (variable, exponent)
-    pairs ``table_var``, ``table_exp``.  Taken in order of falling factor
-    count, the terms that have an s-th factor form a prefix, and
-    ``slots[s]`` holds the table positions of those factors; ``rank[t]`` is
-    the place of term t in that order.
+    pairs ``table_var``, ``table_exp``, and the monomials in a work array
+    of ``span.stop`` entries, of which those in ``span`` are used.  The
+    terms are placed there so that those with an s-th factor take one
+    slice: ``slots[s]`` is that slice and the table positions of their
+    s-th factors, and ``rank[t]`` is the place of term t.
     """
 
     table_var: np.ndarray
     table_exp: np.ndarray
     rank: np.ndarray
-    slots: tuple[np.ndarray, ...]
+    span: slice
+    slots: tuple[tuple[slice, np.ndarray], ...]
 
 
 def _factors(expo: np.ndarray):
@@ -513,9 +522,12 @@ def _factors(expo: np.ndarray):
     return term.astype(np.int32), var.astype(np.int32), expo[term, var]
 
 
-def _factor_index(term, var, exp, num_terms: int, num_vars: int) -> _FactorIndex:
+def _factor_index(term, var, exp, num_terms: int, num_vars: int, first: int = 0) -> _FactorIndex:
     """The index of ``num_terms`` terms whose factors are listed as by
-    ``_factors``."""
+    ``_factors``.  The ``first`` terms, if any, are a set of their own,
+    placed before the others in order of rising factor count: the terms of
+    either set that have an s-th factor are then one part of the work
+    array, and ``_split_index`` gives each set's index as views."""
     top = np.zeros(num_vars, dtype=np.int32)
     np.maximum.at(top, var, exp)
     start = np.cumsum(top, dtype=np.int32) - top  # table position of x_j^1
@@ -523,28 +535,48 @@ def _factor_index(term, var, exp, num_terms: int, num_vars: int) -> _FactorIndex
     table_exp = np.arange(1, len(table_var) + 1) - np.repeat(start, top)
     pos = start[var] + (exp - 1)
     count = np.bincount(term, minlength=num_terms)
-    first = np.cumsum(count) - count  # each term's first factor
-    order = np.argsort(-count, kind="stable")
+    offset = np.cumsum(count) - count  # each term's first factor
+    rising = np.argsort(count[:first], kind="stable")
+    order = np.concatenate((rising, first + np.argsort(-count[first:], kind="stable")))
     rank = np.empty(num_terms, dtype=np.int32)
     rank[order] = np.arange(num_terms)
-    slots = tuple(
-        pos[first[order[: np.count_nonzero(count > s)]] + s]
-        for s in range(int(count.max(initial=0)))
+    slots = []
+    for s in range(int(count.max(initial=0))):
+        lo, hi = first - np.count_nonzero(count[:first] > s), first + np.count_nonzero(count[first:] > s)
+        part = slice(int(lo), int(hi))
+        slots.append((part, pos[offset[order[part]] + s]))
+    return _FactorIndex(table_var, table_exp, rank, slice(0, num_terms), tuple(slots))
+
+
+def _split_index(index: _FactorIndex, first: int) -> tuple[_FactorIndex, _FactorIndex]:
+    """The indexes of the two sets of an index built with ``first``, whose
+    arrays are views of its own: the first set's terms take the work array
+    up to ``first``, the others' the rest."""
+    below, above = [], []
+    for part, pos in index.slots:
+        if part.start < first:
+            below.append((slice(part.start, first), pos[: first - part.start]))
+        if part.stop > first:
+            above.append((slice(first, part.stop), pos[first - part.start :]))
+    table, end = (index.table_var, index.table_exp), index.span.stop
+    return (
+        _FactorIndex(*table, index.rank[:first], slice(0, first), tuple(below)),
+        _FactorIndex(*table, index.rank[first:], slice(first, end), tuple(above)),
     )
-    return _FactorIndex(table_var, table_exp, rank, slots)
 
 
 def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
     """Value of each term's monomial at ``x``.  A term multiplies its factors
     in ascending variable order, starting from 1."""
     table = x[index.table_var] ** index.table_exp
-    out = np.ones(len(index.rank), dtype=complex)
-    for pos in index.slots:
+    out = np.empty(index.span.stop, dtype=complex)
+    out[index.span] = 1
+    for part, pos in index.slots:
         # A new array with the running product as first operand: numpy rounds
         # an in-place product of one element without the fused multiply-add
         # it uses otherwise, and ``a * temporary`` of a large temporary as
         # ``temporary * a``, which rounds differently.
-        out[: len(pos)] = np.multiply(out[: len(pos)], table[pos])
+        out[part] = np.multiply(out[part], table[pos])
     return out[index.rank]
 
 

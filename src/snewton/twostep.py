@@ -21,9 +21,8 @@ Every iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the
 rank tolerance from that spectrum) and one path for every corank kappa: at
 kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is Newton's
 step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the kernel step
-draws one ``random_direction``, contracts the Hessian once and solves the
-kappa x kappa system by one inverse (``numla.solve``), returning B' with
-the step.  An iteration with 0 < kappa < n makes three evaluation passes:
+draws one ``random_direction`` and contracts the Hessian once, returning B'
+with the step.  An iteration with 0 < kappa < n makes three evaluation passes:
 Df at x (f(x) is the previous f(x''), which ``refine`` hands on), one pass
 at x' that gives D2f(x').v and Df(x') together (``PolySystem._at``), and f
 at x''; f(x') is not evaluated.  A retried direction recomputes only

@@ -2,9 +2,9 @@
 deflation augmentation, built with polynomial arithmetic; differential
 functionals applied through Taylor coefficients; the square randomisation
 R.g of an evaluator, numeric and symbolic; the paper's operator A; term
-arrays sorted by lexsort; a square solve through the SVD; row sums from
-two bincounts; graded-lex multi-indices from combinations; the dual-space
-step that rebuilds its tables from dicts at every order,
+arrays sorted by lexsort; row sums from two bincounts; graded-lex
+multi-indices from combinations; the dual-space step that rebuilds its
+tables from dicts at every order,
 on the commutation matrix of the restricted-integral coefficients, and the
 membership steps on restricted integrals and on the D^+ integrals;
 the Taylor shift as one loop over the variables; the affine substitution
@@ -17,7 +17,7 @@ import numpy as np
 
 from snewton import polycore, twostep
 from snewton.dualspace import DualBasis, _near_tol, _rank_tol
-from snewton.numla import _check_conditioned, _check_tolerance, right_svd
+from snewton.numla import _check_tolerance, right_svd
 from snewton.polycore import (
     Poly,
     PolySystem,
@@ -230,16 +230,6 @@ def lexsorted_arrays(expo, coef, row, m):
     order = np.lexsort((*expo.T[::-1], expo.sum(axis=1), row))
     order = order[coef[order] != 0]
     return expo[order].astype(np.int16), coef[order], row[order].astype(np.int64), m
-
-
-def svd_solve(matrix, rhs):
-    """The solution of ``matrix @ y = rhs`` through the SVD of the matrix,
-    which must be square: y = V Sigma^-1 U* rhs, refused as
-    ``_check_conditioned`` refuses the spectrum.  At corank 0 the two-step's
-    projection step is this solve from the split's SVD, bit for bit."""
-    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=complex))
-    _check_conditioned(s)
-    return vh.conj().T @ ((u.conj().T @ np.asarray(rhs, dtype=complex).reshape(-1)) / s)
 
 
 def segment_sums(vals, row, m):

@@ -123,23 +123,19 @@ def test_solve_raises_on_singular():
         solve(np.zeros((2, 2)), np.ones(2))
 
 
-@pytest.mark.parametrize("eps, solved", [(4.4e-12, True), (3.6e-12, False)])
-def test_solve_refuses_a_one_norm_condition_of_1e12(eps, solved):
-    # ||B||_1 ||B^-1||_1 = (2 + eps)^2 / eps: 0.91e12, then 1.11e12
-    m = (0.5 - 2j) * np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+@pytest.mark.parametrize("sigma_min, solved", [(1.1e-12, True), (0.9e-12, False), (0.0, False)])
+def test_solve_refuses_a_spectrum_below_1e_minus_12(sigma_min, solved):
+    # singular values 1 and sigma_min, on either side of the 1e-12 relative
+    # threshold, then exactly singular
+    q = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # unitary
+    m = q @ np.diag([1.0, sigma_min])
     y_true = np.array([1.0 - 1j, 2.0])
     b = m @ y_true
     if solved:
         assert np.linalg.norm(solve(m, b) - y_true) <= 1e-3
     else:
-        with pytest.raises(SingularMatrixError, match=r"1-norm condition 1\.111e\+12"):
+        with pytest.raises(SingularMatrixError, match="singular to working precision"):
             solve(m, b)
-
-
-def test_solve_refuses_an_exactly_singular_matrix():
-    # elimination leaves an exact zero pivot
-    with pytest.raises(SingularMatrixError, match="exactly singular"):
-        solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
 def test_least_squares_square_reduces_to_solve():

@@ -744,8 +744,10 @@ def test_point_cache_is_read_only_and_public_values_are_fresh():
 def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluation_passes):
     """D^2f.v asked of ``_at`` at a point whose Df it does not hold fills
     both from one pass over the Df and D^2f.v terms; each has the bits of
-    its own pass: the catalog, variants n = 6-30 and a term set past
-    16 384 terms, with directions with and without zero entries."""
+    its own pass on a copy of the system that has its own indexes: the
+    catalog, variants n = 6-30 and a term set past 16 384 terms, with
+    directions with and without zero entries.  From then on the system's
+    Df and D^2f indexes are views of the shared one, with the same bits."""
     from snewton.bench import catalog, random_variant
 
     cases = [(e.system, e.zero) for e in catalog()]
@@ -755,6 +757,7 @@ def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluatio
     rng = np.random.default_rng(67)
     for system, zero in cases:
         n = system.num_vars
+        own = system_from_terms(*system._arrays)
         for zeros in (False, True):
             x = zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -762,16 +765,23 @@ def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluatio
                 v[::2] = 0
             evaluation_passes.clear()
             hess, jac = system._at(2, x, v), system._at(1, x)
-            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._index(1, 2)
+            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._shared_index()
             assert not hess.flags.writeable and not jac.flags.writeable
-            assert hess.tobytes() == system._values(2, x, v).tobytes()
-            assert jac.tobytes() == system._values(1, x).tobytes()
+            assert hess.tobytes() == own._values(2, x, v).tobytes()
+            assert jac.tobytes() == own._values(1, x).tobytes()
             # Df held: another direction makes its own D^2f.v pass
             evaluation_passes.clear()
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             other = system._at(2, x, w)
             assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._index(2)
-            assert other.tobytes() == system._values(2, x, w).tobytes()
+            assert other.tobytes() == own._values(2, x, w).tobytes()
+            assert system._values(1, x).tobytes() == jac.tobytes()
+        assert "shared index" not in own._cache
+        shared = system._shared_index()
+        for order in (1, 2):
+            index = system._index(order)
+            assert np.shares_memory(index.rank, shared.rank)
+            assert all(np.shares_memory(pos, p) for (_, pos), (_, p) in zip(index.slots, shared.slots))
 
 
 def test_poly_eval_has_the_bits_of_its_row_in_a_system():

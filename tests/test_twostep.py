@@ -5,7 +5,7 @@ import pytest
 
 from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
 from snewton.lvz import deflate_once
-from snewton.numla import SingularMatrixError, split_svd
+from snewton.numla import SingularMatrixError, solve, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
     StepConfig,
@@ -22,7 +22,6 @@ from oracles import (
     SquareRandomization,
     operator_A,
     symbolic_augment,
-    svd_solve,
     symbolic_randomization,
 )
 
@@ -200,9 +199,9 @@ def test_two_step_regular_zero_takes_newton_step():
 
 
 def newton_point(system, x):
-    """Newton's step through ``oracles.svd_solve``, which takes its own SVD
-    of Df: the oracle for the corank-0 step."""
-    return x - svd_solve(system.jacobian(x), system.eval(x))
+    """Newton's step through ``numla.solve``, which takes its own SVD of Df:
+    the oracle for the corank-0 step."""
+    return x - solve(system.jacobian(x), system.eval(x))
 
 
 def test_corank_zero_step_is_the_newton_step_bit_for_bit():
@@ -368,12 +367,14 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
 
     def contractions(system):
         # passes over the D^2f.v terms: alone, or with Df's in one pass
-        return sum(index is system._index(2) or index is system._index(1, 2) for index in passes)
+        return sum(index is system._index(2) or index is system._cache.get("shared index") for index in passes)
 
     def check_svds(system, x, step):
-        # one SVD, of Df(x), the split's; B' is solved by an inverse
-        assert len(svd_args) == 1
+        # one SVD of Df(x), the split's; the only other one is of the
+        # kappa x kappa B', inside the kernel step's solve
         assert np.array_equal(svd_args[0], system.jacobian(x))
+        assert len(svd_args) == (1 if step.mode == "newton" else 2)
+        assert step.mode == "newton" or np.array_equal(svd_args[1], step.b_prime)
         passes.clear()
         svd_args.clear()
 
@@ -382,7 +383,7 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
     step = two_step(system, x, StepConfig(tol=0.1, v_override=V_RAW))
     # f and Df at x, D^2f.v and Df at x' in one pass, f at x''
     assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 4)
-    assert passes[2] is system._index(1, 2)
+    assert passes[2] is system._shared_index()
     assert sorted(step.residuals) == ["x", "x_double_prime"]
     check_svds(system, x, step)
     b = operator_B(system, step.x_prime, step.v, step.split.u2, step.split.v2)
@@ -570,13 +571,13 @@ def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
     assert trace.iterations >= 2
     assert {step.mode for step in trace.steps} == {"two-step"}
     # f at x0; per iteration Df at x, D^2f.v and Df at x' in one pass, f at
-    # x''; one SVD, with vectors, of Df at x
+    # x''; two SVDs with vectors, of Df at x and of the kappa x kappa B'
     assert len(evaluation_passes) == 1 + 3 * trace.iterations
     f_passes = [index is system._index(0) for index in evaluation_passes]
     assert sum(f_passes) == 1 + trace.iterations
-    shared = [index is system._index(1, 2) for index in evaluation_passes]
+    shared = [index is system._shared_index() for index in evaluation_passes]
     assert sum(shared) == trace.iterations
-    assert svds == [True] * trace.iterations
+    assert svds == [True] * (2 * trace.iterations)
     # the same run with every value computed afresh at every use, each
     # order in its own pass, gives the same bits: f at x once more, and Df
     # and D^2f.v at x' apart, per iteration
