@@ -22,29 +22,22 @@ Every number in the file comes from the one run its header describes:
     ``VARIANT_CALLS`` calls with seeds 0, 1, ..., after one warm-up call.
   - ``process``: the probe process's peak resident set size in MB
     (``ru_maxrss``), read after all of the above; the cubic at n = 100 sets it.
-* ``end_to_end`` (with ``--pairs``): ``perfbench/run.py --workload W --seed
-  S --seconds 30 --trace 0`` in each tree, one parent/change pair per seed,
-  summarised as in ``BENCH_onepass.json`` by ``scripts/bench_onepass.py``.
+* ``end_to_end`` (with ``--pairs``): perfbench pairs, one parent/change pair
+  per seed, as ``scripts/abdriver.py`` runs and summarises them.
 
-The file is rewritten after every measurement.  ``--probe`` is the measuring
-side, run by the script in a process whose ``PYTHONPATH`` is the tree's
-``src/``.
+The options, the alternating processes and the save after every
+measurement are those of ``scripts/abdriver.py``; the probes are here.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from bench_onepass import _machine, _revision, _run_perfbench, _seeds, _summary
+from abdriver import SIDES, main
 
 CUBIC_SIZES = (20, 50, 100)
 VARIANT_SIZES = (10, 15, 20)
@@ -81,66 +74,26 @@ def probe() -> dict:
     return out
 
 
-def _probe_tree(tree: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe"]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def in_process(trees: dict, rounds: int) -> dict:
-    runs = {side: [] for side in trees}
-    for r in range(rounds):
-        for side in list(trees)[:: 1 if r % 2 == 0 else -1]:
-            runs[side].append(_probe_tree(trees[side]))
-    out = {}
+def measure(run) -> None:
+    """The in-process rounds, then perfbench pairs."""
+    runs = run.alternate("compose", run.args.rounds)
+    in_process = {}
     for case, quantities in runs["parent"][0].items():
-        out[case] = {}
+        in_process[case] = {}
         for name in quantities:
-            medians = {side: float(np.median([run[case][name] for run in runs[side]])) for side in trees}
-            out[case][name] = {**medians, "change_over_parent": medians["change"] / medians["parent"]}
-    return out
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--parent", type=Path)
-    parser.add_argument("--change", type=Path)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_compose.json"))
-    parser.add_argument("--rounds", type=int, default=5, help="processes per revision")
-    parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=FIRST-LAST",
-                        help="one perfbench pair per seed of the range")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    args = parser.parse_args(argv)
-
-    if args.probe:
-        print(json.dumps(probe()))
-        return 0
-    if args.parent is None or args.change is None:
-        parser.error("--parent and --change are required")
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {
-        "schema": 1,
-        "what": "the dual basis held as its coefficient matrix alone (functionals built on request) and "
-                "the graded-lex tables held as arrays alone (monomials_upto builds its tuples per call)",
-        "machine": _machine(),
-        "revisions": {side: _revision(tree) for side, tree in trees.items()},
-        "rounds": args.rounds,
-        "in_process": in_process(trees, args.rounds),
-    }
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for text in args.pairs:
-        workload, seeds = _seeds(text)
-        runs = []
-        for i, seed in enumerate(seeds):
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {side: _run_perfbench(trees[side], workload, seed, args.seconds) for side in order}
-            runs.append((pair["parent"], pair["change"]))
-            doc.setdefault("end_to_end", {})[workload] = {"seeds": seeds[: i + 1], **_summary(runs)}
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+            medians = {side: float(np.median([r[case][name] for r in runs[side]])) for side in SIDES}
+            in_process[case][name] = {**medians, "change_over_parent": medians["change"] / medians["parent"]}
+    run.doc |= {"rounds": run.args.rounds, "in_process": in_process}
+    run.save()
+    if run.args.pairs:
+        run.pairs(run.doc.setdefault("end_to_end", {}))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        __file__, __doc__,
+        what="the dual basis held as its coefficient matrix alone (functionals built on request) and "
+             "the graded-lex tables held as arrays alone (monomials_upto builds its tuples per call)",
+        out="BENCH_compose.json", rounds=5, rounds_help="processes per revision",
+        probes={"compose": probe}, measure=measure,
+    ))

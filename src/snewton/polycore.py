@@ -185,24 +185,9 @@ class Poly:
 
     def to_string(self, variable_names: Sequence[str] | None = None) -> str:
         names = _default_names(self.num_vars, variable_names)
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for alpha in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[alpha]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, alpha)
-                if e > 0
-            )
-            coeff, negate = _format_coeff(c, bool(mono))
-            sign = "-" if negate else "+"
-            body = f"{coeff}*{mono}" if coeff and mono else (coeff or mono)
-            if parts:
-                parts.append(f" {sign} {body}")
-            else:
-                parts.append(f"-{body}" if negate else body)
-        return "".join(parts)
+        alphas = sorted(self.terms, key=grlex_key, reverse=True)
+        return _format_terms((((j, e) for j, e in enumerate(a) if e) for a in alphas),
+                             map(self.terms.get, alphas), names)
 
     def __repr__(self):
         return f"Poly({self.to_string()!r})"
@@ -244,15 +229,15 @@ class PolySystem:
         """Set the fields from checked terms, which are put in canonical
         order here (np.lexsort sorts by its last key first) unless they are
         in it already."""
-        degree = expo.sum(axis=1)
+        degree, kept = expo.sum(axis=1), coef != 0
         if _in_order(expo, degree, row):
-            order = np.flatnonzero(coef != 0)
+            order = np.flatnonzero(kept)
         else:
             order = np.lexsort((*expo.T[::-1], degree, row))
-            order = order[coef[order] != 0]
+            order = order[kept[order]]
         expo, row = expo[order].astype(np.int16, copy=False), row[order].astype(np.int64)
-        arrays = (expo, coef[order], row, m)
-        for name, value in zip(self.__slots__, (expo.shape[1], arrays, polys, {})):
+        arrays, cache = (expo, coef[order], row, m), {"degree": int(degree.max(initial=0, where=kept))}
+        for name, value in zip(self.__slots__, (expo.shape[1], arrays, polys, cache)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -290,9 +275,7 @@ class PolySystem:
         return hash((self.num_vars, m, expo.tobytes(), row.tobytes()))
 
     def degree(self) -> int:
-        """Total degree (0 for the zero system), summed once and then kept."""
-        if "degree" not in self._cache:
-            self._cache["degree"] = int(self._arrays[0].sum(axis=1).max(initial=0))
+        """Total degree (0 for the zero system), kept since the system was built."""
         return self._cache["degree"]
 
     def is_square(self) -> bool:
@@ -408,7 +391,17 @@ class PolySystem:
         return _check_point(x, self.num_vars)
 
     def to_string(self, variable_names: Sequence[str] | None = None) -> str:
-        return "\n".join(p.to_string(variable_names) for p in self.polys)
+        """One line per row, as ``Poly.to_string`` prints it, made from the term
+        arrays, whose rows are already in graded-lex order: no ``Poly`` is built."""
+        names = _default_names(self.num_vars, variable_names)
+        expo, coef, row, m = self._arrays
+        t, j = np.nonzero(expo)  # each term's nonzero exponents, by variable
+        pairs = list(zip(j.tolist(), expo[t, j].tolist()))
+        starts = np.searchsorted(t, np.arange(len(coef) + 1)).tolist()
+        factors = [pairs[a:b] for a, b in zip(starts, starts[1:])]
+        coefs, rows = coef.tolist(), np.searchsorted(row, np.arange(m + 1)).tolist()
+        return "\n".join(_format_terms(factors[a:b][::-1], coefs[a:b][::-1], names)
+                         for a, b in zip(rows, rows[1:]))
 
     def __repr__(self):
         return f"PolySystem({len(self)} polys in {self.num_vars} vars)"
@@ -432,10 +425,9 @@ def _in_order(expo: np.ndarray, degree: np.ndarray, row: np.ndarray) -> bool:
     """Whether no term's key (row, degree, exponents) exceeds the next
     term's, compared for all adjacent pairs at once: at the first exponent
     column where two terms differ, if any."""
-    t = np.arange(len(row) - 1)
-    col = (expo[1:] != expo[:-1]).argmax(axis=1)
-    expo_up = expo[t + 1, col] >= expo[t, col]
-    degree_up = (degree[1:] > degree[:-1]) | ((degree[1:] == degree[:-1]) & expo_up)
+    col = (expo[1:] != expo[:-1]).argmax(axis=1)[:, None]
+    expo_up = np.take_along_axis(expo[1:], col, 1) >= np.take_along_axis(expo[:-1], col, 1)
+    degree_up = (degree[1:] > degree[:-1]) | ((degree[1:] == degree[:-1]) & expo_up[:, 0])
     return bool(((row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & degree_up)).all())
 
 
@@ -630,6 +622,20 @@ def _format_float(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
+
+
+def _format_terms(factors, coefs, names: Sequence[str]) -> str:
+    """The text of a polynomial whose terms, in print order, have the
+    coefficients ``coefs`` and the (variable, exponent) pairs ``factors`` of
+    their nonzero exponents; "0" without terms."""
+    parts: list[str] = []
+    for term, c in zip(factors, coefs):
+        mono = "*".join(names[j] if e == 1 else f"{names[j]}^{e}" for j, e in term)
+        coeff, negate = _format_coeff(c, bool(mono))
+        body = f"{coeff}*{mono}" if coeff and mono else (coeff or mono)
+        sign = "-" if negate else "+"
+        parts.append(f" {sign} {body}" if parts else f"-{body}" if negate else body)
+    return "".join(parts) or "0"
 
 
 def _format_coeff(c: complex, has_monomial: bool) -> tuple[str, bool]:

@@ -33,6 +33,7 @@ and kernel steps skip the checks of the public ``first_refinement`` and
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -321,9 +322,11 @@ def refine(
     cfg: StepConfig | None = None,
     reference=None,
 ) -> RefineTrace:
-    """Iterate ``two_step`` until the residual target, stagnation, or the
-    iteration cap.  ``reference``, when given, only annotates the trace with
-    log10 error exponents (initial point first); it never steers the run.
+    """Iterate ``two_step`` until the residual target, stagnation, a
+    residual that is not finite (stop reason "nonfinite": f overflowed at the
+    last iterate, which the trace ends at), or the iteration cap.
+    ``reference``, when given, only annotates the trace with log10 error
+    exponents (initial point first); it never steers the run.
     """
     if not system.is_square():  # also when x0 already meets the residual target
         raise ValueError("two_step needs a square system")
@@ -352,6 +355,10 @@ def refine(
             if residuals[-1] <= cfg.stop_residual:
                 x = x_new
                 stop_reason = "residual"
+                break
+            if not math.isfinite(residuals[-1]):
+                x = x_new
+                stop_reason = "nonfinite"
                 break
             if np.linalg.norm(x_new - x) < 1e-15 * (1.0 + np.linalg.norm(x)):
                 x = x_new

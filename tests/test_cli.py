@@ -100,6 +100,15 @@ def test_refine_nonconvergent_exit_code(capsys):
     assert code == 2
 
 
+def test_refine_overflow_after_the_start_point_exit_code(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vars": ["x"], "polys": ["x^2 - 1"]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_cli(capsys, "refine", "--file", str(path), "--x0", "1e-200")
+    assert code == 2
+    assert "iterations: 1 (stop: nonfinite)" in out
+
+
 def test_refine_from_json_file(tmp_path, capsys):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2 - 1", "y - 1"]}))

@@ -243,6 +243,26 @@ def test_roundtrip_random_polys():
     assert parse_poly(Poly.zero(3).to_string(), [f"x{i+1}" for i in range(3)]).is_zero()
 
 
+def test_system_to_string_prints_the_rows_from_the_term_arrays(count_calls):
+    """``PolySystem.to_string`` is the rows' ``Poly.to_string`` joined by line
+    breaks, made from the term arrays without building a ``Poly``."""
+    from snewton.bench import catalog, random_variant
+
+    rng = np.random.default_rng(7)
+    systems = [entry.system for entry in catalog()]
+    systems += [random_variant(n, k, seed=n)[0] for n, k in ((3, 1), (8, 2), (20, 3))]
+    systems += [PolySystem([random_poly(rng, 3, terms=8), Poly.zero(3), Poly.constant(3, -1j)])]
+    built = count_calls(Poly, "__init__")
+    for system in systems:
+        names = [f"v_{i}" for i in range(system.num_vars)]
+        copy = system_from_terms(*system._arrays)
+        built.clear()
+        text, named = copy.to_string(), copy.to_string(names)
+        assert not built and copy._polys is None
+        assert text == "\n".join(p.to_string() for p in system.polys)
+        assert named == "\n".join(p.to_string(names) for p in system.polys)
+
+
 def test_load_system_json(tmp_path):
     path = tmp_path / "sys.json"
     path.write_text('{"vars": ["x", "y"], "polys": ["x^2 - y", "y - 1"]}')
@@ -1276,14 +1296,23 @@ def test_order_zero_functional_reproduces_eval():
 
 
 def test_degree_is_summed_once_and_kept():
-    """The first ``degree()`` sums the exponents and keeps the result with the
-    system; later calls, such as each Taylor shift's, read it."""
+    """Building a system keeps its degree, the largest of the exponent sums
+    that ordering the terms makes; ``degree()``, such as each Taylor shift's,
+    reads it."""
     system = parse_system(RUNNING, XYZ)
-    assert "degree" not in system._cache
-    taylor_coefficients(system, [1, 1, 1], 3)
     assert system._cache["degree"] == 2
     system._cache["degree"] = 7  # a kept value that the exponents do not give
     assert system.degree() == 7
+
+
+def test_degree_skips_terms_with_coefficient_zero():
+    """A row whose top-degree term has coefficient 0 is of the degree of its
+    kept terms, whichever path stores the terms."""
+    expo, coef, row = np.array([[0, 1], [5, 0], [2, 1]]), np.array([1, 0, 2]), np.array([0, 0, 1])
+    assert system_from_terms(expo, coef, row, 2).degree() == 3  # in canonical order
+    assert system_from_terms(expo[::-1], coef[::-1], row[::-1], 2).degree() == 3  # sorted
+    assert system_from_terms(expo[:2], coef[:2], row[:2], 2).degree() == 1
+    assert system_from_terms(expo[1:2], coef[1:2], row[1:2], 1).degree() == 0  # the zero system
 
 
 # -- affine composition --------------------------------------------------------

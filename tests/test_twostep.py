@@ -544,6 +544,20 @@ def test_overflow_at_the_start_point_is_named():
         assert any("overflow" in str(w.message) for w in caught)
 
 
+def test_overflow_after_the_start_point_stops_as_nonfinite():
+    """f(1e-200) = -1, but the first Newton step lands near 5e199, where f
+    overflows: refine stops there as "nonfinite", and two_step started there
+    still blames the start point."""
+    system = parse_system("x^2 - 1", ["x"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = refine(system, [1e-200])
+        assert (trace.stop_reason, trace.iterations) == ("nonfinite", 1)
+        assert np.array_equal(trace.x, trace.steps[-1].x_double_prime)
+        assert abs(trace.x[0]) > 1e199 and not np.isfinite(trace.residuals[-1])
+        with pytest.raises(ValueError, match="f overflows at the start point"):
+            two_step(system, trace.x)
+
+
 def test_refine_is_reproducible_with_seed():
     entry = get_entry("running-example")
     x0 = np.array([1.01, 0.99, 1.01], dtype=complex)
