@@ -211,7 +211,7 @@ def measure(run) -> None:
                   "metric its value in every run (parent_runs, change_runs), the ratio of the "
                   "medians (change_over_parent), whether the medians differ by more than the "
                   "parent's q3 - q1 (median_gap_exceeds_parent_iqr) and the pairs run",
-        "claimed": "variants solve_s.gmean",
+        "claimed": "catalog solve_s.gmean",
         "workloads": {},
     }
     doc["in_process"] = {
@@ -241,9 +241,10 @@ def measure(run) -> None:
 if __name__ == "__main__":
     sys.exit(main(
         __file__, __doc__,
-        what="three evaluation passes per two-step iteration: Df(x') and D2f(x').v from one pass "
-             "over a factor index that Df and D2f share, no f(x'); term arrays already in "
-             "canonical order stored without a sort",
+        what="one SVD per two-step iteration: the kappa x kappa B' solved by a division or one "
+             "inverse, refused at an exact 1-norm condition number of 1e12; the split body that "
+             "split_svd uses, handed Df after a finiteness check only; one finiteness test (a "
+             "vdot); a monomial pass that takes its first factor as it is and skips x**1",
         out="BENCH_onepass.json", rounds=3, rounds_help="in-process rounds per size",
         probes={**{str(n): lambda n=n: probe(n) for n in SIZES}, "cache": probe_cache},
         measure=measure,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -117,9 +118,21 @@ def _start_point(args, system, entry) -> np.ndarray:
 
 def _emit(payload: dict, text: str, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
     else:
         print(text)
+
+
+def _strict(value):
+    """``value`` with each float that is not finite (a residual of a run that
+    stopped as "nonfinite") as None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def _cmd_refine(args) -> int:

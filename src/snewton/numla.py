@@ -8,7 +8,6 @@ extracted.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +77,17 @@ def split_svd(matrix: np.ndarray, tol: float | str) -> SvdSplit:
     makes the whole space kernel.  The tolerance used is ``split.tol``.
     """
     m = _matrix("split_svd", matrix, square=True)
-    if tol != "auto":
-        tol = _check_tolerance(tol)
+    return _split(m, tol if tol == "auto" else _check_tolerance(tol))
+
+
+def _split(m: np.ndarray, tol: float | str) -> SvdSplit:
+    """``split_svd`` of a checked square matrix, at a checked tolerance."""
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
     if tol == "auto":
         tol = _gap_tolerance(s) if s[0] > 0 else 1e-8
     v = vh.conj().T
-    rank = int(np.sum(s > tol))
+    rank = int(np.count_nonzero(s > tol))
     kappa = n - rank
     return SvdSplit(
         u1=u[:, :rank],
@@ -146,13 +148,7 @@ def _matrix(caller: str, matrix, square: bool = False) -> np.ndarray:
     if m.ndim != 2 or m.size == 0 or (square and m.shape[0] != m.shape[1]):
         kind = "a non-empty square matrix" if square else "a non-empty matrix"
         raise ValueError(f"{caller} needs {kind}, got shape {m.shape}")
-    return _finite(m, f"{caller}: matrix entry")
-
-
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """``a``, or ``_check_finite``'s error: a NaN or inf entry makes the sum of |a_i|^2
-    non-finite, and that one BLAS pass costs less than an elementwise scan on every call."""
-    return a if cmath.isfinite(np.vdot(a, a)) else _check_finite(a, what)
+    return _check_finite(m, f"{caller}: matrix entry")
 
 
 def _check_conditioned(s: np.ndarray) -> None:
@@ -169,13 +165,16 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a square linear system via SVD.
 
     Raises SingularMatrixError when the smallest singular value is below
-    1e-12 times the largest (or the matrix is exactly zero).
+    1e-12 times the largest (or the matrix is exactly zero).  This is the
+    Newton step of the baseline that the two-step is measured against, and
+    the tests' oracle for the two-step's own solves; ``two_step`` itself
+    takes no SVD but the split's.
     """
     m = _matrix("solve", matrix, square=True)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
-    _finite(rhs, "solve: right-hand side entry")
+    _check_finite(rhs, "solve: right-hand side entry")
     u, s, vh = np.linalg.svd(m)
     _check_conditioned(s)
     return vh.conj().T @ ((u.conj().T @ rhs) / s)
@@ -187,7 +186,7 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
-    _finite(rhs, "least_squares: right-hand side entry")
+    _check_finite(rhs, "least_squares: right-hand side entry")
     y, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     return y
 

@@ -425,9 +425,10 @@ def _in_order(expo: np.ndarray, degree: np.ndarray, row: np.ndarray) -> bool:
     """Whether no term's key (row, degree, exponents) exceeds the next
     term's, compared for all adjacent pairs at once: at the first exponent
     column where two terms differ, if any."""
-    col = (expo[1:] != expo[:-1]).argmax(axis=1)[:, None]
-    expo_up = np.take_along_axis(expo[1:], col, 1) >= np.take_along_axis(expo[:-1], col, 1)
-    degree_up = (degree[1:] > degree[:-1]) | ((degree[1:] == degree[:-1]) & expo_up[:, 0])
+    col = (expo[1:] != expo[:-1]).argmax(axis=1)
+    t = np.arange(len(col))
+    expo_up = expo[1:][t, col] >= expo[:-1][t, col]
+    degree_up = (degree[1:] > degree[:-1]) | ((degree[1:] == degree[:-1]) & expo_up)
     return bool(((row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & degree_up)).all())
 
 
@@ -472,18 +473,25 @@ def _check_point(x, num_vars: int) -> np.ndarray:
 def _check_start_value(fx: np.ndarray) -> np.ndarray:
     """``fx``, the value of f at a checked start point, or a ValueError if it
     is not finite: with finite coefficients, the evaluation overflowed."""
-    if not np.isfinite(fx).all():
+    if not _all_finite(fx):
         raise ValueError("f overflows at the start point: its value there is not finite")
     return fx
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A NaN or inf entry makes the
+    sum of |a_i|^2 non-finite, and that one BLAS pass costs less than an
+    elementwise scan, which is made only when the sum is not finite (as it
+    is also when it overflows)."""
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     """``a``, or a ValueError naming its first non-finite entry, counted
     from 1: "point coordinate 2 is not finite: (nan+0j)", or "V1 entry
     (2, 1) ..." for a matrix."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
+    if not _all_finite(a):
+        bad = np.argwhere(~np.isfinite(a))[0]
         at = bad[0] + 1 if len(bad) == 1 else tuple(int(i) + 1 for i in bad)
         raise ValueError(f"{what} {at} is not finite: {a[tuple(bad)]}")
     return a
@@ -497,11 +505,13 @@ class _FactorIndex(NamedTuple):
     of ``span.stop`` entries, of which those in ``span`` are used.  The
     terms are placed there so that those with an s-th factor take one
     slice: ``slots[s]`` is that slice and the table positions of their
-    s-th factors, and ``rank[t]`` is the place of term t.
+    s-th factors, and ``rank[t]`` is the place of term t.  ``linear`` says
+    that every table exponent is 1, so that the table is x_j itself.
     """
 
     table_var: np.ndarray
     table_exp: np.ndarray
+    linear: bool
     rank: np.ndarray
     span: slice
     slots: tuple[tuple[slice, np.ndarray], ...]
@@ -537,7 +547,8 @@ def _factor_index(term, var, exp, num_terms: int, num_vars: int, first: int = 0)
         lo, hi = first - np.count_nonzero(count[:first] > s), first + np.count_nonzero(count[first:] > s)
         part = slice(int(lo), int(hi))
         slots.append((part, pos[offset[order[part]] + s]))
-    return _FactorIndex(table_var, table_exp, rank, slice(0, num_terms), tuple(slots))
+    linear = bool((table_exp == 1).all())
+    return _FactorIndex(table_var, table_exp, linear, rank, slice(0, num_terms), tuple(slots))
 
 
 def _split_index(index: _FactorIndex, first: int) -> tuple[_FactorIndex, _FactorIndex]:
@@ -550,7 +561,7 @@ def _split_index(index: _FactorIndex, first: int) -> tuple[_FactorIndex, _Factor
             below.append((slice(part.start, first), pos[: first - part.start]))
         if part.stop > first:
             above.append((slice(first, part.stop), pos[first - part.start :]))
-    table, end = (index.table_var, index.table_exp), index.span.stop
+    table, end = index[:3], index.span.stop
     return (
         _FactorIndex(*table, index.rank[:first], slice(0, first), tuple(below)),
         _FactorIndex(*table, index.rank[first:], slice(first, end), tuple(above)),
@@ -559,16 +570,18 @@ def _split_index(index: _FactorIndex, first: int) -> tuple[_FactorIndex, _Factor
 
 def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
     """Value of each term's monomial at ``x``.  A term multiplies its factors
-    in ascending variable order, starting from 1."""
-    table = x[index.table_var] ** index.table_exp
+    in ascending variable order, the first taken as it is (for finite x it
+    has the bits of 1 times it, and x_j^1 those of x_j); a term without
+    factors is 1.  Nothing outside ``span`` is written."""
+    table = x[index.table_var] if index.linear else x[index.table_var] ** index.table_exp
     out = np.empty(index.span.stop, dtype=complex)
-    out[index.span] = 1
-    for part, pos in index.slots:
+    out[index.span] = 1  # kept by the terms without factors
+    for s, (part, pos) in enumerate(index.slots):
         # A new array with the running product as first operand: numpy rounds
         # an in-place product of one element without the fused multiply-add
         # it uses otherwise, and ``a * temporary`` of a large temporary as
         # ``temporary * a``, which rounds differently.
-        out[part] = np.multiply(out[part], table[pos])
+        out[part] = table[pos] if s == 0 else np.multiply(out[part], table[pos])
     return out[index.rank]
 
 
@@ -592,7 +605,7 @@ def _differentiate(factors, coef: np.ndarray):
     keep = lowered > 0
     owner = np.repeat(np.arange(len(pick), dtype=np.int32), reps)[keep]
     coef = coef[source] * exp[pick]
-    if not np.isfinite(coef).all():
+    if not _all_finite(coef):
         raise ValueError("a coefficient of a derivative overflows")
     return (owner, var[factor][keep], lowered[keep]), coef, source, var[pick]
 
@@ -1080,7 +1093,7 @@ def compose_affine(system: PolySystem, a: np.ndarray, b: Sequence[complex]) -> P
             vals = _pair_sums(prod.reshape(-1), _pair_ids(to), live * size[s + 1]).reshape(live, -1)
     at, vals = (np.concatenate([p.reshape(-1) for p in part]) for part in zip(*parts))
     sums = _pair_sums(vals, _pair_ids(at), width.sum())
-    if not np.isfinite(sums).all():
+    if not _all_finite(sums):
         raise ValueError("a coefficient of the composition overflows")
     out = np.repeat(np.arange(m), width)
     expo = _grlex(n, len(size) - 1)[0].astype(np.int16)[np.arange(len(out)) - start[out]]

@@ -17,18 +17,21 @@ B is what gets solved; A only ever appears in analysis and tests.
 f, Df and D2f(x).v all come from the system's ``_at``, so any square
 evaluator (see ``PolySystem``) will do; a ``PolySystem`` computes each once
 per point from its cached term arrays and keeps those of the last point.
-Every iteration takes one SVD of Df (``split_svd(jac, "auto")`` picks the
-rank tolerance from that spectrum) and one path for every corank kappa: at
-kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is Newton's
-step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the kernel step
-draws one ``random_direction`` and contracts the Hessian once, returning B'
-with the step.  An iteration with 0 < kappa < n makes three evaluation passes:
+Every iteration takes one SVD, of Df (``split_svd``'s, which with "auto"
+picks the rank tolerance from that spectrum), and one path for every corank
+kappa: at kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is
+Newton's step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the
+kernel step draws one ``random_direction`` and contracts the Hessian once,
+returning B' with the step; B' is solved without an SVD, by a division at
+kappa = 1 and one inverse otherwise, refused at an exact 1-norm condition
+number of 1e12 (``numla.solve``, an SVD, stays the Newton baseline).  An
+iteration with 0 < kappa < n makes three evaluation passes:
 Df at x (f(x) is the previous f(x''), which ``refine`` hands on), one pass
 at x' that gives D2f(x').v and Df(x') together (``PolySystem._at``), and f
 at x''; f(x') is not evaluated.  A retried direction recomputes only
 D2f(x').v.  ``two_step`` checks x and builds v itself, so its projection
 and kernel steps skip the checks of the public ``first_refinement`` and
-``second_refinement``.
+``second_refinement``, and its split checks only that Df is finite.
 """
 
 from __future__ import annotations
@@ -39,15 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polycore
+from . import numla, polycore
 from .numla import (
     SingularMatrixError,
     SvdSplit,
     _check_conditioned,
     _check_tolerance,
     auto_tolerance,
-    solve,
-    split_svd,
 )
 from .polycore import PolySystem
 
@@ -216,8 +217,9 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
 
     U2, V2 and v come from the split at the *original* point; only the
     Hessian and Jacobian are re-evaluated at x'.  Returns (delta, x'', B').
-    Raises SingularMatrixError when B' is singular to working precision,
-    which signals that the zero is not deflation-one at this scale.
+    Raises SingularMatrixError when B' is singular to working precision
+    (a 1-norm condition number of 1e12 or more), which signals that the
+    zero is not deflation-one at this scale.
     """
     x_prime, v = _check_kernel_args("second_refinement", system, x_prime, v, u2, v2)
     return _kernel_step(system, x_prime, v, u2, v2)
@@ -229,14 +231,34 @@ def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2)
     u2h = u2.conj().T
     b_prime = u2h @ system._at(2, x_prime, v) @ v2
     rhs = -(u2h @ (system._at(1, x_prime) @ v))
+    delta = _solve_small(b_prime, rhs)
+    return delta, x_prime + v2 @ delta, b_prime
+
+
+def _solve_small(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """B'^-1 rhs for the kappa x kappa B' of the kernel step, without an SVD:
+    a division at kappa = 1, else one ``np.linalg.inv``.  Raises
+    SingularMatrixError when B' is zero at kappa = 1, when ``inv`` fails, or
+    when its exact 1-norm condition number ||B'||_1 ||B'^-1||_1 is 1e12 or
+    more (or not a number), and the ValueError of ``numla.solve`` for an
+    entry that is not finite."""
+    polycore._check_finite(b, "solve: matrix entry")
+    polycore._check_finite(rhs, "solve: right-hand side entry")
     try:
-        delta = solve(b_prime, rhs)
-    except SingularMatrixError as exc:
+        if len(b) == 1:
+            if b[0, 0] == 0:
+                raise SingularMatrixError("B' is zero")
+            return rhs / b[0, 0]
+        inv = np.linalg.inv(b)
+        cond = abs(b).sum(axis=0).max() * abs(inv).sum(axis=0).max()
+        if not cond < 1e12:
+            raise SingularMatrixError(f"B' has the 1-norm condition number {cond:.3e}")
+        return inv @ rhs
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "kernel-step operator is singular: the zero does not look "
             "deflation-one at this scale; try another direction or deflation"
         ) from exc
-    return delta, x_prime + v2 @ delta, b_prime
 
 
 def two_step(
@@ -260,12 +282,12 @@ def two_step(
     t0 = time.perf_counter()
 
     fx = polycore._check_start_value(system._at(0, x))
-    split = split_svd(system._at(1, x), cfg.tol)
+    split = numla._split(polycore._check_finite(system._at(1, x), "split_svd: matrix entry"), cfg.tol)
     kappa, n = split.kappa, split.n
     if kappa == 0:
         _check_conditioned(split.sigma1)  # Newton's step refuses a near-singular Df
     x_prime = x if kappa == n else _projection_step(x, fx, split)
-    res = {"x": float(np.linalg.norm(fx))}
+    res = {"x": _norm(fx)}
 
     v = b_prime = delta = None
     x_second = x_prime
@@ -279,7 +301,7 @@ def two_step(
             except SingularMatrixError:
                 if attempt == attempts - 1:
                     raise
-    res["x_double_prime"] = float(np.linalg.norm(system._at(0, x_second)))
+    res["x_double_prime"] = _norm(system._at(0, x_second))
     if kappa in (0, n):  # x'' = x' at kappa = 0, x' = x at kappa = n
         res["x_prime"] = res["x_double_prime" if kappa == 0 else "x"]
 
@@ -313,7 +335,7 @@ def random_direction(v2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Unit vector V2 lam with lam a standard complex Gaussian draw from ``rng``."""
     lam = rng.standard_normal(v2.shape[1]) + 1j * rng.standard_normal(v2.shape[1])
     w = v2 @ lam
-    return w / np.linalg.norm(w)
+    return w / _norm(w)
 
 
 def refine(
@@ -340,7 +362,7 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [float(np.linalg.norm(polycore._check_start_value(system._at(0, x))))]
+    residuals = [_norm(polycore._check_start_value(system._at(0, x)))]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"
@@ -360,7 +382,7 @@ def refine(
                 x = x_new
                 stop_reason = "nonfinite"
                 break
-            if np.linalg.norm(x_new - x) < 1e-15 * (1.0 + np.linalg.norm(x)):
+            if _norm(x_new - x) < 1e-15 * (1.0 + _norm(x)):
                 x = x_new
                 stop_reason = "stagnation"
                 break
@@ -373,6 +395,13 @@ def refine(
         stop_reason=stop_reason,
         error_exponents=exponents,
     )
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, with its bits, without its
+    dispatch, which costs more than the sums on a small system."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _exponent(x: np.ndarray, ref: np.ndarray) -> float:

@@ -105,8 +105,29 @@ def test_refine_overflow_after_the_start_point_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"vars": ["x"], "polys": ["x^2 - 1"]}))
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, _ = run_cli(capsys, "refine", "--file", str(path), "--x0", "1e-200")
+        assert code == 2
+        assert "iterations: 1 (stop: nonfinite)" in out
+        code, out, _ = run_cli(capsys, "refine", "--file", str(path), "--x0", "1e-200", "--format", "json")
     assert code == 2
-    assert "iterations: 1 (stop: nonfinite)" in out
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["stop_reason"] == "nonfinite"
+    assert payload["final_residual"] is None
+    assert payload["residuals"] == [1.0, None]
+
+
+def test_json_of_a_finite_payload_is_what_json_dumps_writes(capsys):
+    # only a float that is not finite is rewritten, so finite payloads keep their bytes
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    for command in ("refine", "check", "analyze"):
+        code, out, _ = run_cli(capsys, command, "--catalog", "running-example", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out, parse_constant=refuse), sort_keys=True) + "\n"
 
 
 def test_refine_from_json_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from snewton.numla import (
     solve,
     split_svd,
 )
+from snewton import polycore
 from snewton.polycore import parse_system
 
 RUNNING = parse_system(
@@ -274,8 +275,13 @@ def test_empty_and_misshapen_matrices_are_refused_by_name(fn, args, message):
 
 
 def test_finite_entries_whose_squares_overflow_pass_the_check():
-    # the sum of |m_ij|^2 overflows to inf, yet every entry is finite
+    # the sum of |m_ij|^2 overflows to inf, yet every entry is finite; the
+    # one finiteness test of points, directions and start values is the same
     assert np.array_equal(singular_values([[1e200, 0], [0, -1e200j]]), [1e200, 1e200])
+    big = np.array([1e200, -1e200j])
+    assert np.array_equal(polycore._check_point(big, 2), big)
+    assert np.array_equal(polycore._check_direction(big, 2), big)
+    assert polycore._check_start_value(big) is big
 
 
 def test_kernel_of_a_matrix_without_rows_is_the_whole_space():

@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -37,13 +39,20 @@ def test_every_traced_method_is_in_its_own_class_dict():
             assert attr in cls.__dict__, path
 
 
-def test_tracer_install_then_restore_leaves_every_traced_object_in_place():
+def tracer_and_modules():
+    """The tracer module, and snewton's modules by the short names its
+    ``Tracer`` takes."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    paths = traced_names()
     modules = {"snewton": importlib.import_module("snewton")}
-    modules.update((p.split(".")[0], importlib.import_module(f"snewton.{p.split('.')[0]}")) for p in paths)
+    modules.update((p.split(".")[0], importlib.import_module(f"snewton.{p.split('.')[0]}")) for p in traced_names())
+    return tracer, modules
+
+
+def test_tracer_install_then_restore_leaves_every_traced_object_in_place():
+    tracer, modules = tracer_and_modules()
+    paths = traced_names()
 
     def lookup(path):
         module, *attributes = path.split(".")
@@ -61,3 +70,31 @@ def test_tracer_install_then_restore_leaves_every_traced_object_in_place():
     for home, held in zip(homes, before):
         assert vars(home).keys() == held.keys()
         assert all(vars(home)[name] is value for name, value in held.items()), home
+
+
+def test_the_tracer_sees_one_two_step_per_iteration_of_refine():
+    # perfbench's twostep.two_step.* and step_over_newton read the traced
+    # two_step calls: a refine that stepped some other way would leave them
+    # empty without an error
+    from snewton.bench import random_variant, variant_rank_tolerance
+    from snewton.twostep import StepConfig
+
+    tracer, modules = tracer_and_modules()
+    system, zero = random_variant(10, 2, seed=1)
+    rng = np.random.default_rng(1)
+    x0 = zero + 1e-3 * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    cfg = StepConfig(tol=variant_rank_tolerance(system, zero, 2), seed=0)
+    t = tracer.Tracer(modules)
+    t.install()
+    try:
+        t.enabled = True
+        trace = modules["twostep"].refine(system, x0, cfg)
+    finally:
+        t.restore()
+    assert trace.iterations >= 2
+    assert len(t.steps) == trace.iterations
+    iterates = [x0] + [step.x_double_prime for step in trace.steps[:-1]]
+    assert [x.tobytes() for _, x in t.steps] == [np.asarray(x, dtype=complex).tobytes() for x in iterates]
+    names = [span[0] for span in t.spans]
+    assert names.count("twostep.two_step") == trace.iterations
+    assert "numla.solve" not in names  # the kernel step solves B' without it
