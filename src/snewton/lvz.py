@@ -17,6 +17,12 @@ own output for zeros that need several rounds.
 multipliers attached to a chosen kernel basis are fixed constants and only
 the complementary multipliers stay variables.  It reproduces textbook
 augmented systems exactly and is what the benchmark comparisons use.
+
+Both read Df at the start point from the parent's point cache (``_at``), so
+the first evaluation of ``gauss_newton`` there takes it without a pass of
+its own.  Each Gauss-Newton step is ``numla.least_squares``: for a Dg of
+full column rank and at least 15 columns, one Householder QR of [Dg | g]
+and the inverse of R, else ``np.linalg.lstsq``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numla import _check_tolerance, least_squares, singular_values
-from .polycore import PolySystem, _check_direction, _check_finite, _check_start_value
+from .polycore import PolySystem, _check_direction, _check_finite, _check_start_value, _norm
 
 __all__ = [
     "AugmentedSystem",
@@ -162,14 +168,15 @@ def deflate_once(
 
     Draws B (p x (p-kappa+1)) and b with unit complex Gaussian entries,
     forms the augmented system over ``system``, and estimates
-    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].
+    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1],
+    with Df(x) read through the point cache of ``system``.
     Raises DeflationError when the Jacobian has full column rank at ``tol``
     (nothing to deflate).
     """
     tol = _check_tolerance(tol)
     x = system._check_point(x)
     p = system.num_vars
-    jac_x = system.jacobian(x)
+    jac_x = system._at(1, x)
     sigma = singular_values(jac_x)
     rank = int(np.sum(sigma > tol))
     kappa = p - rank
@@ -210,7 +217,8 @@ def deflate_structured(
     1-D vector is one column.
 
     Returns the augmented system and the starting point (x, l1_hat) with
-    l1_hat the least-squares solution of Df(x).V1 l1 = -Df(x).V2 l2.
+    l1_hat the least-squares solution of Df(x).V1 l1 = -Df(x).V2 l2, Df(x)
+    read through the point cache of ``system``.
     """
     x = system._check_point(x)
     p = system.num_vars
@@ -218,7 +226,7 @@ def deflate_structured(
     lambda2 = np.asarray(lambda2, dtype=complex).reshape(-1)
     if lambda2.shape[0] != v2.shape[1]:
         raise ValueError("lambda2 length must match the V2 column count")
-    jac_x = system.jacobian(x)
+    jac_x = system._at(1, x)
     if v1.shape[1]:
         lam1 = least_squares(jac_x @ v1, -(jac_x @ v2 @ lambda2))
     else:
@@ -267,17 +275,19 @@ def gauss_newton(
     stop: float = 1e-12,
 ) -> GNTrace:
     """Gauss-Newton on a (possibly overdetermined) system:
-    y <- y - lstsq(Dg(y), g(y)).
+    y <- y - least_squares(Dg(y), g(y)), the minimum-norm least-squares
+    step (one QR of [Dg | g] where ``numla.least_squares`` takes that path).
 
     Flags ``converged`` when ||g(y)|| <= stop, ``stationary`` when the step
-    norm falls below 1e-13 while the residual is still above stop.
+    norm falls below 1e-13 while the residual is still above stop; both
+    norms are ``np.linalg.norm``'s bits (``polycore._norm``).
     """
     if len(system) < system.num_vars:
         raise ValueError("gauss_newton needs at least as many equations as variables")
     y = system._check_point(y0)
     g = _check_start_value(system.eval(y))
     points = [y]
-    residuals = [float(np.linalg.norm(g))]
+    residuals = [_norm(g)]
     converged = residuals[0] <= stop
     stationary = False
     for _ in range(max_iter):
@@ -287,9 +297,9 @@ def gauss_newton(
         y = y - step
         g = system.eval(y)
         points.append(y)
-        residuals.append(float(np.linalg.norm(g)))
+        residuals.append(_norm(g))
         if residuals[-1] <= stop:
             converged = True
-        elif np.linalg.norm(step) < 1e-13:
+        elif _norm(step) < 1e-13:
             stationary = True
     return GNTrace(points=points, residuals=residuals, converged=converged, stationary=stationary)

@@ -180,13 +180,53 @@ def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return vh.conj().T @ ((u.conj().T @ rhs) / s)
 
 
+def _solve_conditioned(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """m^-1 rhs for a finite square m without an SVD: a division when m is
+    1 x 1, else one ``np.linalg.inv``.  Raises SingularMatrixError when m is
+    zero at 1 x 1, when ``inv`` fails, or when the exact 1-norm condition
+    number ||m||_1 ||m^-1||_1 is 1e12 or more (or not a number)."""
+    if len(m) == 1:
+        if m[0, 0] == 0:
+            raise SingularMatrixError("matrix is zero")
+        return rhs / m[0, 0]
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    cond = abs(m).sum(axis=0).max() * abs(inv).sum(axis=0).max()
+    if not cond < 1e12:
+        raise SingularMatrixError(f"matrix has the 1-norm condition number {cond:.3e}")
+    return inv @ rhs
+
+
+# Columns from which ``least_squares`` tries one QR of a tall matrix before
+# ``np.linalg.lstsq``: below it numpy's per-call overhead makes lstsq, an SVD,
+# the faster one (crossover in BENCH_leastsq.json).
+_QR_MIN_COLUMNS = 15
+
+
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``matrix @ y ~ rhs``."""
+    """Minimum-norm least-squares solution of ``matrix @ y ~ rhs``.
+
+    A tall matrix of at least ``_QR_MIN_COLUMNS`` columns is solved by one
+    Householder QR of [matrix | rhs], which gives R and Q* rhs without
+    forming Q, and the inverse of R, when R's exact 1-norm condition number
+    is below 1e12: the rank is then full and the solution unique.  Every
+    other matrix, and one that R shows rank-deficient or ill-conditioned,
+    goes to ``np.linalg.lstsq`` (an SVD).
+    """
     m = _matrix("least_squares", matrix)
     rhs = np.asarray(rhs, dtype=complex).reshape(-1)
     if rhs.shape[0] != m.shape[0]:
         raise ValueError("right-hand side length does not match the matrix")
     _check_finite(rhs, "least_squares: right-hand side entry")
+    rows, cols = m.shape
+    if rows > cols >= _QR_MIN_COLUMNS:
+        r = np.linalg.qr(np.column_stack((m, rhs)), mode="r")
+        try:
+            return _solve_conditioned(r[:cols, :cols], r[:cols, cols])
+        except SingularMatrixError:
+            pass
     y, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     return y
 

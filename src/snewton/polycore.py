@@ -486,6 +486,13 @@ def _all_finite(a: np.ndarray) -> bool:
     return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, with its bits, without its
+    dispatch, which costs more than the sums on a small system."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     """``a``, or a ValueError naming its first non-finite entry, counted
     from 1: "point coordinate 2 is not finite: (nan+0j)", or "V1 entry

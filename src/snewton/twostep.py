@@ -24,7 +24,8 @@ Newton's step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the
 kernel step draws one ``random_direction`` and contracts the Hessian once,
 returning B' with the step; B' is solved without an SVD, by a division at
 kappa = 1 and one inverse otherwise, refused at an exact 1-norm condition
-number of 1e12 (``numla.solve``, an SVD, stays the Newton baseline).  An
+number of 1e12 (``numla._solve_conditioned``, the rule the least-squares QR
+path also uses; ``numla.solve``, an SVD, stays the Newton baseline).  An
 iteration with 0 < kappa < n makes three evaluation passes:
 Df at x (f(x) is the previous f(x''), which ``refine`` hands on), one pass
 at x' that gives D2f(x').v and Df(x') together (``PolySystem._at``), and f
@@ -50,7 +51,7 @@ from .numla import (
     _check_tolerance,
     auto_tolerance,
 )
-from .polycore import PolySystem
+from .polycore import PolySystem, _norm
 
 __all__ = [
     "StepConfig",
@@ -236,25 +237,16 @@ def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2)
 
 
 def _solve_small(b: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """B'^-1 rhs for the kappa x kappa B' of the kernel step, without an SVD:
-    a division at kappa = 1, else one ``np.linalg.inv``.  Raises
-    SingularMatrixError when B' is zero at kappa = 1, when ``inv`` fails, or
-    when its exact 1-norm condition number ||B'||_1 ||B'^-1||_1 is 1e12 or
-    more (or not a number), and the ValueError of ``numla.solve`` for an
-    entry that is not finite."""
+    """B'^-1 rhs for the kappa x kappa B' of the kernel step, without an SVD
+    (``numla._solve_conditioned``: a division at kappa = 1, else one
+    inverse, refused at an exact 1-norm condition number of 1e12).  Raises
+    SingularMatrixError when it refuses, and the ValueError of
+    ``numla.solve`` for an entry that is not finite."""
     polycore._check_finite(b, "solve: matrix entry")
     polycore._check_finite(rhs, "solve: right-hand side entry")
     try:
-        if len(b) == 1:
-            if b[0, 0] == 0:
-                raise SingularMatrixError("B' is zero")
-            return rhs / b[0, 0]
-        inv = np.linalg.inv(b)
-        cond = abs(b).sum(axis=0).max() * abs(inv).sum(axis=0).max()
-        if not cond < 1e12:
-            raise SingularMatrixError(f"B' has the 1-norm condition number {cond:.3e}")
-        return inv @ rhs
-    except np.linalg.LinAlgError as exc:
+        return numla._solve_conditioned(b, rhs)
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             "kernel-step operator is singular: the zero does not look "
             "deflation-one at this scale; try another direction or deflation"
@@ -395,13 +387,6 @@ def refine(
         stop_reason=stop_reason,
         error_exponents=exponents,
     )
-
-
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex vector, with its bits, without its
-    dispatch, which costs more than the sums on a small system."""
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _exponent(x: np.ndarray, ref: np.ndarray) -> float:

@@ -475,11 +475,28 @@ def test_gauss_newton_evaluates_once_per_iterate(evaluation_passes):
     evaluation_passes.clear()
     trace = gauss_newton(deflated.system, y0, max_iter=50)
     assert trace.converged and trace.iterations >= 2
-    # f and Df at the start; per iterate D^2f.a where Dg was asked for, then
-    # f and Df at the new point, Df being reused by the next Dg
-    assert len(evaluation_passes) == 2 + 3 * trace.iterations
+    # f at the start, Df there being held from deflate_once; per iterate
+    # D^2f.a where Dg was asked for, then f and Df at the new point, Df being
+    # reused by the next Dg
+    assert len(evaluation_passes) == 1 + 3 * trace.iterations
     hess = [index is parent._index(2) for index in evaluation_passes]
     assert sum(hess) == trace.iterations
+
+
+def test_gauss_newton_takes_the_qr_step_on_a_variant(monkeypatch):
+    # the deflated random_variant(10, 2) has 21 x 19 Jacobians, past
+    # numla._QR_MIN_COLUMNS, and full column rank near the zero, so no
+    # Gauss-Newton step falls back to lstsq
+    system, zero = random_variant(10, 2, seed=4)
+    rng = np.random.default_rng(5)
+    x0 = zero + 1e-3 * (rng.standard_normal(10) + 1j * rng.standard_normal(10)) / np.sqrt(20)
+    deflated, y0 = deflate_once(system, x0, variant_rank_tolerance(system, zero, 2), seed=6)
+    calls, real = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or real(*a, **k))
+    trace = gauss_newton(deflated.system, y0)
+    assert trace.converged and trace.iterations >= 2
+    assert np.linalg.norm(trace.x[:10] - zero) < 1e-10
+    assert calls == []
 
 
 def test_gauss_newton_walks_to_stationary_point():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snewton.numla import (
     SingularMatrixError,
@@ -14,6 +16,7 @@ from snewton.numla import (
     solve,
     split_svd,
 )
+from snewton.numla import _QR_MIN_COLUMNS
 from snewton import polycore
 from snewton.polycore import parse_system
 
@@ -159,6 +162,57 @@ def test_least_squares_matches_normal_equations():
     b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     expected = np.linalg.solve(m.conj().T @ m, m.conj().T @ b)
     assert np.linalg.norm(least_squares(m, b) - expected) <= 1e-9
+
+
+def _lstsq(m, b):
+    return np.linalg.lstsq(m, b, rcond=None)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cols=st.integers(2, 2 * _QR_MIN_COLUMNS + 16), extra=st.integers(1, 45),
+       log_cond=st.floats(0, 8), log_scale=st.floats(-5, 5), seed=st.integers(0, 2**32 - 1))
+def test_least_squares_agrees_with_lstsq_on_tall_matrices(cols, extra, log_cond, log_scale, seed):
+    # A = U diag(s) V* of rows > cols with a 2-norm condition of 10**log_cond,
+    # a Gaussian rhs; from _QR_MIN_COLUMNS columns the QR path runs, below it
+    # lstsq itself
+    rng = np.random.default_rng(seed)
+    rows = cols + extra
+    u = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))[0]
+    a = 10.0**log_scale * (u * np.geomspace(1, 10.0**-log_cond, cols)) @ v.conj().T
+    b = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    y, oracle = least_squares(a, b), _lstsq(a, b)
+    if cols < _QR_MIN_COLUMNS:
+        assert y.tobytes() == oracle.tobytes()
+        return
+    # each solve is accurate to about cond * eps, so compare what A makes of
+    # their difference, and the difference itself against the condition
+    gap = np.linalg.norm(y - oracle)
+    assert np.linalg.norm(a @ (y - oracle)) <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(oracle)
+    assert gap <= 1e-12 * np.linalg.cond(a) * np.linalg.norm(oracle)
+
+
+def _rank_deficient_tall(rng, rows, cols):
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    zero_column, repeated_column = m.copy(), m.copy()
+    zero_column[:, 3] = 0
+    repeated_column[:, -1] = repeated_column[:, 0]
+    low_rank = m[:, : cols - 2] @ m[: cols - 2, :]  # rank cols - 2
+    return [zero_column, repeated_column, low_rank, np.zeros((rows, cols))]
+
+
+def test_least_squares_is_lstsq_off_the_qr_path():
+    # rank-deficient tall matrices of _QR_MIN_COLUMNS columns and more (R's
+    # 1-norm condition reaches 1e12), wide matrices, square ones and tall
+    # ones of fewer columns all take lstsq's result, bit for bit
+    rng = np.random.default_rng(31)
+    c = _QR_MIN_COLUMNS
+    cases = [*_rank_deficient_tall(rng, 2 * c + 1, c), *_rank_deficient_tall(rng, 2 * c + 1, 2 * c)]
+    for rows, cols in [(c, c + 5), (3, 2 * c), (c, c), (2 * c, 2 * c), (2 * c, c - 1), (40, 3)]:
+        cases.append(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    for m in cases:
+        b = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
+        assert least_squares(m, b).tobytes() == _lstsq(m, b).tobytes(), m.shape
 
 
 # -- kernels and norms ----------------------------------------------------------

@@ -25,7 +25,7 @@ from snewton.polycore import (
     system_from_terms,
     taylor_coefficients,
 )
-from snewton.polycore import _grlex, _grlex_memo, _in_order, _pair_ids, _pair_sums
+from snewton.polycore import _grlex, _grlex_memo, _in_order, _norm, _pair_ids, _pair_sums
 
 from oracles import (
     AugmentOracle,
@@ -374,6 +374,18 @@ def test_non_finite_directions_are_rejected(bad):
     for entry in entries:
         with pytest.raises(ValueError, match="direction entry 3 is not finite"):
             entry()
+
+
+def test_norm_has_the_bits_of_the_numpy_norm():
+    # refine's and gauss_newton's residuals and stop tests and the direction
+    # draw read it: a last bit that differed could move a stop at the
+    # rounding floor
+    rng = np.random.default_rng(0)
+    for size in (1, 3, 20, 200):
+        for scale in (1e-150, 1.0, 1e150):
+            x = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            assert _norm(x) == np.linalg.norm(x)
+            assert (x / _norm(x)).tobytes() == (x / np.linalg.norm(x)).tobytes()
 
 
 # -- derivatives --------------------------------------------------------------

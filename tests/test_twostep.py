@@ -19,7 +19,7 @@ from snewton.twostep import (
     second_refinement,
     two_step,
 )
-from snewton.twostep import _norm, _solve_small
+from snewton.twostep import _solve_small
 
 from oracles import (
     SquareRandomization,
@@ -216,17 +216,6 @@ def test_kernel_solve_refuses_at_a_1_norm_condition_of_1e12():
     assert delta.tolist() == [(1 + 1j) / 2j]
     with pytest.raises(ValueError, match=r"solve: matrix entry \(1, 2\) is not finite"):
         _solve_small(np.array([[1, np.nan], [0, 1]], dtype=complex), np.ones(2, dtype=complex))
-
-
-def test_norm_has_the_bits_of_the_numpy_norm():
-    # residuals, stagnation and the direction draw read it: a last bit that
-    # differed could move a stop at the rounding floor
-    rng = np.random.default_rng(0)
-    for size in (1, 3, 20, 200):
-        for scale in (1e-150, 1.0, 1e150):
-            x = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-            assert _norm(x) == np.linalg.norm(x)
-            assert (x / _norm(x)).tobytes() == (x / np.linalg.norm(x)).tobytes()
 
 
 # -- one full iteration ---------------------------------------------------------------
