@@ -186,8 +186,8 @@ if __name__ == "__main__":
         what="Gauss-Newton baseline by one Householder QR of [Dg | g]: numla.least_squares solves "
              "a tall matrix of at least _QR_MIN_COLUMNS columns by R and Q* rhs from one "
              "np.linalg.qr(mode='r') and the inverse of R, accepted below an exact 1-norm "
-             "condition number of 1e12, else np.linalg.lstsq; deflate_once and deflate_structured "
-             "read Df through the point cache, which gauss_newton's first evaluation reuses",
+             "condition number of 1e12, else np.linalg.lstsq; gauss_newton takes g and Dg at each "
+             "iterate from one evaluation",
         out="BENCH_leastsq.json", rounds=3, rounds_help="in-process rounds per probe",
         probes={"shapes": probe_shapes, "gauss_newton": probe_gauss_newton},
         measure=measure,

@@ -18,9 +18,10 @@ multipliers attached to a chosen kernel basis are fixed constants and only
 the complementary multipliers stay variables.  It reproduces textbook
 augmented systems exactly and is what the benchmark comparisons use.
 
-Both read Df at the start point from the parent's point cache (``_at``), so
-the first evaluation of ``gauss_newton`` there takes it without a pass of
-its own.  Each Gauss-Newton step is ``numla.least_squares``: for a Dg of
+Both evaluate Df at the start point once, for the multiplier estimate.
+``gauss_newton`` asks for g and Dg at each iterate in one ``_values`` call,
+which an augmented system meets with one pass of the parent's f, Df and
+D^2f.a.  Each Gauss-Newton step is ``numla.least_squares``: for a Dg of
 full column rank and at least 15 columns, one Householder QR of [Dg | g]
 and the inverse of R, else ``np.linalg.lstsq``.
 """
@@ -102,10 +103,10 @@ class AugmentedSystem:
     ``weights``; no pinned part when ``pinned`` is None, no last row when
     ``normal`` is None.  Its Jacobian is [[Df, 0], [D^2f.(pinned + W lambda),
     Df.W], [0, normal^T]].  It is an evaluator as ``PolySystem`` documents
-    one: its ``_values`` come from the parent's ``_at`` (the parent may be
-    augmented too), and ``eval``, ``jacobian``, ``directional_derivative``,
+    one: its ``_values`` come from the parent's (the parent may be augmented
+    too), and ``eval``, ``jacobian``, ``directional_derivative``,
     ``_check_point`` and ``is_square`` are ``PolySystem``'s; no polynomial is
-    built."""
+    built and no value is kept."""
 
     def __init__(self, parent, weights, pinned=None, normal=None):
         p = parent.num_vars
@@ -120,11 +121,11 @@ class AugmentedSystem:
     def __repr__(self):
         return f"AugmentedSystem({len(self)} rows in {self.num_vars} vars)"
 
-    def _values(self, order: int, y: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
-        """g(y) for order 0, else the Jacobian of D^k g(y)[d_1, ..., d_k]
-        with k = order - 1, at a checked point and directions, as
-        ``PolySystem._values`` gives them; every term comes from the
-        parent's unchecked ``_at``, and nothing is kept here.
+    def _values(self, y: np.ndarray, orders: tuple[int, ...], *dirs: np.ndarray) -> list[np.ndarray]:
+        """One array per order of ``orders`` at a checked point and
+        directions, as ``PolySystem._values`` gives them: g(y) for order 0,
+        else the Jacobian of D^k g(y)[d_1, ..., d_k] with k = order - 1.
+        Orders 0 and 1 come from one parent pass of f, Df and D^2f.a.
 
         With d_i = (u_i, mu_i) and a = pinned + W lambda, g is affine in
         lambda, so by the product rule the f rows are D^k f[u_1..u_k]; the
@@ -135,25 +136,32 @@ class AugmentedSystem:
         p, m = parent.num_vars, len(parent)
         x, lam = y[:p], y[p:]
         a = self.pinned + w @ lam
-        if order == 0:
-            values = [parent._at(0, x), parent._at(1, x) @ a]
-            if self.normal is not None:
-                values.append([self.normal @ lam - 1])
-            return np.concatenate(values)
-        us = [d[:p] for d in dirs]
-        top, mid = parent._at(order, x, *us), parent._at(order + 1, x, a, *us)
-        for i, d in enumerate(dirs):
-            if d[p:].any():
-                mid = mid + parent._at(order, x, w @ d[p:], *us[:i], *us[i + 1 :])
-        out = np.zeros((len(self), self.num_vars), dtype=complex)
-        out[:m, :p] = top
-        out[m : 2 * m, :p] = mid
-        out[m : 2 * m, p:] = top @ w
-        if self.normal is not None and not dirs:
-            out[2 * m, p:] = self.normal
+        if min(orders) <= 1:
+            f, jac, hess = parent._values(x, (0, 1, 2), a)
+        out = []
+        for order in orders:
+            if order == 0:
+                normal = [] if self.normal is None else [[self.normal @ lam - 1]]
+                out.append(np.concatenate([f, jac @ a, *normal]))
+                continue
+            us = [d[:p] for d in dirs[: order - 1]]
+            if order == 1:
+                top, mid = jac, hess
+            else:
+                (top,) = parent._values(x, (order,), *us)
+                (mid,) = parent._values(x, (order + 1,), a, *us)
+            for i, d in enumerate(dirs[: order - 1]):
+                if d[p:].any():
+                    mid = mid + parent._values(x, (order,), w @ d[p:], *us[:i], *us[i + 1 :])[0]
+            block = np.zeros((len(self), self.num_vars), dtype=complex)
+            block[:m, :p] = top
+            block[m : 2 * m, :p] = mid
+            block[m : 2 * m, p:] = top @ w
+            if self.normal is not None and order == 1:
+                block[2 * m, p:] = self.normal
+            out.append(block)
         return out
 
-    _at = _values
     eval, jacobian, _check_point = PolySystem.eval, PolySystem.jacobian, PolySystem._check_point
     directional_derivative, is_square = PolySystem.directional_derivative, PolySystem.is_square
 
@@ -168,15 +176,14 @@ def deflate_once(
 
     Draws B (p x (p-kappa+1)) and b with unit complex Gaussian entries,
     forms the augmented system over ``system``, and estimates
-    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1],
-    with Df(x) read through the point cache of ``system``.
+    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].
     Raises DeflationError when the Jacobian has full column rank at ``tol``
     (nothing to deflate).
     """
     tol = _check_tolerance(tol)
     x = system._check_point(x)
     p = system.num_vars
-    jac_x = system._at(1, x)
+    (jac_x,) = system._values(x, (1,))
     sigma = singular_values(jac_x)
     rank = int(np.sum(sigma > tol))
     kappa = p - rank
@@ -217,8 +224,7 @@ def deflate_structured(
     1-D vector is one column.
 
     Returns the augmented system and the starting point (x, l1_hat) with
-    l1_hat the least-squares solution of Df(x).V1 l1 = -Df(x).V2 l2, Df(x)
-    read through the point cache of ``system``.
+    l1_hat the least-squares solution of Df(x).V1 l1 = -Df(x).V2 l2.
     """
     x = system._check_point(x)
     p = system.num_vars
@@ -226,7 +232,7 @@ def deflate_structured(
     lambda2 = np.asarray(lambda2, dtype=complex).reshape(-1)
     if lambda2.shape[0] != v2.shape[1]:
         raise ValueError("lambda2 length must match the V2 column count")
-    jac_x = system._at(1, x)
+    (jac_x,) = system._values(x, (1,))
     if v1.shape[1]:
         lam1 = least_squares(jac_x @ v1, -(jac_x @ v2 @ lambda2))
     else:
@@ -254,6 +260,8 @@ def deflate_to_regular(
 ) -> tuple[AugmentedSystem, np.ndarray, int]:
     """Iterate ``deflate_once`` until the augmented Jacobian has full column
     rank at ``tol``; returns (system, augmented point, rounds used)."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     rng = np.random.default_rng(seed)
     current, y = system, system._check_point(x)
     for step in range(1, max_steps + 1):
@@ -280,22 +288,27 @@ def gauss_newton(
 
     Flags ``converged`` when ||g(y)|| <= stop, ``stationary`` when the step
     norm falls below 1e-13 while the residual is still above stop; both
-    norms are ``np.linalg.norm``'s bits (``polycore._norm``).
+    norms are ``np.linalg.norm``'s bits (``polycore._norm``).  g and Dg come
+    from one ``_values`` call per iterate.
     """
     if len(system) < system.num_vars:
         raise ValueError("gauss_newton needs at least as many equations as variables")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
+    if not stop >= 0:
+        raise ValueError(f"stop must be at least 0, got {stop}")
     y = system._check_point(y0)
-    g = _check_start_value(system.eval(y))
+    g, jac = system._values(y, (0, 1))
     points = [y]
-    residuals = [_norm(g)]
+    residuals = [_norm(_check_start_value(g))]
     converged = residuals[0] <= stop
     stationary = False
     for _ in range(max_iter):
         if converged or stationary:
             break
-        step = least_squares(system.jacobian(y), g)
+        step = least_squares(jac, g)
         y = y - step
-        g = system.eval(y)
+        g, jac = system._values(system._check_point(y), (0, 1))
         points.append(y)
         residuals.append(_norm(g))
         if residuals[-1] <= stop:

@@ -204,10 +204,12 @@ class PolySystem:
     (the system itself stays immutable, so sharing across threads is safe).
 
     It is the one evaluator interface: an evaluator supplies ``num_vars``,
-    ``__len__``, ``_values`` and ``_at`` (the same values, maybe shared
-    read-only) as here, and binds by name the ``eval``, ``jacobian``,
-    ``directional_derivative``, ``_check_point`` and ``is_square`` written
-    here once (``lvz.AugmentedSystem``); ``twostep`` reads nothing more.
+    ``__len__`` and ``_values`` as here, and binds by name the ``eval``,
+    ``jacobian``, ``directional_derivative``, ``_check_point`` and
+    ``is_square`` written here once (``lvz.AugmentedSystem``); ``twostep``
+    reads nothing more.  No value at a point is kept: a caller that needs
+    several orders at one point asks for them in one ``_values`` call, and
+    hands on what it holds.
     """
 
     __slots__ = ("num_vars", "_arrays", "_polys", "_cache")
@@ -305,87 +307,55 @@ class PolySystem:
             cached = self._cache[("terms", order)] = (factors, coef, _pair_ids(row), m, tags)
         return cached
 
-    def _index(self, order: int) -> _FactorIndex:
-        """The factor index of the ``_terms(order)``."""
-        index = self._cache.get(("index", order))
+    def _index(self, orders: tuple[int, ...]) -> _FactorIndex:
+        """The factor index of the ``_terms`` of ``orders``, one set after another."""
+        index = self._cache.get(("index", orders))
         if index is None:
-            factors, coef = self._terms(order)[:2]
-            index = self._cache[("index", order)] = _factor_index(*factors, len(coef), self.num_vars)
+            sets, size = [], 0
+            for order in orders:
+                (term, var, exp), coef = self._terms(order)[:2]
+                sets.append((term + size, var, exp))  # term ids after the sets before
+                size += len(coef)
+            factors = (np.concatenate(parts) for parts in zip(*sets))
+            index = self._cache[("index", orders)] = _factor_index(*factors, size, self.num_vars)
         return index
 
-    def _shared_index(self) -> _FactorIndex:
-        """The factor index of the Df and D2f terms together, Df's first.
-        Once it is built, ``_index(1)`` and ``_index(2)`` are views of it,
-        so each set's index is kept once."""
-        index = self._cache.get("shared index")
-        if index is None:
-            (factors1, coef1), (factors2, coef2) = self._terms(1)[:2], self._terms(2)[:2]
-            size = len(coef1)
-            factors2 = (factors2[0] + size, *factors2[1:])  # term ids after Df's
-            term, var, exp = (np.concatenate(pair) for pair in zip(factors1, factors2))
-            index = _factor_index(term, var, exp, size + len(coef2), self.num_vars, first=size)
-            self._cache["shared index"] = index
-            self._cache[("index", 1)], self._cache[("index", 2)] = _split_index(index, size)
-        return index
-
-    def _values(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
-        """f(x) for order 0, else the Jacobian of D^k f(x)[v_1, ..., v_k]
-        with k = order - 1 for the directions ``dirs``, at a checked point
-        and directions, computed anew: each term's coefficient times
-        v_i[tag_i] in turn, times its monomial, summed by row in term order."""
-        _, coef, pairs, m, tags = self._terms(order)
-        for v, tag in zip(dirs, tags):
-            coef = np.multiply(coef, v[tag])  # the operand order of _monomials
-        sums = _pair_sums(np.multiply(coef, _monomials(self._index(order), x)), pairs, m)
-        return sums if order == 0 else sums.reshape(len(self), self.num_vars)
-
-    def _jacobian_and_hessian(self, x: np.ndarray, v: np.ndarray):
-        """``_values(1, x)`` and ``_values(2, x, v)`` from one pass: one
-        ``_monomials`` call over both term sets, then one bincount per set."""
-        _, coef1, pairs1, m, _ = self._terms(1)
-        _, coef2, pairs2, _, (tag,) = self._terms(2)
-        coef = np.concatenate((coef1, np.multiply(coef2, v[tag])))
-        vals, size = np.multiply(coef, _monomials(self._shared_index(), x)), len(coef1)
-        sums = _pair_sums(vals[:size], pairs1, m), _pair_sums(vals[size:], pairs2, m)
-        return (part.reshape(len(self), self.num_vars) for part in sums)
-
-    def _at(self, order: int, x: np.ndarray, *dirs: np.ndarray) -> np.ndarray:
-        """``_values(order, x, *dirs)``, read-only and shared between callers:
-        the values at the point last asked for are kept, each order computed
-        when it is first asked for and kept for its last directions only.  An
-        iteration needs f and Df at an iterate more than once; D2f.v asked
-        for before Df comes with Df from one pass."""
-        key, held = x.tobytes(), self._cache.get("point")
-        if held is None or held[0] != key:
-            held = self._cache["point"] = (key, {})
-        tag = [v.tobytes() for v in dirs]
-        value = held[1].get(order)
-        if value is None or value[0] != tag:
-            if order == 2 and 1 not in held[1]:
-                jac, values = self._jacobian_and_hessian(x, *dirs)
-                jac.flags.writeable = False
-                held[1][1] = ([], jac)
-            else:
-                values = self._values(order, x, *dirs)
-            values.flags.writeable = False
-            value = held[1][order] = (tag, values)
-        return value[1]
+    def _values(self, x: np.ndarray, orders: tuple[int, ...], *dirs: np.ndarray) -> list[np.ndarray]:
+        """One array per order of ``orders``, at a checked point and
+        directions, computed anew from one pass over their terms: f(x) for
+        order 0, else the Jacobian of D^k f(x)[v_1, ..., v_k] with k = order
+        - 1 for the first k of ``dirs``.  Each term's coefficient times
+        v_i[tag_i] in turn, times its monomial, summed by row in term order;
+        each order has the bits of a pass of its own."""
+        sets, coefs = list(map(self._terms, orders)), []
+        for _, coef, _, _, tags in sets:
+            for v, tag in zip(dirs, tags):
+                coef = np.multiply(coef, v[tag])  # the operand order of _monomials
+            coefs.append(coef)
+        one = len(sets) == 1  # then no copy and no slice
+        vals = np.multiply(coefs[0] if one else np.concatenate(coefs), _monomials(self._index(orders), x))
+        out, end = [], 0
+        for order, (_, coef, pairs, m, _) in zip(orders, sets):
+            sums = _pair_sums(vals if one else vals[end : end + len(coef)], pairs, m)
+            out.append(sums if order == 0 else sums.reshape(len(self), self.num_vars))
+            end += len(coef)
+        return out
 
     def eval(self, x: Sequence[complex]) -> np.ndarray:
         """Vector of values ``[f_1(x), ..., f_m(x)]``."""
-        return self._values(0, self._check_point(x))
+        return self._values(self._check_point(x), (0,))[0]
 
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Jacobian matrix at ``x``, shape (len(self), num_vars)."""
-        return self._values(1, self._check_point(x))
+        return self._values(self._check_point(x), (1,))[0]
 
     def directional_derivative(self, x: Sequence[complex], dirs) -> np.ndarray:
         """Jacobian at ``x`` of D^k f(x)[v_1, ..., v_k] for the k directions
         ``dirs``: ``jacobian`` for k = 0 and ``dir_hessian`` for k = 1, that
-        is ``_values(k + 1, x, *dirs)`` at the checked point and directions."""
+        is ``_values(x, (k + 1,), *dirs)`` at the checked point and directions."""
         x = self._check_point(x)
         dirs = [_check_direction(v, self.num_vars) for v in dirs]
-        return self._values(len(dirs) + 1, x, *dirs)
+        return self._values(x, (len(dirs) + 1,), *dirs)[0]
 
     def _check_point(self, x) -> np.ndarray:
         return _check_point(x, self.num_vars)
@@ -509,18 +479,17 @@ class _FactorIndex(NamedTuple):
 
     A call builds the power table x_j^e once, for the (variable, exponent)
     pairs ``table_var``, ``table_exp``, and the monomials in a work array
-    of ``span.stop`` entries, of which those in ``span`` are used.  The
-    terms are placed there so that those with an s-th factor take one
-    slice: ``slots[s]`` is that slice and the table positions of their
-    s-th factors, and ``rank[t]`` is the place of term t.  ``linear`` says
-    that every table exponent is 1, so that the table is x_j itself.
+    of one entry per term.  The terms are placed there by falling factor
+    count, so that those with an s-th factor take one slice: ``slots[s]``
+    is that slice and the table positions of their s-th factors, and
+    ``rank[t]`` is the place of term t.  ``linear`` says that every table
+    exponent is 1, so that the table is x_j itself.
     """
 
     table_var: np.ndarray
     table_exp: np.ndarray
     linear: bool
     rank: np.ndarray
-    span: slice
     slots: tuple[tuple[slice, np.ndarray], ...]
 
 
@@ -531,12 +500,9 @@ def _factors(expo: np.ndarray):
     return term.astype(np.int32), var.astype(np.int32), expo[term, var]
 
 
-def _factor_index(term, var, exp, num_terms: int, num_vars: int, first: int = 0) -> _FactorIndex:
+def _factor_index(term, var, exp, num_terms: int, num_vars: int) -> _FactorIndex:
     """The index of ``num_terms`` terms whose factors are listed as by
-    ``_factors``.  The ``first`` terms, if any, are a set of their own,
-    placed before the others in order of rising factor count: the terms of
-    either set that have an s-th factor are then one part of the work
-    array, and ``_split_index`` gives each set's index as views."""
+    ``_factors``."""
     top = np.zeros(num_vars, dtype=np.int32)
     np.maximum.at(top, var, exp)
     start = np.cumsum(top, dtype=np.int32) - top  # table position of x_j^1
@@ -545,44 +511,25 @@ def _factor_index(term, var, exp, num_terms: int, num_vars: int, first: int = 0)
     pos = start[var] + (exp - 1)
     count = np.bincount(term, minlength=num_terms)
     offset = np.cumsum(count) - count  # each term's first factor
-    rising = np.argsort(count[:first], kind="stable")
-    order = np.concatenate((rising, first + np.argsort(-count[first:], kind="stable")))
+    order = np.argsort(-count, kind="stable")
     rank = np.empty(num_terms, dtype=np.int32)
     rank[order] = np.arange(num_terms)
     slots = []
     for s in range(int(count.max(initial=0))):
-        lo, hi = first - np.count_nonzero(count[:first] > s), first + np.count_nonzero(count[first:] > s)
-        part = slice(int(lo), int(hi))
+        part = slice(0, int(np.count_nonzero(count > s)))
         slots.append((part, pos[offset[order[part]] + s]))
     linear = bool((table_exp == 1).all())
-    return _FactorIndex(table_var, table_exp, linear, rank, slice(0, num_terms), tuple(slots))
-
-
-def _split_index(index: _FactorIndex, first: int) -> tuple[_FactorIndex, _FactorIndex]:
-    """The indexes of the two sets of an index built with ``first``, whose
-    arrays are views of its own: the first set's terms take the work array
-    up to ``first``, the others' the rest."""
-    below, above = [], []
-    for part, pos in index.slots:
-        if part.start < first:
-            below.append((slice(part.start, first), pos[: first - part.start]))
-        if part.stop > first:
-            above.append((slice(first, part.stop), pos[first - part.start :]))
-    table, end = index[:3], index.span.stop
-    return (
-        _FactorIndex(*table, index.rank[:first], slice(0, first), tuple(below)),
-        _FactorIndex(*table, index.rank[first:], slice(first, end), tuple(above)),
-    )
+    return _FactorIndex(table_var, table_exp, linear, rank, tuple(slots))
 
 
 def _monomials(index: _FactorIndex, x: np.ndarray) -> np.ndarray:
     """Value of each term's monomial at ``x``.  A term multiplies its factors
     in ascending variable order, the first taken as it is (for finite x it
     has the bits of 1 times it, and x_j^1 those of x_j); a term without
-    factors is 1.  Nothing outside ``span`` is written."""
+    factors is 1."""
     table = x[index.table_var] if index.linear else x[index.table_var] ** index.table_exp
-    out = np.empty(index.span.stop, dtype=complex)
-    out[index.span] = 1  # kept by the terms without factors
+    out = np.empty(len(index.rank), dtype=complex)
+    out.fill(1)  # kept by the terms without factors
     for s, (part, pos) in enumerate(index.slots):
         # A new array with the running product as first operand: numpy rounds
         # an in-place product of one element without the fused multiply-add

@@ -14,25 +14,25 @@ The two operators at the heart of the method:
 
 B is what gets solved; A only ever appears in analysis and tests.
 
-f, Df and D2f(x).v all come from the system's ``_at``, so any square
-evaluator (see ``PolySystem``) will do; a ``PolySystem`` computes each once
-per point from its cached term arrays and keeps those of the last point.
-Every iteration takes one SVD, of Df (``split_svd``'s, which with "auto"
-picks the rank tolerance from that spectrum), and one path for every corank
-kappa: at kappa = 0, V1 Sigma1^-1 U1* = Df^-1 and the projection step is
-Newton's step; at kappa = n, V1 is empty and x' = x.  For kappa > 0 the
-kernel step draws one ``random_direction`` and contracts the Hessian once,
-returning B' with the step; B' is solved without an SVD, by a division at
-kappa = 1 and one inverse otherwise, refused at an exact 1-norm condition
-number of 1e12 (``numla._solve_conditioned``, the rule the least-squares QR
-path also uses; ``numla.solve``, an SVD, stays the Newton baseline).  An
-iteration with 0 < kappa < n makes three evaluation passes:
-Df at x (f(x) is the previous f(x''), which ``refine`` hands on), one pass
-at x' that gives D2f(x').v and Df(x') together (``PolySystem._at``), and f
-at x''; f(x') is not evaluated.  A retried direction recomputes only
-D2f(x').v.  ``two_step`` checks x and builds v itself, so its projection
-and kernel steps skip the checks of the public ``first_refinement`` and
-``second_refinement``, and its split checks only that Df is finite.
+f, Df and D2f(x).v all come from the system's ``_values``, so any square
+evaluator (see ``PolySystem``) will do; it keeps no value at a point, and
+the iteration carries those it holds.  Every iteration takes one SVD, of
+Df (``split_svd``'s, which with "auto" picks the rank tolerance from that
+spectrum), and one path for every corank kappa: at kappa = 0, V1 Sigma1^-1
+U1* = Df^-1 and the projection step is Newton's step; at kappa = n, V1 is
+empty and x' = x.  For kappa > 0 the kernel step draws one
+``random_direction`` and contracts the Hessian once, returning B' with the
+step; B' is solved without an SVD, by a division at kappa = 1 and one
+inverse otherwise, refused at an exact 1-norm condition number of 1e12
+(``numla._solve_conditioned``, the rule the least-squares QR path also
+uses; ``numla.solve``, an SVD, stays the Newton baseline).  An iteration
+with 0 < kappa < n makes three evaluation passes: Df at x (f(x) is the
+previous f(x''), which ``refine`` hands on as ``fx``), Df(x') and
+D2f(x').v in one pass, and f at x''; f(x') is not evaluated, and a retried
+direction recomputes only D2f(x').v.  ``two_step`` checks x and builds v
+itself, so its projection and kernel steps skip the checks of the public
+``first_refinement`` and ``second_refinement``, and its split checks only
+that Df is finite.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class StepResult:
     ``residuals`` holds the norms of f at "x" and "x_double_prime", and at
     "x_prime" only where it costs no evaluation: at kappa = 0 it equals
     "x_double_prime" and at kappa = n it equals "x".  f(x') is not evaluated
-    otherwise; ``system.eval(step.x_prime)`` gives it.
+    otherwise; ``system.eval(step.x_prime)`` gives it.  ``f_double_prime``
+    is the vector f(x''), whose norm is that residual.
     """
 
     kappa: int
@@ -118,6 +119,7 @@ class StepResult:
     b_prime: np.ndarray | None
     delta: np.ndarray | None
     x_double_prime: np.ndarray
+    f_double_prime: np.ndarray
     residuals: dict[str, float]
     mode: str
     elapsed: float = 0.0
@@ -170,7 +172,7 @@ def _point_json(x: np.ndarray) -> list[list[float]]:
 def operator_B(system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The kappa x kappa compression U2* . (D2f(x).v) . V2."""
     x, v = _check_kernel_args("operator_B", system, x, v, u2, v2)
-    return u2.conj().T @ system._at(2, x, v) @ v2
+    return u2.conj().T @ system._values(x, (2,), v)[0] @ v2
 
 
 def _check_kernel_args(caller: str, system: PolySystem, x, v, u2: np.ndarray, v2: np.ndarray):
@@ -204,7 +206,7 @@ def first_refinement(system: PolySystem, x, split: SvdSplit) -> np.ndarray:
         raise ValueError("first refinement is skipped when the corank equals n")
     if np.min(split.sigma1) <= split.tol:
         raise ValueError("inconsistent split: sigma1 reaches below the tolerance")
-    return _projection_step(x, system._at(0, x), split)
+    return _projection_step(x, system._values(x, (0,))[0], split)
 
 
 def _projection_step(x: np.ndarray, fx: np.ndarray, split: SvdSplit) -> np.ndarray:
@@ -223,15 +225,15 @@ def second_refinement(system: PolySystem, x_prime, v, u2: np.ndarray, v2: np.nda
     zero is not deflation-one at this scale.
     """
     x_prime, v = _check_kernel_args("second_refinement", system, x_prime, v, u2, v2)
-    return _kernel_step(system, x_prime, v, u2, v2)
+    return _kernel_step(x_prime, *system._values(x_prime, (1, 2), v), v, u2, v2)
 
 
-def _kernel_step(system: PolySystem, x_prime: np.ndarray, v: np.ndarray, u2, v2):
-    """``second_refinement`` for arguments it would accept, unchecked; f's
-    derivatives at x' come from the system's point cache (``_at``)."""
+def _kernel_step(x_prime: np.ndarray, jac: np.ndarray, hess: np.ndarray, v: np.ndarray, u2, v2):
+    """``second_refinement`` for arguments it would accept, unchecked, with
+    Df(x') and D2f(x').v given."""
     u2h = u2.conj().T
-    b_prime = u2h @ system._at(2, x_prime, v) @ v2
-    rhs = -(u2h @ (system._at(1, x_prime) @ v))
+    b_prime = u2h @ hess @ v2
+    rhs = -(u2h @ (jac @ v))
     delta = _solve_small(b_prime, rhs)
     return delta, x_prime + v2 @ delta, b_prime
 
@@ -258,13 +260,16 @@ def two_step(
     x,
     cfg: StepConfig | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    fx: np.ndarray | None = None,
 ) -> StepResult:
     """One full iteration: split, projection step, kernel step.
 
     Corank 0 ends after the projection step, which is then Newton's step;
     corank n skips it.  On a singular kernel operator with a random
     direction the step is retried once with a fresh direction before the
-    error surfaces.
+    error surfaces.  ``fx`` is f(x) where the caller holds it (``refine``
+    hands on the last ``f_double_prime``); it is evaluated otherwise.
     """
     if not system.is_square():
         raise ValueError("two_step needs a square system")
@@ -273,8 +278,9 @@ def two_step(
     x = system._check_point(x)
     t0 = time.perf_counter()
 
-    fx = polycore._check_start_value(system._at(0, x))
-    split = numla._split(polycore._check_finite(system._at(1, x), "split_svd: matrix entry"), cfg.tol)
+    fx = polycore._check_start_value(system._values(x, (0,))[0] if fx is None else fx)
+    jac = polycore._check_finite(system._values(x, (1,))[0], "split_svd: matrix entry")
+    split = numla._split(jac, cfg.tol)
     kappa, n = split.kappa, split.n
     if kappa == 0:
         _check_conditioned(split.sigma1)  # Newton's step refuses a near-singular Df
@@ -285,15 +291,21 @@ def two_step(
     x_second = x_prime
     if kappa:
         attempts = 1 if cfg.v_override is not None else 2
+        jac = jac if kappa == n else None  # Df(x') is Df(x) when x' = x
         for attempt in range(attempts):
             v = _draw_direction(cfg, split, rng)
+            if jac is None:
+                jac, hess = system._values(x_prime, (1, 2), v)
+            else:
+                (hess,) = system._values(x_prime, (2,), v)
             try:
-                delta, x_second, b_prime = _kernel_step(system, x_prime, v, split.u2, split.v2)
+                delta, x_second, b_prime = _kernel_step(x_prime, jac, hess, v, split.u2, split.v2)
                 break
             except SingularMatrixError:
                 if attempt == attempts - 1:
                     raise
-    res["x_double_prime"] = _norm(system._at(0, x_second))
+    (f_second,) = system._values(x_second, (0,))
+    res["x_double_prime"] = _norm(f_second)
     if kappa in (0, n):  # x'' = x' at kappa = 0, x' = x at kappa = n
         res["x_prime"] = res["x_double_prime" if kappa == 0 else "x"]
 
@@ -305,6 +317,7 @@ def two_step(
         b_prime=b_prime,
         delta=delta,
         x_double_prime=x_second,
+        f_double_prime=f_second,
         residuals=res,
         mode="newton" if kappa == 0 else "kernel-only" if kappa == n else "two-step",
         elapsed=time.perf_counter() - t0,
@@ -354,14 +367,15 @@ def refine(
         exponents = [_exponent(x, ref)]
 
     steps: list[StepResult] = []
-    residuals = [_norm(polycore._check_start_value(system._at(0, x)))]
+    fx = polycore._check_start_value(system._values(x, (0,))[0])
+    residuals = [_norm(fx)]
     stop_reason = "max_iters"
     if residuals[0] <= cfg.stop_residual:
         stop_reason = "residual"
     else:
         for _ in range(cfg.max_iters):
-            step = two_step(system, x, cfg, rng=rng)
-            x_new = step.x_double_prime
+            step = two_step(system, x, cfg, rng=rng, fx=fx)
+            x_new, fx = step.x_double_prime, step.f_double_prime
             steps.append(step)
             residuals.append(step.residuals["x_double_prime"])
             if ref is not None:

@@ -33,10 +33,11 @@ def contraction_calls(count_calls):
 
 @pytest.fixture
 def evaluation_passes(monkeypatch):
-    """List that grows by the factor index of each evaluation pass over a
-    term set (a call of ``polycore._monomials``): compare an entry with
-    ``system._index(order)`` by identity to tell f, Df and D^2f.v apart
-    (orders 0, 1 and 2)."""
+    """List that grows by the factor index of each evaluation pass (a call
+    of ``polycore._monomials``): a system keeps one index per tuple of
+    orders that ``_values`` was asked for, so compare an entry with
+    ``system._index(orders)`` by identity to tell, say, a pass of f alone
+    (``(0,)``) from one of Df and D^2f.v together (``(1, 2)``)."""
     passes = []
     real = polycore._monomials
 

@@ -116,7 +116,7 @@ class AugmentOracle:
 class SquareRandomization:
     """R.g for an evaluator g and R with unit complex Gaussian entries from
     ``rng``, one row per variable of g and one column per row: a square
-    evaluator that defines only the four names of the interface
+    evaluator that defines only the three names of the interface
     ``PolySystem`` documents and binds the rest, as ``lvz.AugmentedSystem``
     does."""
 
@@ -128,10 +128,9 @@ class SquareRandomization:
     def __len__(self):
         return self.r.shape[0]
 
-    def _values(self, order, x, *dirs):
-        return self.r @ self.g._at(order, x, *dirs)
+    def _values(self, x, orders, *dirs):
+        return [self.r @ values for values in self.g._values(x, orders, *dirs)]
 
-    _at = _values
     eval, jacobian, _check_point = PolySystem.eval, PolySystem.jacobian, PolySystem._check_point
     directional_derivative, is_square = PolySystem.directional_derivative, PolySystem.is_square
 

@@ -193,7 +193,7 @@ def test_directional_derivative_of_one_direction_is_dir_hessian(evaluation_passe
     v = np.arange(6) + 1j
     got = system.directional_derivative(zero, [v])
     # one pass, over the cached second-derivative terms
-    assert [index is system._index(2) for index in evaluation_passes] == [True]
+    assert [index is system._index((2,)) for index in evaluation_passes] == [True]
     assert np.array_equal(got, dir_hessian(system, zero, v))
     assert np.array_equal(system.directional_derivative(zero, []), system.jacobian(zero))
 
@@ -205,7 +205,7 @@ def test_higher_directional_derivatives_reuse_their_cached_terms(evaluation_pass
     evaluation_passes.clear()
     again = system.directional_derivative(zero, [v, w])
     # one pass over the cached third-derivative terms, no new index
-    assert [index is system._index(3) for index in evaluation_passes] == [True]
+    assert [index is system._index((3,)) for index in evaluation_passes] == [True]
     assert again.tobytes() == first.tobytes()
 
 
@@ -449,7 +449,33 @@ def test_deflate_to_regular_step_budget():
         deflate_to_regular(entry.system, entry.zero, 0.1, max_steps=1, seed=1)
 
 
+def test_deflate_to_regular_rejects_a_budget_of_no_round(running):
+    with pytest.raises(ValueError, match="max_steps must be at least 1, got 0"):
+        deflate_to_regular(running, XI, 0.1, max_steps=0)
+
+
 # -- Gauss-Newton -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"max_iter": -1}, "max_iter must be at least 0, got -1"),
+        ({"stop": np.nan}, "stop must be at least 0, got nan"),
+        ({"stop": -1e-12}, "stop must be at least 0, got -1e-12"),
+    ],
+)
+def test_gauss_newton_rejects_a_negative_budget_or_target(bad, message):
+    system = parse_system("x^2\n2*x", ["x"])
+    with pytest.raises(ValueError, match=message):
+        gauss_newton(system, [0.5], **bad)
+
+
+def test_gauss_newton_takes_no_iteration_and_a_target_of_zero():
+    system = parse_system("x^2\n2*x", ["x"])
+    assert gauss_newton(system, [0.5], max_iter=0).iterations == 0
+    trace = gauss_newton(system, [0.5], max_iter=2, stop=0.0)
+    assert trace.iterations == 2 and not trace.converged
 
 
 def test_gauss_newton_consistent_linear_system_one_step():
@@ -468,19 +494,15 @@ def test_gauss_newton_refines_deflated_system(running):
     assert np.linalg.norm(trace.x[:3] - XI) < 1e-9
 
 
-def test_gauss_newton_evaluates_once_per_iterate(evaluation_passes):
-    # a fresh parent: its last point is not held from another test
-    parent = get_entry("running-example").system
-    deflated, y0 = deflate_once(parent, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
-    evaluation_passes.clear()
+def test_gauss_newton_evaluates_once_per_iterate(running, evaluation_passes):
+    deflated, y0 = deflate_once(running, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
     trace = gauss_newton(deflated.system, y0, max_iter=50)
     assert trace.converged and trace.iterations >= 2
-    # f at the start, Df there being held from deflate_once; per iterate
-    # D^2f.a where Dg was asked for, then f and Df at the new point, Df being
-    # reused by the next Dg
-    assert len(evaluation_passes) == 1 + 3 * trace.iterations
-    hess = [index is parent._index(2) for index in evaluation_passes]
-    assert sum(hess) == trace.iterations
+    # Df at the start for the multipliers, then at every iterate, the start
+    # and the last one too, g and Dg from one pass of f, Df and D^2f.a
+    want = [running._index((1,))] + [running._index((0, 1, 2))] * (trace.iterations + 1)
+    assert len(evaluation_passes) == len(want)
+    assert all(index is wanted for index, wanted in zip(evaluation_passes, want))
 
 
 def test_gauss_newton_takes_the_qr_step_on_a_variant(monkeypatch):

@@ -729,57 +729,26 @@ def test_a_row_evaluates_alone_as_in_its_system():
         assert dir_hessian(alone, x, v).tobytes() == h[i : i + 1].tobytes(), i
 
 
-_ORDERS = st.sampled_from([0, 1, 2])
-
-
-@_PROPERTY
-@given(
-    data=st.data(),
-    system=_sparse_systems(),
-    walk=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), _ORDERS), max_size=12),
-)
-def test_point_cache_equals_the_public_evaluators(data, system, walk):
-    """``_at`` gives the bits of ``eval``, ``jacobian`` and ``dir_hessian``
-    along a walk that repeats a point, alternates between two points and
-    changes the direction at a point, in any order of the three; the
-    directions may have zero entries."""
-    n = system.num_vars
-    points = [data.draw(_vectors(n)) for _ in range(2)]
-    dirs = [data.draw(_vectors(n)) for _ in range(2)]
-    fixed = [(0, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 2), (0, 1, 2)]
-    fixed += [(0, 0, 1), (1, 1, 2), (0, 1, 0), (1, 0, 2), (1, 0, 1)]
-    public = {0: system.eval, 1: system.jacobian}
-    for p, d, order in fixed + walk:
-        x, v = points[p].copy(), dirs[d].copy()  # equal values, new arrays
-        if order == 2:
-            got, want = system._at(order, x, v), dir_hessian(system, x, v)
-        else:
-            got, want = system._at(order, x), public[order](x)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_point_cache_is_read_only_and_public_values_are_fresh():
+def test_public_values_are_fresh_and_writable():
     system = parse_system(RUNNING, XYZ)
     x, v = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1, 0, 1j])
-    for order, dirs in ((0, ()), (1, ()), (2, (v,))):
-        held = system._at(order, x, *dirs)
-        with pytest.raises(ValueError, match="read-only"):
-            held[0] = 1
-        assert system._at(order, x, *dirs) is held
-    for fresh in (system.eval(x), system.jacobian(x), dir_hessian(system, x, v)):
-        assert fresh.flags.writeable
-        fresh[...] = 0
-    assert system._at(0, x).tobytes() == system.eval(x).tobytes()
-    assert system._at(2, x, v).tobytes() == dir_hessian(system, x, v).tobytes()
+
+    def public():
+        return system.eval(x), system.jacobian(x), dir_hessian(system, x, v)
+
+    want = [values.copy() for values in public()]
+    for values in public():
+        assert values.flags.writeable
+        values[...] = 0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(public(), want))
 
 
-def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluation_passes):
-    """D^2f.v asked of ``_at`` at a point whose Df it does not hold fills
-    both from one pass over the Df and D^2f.v terms; each has the bits of
-    its own pass on a copy of the system that has its own indexes: the
-    catalog, variants n = 6-30 and a term set past 16 384 terms, with
-    directions with and without zero entries.  From then on the system's
-    Df and D^2f indexes are views of the shared one, with the same bits."""
+def test_a_pass_over_several_orders_has_the_bits_of_one_pass_per_order(evaluation_passes):
+    """``_values`` over the orders (0, 1), (1, 2) or (0, 1, 2) makes one
+    pass, over its own index, and gives each order the bits of a pass of
+    its own on a copy of the system: the catalog, variants n = 6-30 and a
+    term set past 16 384 terms, with directions with and without zero
+    entries."""
     from snewton.bench import catalog, random_variant
 
     cases = [(e.system, e.zero) for e in catalog()]
@@ -795,25 +764,14 @@ def test_one_pass_gives_df_and_d2f_v_with_the_bits_of_their_own_passes(evaluatio
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             if zeros:
                 v[::2] = 0
-            evaluation_passes.clear()
-            hess, jac = system._at(2, x, v), system._at(1, x)
-            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._shared_index()
-            assert not hess.flags.writeable and not jac.flags.writeable
-            assert hess.tobytes() == own._values(2, x, v).tobytes()
-            assert jac.tobytes() == own._values(1, x).tobytes()
-            # Df held: another direction makes its own D^2f.v pass
-            evaluation_passes.clear()
-            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            other = system._at(2, x, w)
-            assert len(evaluation_passes) == 1 and evaluation_passes[0] is system._index(2)
-            assert other.tobytes() == own._values(2, x, w).tobytes()
-            assert system._values(1, x).tobytes() == jac.tobytes()
-        assert "shared index" not in own._cache
-        shared = system._shared_index()
-        for order in (1, 2):
-            index = system._index(order)
-            assert np.shares_memory(index.rank, shared.rank)
-            assert all(np.shares_memory(pos, p) for (_, pos), (_, p) in zip(index.slots, shared.slots))
+            alone = [own._values(x, (order,), v)[0] for order in (0, 1, 2)]
+            for orders in ((0, 1), (1, 2), (0, 1, 2)):
+                evaluation_passes.clear()
+                got = system._values(x, orders, v)
+                assert [index is system._index(orders) for index in evaluation_passes] == [True]
+                for order, values in zip(orders, got):
+                    assert values.shape == alone[order].shape
+                    assert values.tobytes() == alone[order].tobytes()
 
 
 def test_poly_eval_has_the_bits_of_its_row_in_a_system():

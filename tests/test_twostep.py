@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
-from snewton.lvz import deflate_once
+from snewton.lvz import AugmentedSystem, deflate_once
 from snewton.numla import SingularMatrixError, solve, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
@@ -372,13 +372,17 @@ def test_refine_runs_unchanged_on_a_randomized_deflation(case):
         assert np.linalg.norm(a.x_double_prime - b.x_double_prime) <= 1e-10 * np.linalg.norm(b.x_double_prime)
 
 
-def test_one_deflation_round_then_the_two_step_reaches_a_depth_five_zero():
+def test_one_deflation_round_then_the_two_step_reaches_a_depth_five_zero(count_calls):
     # x2-z3xy-y2 is not deflation-one; after one round the two-step takes kappa 1 at every step
     entry = get_entry("x2-z3xy-y2")
     g, _, y = randomized_deflation(entry.system, perturbed_start(entry.zero, 3), entry.tol)
+    calls = count_calls(AugmentedSystem, "_values")
     trace = refine(g, y, StepConfig(tol=1e-2))
     assert trace.stop_reason == "residual"
     assert [step.kappa for step in trace.steps] == [1] * trace.iterations
+    # one deflation evaluation per pass: g at the start, then per iteration
+    # Dg at x, Dg and D^2g.v at x', g at x''
+    assert len(calls) == 1 + 3 * trace.iterations
     assert np.linalg.norm(trace.x[:3] - entry.zero) <= 1e-10
 
 
@@ -394,8 +398,7 @@ def test_two_step_auto_tolerance_on_exactly_singular_jacobian():
     assert np.linalg.norm(step.x_double_prime - midpoint) < 1e-15
 
 
-def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, monkeypatch):
-    # fresh systems, so that no value of another test's last point is held
+def test_two_step_contracts_the_hessian_once_per_iteration(running, evaluation_passes, monkeypatch):
     passes = evaluation_passes
     svd_args = []
     real_svd = np.linalg.svd
@@ -408,7 +411,7 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
 
     def contractions(system):
         # passes over the D^2f.v terms: alone, or with Df's in one pass
-        return sum(index is system._index(2) or index is system._cache.get("shared index") for index in passes)
+        return sum(index is system._index((2,)) or index is system._index((1, 2)) for index in passes)
 
     def check_svds(system, x, step):
         # one SVD, of Df(x), the split's: the kappa x kappa B' is solved
@@ -418,12 +421,12 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
         passes.clear()
         svd_args.clear()
 
-    system = get_entry("running-example").system
+    system = running
     x = np.array([1.001, 0.999, 1.001], dtype=complex)
     step = two_step(system, x, StepConfig(tol=0.1, v_override=V_RAW))
-    # f and Df at x, D^2f.v and Df at x' in one pass, f at x''
+    # f and Df at x, Df and D^2f.v at x' in one pass, f at x''
     assert (step.mode, contractions(system), len(passes)) == ("two-step", 1, 4)
-    assert passes[2] is system._shared_index()
+    assert passes[2] is system._index((1, 2))
     assert sorted(step.residuals) == ["x", "x_double_prime"]
     check_svds(system, x, step)
     b = operator_B(system, step.x_prime, step.v, step.split.u2, step.split.v2)
@@ -435,7 +438,7 @@ def test_two_step_contracts_the_hessian_once_per_iteration(evaluation_passes, mo
     step = two_step(system, x, StepConfig(tol=0.1))
     # x' = x: f and Df at x, then D^2f.v at x alone, f at x''
     assert (step.mode, contractions(system), len(passes)) == ("kernel-only", 1, 4)
-    assert passes[2] is system._index(2)
+    assert passes[2] is system._index((2,))
     assert step.residuals["x_prime"] == step.residuals["x"]
     check_svds(system, x, step)
 
@@ -627,30 +630,24 @@ def test_refine_evaluates_f_once_per_point(evaluation_passes, monkeypatch):
     # f at x0; per iteration Df at x, D^2f.v and Df at x' in one pass, f at
     # x''; one SVD with vectors, of Df at x (B' is solved without one)
     assert len(evaluation_passes) == 1 + 3 * trace.iterations
-    f_passes = [index is system._index(0) for index in evaluation_passes]
+    f_passes = [index is system._index((0,)) for index in evaluation_passes]
     assert sum(f_passes) == 1 + trace.iterations
-    shared = [index is system._shared_index() for index in evaluation_passes]
-    assert sum(shared) == trace.iterations
+    both = [index is system._index((1, 2)) for index in evaluation_passes]
+    assert sum(both) == trace.iterations
     assert svds == [True] * trace.iterations
-    # the same run with every value computed afresh at every use, each
-    # order in its own pass, gives the same bits: f at x once more, and Df
+    # the same run with each order in its own pass gives the same bits: Df
     # and D^2f.v at x' apart, per iteration
-    monkeypatch.setattr(PolySystem, "_at", PolySystem._values)
-    fresh = refine(system, x0, cfg)
-    assert len(evaluation_passes) == 2 + 8 * trace.iterations
-    assert fresh.residuals == trace.residuals
-    for a, b in zip(fresh.steps + [fresh], trace.steps + [trace]):
+    real = PolySystem._values
+    monkeypatch.setattr(
+        PolySystem, "_values", lambda self, x, orders, *dirs: [real(self, x, (k,), *dirs)[0] for k in orders]
+    )
+    apart = refine(system, x0, cfg)
+    assert len(evaluation_passes) == 2 + 7 * trace.iterations
+    assert apart.residuals == trace.residuals
+    for a, b in zip(apart.steps + [apart], trace.steps + [trace]):
         for name in ("x_prime", "delta", "x_double_prime", "x", "b_prime"):
             if hasattr(a, name):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-
-
-def test_eval_once_reuses_only_the_last_point(running):
-    x, y = np.array([1.1, 0.9, 1.0], dtype=complex), np.array([1.0, 1.2, 0.7], dtype=complex)
-    for point in (x, y, x, x):
-        fx = running._at(0, point)
-        assert fx.tobytes() == running.eval(point).tobytes()
-        assert not fx.flags.writeable
 
 
 def test_refine_trace_json(running):
