@@ -21,7 +21,7 @@ Every number in the file comes from the one run its header describes:
     processes per revision that alternate between the revisions;
   - the medians of warm calls of both;
   - ``several_points_s``: ``deflation_one_necessary`` at ``POINTS``
-    different points (the zero and points 1e-3 from it) on one fresh copy
+    different points (the zero and points 1e-12 from it) on one fresh copy
     of the system, the case where a compiled shift is reused;
   - the Taylor shift at order min(2, deg f), the order every call makes:
     warm ``taylor_coefficients`` (``shift_s``) and the loop over the
@@ -45,8 +45,8 @@ Every number in the file comes from the one run its header describes:
   cold call does more work than at the parent (``instances_with_more_work``).
 * ``factorizations``: per instance and order of ``multiplicity_structure``
   (the instances above, one process per revision), the shape of the array
-  that every ``np.linalg.qr`` and ``np.linalg.svd`` call in ``next_order``
-  sees ("batch x rows x columns"), ``closedness``, the shape of the matrix
+  that every ``np.linalg.qr``, ``svd``, ``cholesky`` and ``inv`` call in
+  ``next_order`` sees ("batch x rows x columns"), ``closedness``, the shape of the matrix
   whose kernel gives the candidates (the ``right_svd`` argument made before
   the order's Taylor shift: MZ or the commutation matrix K, none where the
   order has no such SVD), and ``work``, the sum over those calls of batch x
@@ -191,7 +191,8 @@ def probe(cold: bool) -> dict:
         row["warm_peak_mb"] = _peak_mb(lambda: multiplicity_structure(system, zero))
         rng = np.random.default_rng(5)
         n = system.num_vars
-        points = [zero] + [zero + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # 1e-12 off the zero |f| stays below 1e-10, so each point is a zero at the default tolerance
+        points = [zero] + [zero + 1e-12 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
                            for _ in range(POINTS - 1)]
 
         def several_points():
@@ -214,7 +215,8 @@ def probe(cold: bool) -> dict:
 
 def probe_factorizations() -> dict:
     """Per instance and order of ``multiplicity_structure``, the shapes the
-    QRs and SVDs of ``next_order`` see and their work count."""
+    QRs, SVDs, Cholesky factorizations and inverses of ``next_order`` see and
+    their work count."""
     from snewton import dualspace
     from snewton.dualspace import multiplicity_structure
 
@@ -222,10 +224,11 @@ def probe_factorizations() -> dict:
     real_step, real_spectrum = dualspace.next_order, dualspace.right_svd
 
     def step(*args, **kwargs):
-        for made in (qrs, svds, shifts, closedness):
+        for made in (qrs, svds, cholesky, inverses, shifts, closedness):
             made.clear()
         basis = real_step(*args, **kwargs)
-        shapes = {"qr": [np.shape(a[0]) for a in qrs], "svd": [np.shape(a[0]) for a in svds]}
+        shapes = {kind: [np.shape(a[0]) for a in made] for kind, made in
+                  (("qr", qrs), ("svd", svds), ("cholesky", cholesky), ("inv", inverses))}
         work = sum(int(np.prod(shape)) * min(shape[-2:]) for kind in shapes.values() for shape in kind)
         orders.append({"order": basis.order, "work": work, "closedness": closedness[0] if closedness else None,
                        **{kind: ["x".join(map(str, shape)) for shape in kind_shapes]
@@ -241,6 +244,7 @@ def probe_factorizations() -> dict:
     dualspace.next_order, dualspace.right_svd = step, spectrum
     try:
         with counting(np.linalg, "qr") as qrs, counting(np.linalg, "svd") as svds, \
+                counting(np.linalg, "cholesky") as cholesky, counting(np.linalg, "inv") as inverses, \
                 counting(dualspace, "_taylor") as shifts:
             for label, system, zero in _cases():
                 orders = out.setdefault(label, {"orders": []})["orders"]
@@ -329,9 +333,9 @@ def measure(run) -> None:
     work = {side: run.probe(side, "factorizations") for side in run.trees}
     doc["factorizations"] = {
         "what": "per instance and order of multiplicity_structure, the shape of the array each "
-                "np.linalg.qr and np.linalg.svd call in next_order sees, closedness: the shape of "
-                "the matrix whose kernel gives the candidates (MZ or K), and work: the sum over "
-                "the qr and svd calls of batch x rows x columns x min(rows, columns)",
+                "np.linalg.qr, svd, cholesky and inv call in next_order sees, closedness: the "
+                "shape of the matrix whose kernel gives the candidates (MZ or K), and work: the "
+                "sum over those calls of batch x rows x columns x min(rows, columns)",
         "work_change_over_parent": {lb: work["change"][lb]["work"] / work["parent"][lb]["work"]
                                     for lb in work["parent"]},
         **work,
@@ -406,10 +410,10 @@ def measure(run) -> None:
 if __name__ == "__main__":
     sys.exit(main(
         __file__, __doc__,
-        what="the candidates of each dual-space order from the kernel of the commutation matrix K "
-             "of the restricted-integral coefficients (C(n, 2) min(d, C(n + k - 2, k - 2)) rows, "
-             "n d columns, d = dim D^(k-1)), in place of the membership matrix MZ "
-             "(n C(n + k - 1, k - 1) rows)",
+        what="each dual-space order with one orthonormalization: the candidates made orthonormal "
+             "through the Cholesky factor of their small Gram matrix, folded into the evaluation "
+             "and the final product, in place of a QR over their C(n + k, k) monomial rows, and "
+             "the previous basis taken as Q as it is when orthonormal, in place of its QR",
         out="BENCH_dualspace.json", rounds=5, rounds_help="warm in-process rounds per revision",
         probes={"cold": lambda: probe(True), "warm": lambda: probe(False), "reuse": probe_reuse,
                 "factorizations": probe_factorizations, "large": probe_large},

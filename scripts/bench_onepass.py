@@ -16,8 +16,9 @@ The script writes one JSON file in the layout of ``BENCH_evaluator.json``:
   ``two_step``, ``two_step_newton`` (a corank-0 ``two_step``: a fixed
   tolerance below the kernel singular values), ``refine``, ``refine_auto``
   (``tol="auto"`` from 1e-2 off the zero to a residual of 1e-10) and one
-  Gauss-Newton iterate on the deflated system (``eval``, ``jacobian`` and
-  the least-squares step at a new point) on ``random_variant(n, 2,
+  Gauss-Newton iterate on the deflated system (g and Dg from one
+  ``_values`` call, as ``gauss_newton`` takes them, and the least-squares
+  step at a new point) on ``random_variant(n, 2,
   seed=1)``, in one fresh process per revision, size and round; the rounds
   alternate which revision goes first.  The Newton step and both
   ``two_step`` take a fresh point at every call, and ``step_over_newton``
@@ -61,8 +62,8 @@ FIELDS = {
     "refine": "s per call: refine with the oracle tolerance from zero + 1e-3*offset",
     "refine_auto": "s per call: refine with tol='auto' from zero + 1e-2*offset/|offset| to a "
                    "residual of 1e-10, at most 30 iterations",
-    "gauss_newton_iterate": "s per call: eval, jacobian and least_squares of the once-deflated "
-                            "system at a new point",
+    "gauss_newton_iterate": "s per call: g and Dg of the once-deflated system from one _values "
+                            "call at a new point, as gauss_newton takes them, and least_squares",
     "refine_iterations": "iterations of the oracle-tolerance refine run",
     "refine_stop": "its stop reason (max_iters: it ran to the cap of 50)",
     "refine_passes": "its evaluation passes (f at the start point, then per iteration)",
@@ -111,9 +112,10 @@ def probe(n: int) -> dict:
     def fresh():
         return near[next(turn) % 2]
 
-    def gn_iterate():
+    def gn_iterate():  # as gauss_newton makes one: g and Dg from one _values call, then the step
         y = points[next(turn) % 2]
-        least_squares(g.jacobian(y), g.eval(y))
+        value, jac = g._values(y, (0, 1))
+        least_squares(jac, value)
 
     def newton_lu():
         y = fresh()

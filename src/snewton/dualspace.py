@@ -24,6 +24,19 @@ lie in the order-(k-2) dual space, inside the range of Q's rows of order
 the constraints are the C(n, 2) min(d, C(n + k - 2, k - 2)) rows of
 K = [P* S_l Q a_j - P* S_j Q a_l]_(j<l) in the n d = n dim(Q) unknowns a.
 
+The candidates are made orthonormal without a factorization over the
+C(n + k, k) monomial rows.  The integrals along distinct x_i land on disjoint
+rows, and each keeps or drops a row of Q a_i, so |W a| <= |a| for every a.
+For an orthonormal basis V of the solutions, the Gram matrix G of
+[e_0, W V] thus has its eigenvalues in [1/min(n, k), 1], and with the
+Cholesky factorization G = L L*, [e_0, W V] L^-* is orthonormal to about
+eps cond(G).  The mean of G's inverse eigenvalues, |L^-1|_F^2 / dim G, is at
+most min(n, k) by the bound and bounds cond(G) / dim G from above; where it
+passes 1e3, as it can only when a forced tolerance puts non-commuting a into
+K's numerical kernel, a Householder QR of [e_0, W V] is taken instead.  Q is the
+previous basis as it is when that is orthonormal to 1e-12, as every basis
+returned here is, and its QR otherwise.
+
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
 """
@@ -74,7 +87,8 @@ class DualBasis:
     """The dual space truncated at ``order``: its spanning functionals are the
     columns of the read-only matrix ``coeffs``, over the rows of
     ``monomials_upto(num_vars, order)``, with entries of modulus <= 1e-14 set
-    to 0.
+    to 0.  The columns of every basis this module returns are orthonormal, up
+    to that rounding.
 
     ``candidate_dim`` is the dimension of the intermediate candidate space
     C^(order) the basis was cut from.  ``ambiguous`` is set when a singular
@@ -164,10 +178,11 @@ def next_order(
 
     The candidate space is e_0 plus W times the kernel of the commutation
     matrix K (see the module docstring), found by one thin SVD of K and made
-    orthonormal by one QR; the dual space is the kernel of the values of the
-    candidates on the system, found by a second SVD.  Each spectrum sets its
-    own rank tolerance unless ``rank_tol`` is given.  ``_shift`` lets the
-    orders of one call share their Taylor shift (see ``_taylor``).
+    orthonormal through the Cholesky factor of their small Gram matrix; the
+    dual space is the kernel of the values of the candidates on the system,
+    found by a second SVD.  Each spectrum sets its own rank tolerance unless
+    ``rank_tol`` is given.  ``_shift`` lets the orders of one call share
+    their Taylor shift (see ``_taylor``).
     """
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
@@ -182,9 +197,41 @@ def next_order(
             f"one row per monomial of degree <= {prev.order} in {n} variables"
         )
     _check_finite(p, "previous basis coefficient")
-    q, _ = np.linalg.qr(p)
-    d, (by_last, to, (pair, j, l)) = q.shape[1], _blocks(n, k)
+    d, (by_last, to, _) = p.shape[1], _blocks(n, k)
+    q = p if np.abs(p.conj().T @ p - np.eye(d)).max(initial=0) <= 1e-12 else np.linalg.qr(p)[0]
+    kernel, tol_m, ambiguous = _commuting(q, n, k, rank_tol)
 
+    # e_0, then W times the kernel (block i on the monomials of last variable x_i, none on e_0's row 0).
+    qa, w = q[by_last], np.zeros((math.comb(n + k, n), 1 + kernel.shape[1]), dtype=complex)
+    w[0, 0] = 1.0
+    for targets, a in zip(to, kernel.reshape(n, d, kernel.shape[1])):
+        w[targets, 1:] = qa[: len(targets)] @ a
+    # The candidates w x, orthonormal (see the module docstring).
+    x = _orthonormalizer(w.conj().T @ w)
+    if x is None:  # at most C(n + k, k) columns
+        w = np.linalg.qr(w)[0]
+        x = np.eye(w.shape[1])
+
+    # Column j holds the values of the j-th candidate on f_1..f_m (Taylor coefficients past deg f are 0).
+    shift = _taylor(system, xi, k, _shift)
+    evaluation = shift @ w[: shift.shape[1]] @ x
+    keep, tol_e = x, tol_m
+    if evaluation.any():
+        sig_e, v_e = right_svd(evaluation)
+        tol_e = _rank_tol(sig_e, rank_tol)
+        keep = x @ v_e[:, np.count_nonzero(sig_e > tol_e) :]
+        ambiguous = ambiguous or _near_tol(sig_e, tol_e)
+
+    coeffs = w @ keep
+    coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
+    coeffs.flags.writeable = False
+    return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=w.shape[1], ambiguous=ambiguous)
+
+
+def _commuting(q: np.ndarray, n: int, k: int, rank_tol: float | None) -> tuple:
+    """The kernel of K for the orthonormal basis ``q`` of the order-(k-1) dual
+    space, by one thin SVD, with its rank tolerance and ambiguous flag."""
+    d, (pair, j, l) = q.shape[1], _blocks(n, k)[2]
     # K: per pair j < l, the rows P* S_l Q a_j - P* S_j Q a_l, S_i Q a row gather of Q.
     shifted = q[_grlex(n, k - 1)[1]]  # n blocks of C(n + k - 2, k - 2) rows
     if shifted.shape[1] > d:  # else P is square and leaves out nothing: K goes without it
@@ -194,30 +241,18 @@ def next_order(
     kmat = kmat.reshape(-1, n * d)
     sig_m, v_m = right_svd(kmat) if kmat.size else (np.zeros(0), np.eye(n * d, dtype=complex))
     tol_m = _rank_tol(sig_m, rank_tol)
-    kernel = v_m[:, int(np.sum(sig_m > tol_m)) :]
-    ambiguous = _near_tol(sig_m, tol_m)
+    return v_m[:, np.count_nonzero(sig_m > tol_m) :], tol_m, _near_tol(sig_m, tol_m)
 
-    # e_0, then W times the kernel (block i on the monomials of last variable x_i) made orthonormal.
-    qa, candidates = q[by_last], np.zeros((math.comb(n + k, n), 1 + kernel.shape[1]), dtype=complex)
-    for targets, a in zip(to, kernel.reshape(n, d, kernel.shape[1])):
-        candidates[targets, 1:] = qa[: len(targets)] @ a
-    candidates[0, 0], candidates[:, 1:] = 1.0, np.linalg.qr(candidates[:, 1:])[0]
 
-    # Column j holds the values of the j-th candidate on f_1..f_m (Taylor coefficients past deg f are 0).
-    shift = _taylor(system, xi, k, _shift)
-    evaluation = shift @ candidates[: shift.shape[1]]
-    if evaluation.any():
-        sig_e, v_e = right_svd(evaluation)
-        tol_e = _rank_tol(sig_e, rank_tol)
-        coeffs = candidates @ v_e[:, int(np.sum(sig_e > tol_e)) :]
-        ambiguous = ambiguous or _near_tol(sig_e, tol_e)
-    else:
-        coeffs = candidates
-        tol_e = tol_m
-
-    coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
-    coeffs.flags.writeable = False
-    return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=candidates.shape[1], ambiguous=ambiguous)
+def _orthonormalizer(gram: np.ndarray) -> np.ndarray | None:
+    """x = L^-* for ``gram`` = w* w = L L*, so that w x is orthonormal, or None
+    where the mean of the inverse eigenvalues of ``gram``, |x|_F^2 / dim,
+    passes 1e3 or the factorization fails (see the module docstring)."""
+    try:
+        x = np.linalg.inv(np.linalg.cholesky(gram)).conj().T
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.vdot(x, x).real <= 1e3 * len(x) else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -250,11 +285,22 @@ def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np
     return held["shift"][:, : math.comb(system.num_vars + k, k)]
 
 
-def _order_zero(num_vars: int) -> DualBasis:
-    """The order-0 dual space, spanned by evaluation at the point."""
+def _order_zero(system: PolySystem, xi, rank_tol: float | None, held: dict) -> DualBasis:
+    """The order-0 dual space, spanned by evaluation at the point, decided by
+    the rule of every order on its one value f(xi), column 0 of the Taylor
+    shift that order 1 reads from ``held``: a ValueError if that is above the
+    rank tolerance, as then the point is not a zero."""
+    if rank_tol is not None:
+        rank_tol = _check_tolerance(rank_tol)
+    value = np.linalg.norm(_taylor(system, xi, 1, held)[:, 0], keepdims=True)
+    tol = _rank_tol(value, rank_tol)
+    if value[0] > tol:
+        raise ValueError(
+            f"the point is not a zero: |f(xi)| = {value[0]:.3e} is above the rank tolerance {tol:.3e}"
+        )
     unit = np.ones((1, 1), dtype=complex)
     unit.flags.writeable = False
-    return DualBasis(0, num_vars, unit, tol=0.0, candidate_dim=1)
+    return DualBasis(0, system.num_vars, unit, tol=tol, candidate_dim=1, ambiguous=_near_tol(value, tol))
 
 
 def multiplicity_structure(
@@ -265,11 +311,12 @@ def multiplicity_structure(
 ) -> DualSpaceReport:
     """Breadth, depth and multiplicity at ``xi`` by iterating ``next_order``
     until the dimension stabilizes (or ``max_order`` is hit, in which case
-    the report is flagged unstabilized)."""
+    the report is flagged unstabilized).  A ValueError where ``xi`` is not a
+    zero (see ``_order_zero``)."""
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    bases = [_order_zero(system.num_vars)]
     stabilized, shift = False, {}
+    bases = [_order_zero(system, xi, rank_tol, shift)]
     for _ in range(max_order):
         bases.append(next_order(system, xi, bases[-1], rank_tol, _shift=shift))
         if bases[-1].dim == bases[-2].dim:
@@ -287,9 +334,10 @@ def multiplicity_structure(
 
 def deflation_one_necessary(system: PolySystem, xi, rank_tol: float | None = None) -> bool:
     """Order-2 dimension test: dim C^(2) - dim D^(2) must equal n at a
-    deflation-one singular zero.  Necessary, not sufficient."""
+    deflation-one singular zero.  Necessary, not sufficient.  A ValueError
+    where ``xi`` is not a zero (see ``_order_zero``)."""
     shift: dict = {}
-    d1 = next_order(system, xi, _order_zero(system.num_vars), rank_tol, _shift=shift)
+    d1 = next_order(system, xi, _order_zero(system, xi, rank_tol, shift), rank_tol, _shift=shift)
     d2 = next_order(system, xi, d1, rank_tol, _shift=shift)
     return d2.candidate_dim - d2.dim == system.num_vars
 

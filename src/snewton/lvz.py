@@ -182,11 +182,22 @@ def deflate_once(
     """
     tol = _check_tolerance(tol)
     x = system._check_point(x)
-    p = system.num_vars
+    return _deflate(system, x, tol, seed, *_jacobian_spectrum(system, x))
+
+
+def _jacobian_spectrum(system, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Df(x) from one evaluation pass and its singular values."""
     (jac_x,) = system._values(x, (1,))
-    sigma = singular_values(jac_x)
-    rank = int(np.sum(sigma > tol))
-    kappa = p - rank
+    return jac_x, singular_values(jac_x)
+
+
+def _deflate(
+    system: PolySystem | AugmentedSystem, x: np.ndarray, tol: float, seed, jac_x: np.ndarray, sigma: np.ndarray
+) -> tuple[DeflatedSystem, np.ndarray]:
+    """``deflate_once`` at a checked point ``x`` with a checked ``tol``, from
+    the Jacobian ``jac_x`` there and its singular values ``sigma``."""
+    p = system.num_vars
+    kappa = p - int(np.sum(sigma > tol))
     if kappa == 0:
         raise DeflationError("Jacobian has full column rank at this tolerance")
 
@@ -262,15 +273,16 @@ def deflate_to_regular(
     rank at ``tol``; returns (system, augmented point, rounds used)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    rng = np.random.default_rng(seed)
+    tol, rng = _check_tolerance(tol), np.random.default_rng(seed)
     current, y = system, system._check_point(x)
+    jac, sigma = _jacobian_spectrum(current, y)
     for step in range(1, max_steps + 1):
-        deflated, y = deflate_once(current, y, tol, seed=rng)
+        deflated, y = _deflate(current, y, tol, rng, jac, sigma)
         current = deflated.system
-        # Full column rank under the same absolute threshold deflate_once
-        # uses for its corank count, so the loop and the per-round test
-        # can never disagree.
-        sigma = singular_values(current.jacobian(y))
+        # Full column rank under the same absolute threshold the round uses
+        # for its corank count, so the loop and the per-round test can never
+        # disagree; the next round starts from the same Jacobian.
+        jac, sigma = _jacobian_spectrum(current, y)
         if sigma[-1] > tol:
             return current, y, step
     raise DeflationError(f"still column-rank-deficient after {max_steps} deflation rounds")

@@ -304,13 +304,16 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
     """``dualspace.next_order`` with every table rebuilt at every order: the
     commutation matrix K and the restricted integrals of its kernel by dict
     lookups (``commutation_matrix``, ``restricted_integrals``), and a Taylor
-    shift of its own."""
+    shift of its own.  The previous basis is Q as it is when orthonormal to
+    1e-12; the candidates [e_0, W V] x, x = L^-* from the Cholesky factor of
+    their Gram matrix, are kept while |x|_F^2 <= 1e3 dim, and made
+    orthonormal by a QR otherwise."""
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
     n = system.num_vars
     xi = system._check_point(xi)
-    k = prev.order + 1
-    q, _ = np.linalg.qr(prev.coeffs)
+    k, p = prev.order + 1, prev.coeffs
+    q = p if np.abs(p.conj().T @ p - np.eye(p.shape[1])).max(initial=0) <= 1e-12 else np.linalg.qr(p)[0]
     kmat = commutation_matrix(q, n, k)
     if len(kmat):
         sig_m, v_m = right_svd(kmat)
@@ -318,8 +321,26 @@ def rebuilt_next_order(system, xi, prev, rank_tol=None):
         sig_m, v_m = np.zeros(0), np.eye(kmat.shape[1], dtype=complex)
     tol_m = _rank_tol(sig_m, rank_tol)
     integrals = restricted_integrals(q, v_m[:, int(np.sum(sig_m > tol_m)) :], n, k)
-    candidates = np.hstack([np.eye(len(integrals), 1, dtype=complex), np.linalg.qr(integrals)[0]])
-    return _annihilating_part(system, xi, k, candidates, tol_m, _near_tol(sig_m, tol_m), rank_tol)
+    w = np.hstack([np.eye(len(integrals), 1, dtype=complex), integrals])
+    try:
+        x = np.linalg.inv(np.linalg.cholesky(w.conj().T @ w)).conj().T
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or np.vdot(x, x).real > 1e3 * len(x):
+        w = np.linalg.qr(w)[0]
+        x = np.eye(w.shape[1])
+
+    evaluation = taylor_coefficients(system, xi, k) @ w @ x
+    keep, tol_e, ambiguous = x, tol_m, _near_tol(sig_m, tol_m)
+    if evaluation.any():
+        sig_e, v_e = right_svd(evaluation)
+        tol_e = _rank_tol(sig_e, rank_tol)
+        keep = x @ v_e[:, int(np.sum(sig_e > tol_e)) :]
+        ambiguous = ambiguous or _near_tol(sig_e, tol_e)
+    coeffs = w @ keep
+    coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
+    coeffs.flags.writeable = False
+    return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=w.shape[1], ambiguous=ambiguous)
 
 
 def membership_next_order(system, xi, prev, rank_tol=None):

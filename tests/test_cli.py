@@ -225,6 +225,26 @@ def test_analyze_regular_point(capsys, tmp_path):
     assert "regular point" in out
 
 
+def test_analyze_at_a_point_that_is_not_a_zero_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2", "y"]}))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path), "--x0", "1,0")
+    assert (code, out) == (1, "")
+    assert err == "error: the point is not a zero: |f(xi)| = 1.000e+00 is above the rank tolerance 2.000e-08\n"
+
+
+def test_check_at_a_point_that_is_not_a_zero_fails_the_necessary_test(capsys, tmp_path):
+    # check reads its point as an approximate zero (a cluster midpoint, say): where the point is
+    # not a zero at the dual space's tolerance, it says so and the necessary test fails
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2", "y^2"]}))
+    code, out, _ = run_cli(capsys, "check", "--file", str(path), "--x0", "0,1")
+    assert code == 0
+    assert ("necessary (order-2 dimension) test: FAIL (the point is not a zero: |f(xi)| = 1.000e+00 "
+            "is above the rank tolerance 2.000e-08)") in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: NOT deflation-one"
+
+
 def test_refine_non_finite_start_is_usage_error(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2", "y"]}))

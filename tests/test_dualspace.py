@@ -395,10 +395,10 @@ def test_kernel_of_the_commutation_matrix_gives_closed_functionals(case, order, 
     assert 1 <= math.sqrt(min(n, k)) * np.linalg.norm(c) * (1 + 1e-12), (case, k)
 
 
-def candidate_basis(monkeypatch, system, xi, prev):
-    """The candidates of ``next_order(system, xi, prev)``, read off its last
-    SVD: with the identity as the Taylor shift, the evaluation matrix is the
-    candidate basis itself."""
+def candidate_basis(monkeypatch, system, xi, prev, rank_tol=None):
+    """The candidates of ``next_order(system, xi, prev, rank_tol)``, read off
+    its last SVD: with the identity as the Taylor shift, the evaluation matrix
+    is the candidate basis itself."""
     seen = []
 
     def spectra(matrix):
@@ -411,7 +411,7 @@ def candidate_basis(monkeypatch, system, xi, prev):
     with monkeypatch.context() as patch:
         patch.setattr(dualspace, "right_svd", spectra)
         patch.setattr(dualspace, "_taylor", identity)
-        next_order(system, xi, prev)
+        next_order(system, xi, prev, rank_tol)
     return seen[-1]
 
 
@@ -447,14 +447,116 @@ def test_candidate_basis_is_orthonormal_with_disjoint_blocks_that_hold_the_dual_
         prev = nxt
 
 
+def assert_candidates_span_what_a_qr_of_them_spans(monkeypatch, system, xi, prev, rank_tol):
+    """The candidates of ``next_order`` from ``prev``, made orthonormal
+    through their Gram matrix, are orthonormal to 1e-13 and span what a
+    Householder QR of [e_0, W V] spans, V the kernel of K on the oracle's
+    tables: the projector gap |(I - ZZ*) Q|_2 of the two bases is at most
+    1e-12.  No QR sees their C(n + k, k) rows."""
+    n, k, q = system.num_vars, prev.order + 1, prev.coeffs
+    z = candidate_basis(monkeypatch, system, xi, prev, rank_tol)
+    shapes, real = [], np.linalg.qr
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw))
+        next_order(system, xi, prev, rank_tol)
+    assert math.comb(n + k, k) not in [shape[0] for shape in shapes], k
+    assert np.abs(z.conj().T @ z - np.eye(z.shape[1])).max() <= 1e-13, k
+    kmat = commutation_matrix(q, n, k)
+    sig, v = right_svd(kmat) if len(kmat) else (np.zeros(0), np.eye(kmat.shape[1]))
+    kernel = v[:, int(np.sum(sig > _rank_tol(sig, rank_tol))) :]
+    w = np.hstack([np.eye(math.comb(n + k, k), 1), restricted_integrals(q, kernel, n, k)])
+    householder = np.linalg.qr(w)[0]
+    assert z.shape == householder.shape, k
+    assert np.linalg.norm(householder - z @ (z.conj().T @ householder), 2) <= 1e-12, k
+
+
+def assert_gram_route_over_the_orders(monkeypatch, system, xi, rank_tol=None, max_order=4):
+    prev = base_basis(system.num_vars)
+    for _ in range(max_order):
+        assert_candidates_span_what_a_qr_of_them_spans(monkeypatch, system, xi, prev, rank_tol)
+        nxt = next_order(system, xi, prev, rank_tol)
+        if nxt.dim == prev.dim:
+            return
+        prev = nxt
+
+
+def test_gram_route_candidates_are_orthonormal_on_the_catalog(monkeypatch):
+    for system, xi, rank_tol in (_case(e.name) for e in catalog()):
+        assert_gram_route_over_the_orders(monkeypatch, system, xi, rank_tol)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_gram_route_candidates_are_orthonormal_on_random_variants(monkeypatch, n):
+    for kappa in (1, 2, 3):
+        system, zero = random_variant(n, kappa, seed=n)
+        assert_gram_route_over_the_orders(monkeypatch, system, zero)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(LEMMA_CASES), order=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_gram_route_candidates_are_orthonormal_from_any_orthonormal_previous_basis(case, order, seed):
+    """From the dense oracle's order-(k-1) basis, mixed by a random unitary
+    matrix (so taken as Q as it is), the candidates are orthonormal and span
+    what a QR of them spans."""
+    system, zero, rank_tol = _case(case)
+    _, bases = dense_bases(case)
+    prev = bases[min(order, len(bases)) - 1]
+    rng = np.random.default_rng(seed)
+    mix = np.linalg.qr(rng.standard_normal((prev.dim,) * 2) + 1j * rng.standard_normal((prev.dim,) * 2))[0]
+    mixed = dataclasses.replace(prev, coeffs=np.linalg.qr(prev.coeffs)[0] @ mix)
+    with pytest.MonkeyPatch.context() as patch:
+        assert_candidates_span_what_a_qr_of_them_spans(patch, system, zero, mixed, rank_tol)
+
+
+@pytest.mark.parametrize("name", ["x2-z3xy-y2", "truncated-sin", "cbms1", "mth191"])
+def test_a_singular_gram_matrix_takes_the_householder_route(count_calls, name):
+    """With every rank decision forced to 1, K's numerical kernel holds
+    non-commuting a, and on these entries the Gram matrix of the candidates
+    is singular at some order: there the tall QR runs, and every basis stays
+    finite.  (Which entries those are depends on the rounding of singular
+    values equal to 1, the forced tolerance.)"""
+    entry = get_entry(name)
+    n = entry.system.num_vars
+    qrs = count_calls(np.linalg, "qr")
+    report = multiplicity_structure(entry.system, entry.zero, 1.0, max_order=4)
+    tall = [b.order for b in report.bases[1:] if (math.comb(n + b.order, n), b.candidate_dim) in
+            [np.shape(a[0]) for a in qrs]]
+    assert tall, name
+    assert all(np.isfinite(b.coeffs).all() for b in report.bases), name
+
+
+def test_the_gram_route_declines_a_singular_or_ill_conditioned_gram_matrix():
+    rng = np.random.default_rng(0)
+    w = np.linalg.qr(rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)))[0]
+    assert np.array_equal(dualspace._orthonormalizer(np.eye(4)), np.eye(4))
+    x = dualspace._orthonormalizer((0.6 * w).conj().T @ (0.6 * w))
+    assert np.abs((0.6 * w @ x).conj().T @ (0.6 * w @ x) - np.eye(5)).max() <= 1e-14
+    for scale in (0.0, 1e-5):  # a singular Gram matrix, and one of condition 1e10
+        v = w * np.r_[1, 1, 1, 1, scale]
+        assert dualspace._orthonormalizer(v.conj().T @ v) is None, scale
+
+
+def test_a_basis_from_a_chain_and_from_a_standalone_call_have_the_same_bits(count_calls):
+    """``next_order`` from ``report.bases[k - 1]`` gives ``report.bases[k]``
+    bit for bit, taking that basis as Q without a QR of it."""
+    cases = [_case(e.name) for e in catalog()] + [_case((n, k, 1)) for n, k in ((6, 2), (8, 3), (12, 3))]
+    qrs = count_calls(np.linalg, "qr")
+    for system, xi, rank_tol in cases:
+        report = multiplicity_structure(system, xi, rank_tol)
+        for prev, basis in zip(report.bases, report.bases[1:]):
+            qrs.clear()
+            assert_same_basis(next_order(system, xi, prev, rank_tol), basis)
+            assert prev.coeffs.shape not in [np.shape(a[0]) for a in qrs], prev.order
+
+
 def test_closedness_is_decided_on_the_commutation_matrix(count_calls):
     """Per order k, with d = dim(Q): K, the first matrix given to ``right_svd``,
     has C(n, 2) min(d, C(n + k - 2, k - 2)) rows and n d columns (there is
     none at order 1 or in one variable); no QR or SVD sees the
-    n C(n + k - 1, k - 1) rows MZ had; and the one factorization over
-    C(n + k, k) rows, a row per monomial, is the QR of the dim C^(k) - 1
-    candidates past e_0 (K itself can have more rows: 60 at KSS order 3,
-    against C(5 + 3, 3) = 56 monomials)."""
+    n C(n + k - 1, k - 1) rows MZ had; and none sees the C(n + k, k) rows,
+    a row per monomial, of the candidates, which are made orthonormal
+    through their Gram matrix (K itself can have more rows: 60 at KSS order
+    3, against C(5 + 3, 3) = 56 monomials)."""
     qrs, svds = count_calls(np.linalg, "qr"), count_calls(np.linalg, "svd")
     spectra = count_calls(dualspace, "right_svd")
     cases = [_case(e.name) for e in catalog()] + [_case((n, k, 0)) for n, k in ((6, 2), (8, 3), (10, 3))]
@@ -476,7 +578,7 @@ def test_closedness_is_decided_on_the_commutation_matrix(count_calls):
                 assert n * math.comb(n + k - 1, k - 1) not in rows, k
             monomials = math.comb(n + k, k)
             tall = [np.shape(args[0]) for args in qrs + svds if np.shape(args[0])[-2] >= monomials]
-            assert [shape for shape in tall if shape != np.shape(kmat)] == [(monomials, nxt.candidate_dim - 1)], k
+            assert [shape for shape in tall if shape != np.shape(kmat)] == [], k
             if nxt.dim == prev.dim:
                 break
             prev = nxt
@@ -781,6 +883,29 @@ def test_regular_zero_report():
     report = multiplicity_structure(system, [0, 0])
     assert report.regular
     assert (report.breadth, report.depth, report.multiplicity) == (0, 0, 1)
+
+
+def test_a_point_that_is_not_a_zero_is_rejected():
+    """f = (1, 0) at (1, 0): e_0 is no dual functional, by the rule of every
+    order, so there is no dual space to report."""
+    system = parse_system("x^2\ny", ["x", "y"])
+    message = r"not a zero: \|f\(xi\)\| = 1.000e\+00 is above the rank tolerance 2.000e-08"
+    with pytest.raises(ValueError, match=message):
+        multiplicity_structure(system, [1, 0])
+    with pytest.raises(ValueError, match=message):
+        deflation_one_necessary(system, [1, 0])
+    # a tolerance above |f(xi)| admits e_0, and the order-0 basis records it
+    report = multiplicity_structure(system, [1, 0], rank_tol=2.0)
+    assert (report.bases[0].tol, report.bases[0].ambiguous) == (2.0, True)
+
+
+def test_the_order_zero_basis_takes_its_tolerance_from_f_at_the_zero():
+    for entry in catalog():
+        rank_tol = 1e-6 if entry.name == "Cyclic9" else None
+        basis = multiplicity_structure(entry.system, entry.zero, rank_tol, max_order=1).bases[0]
+        value = np.linalg.norm(entry.system.eval(entry.zero))
+        assert value <= 2.5e-13, entry.name
+        assert basis.tol == (rank_tol or 1e-8 * (1 + value)) and not basis.ambiguous, entry.name
 
 
 def test_non_isolated_zero_never_stabilizes():

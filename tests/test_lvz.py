@@ -443,6 +443,18 @@ def test_deflation_counts(running):
     assert g.num_vars == 4
 
 
+def test_deflate_to_regular_evaluates_each_jacobian_once(evaluation_passes):
+    """Each point's Jacobian serves both the full-rank test of the round that
+    reached it and the next round.  On x2-z3xy-y2 that is 6 passes, where
+    evaluating it again in the next round made 7: one for Df at the zero,
+    one for the first augmented Jacobian (f, Df and D^2f.a together), and
+    four for the second, which needs f, Df and D^2f.a, D^2f.u, D^3f[a, u]
+    and D^2f.(W mu) of the parent."""
+    entry = get_entry("x2-z3xy-y2")
+    final, y, steps = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
+    assert steps == 2 and len(evaluation_passes) == 6
+
+
 def test_deflate_to_regular_step_budget():
     entry = get_entry("x2-z3xy-y2")
     with pytest.raises(DeflationError):
