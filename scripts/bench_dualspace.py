@@ -325,7 +325,7 @@ def measure(run) -> None:
         "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
                   "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
                   "pairs; change_better_pairs counts pairs where the change reads lower",
-        "claimed": "dual solve_s.gmean",
+        "claimed": "dual second_s.gmean",
         "workloads": {},
     }
     section, instances = doc["in_process"], doc["in_process"]["instances"]
@@ -410,10 +410,11 @@ def measure(run) -> None:
 if __name__ == "__main__":
     sys.exit(main(
         __file__, __doc__,
-        what="each dual-space order with one orthonormalization: the candidates made orthonormal "
-             "through the Cholesky factor of their small Gram matrix, folded into the evaluation "
-             "and the final product, in place of a QR over their C(n + k, k) monomial rows, and "
-             "the previous basis taken as Q as it is when orthonormal, in place of its QR",
+        what="dual-space calls that check their input once: multiplicity_structure and "
+             "deflation_one_necessary check the point and tolerance at entry, and each order takes "
+             "the basis the call just made as Q without its shape, finiteness and orthonormality "
+             "checks; order 1's candidates built as e_0 and the first-order functionals, without "
+             "the commutation matrix",
         out="BENCH_dualspace.json", rounds=5, rounds_help="warm in-process rounds per revision",
         probes={"cold": lambda: probe(True), "warm": lambda: probe(False), "reuse": probe_reuse,
                 "factorizations": probe_factorizations, "large": probe_large},

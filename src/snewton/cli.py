@@ -184,12 +184,15 @@ def _cmd_check(args) -> int:
     x = _start_point(args, system, entry)
     tol = args.tol if args.tol == "auto" else float(args.tol)
     split = split_svd(system.jacobian(x), tol)
-    if split.kappa == 0:
-        _emit(
-            {"schema": 1, "kappa": 0, "tol": split.tol, "verdict": "regular"},
-            "kappa = 0: regular point, nothing to deflate",
-            args.format,
-        )
+    if split.kappa == 0:  # a regular zero, or no zero at all by the dual space's order-0 rule
+        payload = {"schema": 1, "kappa": 0, "tol": split.tol, "verdict": "regular"}
+        text = "kappa = 0: regular point, nothing to deflate"
+        try:
+            dualspace.multiplicity_structure(system, x, max_order=1)
+        except ValueError as exc:  # x is checked, so x is not a zero
+            payload.update(verdict="not a zero", reason=str(exc))
+            text = f"kappa = 0: {exc}"
+        _emit(payload, text, args.format)
         return 0
     try:
         necessary, why_not = dualspace.deflation_one_necessary(system, x), ""

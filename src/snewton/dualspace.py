@@ -23,6 +23,10 @@ lie in the order-(k-2) dual space, inside the range of Q's rows of order
 <= k - 2; with P an orthonormal basis of that range, on which P* keeps norms,
 the constraints are the C(n, 2) min(d, C(n + k - 2, k - 2)) rows of
 K = [P* S_l Q a_j - P* S_j Q a_l]_(j<l) in the n d = n dim(Q) unknowns a.
+At order 1, K has no rows (no functional has order -1), so every a is a
+solution and C^(1) is e_0 and the n first-order functionals q_00 d_i, for
+Q = [q_00]; it is built as such, and K is one gather of Q and one product
+per order from order 2 on.
 
 The candidates are made orthonormal without a factorization over the
 C(n + k, k) monomial rows.  The integrals along distinct x_i land on disjoint
@@ -36,6 +40,11 @@ passes 1e3, as it can only when a forced tolerance puts non-commuting a into
 K's numerical kernel, a Householder QR of [e_0, W V] is taken instead.  Q is the
 previous basis as it is when that is orthonormal to 1e-12, as every basis
 returned here is, and its QR otherwise.
+
+``multiplicity_structure`` and ``deflation_one_necessary`` check their input
+once: the point and the tolerance at entry, and no basis they made
+themselves, which each order takes as Q unchecked.  A basis passed to
+``next_order`` is checked, and taken through its QR if not orthonormal.
 
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
@@ -180,32 +189,38 @@ def next_order(
     matrix K (see the module docstring), found by one thin SVD of K and made
     orthonormal through the Cholesky factor of their small Gram matrix; the
     dual space is the kernel of the values of the candidates on the system,
-    found by a second SVD.  Each spectrum sets its own rank tolerance unless
-    ``rank_tol`` is given.  ``_shift`` lets the orders of one call share
-    their Taylor shift (see ``_taylor``).
-    """
-    if rank_tol is not None:
-        rank_tol = _check_tolerance(rank_tol)
-    n = system.num_vars
-    xi = system._check_point(xi)
-    if prev.num_vars != n:
-        raise ValueError(f"the previous basis has {prev.num_vars} variables, the system has {n}")
-    p, k, rows = np.asarray(prev.coeffs), prev.order + 1, math.comb(n + prev.order, n)
-    if p.ndim != 2 or p.shape[0] != rows:
-        raise ValueError(
-            f"the previous basis coefficients have shape {p.shape}, expected ({rows}, dim): "
-            f"one row per monomial of degree <= {prev.order} in {n} variables"
-        )
-    _check_finite(p, "previous basis coefficient")
-    d, (by_last, to, _) = p.shape[1], _blocks(n, k)
-    q = p if np.abs(p.conj().T @ p - np.eye(d)).max(initial=0) <= 1e-12 else np.linalg.qr(p)[0]
-    kernel, tol_m, ambiguous = _commuting(q, n, k, rank_tol)
+    found by a second SVD.  At order 1, K has no rows, and the candidates are
+    e_0 and the first-order functionals q_00 d_i, each in its graded-lex row.
+    Each spectrum sets its own rank tolerance unless ``rank_tol`` is given.
 
-    # e_0, then W times the kernel (block i on the monomials of last variable x_i, none on e_0's row 0).
-    qa, w = q[by_last], np.zeros((math.comb(n + k, n), 1 + kernel.shape[1]), dtype=complex)
+    ``_shift`` is the state the orders of one ``multiplicity_structure`` or
+    ``deflation_one_necessary`` call share: their Taylor shift (see
+    ``_taylor``) and, as ``"basis"``, the basis the call made last.  That
+    call checked ``xi`` and ``rank_tol`` at entry, so a ``prev`` that is this
+    basis, by identity, is taken as Q unchecked; any other ``prev`` is
+    checked and taken as Q as it is when orthonormal to 1e-12, as every basis
+    returned here is, and through its QR otherwise.
+    """
+    n, k = system.num_vars, prev.order + 1
+    if _shift is not None and _shift.get("basis") is prev:
+        q = prev.coeffs
+    else:
+        if rank_tol is not None:
+            rank_tol = _check_tolerance(rank_tol)
+        xi, q = system._check_point(xi), _previous_q(n, prev)
+
+    if k == 1:  # K has no rows: the candidates are e_0 and q_00 d_i, d_i on the row of x_i
+        w = np.zeros((n + 1, n + 1), dtype=complex)
+        w[_grlex(n, 1)[1][:, 0], np.arange(1, n + 1)] = q[0, 0]
+        tol_m, ambiguous = _rank_tol(np.zeros(0), rank_tol), False
+    else:
+        kernel, tol_m, ambiguous = _commuting(q, n, k, rank_tol)
+        # e_0, then W times the kernel (block i on the monomials of last variable x_i, none on e_0's row 0).
+        d, (by_last, to, _) = q.shape[1], _blocks(n, k)
+        qa, w = q[by_last], np.zeros((math.comb(n + k, n), 1 + kernel.shape[1]), dtype=complex)
+        for targets, a in zip(to, kernel.reshape(n, d, kernel.shape[1])):
+            w[targets, 1:] = qa[: len(targets)] @ a
     w[0, 0] = 1.0
-    for targets, a in zip(to, kernel.reshape(n, d, kernel.shape[1])):
-        w[targets, 1:] = qa[: len(targets)] @ a
     # The candidates w x, orthonormal (see the module docstring).
     x = _orthonormalizer(w.conj().T @ w)
     if x is None:  # at most C(n + k, k) columns
@@ -225,7 +240,28 @@ def next_order(
     coeffs = w @ keep
     coeffs = np.where(np.abs(coeffs) > 1e-14, coeffs, 0)
     coeffs.flags.writeable = False
-    return DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=w.shape[1], ambiguous=ambiguous)
+    basis = DualBasis(k, n, coeffs, tol=tol_e, candidate_dim=w.shape[1], ambiguous=ambiguous)
+    if _shift is not None:
+        _shift["basis"] = basis
+    return basis
+
+
+def _previous_q(n: int, prev: DualBasis) -> np.ndarray:
+    """Q from a basis that a caller passes in: its coefficients as they are
+    when orthonormal to 1e-12, and their QR otherwise; a ValueError unless
+    they are a finite matrix of one row per monomial of degree <= its order
+    and 1 to that many columns."""
+    if prev.num_vars != n:
+        raise ValueError(f"the previous basis has {prev.num_vars} variables, the system has {n}")
+    p, rows = np.asarray(prev.coeffs), math.comb(n + prev.order, n)
+    if p.ndim != 2 or p.shape[0] != rows or not 1 <= p.shape[1] <= rows:
+        raise ValueError(
+            f"the previous basis coefficients have shape {p.shape}, expected ({rows}, dim): "
+            f"one row per monomial of degree <= {prev.order} in {n} variables, "
+            f"and 1 <= dim <= {rows} columns, as a dual space holds evaluation at the point"
+        )
+    _check_finite(p, "previous basis coefficient")
+    return p if np.abs(p.conj().T @ p - np.eye(p.shape[1])).max() <= 1e-12 else np.linalg.qr(p)[0]
 
 
 def _commuting(q: np.ndarray, n: int, k: int, rank_tol: float | None) -> tuple:
@@ -285,13 +321,17 @@ def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np
     return held["shift"][:, : math.comb(system.num_vars + k, k)]
 
 
-def _order_zero(system: PolySystem, xi, rank_tol: float | None, held: dict) -> DualBasis:
-    """The order-0 dual space, spanned by evaluation at the point, decided by
-    the rule of every order on its one value f(xi), column 0 of the Taylor
-    shift that order 1 reads from ``held``: a ValueError if that is above the
-    rank tolerance, as then the point is not a zero."""
+def _order_zero(system: PolySystem, xi, rank_tol: float | None) -> tuple:
+    """Check the point and tolerance of a ``multiplicity_structure`` or
+    ``deflation_one_necessary`` call once, and start the state its orders
+    share (see ``next_order``) with the order-0 dual space as its basis:
+    evaluation at the point, decided by the rule of every order on its one
+    value f(xi), column 0 of the Taylor shift that order 1 reads.  Returns
+    the checked point and tolerance and that state, or raises a ValueError
+    if f(xi) is above the rank tolerance, as then the point is not a zero."""
     if rank_tol is not None:
         rank_tol = _check_tolerance(rank_tol)
+    xi, held = system._check_point(xi), {}
     value = np.linalg.norm(_taylor(system, xi, 1, held)[:, 0], keepdims=True)
     tol = _rank_tol(value, rank_tol)
     if value[0] > tol:
@@ -300,7 +340,8 @@ def _order_zero(system: PolySystem, xi, rank_tol: float | None, held: dict) -> D
         )
     unit = np.ones((1, 1), dtype=complex)
     unit.flags.writeable = False
-    return DualBasis(0, system.num_vars, unit, tol=tol, candidate_dim=1, ambiguous=_near_tol(value, tol))
+    held["basis"] = DualBasis(0, system.num_vars, unit, tol, candidate_dim=1, ambiguous=_near_tol(value, tol))
+    return xi, rank_tol, held
 
 
 def multiplicity_structure(
@@ -315,10 +356,10 @@ def multiplicity_structure(
     zero (see ``_order_zero``)."""
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    stabilized, shift = False, {}
-    bases = [_order_zero(system, xi, rank_tol, shift)]
+    xi, rank_tol, held = _order_zero(system, xi, rank_tol)
+    stabilized, bases = False, [held["basis"]]
     for _ in range(max_order):
-        bases.append(next_order(system, xi, bases[-1], rank_tol, _shift=shift))
+        bases.append(next_order(system, xi, bases[-1], rank_tol, _shift=held))
         if bases[-1].dim == bases[-2].dim:
             stabilized = True
             break
@@ -336,9 +377,9 @@ def deflation_one_necessary(system: PolySystem, xi, rank_tol: float | None = Non
     """Order-2 dimension test: dim C^(2) - dim D^(2) must equal n at a
     deflation-one singular zero.  Necessary, not sufficient.  A ValueError
     where ``xi`` is not a zero (see ``_order_zero``)."""
-    shift: dict = {}
-    d1 = next_order(system, xi, _order_zero(system, xi, rank_tol, shift), rank_tol, _shift=shift)
-    d2 = next_order(system, xi, d1, rank_tol, _shift=shift)
+    xi, rank_tol, held = _order_zero(system, xi, rank_tol)
+    d1 = next_order(system, xi, held["basis"], rank_tol, _shift=held)
+    d2 = next_order(system, xi, d1, rank_tol, _shift=held)
     return d2.candidate_dim - d2.dim == system.num_vars
 
 

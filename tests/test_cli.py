@@ -245,6 +245,38 @@ def test_check_at_a_point_that_is_not_a_zero_fails_the_necessary_test(capsys, tm
     assert out.splitlines()[-1] == "verdict: NOT deflation-one"
 
 
+@pytest.mark.parametrize("source, x0, norm, tol", [
+    ({"vars": ["x", "y"], "polys": ["x^2", "y"]}, "1,0", "1.000e+00", "2.000e-08"),
+    # next to the fourfold zero (1, 1, 1) the auto tolerance sees no kernel
+    ("running-example", "1.01,0.99,1.01", "1.749e-02", "1.017e-08"),
+])
+def test_check_at_a_regular_point_that_is_not_a_zero_says_so(capsys, tmp_path, source, x0, norm, tol):
+    # at kappa = 0 check applies the dual space's order-0 rule, as analyze does, but exits 0
+    if isinstance(source, dict):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(source))
+        system = ["--file", str(path)]
+    else:
+        system = ["--catalog", source]
+    reason = f"the point is not a zero: |f(xi)| = {norm} is above the rank tolerance {tol}"
+    code, out, _ = run_cli(capsys, "check", *system, "--x0", x0)
+    assert (code, out) == (0, f"kappa = 0: {reason}\n")
+    code, out, _ = run_cli(capsys, "check", *system, "--x0", x0, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["kappa"], payload["verdict"], payload["reason"]) == (0, "not a zero", reason)
+
+
+def test_check_at_a_regular_zero_calls_it_regular(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x", "y"]}))
+    code, out, _ = run_cli(capsys, "check", "--file", str(path), "--x0", "0,0")
+    assert (code, out) == (0, "kappa = 0: regular point, nothing to deflate\n")
+    code, out, _ = run_cli(capsys, "check", "--file", str(path), "--x0", "0,0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "kappa": 0, "tol": 0.5, "verdict": "regular"}
+
+
 def test_refine_non_finite_start_is_usage_error(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "polys": ["x^2", "y"]}))

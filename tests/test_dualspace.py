@@ -538,15 +538,54 @@ def test_the_gram_route_declines_a_singular_or_ill_conditioned_gram_matrix():
 
 def test_a_basis_from_a_chain_and_from_a_standalone_call_have_the_same_bits(count_calls):
     """``next_order`` from ``report.bases[k - 1]`` gives ``report.bases[k]``
-    bit for bit, taking that basis as Q without a QR of it."""
-    cases = [_case(e.name) for e in catalog()] + [_case((n, k, 1)) for n, k in ((6, 2), (8, 3), (12, 3))]
+    bit for bit, taking that basis as Q without a QR of it, at each case's
+    own tolerance and at forced ones (a float or an int; at 1, x2-z3xy-y2
+    takes the Householder route), and ``deflation_one_necessary`` decides as
+    two such calls from the order-0 basis do."""
     qrs = count_calls(np.linalg, "qr")
+    for forced in (None, 1e-6, 1.0, 1):
+        # at 1, random_variant(12, 3) has 559 functionals at order 4 and takes 10 s
+        variants = ((6, 2), (8, 3)) if forced == 1 else ((6, 2), (8, 3), (12, 3))
+        cases = [_case(e.name) for e in catalog()] + [_case((n, k, 1)) for n, k in variants]
+        householder = set()
+        for system, xi, rank_tol in cases:
+            n, rank_tol = system.num_vars, rank_tol if forced is None else forced
+            report = multiplicity_structure(system, xi, rank_tol, max_order=4 if forced == 1 else 12)
+            for prev, basis in zip(report.bases, report.bases[1:]):
+                qrs.clear()
+                assert_same_basis(next_order(system, xi, prev, rank_tol), basis)
+                shapes = [np.shape(a[0]) for a in qrs]
+                assert prev.coeffs.shape not in shapes, (forced, prev.order)
+                if (math.comb(n + basis.order, n), basis.candidate_dim) in shapes:
+                    householder.add(system)
+            d2 = next_order(system, xi, next_order(system, xi, report.bases[0], rank_tol), rank_tol)
+            assert deflation_one_necessary(system, xi, rank_tol) == (d2.candidate_dim - d2.dim == n), forced
+        assert (get_entry("x2-z3xy-y2").system in householder) == (forced == 1), forced
+
+
+def test_a_call_checks_its_input_once_and_builds_k_from_order_two(count_calls):
+    """One ``multiplicity_structure`` or ``deflation_one_necessary`` call
+    checks xi once at entry (every other check of it is a Taylor shift's),
+    checks no basis it made itself, running the orthonormality product of
+    ``_previous_q`` on none, and builds K (``_commuting``) at orders >= 2
+    only; a public ``next_order`` call checks the basis it is given."""
+    points, shifts = count_calls(polycore.PolySystem, "_check_point"), count_calls(dualspace, "taylor_coefficients")
+    checked, commuting = count_calls(dualspace, "_previous_q"), count_calls(dualspace, "_commuting")
+    cases = [_case(e.name) for e in catalog() if e.name != "x2-xy"] + [_case((8, 3, 1)), _case((12, 2, 1))]
     for system, xi, rank_tol in cases:
+        for calls in (points, shifts, checked, commuting):
+            calls.clear()
         report = multiplicity_structure(system, xi, rank_tol)
-        for prev, basis in zip(report.bases, report.bases[1:]):
-            qrs.clear()
-            assert_same_basis(next_order(system, xi, prev, rank_tol), basis)
-            assert prev.coeffs.shape not in [np.shape(a[0]) for a in qrs], prev.order
+        assert len(points) == 1 + len(shifts) and checked == []
+        assert [args[2] for args in commuting] == [b.order for b in report.bases[2:]]
+        for calls in (points, shifts, commuting):
+            calls.clear()
+        deflation_one_necessary(system, xi, rank_tol)
+        assert len(points) == 1 + len(shifts) and checked == []
+        assert [args[2] for args in commuting] == [2]
+        commuting.clear()
+        next_order(system, xi, report.bases[0], rank_tol)
+        assert [args[1] for args in checked] == [report.bases[0]] and commuting == []
 
 
 def test_closedness_is_decided_on_the_commutation_matrix(count_calls):
@@ -728,7 +767,8 @@ def test_next_order_rejects_a_basis_of_another_variable_count(count_calls):
 def malformed_basis(case):
     """A basis of the running example and the error it gives: at order 1,
     coefficients that are not a finite (monomials, functionals) matrix of
-    C(3 + 1, 1) = 4 rows; at order 0, one of 2 rows."""
+    C(3 + 1, 1) = 4 rows and at most 4 columns; at order 0, one of 2 rows, or
+    of no column, which leaves out evaluation at the point."""
     entry = get_entry("running-example")
     d1 = next_order(entry.system, entry.zero, base_basis(3))
     above = np.vstack([d1.coeffs, np.ones((6, d1.dim))])  # terms of degree 2 in an order-1 basis
@@ -740,11 +780,14 @@ def malformed_basis(case):
         "a row short": (d1, d1.coeffs[:3], r"shape \(3, 3\), expected \(4, dim\)"),
         "order 0": (base_basis(3), np.ones((2, 1)), r"shape \(2, 1\), expected \(1, dim\)"),
         "not finite": (d1, nan, r"previous basis coefficient \(3, 2\) is not finite: \(nan"),
+        "no column": (base_basis(3), np.zeros((1, 0), dtype=complex), r"shape \(1, 0\), expected \(1, dim\)"),
+        "more columns than rows": (d1, np.eye(4, 5), r"shape \(4, 5\), .* and 1 <= dim <= 4 columns"),
     }[case]
     return dataclasses.replace(prev, coeffs=coeffs), message
 
 
-@pytest.mark.parametrize("case", ["one axis", "a term above the order", "a row short", "order 0", "not finite"])
+@pytest.mark.parametrize("case", ["one axis", "a term above the order", "a row short", "order 0", "not finite",
+                                  "no column", "more columns than rows"])
 def test_next_order_rejects_a_malformed_basis_before_any_qr(count_calls, case):
     prev, message = malformed_basis(case)
     entry = get_entry("running-example")

@@ -2,9 +2,11 @@
 tracer can replace them and put them back."""
 
 import ast
+import collections
 import functools
 import importlib
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
@@ -98,3 +100,27 @@ def test_the_tracer_sees_one_two_step_per_iteration_of_refine():
     names = [span[0] for span in t.spans]
     assert names.count("twostep.two_step") == trace.iterations
     assert "numla.solve" not in names  # the kernel step solves B' without it
+
+
+def test_the_tracer_sees_one_next_order_per_order_of_a_dual_space_call():
+    # perfbench's dualspace.next_order.* and membership_cols read the traced
+    # next_order calls: a call that stepped its orders some other way would
+    # leave them short without an error
+    from snewton.bench import random_variant
+
+    tracer, modules = tracer_and_modules()
+    dualspace = modules["dualspace"]
+    system, zero = random_variant(8, 3, seed=1)
+    t = tracer.Tracer(modules)
+    t.install()
+    try:
+        t.enabled = True
+        report = dualspace.multiplicity_structure(system, zero)
+        dualspace.deflation_one_necessary(system, zero)
+    finally:
+        t.restore()
+    steps = [span for span in t.spans if span[0] == "dualspace.next_order"]
+    callers = collections.Counter(t.spans[span[3]][0] for span in steps)
+    assert report.depth == 3 and len(report.bases) == 5  # orders 1-4 are steps
+    assert callers == {"dualspace.multiplicity_structure": 4, "dualspace.deflation_one_necessary": 2}
+    assert [span[5]["cols"] for span in steps] == [math.comb(8 + k, k) for k in (1, 2, 3, 4, 1, 2)]
