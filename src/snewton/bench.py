@@ -1,7 +1,8 @@
 """Benchmark catalog and experiment runners.
 
-The catalog mixes small built-in systems (defined inline) with classic
-benchmark systems shipped as JSON data files next to this module.  A missing
+The catalog mixes small built-in systems (the records of ``_BUILTINS``) with
+classic benchmark systems shipped as JSON data files next to this module,
+all in one record format and built by one function, ``_entry``.  A missing
 or corrupt data file only drops that one entry, with a warning.
 
 The runners reproduce the standard experiment grid: convergence-rate
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import lvz
 from .numla import cond, singular_values
-from .polycore import Poly, PolySystem, _system_from_json, compose_affine, parse_system
-from .polycore import system_from_terms
+from .polycore import PolySystem, _system_from_json, compose_affine, system_from_terms
 from .twostep import StepConfig, refine, two_step
 
 __all__ = [
@@ -106,123 +106,61 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-_BUILTIN_NAMES = (
-    "running-example",
-    "x2-xy",
-    "x2-z3xy-y2",
-    "truncated-sin",
-    "stability-k2",
-    "robustness-pair",
-)
+# The built-in systems by name, each the record a data file holds besides its
+# name (see ``_entry``), one line per kind of field.
+_BUILTINS = {
+    "running-example": {
+        "vars": ["x", "y", "z"], "zero": [[1.0, 0.0]] * 3,
+        "polys": ["x^2 - x + y + z - 2", "y^2 + x - y + z - 2", "z^2 + x + y - z - 2"],
+        "kappa": 2, "rho": 2, "mu": 4, "tol": 0.1, "zero_tol": 1e-8,
+        "note": "three-variable quadratic system with a fourfold zero at (1,1,1)",
+    },
+    "x2-xy": {
+        "vars": ["x", "y"], "zero": [[0.0, 0.0]] * 2,
+        "polys": ["x^2", "x*y"],
+        "kappa": 2, "rho": None, "mu": None, "tol": 0.1, "zero_tol": 1e-8,
+        "note": "non-isolated zero embedded in the line x=0; dual space never stabilizes",
+    },
+    "x2-z3xy-y2": {
+        "vars": ["x", "y", "z"], "zero": [[0.0, 0.0]] * 3,
+        "polys": ["x^2", "z^3 + x*y", "y^2"],
+        "kappa": 3, "rho": 5, "mu": 12, "tol": 0.1, "zero_tol": 1e-8,
+        "note": "isolated zero needing two deflation rounds",
+    },
+    # sin t as t - t^3/6 (1/6 is 0.16666666666666666), of degree 3: the dropped terms, such as
+    # z*y^5/120, have degree >= 6, past the orders the dual space probes, so kappa 3, rho 4 and
+    # mu 11 still hold.
+    "truncated-sin": {
+        "vars": ["x", "y", "z"], "zero": [[0.0, 0.0]] * 3,
+        "polys": [
+            "x^3 + z*y - 0.16666666666666666*z*y^3",
+            "y^3 + x*z - 0.16666666666666666*x*z^3",
+            "z^3 + y*x - 0.16666666666666666*y*x^3",
+        ],
+        "kappa": 3, "rho": 4, "mu": 11, "tol": 0.1, "zero_tol": 1e-6,
+        "note": "cubic/sine system with sin replaced by its degree-3 Taylor polynomial",
+    },
+    "stability-k2": {  # stability_system(2)
+        "vars": ["x", "y", "z"], "zero": [[0.0, 0.0]] * 3,
+        "polys": ["x^2", "y^2", "z^2 + 0.01*z"],
+        "kappa": 2, "rho": 2, "mu": 4, "tol": 1e-2, "zero_tol": 1e-8,
+        "note": "x^2, y^2, z^2 + 1e-2 z; second zero at (0,0,-1e-2)",
+    },
+    "robustness-pair": {
+        "vars": ["x", "y"], "zero": [[0.0, 0.0]] * 2,
+        "polys": ["x - y^2", "x^2 - y^2"],
+        "kappa": 1, "rho": 1, "mu": 2, "tol": 0.1, "zero_tol": 1e-8,
+        "note": "corank-1 double zero at the origin; the deflated system has a spurious stationary point",
+    },
+}
 
 
-def _builtin(name: str) -> CatalogEntry | None:
-    """The built-in entry called ``name``, built alone, or None."""
-    xyz, xy = ["x", "y", "z"], ["x", "y"]
-    if name == "running-example":
-        running = parse_system(
-            "x^2 - x + y + z - 2\n"
-            "y^2 + x - y + z - 2\n"
-            "z^2 + x + y - z - 2",
-            xyz,
-        )
-        return CatalogEntry(
-            name=name,
-            system=running,
-            variables=xyz,
-            zero=np.ones(3, dtype=complex),
-            kappa=2,
-            rho=2,
-            mu=4,
-            tol=0.1,
-            zero_tol=1e-8,
-            note="three-variable quadratic system with a fourfold zero at (1,1,1)",
-        )
-    if name == "x2-xy":
-        return CatalogEntry(
-            name=name,
-            system=parse_system("x^2\nx*y", xy),
-            variables=xy,
-            zero=np.zeros(2, dtype=complex),
-            kappa=2,
-            rho=None,
-            mu=None,
-            tol=0.1,
-            zero_tol=1e-8,
-            note="non-isolated zero embedded in the line x=0; dual space never stabilizes",
-        )
-    if name == "x2-z3xy-y2":
-        return CatalogEntry(
-            name=name,
-            system=parse_system("x^2\nz^3 + x*y\ny^2", xyz),
-            variables=xyz,
-            zero=np.zeros(3, dtype=complex),
-            kappa=3,
-            rho=5,
-            mu=12,
-            tol=0.1,
-            zero_tol=1e-8,
-            note="isolated zero needing two deflation rounds",
-        )
-    if name == "truncated-sin":
-        # sin t as t - t^3/6, of degree 3: the dropped terms, such as z*y^5/120, have degree
-        # >= 6, past the orders the dual space probes, so kappa 3, rho 4 and mu 11 still hold.
-        sin_y = Poly(3, {(0, 1, 0): 1.0, (0, 3, 0): -1.0 / 6.0})
-        sin_z = Poly(3, {(0, 0, 1): 1.0, (0, 0, 3): -1.0 / 6.0})
-        sin_x = Poly(3, {(1, 0, 0): 1.0, (3, 0, 0): -1.0 / 6.0})
-        xvar, yvar, zvar = (Poly.variable(3, i) for i in range(3))
-        trunc_sin = PolySystem(
-            [
-                xvar**3 + zvar * sin_y,
-                yvar**3 + xvar * sin_z,
-                zvar**3 + yvar * sin_x,
-            ]
-        )
-        return CatalogEntry(
-            name=name,
-            system=trunc_sin,
-            variables=xyz,
-            zero=np.zeros(3, dtype=complex),
-            kappa=3,
-            rho=4,
-            mu=11,
-            tol=0.1,
-            zero_tol=1e-6,
-            note="cubic/sine system with sin replaced by its degree-3 Taylor polynomial",
-        )
-    if name == "stability-k2":
-        return CatalogEntry(
-            name=name,
-            system=stability_system(2),
-            variables=xyz,
-            zero=np.zeros(3, dtype=complex),
-            kappa=2,
-            rho=2,
-            mu=4,
-            tol=1e-2,
-            zero_tol=1e-8,
-            note="x^2, y^2, z^2 + 1e-2 z; second zero at (0,0,-1e-2)",
-        )
-    if name == "robustness-pair":
-        return CatalogEntry(
-            name=name,
-            system=parse_system("x - y^2\nx^2 - y^2", xy),
-            variables=xy,
-            zero=np.zeros(2, dtype=complex),
-            kappa=1,
-            rho=1,
-            mu=2,
-            tol=0.1,
-            zero_tol=1e-8,
-            note="corank-1 double zero at the origin; the deflated system has a spurious stationary point",
-        )
-    return None
-
-
-def _load_data_entry(path: Path) -> CatalogEntry:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    system, names = _system_from_json(data, path)
+def _entry(data, source) -> CatalogEntry:
+    """The entry of the record ``data`` read from ``source``: its "name", the
+    "vars" and "polys" that ``_system_from_json`` checks and parses, its
+    "zero" as [re, im] pairs, one per variable, and the fields of a
+    ``CatalogEntry`` ("zero_tol" 1e-8 and "note" empty when absent)."""
+    system, names = _system_from_json(data, source)
     zero = np.array([complex(re, im) for re, im in data["zero"]])
     if zero.shape != (system.num_vars,):
         raise ValueError("zero length does not match the variable count")
@@ -240,13 +178,18 @@ def _load_data_entry(path: Path) -> CatalogEntry:
     )
 
 
+def _load_data_entry(path: Path) -> CatalogEntry:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _entry(json.load(fh), path)
+
+
 def catalog(data_dir: Path | str | None = None) -> list[CatalogEntry]:
     """All available entries: built-ins plus data-file systems.
 
     A data file that is missing or fails to load drops only its own entry
     (with a warning); everything else is still served.
     """
-    entries = [_builtin(name) for name in _BUILTIN_NAMES]
+    entries = [_entry({"name": name, **row}, name) for name, row in _BUILTINS.items()]
     directory = Path(data_dir) if data_dir is not None else _DATA_DIR
     if directory.is_dir():
         for path in sorted(directory.glob("*.json")):
@@ -263,9 +206,8 @@ def get_entry(name: str, data_dir: Path | str | None = None) -> CatalogEntry:
     when that file is missing or holds another entry is the whole catalog
     loaded, so that a bad file is warned about and a ``KeyError`` lists
     every entry, as with ``catalog``."""
-    entry = _builtin(name)
-    if entry is not None:
-        return entry
+    if name in _BUILTINS:
+        return _entry({"name": name, **_BUILTINS[name]}, name)
     directory = Path(data_dir) if data_dir is not None else _DATA_DIR
     path = directory / f"{name.lower()}.json"
     if path.parent == directory and path.is_file():
@@ -337,10 +279,9 @@ def variant_rank_tolerance(system: PolySystem, zero, corank: int) -> float:
 
 def stability_system(k: float) -> PolySystem:
     """[x^2, y^2, z^2 + 10^-k z]: two corank-2 zeros a distance 10^-k apart
-    (they merge once 10^-k underflows)."""
-    eps = 10.0 ** (-k)
-    z2 = Poly(3, {(0, 0, 2): 1.0, (0, 0, 1): eps})
-    return PolySystem([Poly.variable(3, 0) ** 2, Poly.variable(3, 1) ** 2, z2])
+    (they merge once 10^-k underflows, and the term goes with its 0)."""
+    expo = np.array([[2, 0, 0], [0, 2, 0], [0, 0, 1], [0, 0, 2]])
+    return system_from_terms(expo, np.array([1, 1, 10.0 ** (-k), 1]), np.array([0, 1, 2, 2]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +449,7 @@ def run_table_convergence(
     the data-file benchmarks)."""
     entries = catalog(data_dir)
     if names is None:
-        chosen = [e for e in entries if e.name not in _BUILTIN_NAMES]
+        chosen = [e for e in entries if e.name not in _BUILTINS]
     else:
         by_name = {e.name: e for e in entries}
         chosen = [by_name[name] for name in names]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -41,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_refine = sub.add_parser("refine", help="run the two-step refinement")
     add_system_args(p_refine)
     p_refine.add_argument("--tol", default="auto", help="rank tolerance or 'auto'")
-    p_refine.add_argument("--seed", type=int, default=None)
+    p_refine.add_argument("--seed", type=int, default=0)
     p_refine.add_argument("--iters", type=int, default=20)
     p_refine.add_argument("--stop", type=float, default=1e-13)
     p_refine.add_argument("--reference", help="known zero for error annotation")
@@ -53,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="deflation-one classification at a point")
     add_system_args(p_check)
     p_check.add_argument("--tol", default="auto", help="rank tolerance or 'auto'")
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=3)
 
     p_bench = sub.add_parser("bench", help="run an experiment")
@@ -61,17 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment", choices=("table1", "stability", "efficiency", "robustness")
     )
     p_bench.add_argument("--sizes", default="10:2", help="efficiency sizes, e.g. 10:2,50:2")
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--iters", type=int, default=3)
     p_bench.add_argument("--format", choices=("json", "table"), default="table")
     return parser
-
-
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SNEWTON_SEED")
-    return int(env) if env else 0
 
 
 def _parse_point(text: str, n: int, option: str) -> np.ndarray:
@@ -138,7 +130,7 @@ def _strict(value):
 def _cmd_refine(args) -> int:
     system, entry = _load_system(args)
     x0 = _start_point(args, system, entry)
-    cfg = StepConfig(tol=args.tol, seed=_seed(args), stop_residual=args.stop, max_iters=args.iters)
+    cfg = StepConfig(tol=args.tol, seed=args.seed, stop_residual=args.stop, max_iters=args.iters)
     reference = None
     if args.reference:
         reference = _parse_point(args.reference, system.num_vars, "--reference")
@@ -199,7 +191,7 @@ def _cmd_check(args) -> int:
     except ValueError as exc:  # x is checked, so x is not a zero: there is no dual space to count
         necessary, why_not = False, f" ({exc})"
     sufficient = dualspace.is_deflation_one(
-        system, x, split.tol, trials=args.trials, seed=_seed(args)
+        system, x, split.tol, trials=args.trials, seed=args.seed
     )
     verdict = "deflation-one" if necessary and sufficient else "NOT deflation-one"
     payload = {
@@ -221,15 +213,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = _seed(args)
     if args.experiment == "table1":
-        report = bench.run_table_convergence(iters=args.iters, seed=seed)
+        report = bench.run_table_convergence(iters=args.iters, seed=args.seed)
     elif args.experiment == "stability":
         report = bench.run_stability(
             k_values=[3, 4, 2], tol_values=[1e-2], iters=args.iters
         )
     elif args.experiment == "efficiency":
-        report = bench.run_efficiency(_parse_sizes(args.sizes), iters=args.iters, seed=seed)
+        report = bench.run_efficiency(_parse_sizes(args.sizes), iters=args.iters, seed=args.seed)
     else:
         report = bench.run_robustness()
     _emit(report.to_json(), report.to_text(), args.format)

@@ -44,7 +44,8 @@ returned here is, and its QR otherwise.
 ``multiplicity_structure`` and ``deflation_one_necessary`` check their input
 once: the point and the tolerance at entry, and no basis they made
 themselves, which each order takes as Q unchecked.  A basis passed to
-``next_order`` is checked, and taken through its QR if not orthonormal.
+``next_order`` is checked, and taken through its QR if not orthonormal;
+one with numerically dependent columns is rejected.
 
 Everything here works at a numerically approximate point with tolerance
 based rank decisions; there is no exact-arithmetic path.
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import polycore, twostep
 from .numla import _check_tolerance, right_svd, singular_values, split_svd
-from .polycore import Exponent, PolySystem, _check_finite, _grlex, monomials_upto, taylor_coefficients
+from .polycore import Exponent, PolySystem, _check_finite, _grlex, _taylor_shift, monomials_upto
 
 __all__ = [
     "Functional",
@@ -250,7 +251,9 @@ def _previous_q(n: int, prev: DualBasis) -> np.ndarray:
     """Q from a basis that a caller passes in: its coefficients as they are
     when orthonormal to 1e-12, and their QR otherwise; a ValueError unless
     they are a finite matrix of one row per monomial of degree <= its order
-    and 1 to that many columns."""
+    and 1 to that many columns, and, when not orthonormal, of independent
+    columns (smallest singular value above 1e-8 times the largest), as a QR
+    would complete dependent ones with directions no caller gave."""
     if prev.num_vars != n:
         raise ValueError(f"the previous basis has {prev.num_vars} variables, the system has {n}")
     p, rows = np.asarray(prev.coeffs), math.comb(n + prev.order, n)
@@ -261,7 +264,15 @@ def _previous_q(n: int, prev: DualBasis) -> np.ndarray:
             f"and 1 <= dim <= {rows} columns, as a dual space holds evaluation at the point"
         )
     _check_finite(p, "previous basis coefficient")
-    return p if np.abs(p.conj().T @ p - np.eye(p.shape[1])).max() <= 1e-12 else np.linalg.qr(p)[0]
+    if np.abs(p.conj().T @ p - np.eye(p.shape[1])).max() <= 1e-12:
+        return p
+    sigma = singular_values(p)
+    if sigma[-1] <= 1e-8 * sigma[0]:
+        raise ValueError(
+            f"the previous basis columns are numerically dependent: singular values "
+            f"{sigma[0]:.3e} to {sigma[-1]:.3e}, the smallest at most 1e-8 times the largest"
+        )
+    return np.linalg.qr(p)[0]
 
 
 def _commuting(q: np.ndarray, n: int, k: int, rank_tol: float | None) -> tuple:
@@ -306,18 +317,18 @@ def _blocks(n: int, k: int) -> tuple:
 
 
 def _taylor(system: PolySystem, xi: np.ndarray, k: int, held: dict | None) -> np.ndarray:
-    """``taylor_coefficients(system, xi, k)`` without its zero columns past
-    deg f, so at most C(n + deg f, deg f) columns, read from ``held`` when the
-    orders of one call pass it along.  T_k is the first C(n + k, k) columns
-    of T_K for k <= K, so a shift made one order ahead serves two orders, and
-    none is made past deg f.  ``held`` lives only as long as the call that
-    made it."""
+    """``taylor_coefficients(system, xi, k)`` at the checked point ``xi``
+    without its zero columns past deg f (``polycore._taylor_shift``), so at
+    most C(n + deg f, deg f) columns, read from ``held`` when the orders of
+    one call pass it along.  T_k is the first C(n + k, k) columns of T_K for
+    k <= K, so a shift made one order ahead serves two orders, and none is
+    made past deg f.  ``held`` lives only as long as the call that made it."""
     deg, k = system.degree(), min(k, system.degree())
     if held is None:
-        return taylor_coefficients(system, xi, k)
+        return _taylor_shift(system, xi, k)
     if held.get("order", -1) < k:
         held["order"] = min(k + 1, deg)
-        held["shift"] = taylor_coefficients(system, xi, held["order"])
+        held["shift"] = _taylor_shift(system, xi, held["order"])
     return held["shift"][:, : math.comb(system.num_vars + k, k)]
 
 

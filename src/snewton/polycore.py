@@ -938,15 +938,25 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
 
     Entry [i, r] is the coefficient of ``(X - xi)^alpha`` in ``f_i``, that
     is ``normalized_partial(f_i, alpha, xi)``, for the r-th alpha of
-    ``monomials_upto(n, order)``.  One pass over the system's cached
-    ``_shift_plan``: each term ``c X^beta`` expands into the alpha <= beta
-    with |alpha| <= order, weighted by ``c prod_j C(beta_j, alpha_j)
-    xi_j^(beta_j - alpha_j)`` from the last variable.  Columns past deg f are 0.
+    ``monomials_upto(n, order)``: ``_taylor_shift`` at the checked point,
+    then zero columns past deg f.
     """
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    (expo, coef, row, m), n, k = system._arrays, system.num_vars, min(order, system.degree())
-    xi, plan = system._check_point(xi), system._cache.get(("shift", k))
+    shift = _taylor_shift(system, system._check_point(xi), order)
+    pad = math.comb(system.num_vars + order, order) - shift.shape[1]
+    return np.hstack([shift, np.zeros((len(shift), pad), dtype=complex)]) if pad else shift
+
+
+def _taylor_shift(system: PolySystem, xi: np.ndarray, order: int) -> np.ndarray:
+    """The Taylor coefficients at the checked point ``xi`` up to total order
+    min(``order``, deg f), without the zero columns past deg f.  One pass
+    over the system's cached ``_shift_plan``: each term ``c X^beta`` expands
+    into the alpha <= beta with |alpha| <= order, weighted by
+    ``c prod_j C(beta_j, alpha_j) xi_j^(beta_j - alpha_j)`` from the last
+    variable."""
+    (expo, coef, row, m), k = system._arrays, min(order, system.degree())
+    plan = system._cache.get(("shift", k))
     if plan is None:  # compiled once per system and order
         plan = system._cache[("shift", k)] = _shift_plan(expo, row, k)
     owner, exponents, binomials, term, factors, pairs, size = plan
@@ -954,8 +964,7 @@ def taylor_coefficients(system: PolySystem, xi: Sequence[complex], order: int) -
     tables = (binomials, powers)[2 - factors.shape[1] :] * len(factors)  # per place, C(b, a) if any
     for pos, table in zip(factors.reshape(len(tables), -1), tables):
         vals = np.multiply(vals, table.take(pos))
-    shift, pad = _pair_sums(vals, pairs, m * size).reshape(m, size), math.comb(n + order, n) - size
-    return np.hstack([shift, np.zeros((m, pad), dtype=complex)]) if pad else shift
+    return _pair_sums(vals, pairs, m * size).reshape(m, size)
 
 
 def _shift_plan(expo: np.ndarray, row: np.ndarray, order: int) -> tuple:

@@ -25,7 +25,7 @@ from snewton.bench import (
 )
 from snewton.dualspace import is_deflation_one, multiplicity_structure
 from snewton.lvz import deflate_once, gauss_newton
-from snewton.polycore import compose_affine
+from snewton.polycore import Poly, PolySystem, compose_affine
 
 from oracles import symbolic_compose_affine
 
@@ -98,14 +98,59 @@ def test_get_entry_loads_only_its_own_data_file(monkeypatch):
 
 
 def test_get_entry_builds_only_the_entry_asked_for(count_calls):
-    parses = count_calls(bench, "parse_system")
-    for name, want in [("running-example", 1), ("x2-xy", 1), ("truncated-sin", 0), ("cbms1", 0)]:
-        parses.clear()
+    entries = count_calls(bench, "_entry")
+    for name in ["running-example", "x2-xy", "truncated-sin", "cbms1", "Cyclic9"]:
+        entries.clear()
         assert get_entry(name).name == name
-        assert len(parses) == want, name
-    parses.clear()
+        assert len(entries) == 1, name
+    entries.clear()
     catalog()
-    assert len(parses) == 4  # truncated-sin and stability-k2 are built with Poly arithmetic
+    assert len(entries) == 12  # six built-ins and six data files, each through the one loader
+
+
+def test_builtins_equal_their_poly_arithmetic_construction():
+    """The built-in rows written as text, and ``stability_system`` built
+    from term arrays, hold the bits of the ``Poly`` arithmetic that once
+    made them."""
+    xvar, yvar, zvar = (Poly.variable(3, i) for i in range(3))
+
+    def sin3(i):  # sin x_i as x_i - x_i^3/6
+        return Poly(3, {tuple(e * (j == i) for j in range(3)): c for e, c in ((1, 1.0), (3, -1.0 / 6.0))})
+
+    def stability(k):
+        z2 = Poly(3, {(0, 0, 2): 1.0, (0, 0, 1): 10.0 ** (-k)})
+        return PolySystem([xvar**2, yvar**2, z2])
+
+    def same(got, want):
+        return all(a.tobytes() == b.tobytes() for a, b in zip(got._arrays[:3], want._arrays[:3])) and (
+            got._arrays[3] == want._arrays[3] and got.degree() == want.degree()
+        )
+
+    trunc_sin = PolySystem([xvar**3 + zvar * sin3(1), yvar**3 + xvar * sin3(2), zvar**3 + yvar * sin3(0)])
+    assert same(get_entry("truncated-sin").system, trunc_sin)
+    assert same(get_entry("stability-k2").system, stability(2))
+    for k in (2, 3, 4, 2.5, 400):
+        assert same(stability_system(k), stability(k)), k
+    # 10^-400 underflows to 0, and the last row is z^2
+    assert stability_system(400).to_string(["x", "y", "z"]).splitlines()[2] == "z^2"
+
+
+def test_a_builtin_row_is_checked_like_a_data_file(tmp_path, monkeypatch):
+    row = dict(bench._BUILTINS["running-example"], zero=[[1.0, 0.0]] * 2)
+    monkeypatch.setitem(bench._BUILTINS, "running-example", row)
+    with pytest.raises(ValueError, match="zero length does not match the variable count"):
+        get_entry("running-example")
+    (tmp_path / "short.json").write_text(json.dumps({"name": "short", **row}))
+    monkeypatch.delitem(bench._BUILTINS, "running-example")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert "short" not in {e.name for e in catalog(data_dir=tmp_path)}
+    assert [str(w.message) for w in caught] == [
+        "catalog entry short.json unavailable: zero length does not match the variable count"
+    ]
+    monkeypatch.setitem(bench._BUILTINS, "running-example", dict(row, vars="xyz"))
+    with pytest.raises(ValueError, match="running-example: expected keys 'vars' and 'polys'"):
+        get_entry("running-example")
 
 
 def test_get_entry_with_a_bad_data_file_scans_and_warns(tmp_path):

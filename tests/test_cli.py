@@ -364,23 +364,6 @@ def test_bench_unknown_experiment(capsys):
     assert code == 1
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    args = [
-        "refine",
-        "--catalog",
-        "running-example",
-        "--x0",
-        "1.01,0.99,1.01",
-        "--format",
-        "json",
-    ]
-    monkeypatch.setenv("SNEWTON_SEED", "11")
-    _, with_env, _ = run_cli(capsys, *args)
-    monkeypatch.delenv("SNEWTON_SEED")
-    _, with_default, _ = run_cli(capsys, *args, "--seed", "11")
-    assert with_env == with_default
-
-
 def test_point_entries_take_i_as_the_imaginary_unit_only_at_their_end():
     point = _parse_point(" 1.5, 2+0.5i,-i , inf, 1e-3-2i, nan", 6, "--x0")
     want = [1.5, 2 + 0.5j, -1j, np.inf, 1e-3 - 2j]

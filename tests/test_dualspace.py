@@ -565,23 +565,23 @@ def test_a_basis_from_a_chain_and_from_a_standalone_call_have_the_same_bits(coun
 
 def test_a_call_checks_its_input_once_and_builds_k_from_order_two(count_calls):
     """One ``multiplicity_structure`` or ``deflation_one_necessary`` call
-    checks xi once at entry (every other check of it is a Taylor shift's),
-    checks no basis it made itself, running the orthonormality product of
-    ``_previous_q`` on none, and builds K (``_commuting``) at orders >= 2
-    only; a public ``next_order`` call checks the basis it is given."""
-    points, shifts = count_calls(polycore.PolySystem, "_check_point"), count_calls(dualspace, "taylor_coefficients")
+    checks xi once at entry and not again in a Taylor shift, checks no basis
+    it made itself, running the orthonormality product of ``_previous_q`` on
+    none, and builds K (``_commuting``) at orders >= 2 only; a public
+    ``next_order`` call checks the basis it is given."""
+    points = count_calls(polycore.PolySystem, "_check_point")
     checked, commuting = count_calls(dualspace, "_previous_q"), count_calls(dualspace, "_commuting")
     cases = [_case(e.name) for e in catalog() if e.name != "x2-xy"] + [_case((8, 3, 1)), _case((12, 2, 1))]
     for system, xi, rank_tol in cases:
-        for calls in (points, shifts, checked, commuting):
+        for calls in (points, checked, commuting):
             calls.clear()
         report = multiplicity_structure(system, xi, rank_tol)
-        assert len(points) == 1 + len(shifts) and checked == []
+        assert len(points) == 1 and checked == []
         assert [args[2] for args in commuting] == [b.order for b in report.bases[2:]]
-        for calls in (points, shifts, commuting):
+        for calls in (points, commuting):
             calls.clear()
         deflation_one_necessary(system, xi, rank_tol)
-        assert len(points) == 1 + len(shifts) and checked == []
+        assert len(points) == 1 and checked == []
         assert [args[2] for args in commuting] == [2]
         commuting.clear()
         next_order(system, xi, report.bases[0], rank_tol)
@@ -712,13 +712,13 @@ def test_taylor_shift_of_a_lower_order_is_a_prefix_bit_for_bit():
 def test_taylor_shift_past_the_degree_makes_no_zero_columns(monkeypatch):
     # for k > deg f the dual space reads T_deg, not T_k: no array it makes is
     # wider than C(n + deg f, deg f)
-    made, real = [], dualspace.taylor_coefficients
+    made, real = [], dualspace._taylor_shift
 
     def recording(*args):
         made.append(real(*args))
         return made[-1]
 
-    monkeypatch.setattr(dualspace, "taylor_coefficients", recording)
+    monkeypatch.setattr(dualspace, "_taylor_shift", recording)
     cases = [(e.system, e.zero) for e in catalog() if e.name != "Cyclic9"]
     cases += [random_variant(n, k, seed=2) for n, k in ((6, 2), (8, 3))]
     for system, xi in cases:
@@ -729,11 +729,11 @@ def test_taylor_shift_past_the_degree_makes_no_zero_columns(monkeypatch):
                 made.clear()
                 shift = dualspace._taylor(system, xi, k, held)
                 assert max(a.shape[1] for a in (shift, *made)) <= width, k
-                assert shift.tobytes() == real(system, xi, k)[:, :width].tobytes(), k
+                assert shift.tobytes() == taylor_coefficients(system, xi, k)[:, :width].tobytes(), k
 
 
 def test_one_call_makes_at_most_one_taylor_shift_per_order_below_the_degree(count_calls):
-    passes = count_calls(dualspace, "taylor_coefficients")
+    passes = count_calls(dualspace, "_taylor_shift")
     cases = [(e.system, e.zero, 1e-6 if e.name == "Cyclic9" else None) for e in catalog()]
     cases += [(*random_variant(n, k, seed=0), None) for n, k in ((8, 2), (6, 3))]
     for system, xi, rank_tol in cases:
@@ -795,6 +795,24 @@ def test_next_order_rejects_a_malformed_basis_before_any_qr(count_calls, case):
     with pytest.raises(ValueError, match=message):
         next_order(entry.system, entry.zero, prev)
     assert qrs == []
+
+
+def test_next_order_rejects_a_basis_of_dependent_columns_before_any_qr(count_calls):
+    # the order-1 basis of the running example with its first column repeated:
+    # a QR would complete it with a direction that is no functional, and the
+    # order-2 dimension would read 7 where it is 4
+    entry = get_entry("running-example")
+    d1 = next_order(entry.system, entry.zero, base_basis(3))
+    assert next_order(entry.system, entry.zero, d1).dim == 4
+    qrs = count_calls(np.linalg, "qr")
+    repeated = np.hstack([d1.coeffs, d1.coeffs[:, :1]])
+    zero = np.hstack([d1.coeffs[:, :2], np.zeros((4, 1))])
+    for coeffs in (repeated, zero):
+        with pytest.raises(ValueError, match="the previous basis columns are numerically dependent"):
+            next_order(entry.system, entry.zero, dataclasses.replace(d1, coeffs=coeffs))
+    assert qrs == []
+    scaled = dataclasses.replace(d1, coeffs=2 * d1.coeffs)  # independent, not orthonormal: through its QR
+    assert next_order(entry.system, entry.zero, scaled).dim == 4 and len(qrs) >= 1
 
 
 @pytest.mark.parametrize("max_order", [0, -1])
