@@ -76,9 +76,6 @@ class ExperimentReport:
     def to_json(self) -> dict:
         return {"schema": 1, "experiment": self.experiment, "rows": self.rows}
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     def to_text(self) -> str:
         if not self.rows:
             return f"{self.experiment}: no rows"
@@ -301,25 +298,19 @@ def run_convergence(
     entry: CatalogEntry,
     initial_digits: int = 2,
     iters: int = 3,
-    tol: float | None = None,
     seed: int = 0,
 ) -> list[float]:
-    """log10 error exponents (initial point first) of a refinement run from
-    a start with ``initial_digits`` correct digits."""
+    """log10 error exponents (initial point first) of a refinement run at the
+    entry's tolerance from a start with ``initial_digits`` correct digits."""
     x0 = perturbed_start(entry.zero, initial_digits)
-    cfg = StepConfig(tol=tol if tol is not None else entry.tol, seed=seed, max_iters=iters)
+    cfg = StepConfig(tol=entry.tol, seed=seed, max_iters=iters)
     trace = refine(entry.system, x0, cfg, reference=entry.zero)
     return trace.error_exponents
 
 
-def run_stability(
-    k_values,
-    tol_values,
-    iters: int = 3,
-    start: float = 1e-3,
-) -> ExperimentReport:
+def run_stability(k_values, tol_values, iters: int = 3) -> ExperimentReport:
     """Corank estimate and convergence target of the clustered-zero system
-    over a (k, tol) grid, started from ``start`` times (1,1,1).
+    over a (k, tol) grid, started from 1e-3 times (1,1,1).
 
     When the estimated corank is 3 the two clustered zeros act as one
     doubled zero and the iteration converges to their midpoint; when it is 2
@@ -333,7 +324,7 @@ def run_stability(
         midpoint = np.array([0, 0, -eps / 2], dtype=complex)
         for tol in tol_values:
             cfg = StepConfig(tol=tol, seed=0, max_iters=iters)
-            x0 = np.full(3, start, dtype=complex)
+            x0 = np.full(3, 1e-3, dtype=complex)
             trace = refine(system, x0, cfg)
             kappa_star = trace.steps[0].kappa if trace.steps else 0
             target = midpoint if kappa_star == 3 else origin
@@ -398,15 +389,16 @@ def _time_reps(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def run_robustness(max_two_step_iters: int = 8) -> ExperimentReport:
+def run_robustness() -> ExperimentReport:
     """Both pipelines on the corank-1 pair system from the classic start
-    (0.3, 0.3): the split-step method resolves the origin while the deflated
-    system's Gauss-Newton run walks to a spurious stationary point."""
+    (0.3, 0.3): the split-step method, run for at most 8 iterations,
+    resolves the origin while the deflated system's Gauss-Newton run walks
+    to a spurious stationary point."""
     entry = get_entry("robustness-pair")
     system = entry.system
     x0 = np.array([0.3, 0.3], dtype=complex)
 
-    cfg = StepConfig(tol=entry.tol, seed=0, max_iters=max_two_step_iters)
+    cfg = StepConfig(tol=entry.tol, seed=0, max_iters=8)
     trace = refine(system, x0, cfg)
     rows = [
         {
@@ -439,23 +431,17 @@ def run_robustness(max_two_step_iters: int = 8) -> ExperimentReport:
 
 
 def run_table_convergence(
-    names=None,
-    initial_digits: int = 2,
     iters: int = 3,
     seed: int = 0,
     data_dir: Path | str | None = None,
 ) -> ExperimentReport:
-    """Convergence exponent sequences for the named catalog entries (default:
-    the data-file benchmarks)."""
-    entries = catalog(data_dir)
-    if names is None:
-        chosen = [e for e in entries if e.name not in _BUILTINS]
-    else:
-        by_name = {e.name: e for e in entries}
-        chosen = [by_name[name] for name in names]
+    """Convergence exponent sequences of the data-file benchmarks from
+    2-digit starts."""
     rows = []
-    for entry in chosen:
-        exponents = run_convergence(entry, initial_digits, iters, seed=seed)
+    for entry in catalog(data_dir):
+        if entry.name in _BUILTINS:
+            continue
+        exponents = run_convergence(entry, 2, iters, seed=seed)
         rows.append(
             {
                 "system": entry.name,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench, dualspace
-from .numla import split_svd
+from .numla import SingularMatrixError, split_svd
 from .polycore import PolyParseError, load_system_json
 from .twostep import StepConfig, refine
 
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--catalog", help="name of a built-in benchmark system")
         src.add_argument("--file", help="JSON file with {'vars': [...], 'polys': [...]}")
-        p.add_argument("--x0", help="comma-separated start point, entries like 1.5 or 2+0.5i")
+        p.add_argument("--x0", help="comma-separated start point, e.g. --x0 -0.999,1,1 or 2+0.5i,-i,1")
         p.add_argument("--format", choices=("json", "table"), default="table")
 
     p_refine = sub.add_parser("refine", help="run the two-step refinement")
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_refine.add_argument("--seed", type=int, default=0)
     p_refine.add_argument("--iters", type=int, default=20)
     p_refine.add_argument("--stop", type=float, default=1e-13)
-    p_refine.add_argument("--reference", help="known zero for error annotation")
+    p_refine.add_argument("--reference", help="known zero for error annotation, a point as for --x0")
 
     p_analyze = sub.add_parser("analyze", help="dual-space structure at a point")
     add_system_args(p_analyze)
@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_system_args(p_check)
     p_check.add_argument("--tol", default="auto", help="rank tolerance or 'auto'")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, default=3)
 
     p_bench = sub.add_parser("bench", help="run an experiment")
     p_bench.add_argument(
@@ -64,6 +63,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--iters", type=int, default=3)
     p_bench.add_argument("--format", choices=("json", "table"), default="table")
     return parser
+
+
+def _join_points(argv: list[str]) -> list[str]:
+    """``argv`` with a value of ``--x0`` or ``--reference`` that argparse would take for an
+    option, one with a leading minus sign such as -0.999,1,1, joined to its flag by "="."""
+    out = []
+    for arg in argv:
+        joins = out[-1:] in (["--x0"], ["--reference"]) and not arg.startswith("--")
+        if joins and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_point(text: str, n: int, option: str) -> np.ndarray:
@@ -136,12 +148,11 @@ def _cmd_refine(args) -> int:
         reference = _parse_point(args.reference, system.num_vars, "--reference")
     elif entry is not None:
         reference = entry.zero
-    trace = refine(system, x0, cfg, reference=reference)
-
-    payload = trace.to_json()
-    del payload["steps"]  # per-step timings vary run to run; keep JSON reproducible
-    payload["kappas"] = [s.kappa for s in trace.steps]
-    payload["residuals"] = trace.residuals
+    try:
+        trace = refine(system, x0, cfg, reference=reference)
+    except SingularMatrixError as exc:  # a step refused its matrix: the run cannot go on
+        print(f"error: {exc}", file=sys.stderr)
+        return _NOT_CONVERGED
     lines = [
         f"iterations: {trace.iterations} (stop: {trace.stop_reason})",
         f"final residual: {trace.residuals[-1]:.3e}",
@@ -151,7 +162,7 @@ def _cmd_refine(args) -> int:
         lines.append(
             "error exponents: " + " -> ".join(f"{e:.2f}" for e in trace.error_exponents)
         )
-    _emit(payload, "\n".join(lines), args.format)
+    _emit(trace.to_json(), "\n".join(lines), args.format)
     return 0 if trace.residuals[-1] <= cfg.stop_residual else _NOT_CONVERGED
 
 
@@ -170,8 +181,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     system, entry = _load_system(args)
     x = _start_point(args, system, entry)
     tol = args.tol if args.tol == "auto" else float(args.tol)
@@ -190,9 +199,7 @@ def _cmd_check(args) -> int:
         necessary, why_not = dualspace.deflation_one_necessary(system, x), ""
     except ValueError as exc:  # x is checked, so x is not a zero: there is no dual space to count
         necessary, why_not = False, f" ({exc})"
-    sufficient = dualspace.is_deflation_one(
-        system, x, split.tol, trials=args.trials, seed=args.seed
-    )
+    sufficient = dualspace.is_deflation_one(system, x, split.tol, seed=args.seed)
     verdict = "deflation-one" if necessary and sufficient else "NOT deflation-one"
     payload = {
         "schema": 1,
@@ -238,7 +245,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return _USAGE_ERROR if exc.code else 0
     try:

@@ -54,7 +54,6 @@ based rank decisions; there is no exact-arithmetic path.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import polycore, twostep
 from .numla import _check_tolerance, right_svd, singular_values, split_svd
-from .polycore import Exponent, PolySystem, _check_finite, _grlex, _taylor_shift, monomials_upto
+from .polycore import Exponent, PolySystem, _check_finite, _grlex, _taylor_shift
 
 __all__ = [
     "Functional",
@@ -73,7 +72,6 @@ __all__ = [
     "multiplicity_structure",
     "deflation_one_necessary",
     "is_deflation_one",
-    "monomials_upto",
 ]
 
 
@@ -159,9 +157,6 @@ class DualSpaceReport:
             "stabilized": self.stabilized,
             "ambiguous_orders": [b.order for b in self.bases if b.ambiguous],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _rank_tol(sigma: np.ndarray, override: float | None) -> float:
@@ -398,11 +393,10 @@ def is_deflation_one(
     system: PolySystem,
     x,
     tol: float | None = None,
-    trials: int = 3,
     seed: int | None = 0,
 ) -> bool:
-    """Randomized sufficient test: sample unit kernel directions and accept
-    when any of them makes the kernel-step operator comfortably invertible.
+    """Randomized sufficient test: sample three unit kernel directions and
+    accept when any makes the kernel-step operator comfortably invertible.
 
     The threshold compares the smallest singular value of the operator
     B = U2* (D2f(x).v) V2 against the Jacobian rank tolerance times the
@@ -412,14 +406,12 @@ def is_deflation_one(
     ``split_svd`` (the coarse tolerances used to steer refinement from far
     starts are too blunt here).  Returns False for a regular point.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     x = system._check_point(x)
     split = split_svd(system.jacobian(x), "auto" if tol is None else tol)
     if split.kappa == 0:
         return False
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(3):
         v = twostep.random_direction(split.v2, rng)
         h = polycore.dir_hessian(system, x, v)
         scale = np.linalg.norm(h, 2)

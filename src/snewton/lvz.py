@@ -16,7 +16,8 @@ own output for zeros that need several rounds.
 ``deflate_structured`` is the variant with a pinned kernel block: the
 multipliers attached to a chosen kernel basis are fixed constants and only
 the complementary multipliers stay variables.  It reproduces textbook
-augmented systems exactly and is what the benchmark comparisons use.
+augmented systems exactly, as ``bench.run_robustness`` uses it; the
+benchmark's baseline is ``deflate_once``.
 
 Both evaluate Df at the start point once, for the multiplier estimate.
 ``gauss_newton`` asks for g and Dg at each iterate in one ``_values`` call,
@@ -53,13 +54,9 @@ class DeflationError(RuntimeError):
 
 @dataclass
 class DeflatedSystem:
-    """One augmentation round: the system, its random data, multipliers."""
+    """One augmentation round: the system (its weights and normal are B and b) and kappa."""
 
     system: AugmentedSystem
-    b_matrix: np.ndarray
-    b_vector: np.ndarray
-    lambda_hat: np.ndarray
-    num_parent_vars: int
     kappa: int
 
 
@@ -176,9 +173,9 @@ def deflate_once(
 
     Draws B (p x (p-kappa+1)) and b with unit complex Gaussian entries,
     forms the augmented system over ``system``, and estimates
-    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1].
-    Raises DeflationError when the Jacobian has full column rank at ``tol``
-    (nothing to deflate).
+    the multipliers by least squares on [Df(x).B ; b^T] lambda = [0 ; 1];
+    returns the round and the start (x, lambda).  Raises DeflationError
+    when the Jacobian has full column rank at ``tol`` (nothing to deflate).
     """
     tol = _check_tolerance(tol)
     x = system._check_point(x)
@@ -203,22 +200,15 @@ def _deflate(
 
     rng = np.random.default_rng(seed)
     q = p - kappa + 1
-    b_matrix = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-    b_vector = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    weights = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))  # B
+    normal = rng.standard_normal(q) + 1j * rng.standard_normal(q)  # b
 
-    stacked = np.vstack([jac_x @ b_matrix, b_vector[None, :]])
+    stacked = np.vstack([jac_x @ weights, normal[None, :]])
     rhs = np.zeros(stacked.shape[0], dtype=complex)
     rhs[-1] = 1.0
     lam = least_squares(stacked, rhs)
 
-    deflated = DeflatedSystem(
-        system=AugmentedSystem(system, b_matrix, normal=b_vector),
-        b_matrix=b_matrix,
-        b_vector=b_vector,
-        lambda_hat=lam,
-        num_parent_vars=p,
-        kappa=kappa,
-    )
+    deflated = DeflatedSystem(AugmentedSystem(system, weights, normal=normal), kappa)
     return deflated, np.concatenate([x, lam])
 
 

@@ -108,10 +108,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        return max((sum(a) for a in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -379,15 +375,21 @@ class PolySystem:
 
 def system_from_terms(expo: np.ndarray, coef: np.ndarray, row: np.ndarray, m: int) -> PolySystem:
     """The system of ``m`` polynomials with term ``coef[t] * X^expo[t]`` in
-    polynomial ``row[t]``.  No (row, exponent) pair may repeat; rows without
-    terms are zero polynomials.  The arrays are checked once, with numpy,
-    and become the system's term arrays; no ``Poly`` is built."""
+    polynomial ``row[t]``.  Terms with coefficient 0 are dropped, and a
+    ValueError names the first (row, exponent) pair that repeats among the
+    rest.  Rows without terms are zero polynomials.  The arrays are checked
+    once, with numpy, and become the system's term arrays; no Poly is built."""
     if m < 1:
         raise ValueError("a system needs at least one polynomial")
     expo, coef, row = np.asarray(expo), np.asarray(coef, dtype=complex), np.asarray(row)
     _check_terms(expo, coef, row, m)
     system = object.__new__(PolySystem)
     system._store(expo, coef, row, m, None)
+    expo, _, row, _ = system._arrays
+    repeats = np.flatnonzero((row[1:] == row[:-1]) & (expo[1:] == expo[:-1]).all(axis=1))
+    if repeats.size:
+        t = repeats[0]
+        raise ValueError(f"row {row[t]} has two terms with exponent {tuple(expo[t].tolist())}")
     return system
 
 

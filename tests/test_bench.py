@@ -263,7 +263,7 @@ def test_run_convergence_running_example():
 
 def test_run_convergence_from_exact_zero_stops_immediately():
     entry = get_entry("running-example")
-    exponents = run_convergence(entry, initial_digits=2, iters=3, tol=entry.tol, seed=0)
+    exponents = run_convergence(entry, initial_digits=2, iters=3, seed=0)
     assert len(exponents) == 4
     trace_exponents = run_convergence(entry, initial_digits=40, iters=3)
     assert len(trace_exponents) == 1  # start is the zero to machine precision
@@ -328,15 +328,16 @@ def test_run_robustness_split():
 
 
 def test_run_table_convergence_reports_external_rows():
-    report = run_table_convergence(names=["mth191"], iters=3)
-    row = report.rows[0]
-    assert row["system"] == "mth191"
+    report = run_table_convergence(iters=3)
+    files = [entry.name for entry in catalog() if entry.name not in bench._BUILTINS]
+    assert [row["system"] for row in report.rows] == files
+    (row,) = [row for row in report.rows if row["system"] == "mth191"]
     assert row["exponents"][-1] <= -10
 
 
 def test_report_json_roundtrip():
     report = run_stability([2], [1e-2], iters=2)
-    payload = json.loads(report.to_json_str())
+    payload = json.loads(json.dumps(report.to_json(), sort_keys=True))
     assert payload["schema"] == 1
     assert payload["experiment"] == "stability"
     assert len(payload["rows"]) == 1

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from snewton.bench import get_entry
 from snewton.cli import _parse_point, main
+from snewton.twostep import StepConfig, refine
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,40 @@ def test_refine_json_is_reproducible(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_refine_json_is_the_library_trace(capsys):
+    entry = get_entry("running-example")
+    x0 = np.array([1.001, 0.999, 1.001], dtype=complex)
+    cfg = StepConfig(tol=0.1, seed=3, max_iters=20)
+    trace = refine(entry.system, x0, cfg, reference=entry.zero)
+    argv = ["refine", "--catalog", "running-example", "--x0", "1.001,0.999,1.001", "--tol", "0.1"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "3", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(trace.to_json(), sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_refine_singular_step_exits_as_not_converged(capsys):
+    # one two-step goes to |x| ~ 1.9e15, where Newton's step refuses Df
+    argv = ["refine", "--catalog", "running-example", "--x0=-0.999,1,1", "--tol", "0.1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix is singular to working precision (sigma_min=")
+
+
+@pytest.mark.parametrize("option", ["--x0", "--reference"])
+@pytest.mark.parametrize("text", ["-0.999,1,1", "-i,1,1"])
+def test_point_flags_take_a_leading_minus_sign_after_a_space(capsys, option, text):
+    argv = ["refine", "--catalog", "running-example", "--iters", "1", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, option, text)
+    assert (code, out, err) == run_cli(capsys, *argv, f"{option}={text}")
+    assert code in (0, 2) and err == ""
+    payload, point = json.loads(out), np.array([complex(text.split(",")[0].replace("i", "j")), 1, 1])
+    if option == "--x0":
+        residual = np.linalg.norm(get_entry("running-example").system.eval(point))
+        assert payload["residuals"][0] == pytest.approx(residual)
+    else:  # the start is the catalog zero (1, 1, 1)
+        assert payload["error_exponents"][0] == pytest.approx(np.log10(abs(point[0] - 1)))
 
 
 def test_refine_dimension_mismatch_is_usage_error(capsys):
@@ -154,8 +190,8 @@ def test_refine_exponent_beyond_the_term_arrays_is_usage_error(capsys, tmp_path)
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["check", "--catalog", "running-example", "--trials", "0"], "--trials must be at least 1, got 0"),
-        (["check", "--catalog", "x2-xy", "--x0", "1,1", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["bench", "efficiency", "--sizes", "0:1"], "need 1 <= k <= n"),
+        (["bench", "efficiency", "--sizes", "10:0"], "need 1 <= k <= n"),
         (["refine", "--catalog", "running-example", "--iters", "-3"], "max_iters must be at least 0, got -3"),
         (["analyze", "--catalog", "running-example", "--max-order", "0"], "max_order must be at least 1, got 0"),
         (["analyze", "--catalog", "running-example", "--max-order", "-1"], "max_order must be at least 1, got -1"),

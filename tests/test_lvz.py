@@ -67,7 +67,7 @@ def assert_same_values(got, want, points, rows=slice(None)):
 
 def _assert_deflate_once_matches_oracle(system, x, tol):
     deflated, y = deflate_once(system, x, tol, seed=1)
-    oracle = AugmentOracle(system, deflated.b_matrix, normal=deflated.b_vector)
+    oracle = AugmentOracle(system, deflated.system.weights, normal=deflated.system.normal)
     assert_matches_at_and_near(deflated.system, oracle, y, np.random.default_rng(2))
     return deflated
 
@@ -106,7 +106,7 @@ def test_both_rounds_of_deflate_to_regular_match_symbolic_augmentation():
     current, oracle, y = entry.system, entry.system, entry.zero
     for _ in range(2):
         deflated, y = deflate_once(current, y, 0.1, seed=rng)
-        oracle = AugmentOracle(oracle, deflated.b_matrix, normal=deflated.b_vector)
+        oracle = AugmentOracle(oracle, deflated.system.weights, normal=deflated.system.normal)
         current = deflated.system
         assert_matches_at_and_near(current, oracle, y, check)
     final, y_final, steps = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
@@ -132,7 +132,7 @@ def test_deflation_does_no_polynomial_arithmetic(count_calls):
     final, y, _ = deflate_to_regular(entry.system, entry.zero, 0.1, seed=1)
     gauss_newton(final, y, max_iter=3)
     assert sums == [] and products == [] and built == [] and from_terms == []
-    symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
+    symbolic_augment(system, deflated.system.weights, normal=deflated.system.normal)
     polycore.system_from_terms(*system._arrays)
     assert sums and products and built and from_terms  # the counters do count
 
@@ -224,7 +224,7 @@ def test_augmented_directional_derivative_checks_its_direction_once(running, mon
     got = deflated.system.directional_derivative(y, [d])
     assert checked == [len(y)]
     monkeypatch.undo()
-    oracle = AugmentOracle(running, deflated.b_matrix, normal=deflated.b_vector)
+    oracle = AugmentOracle(running, deflated.system.weights, normal=deflated.system.normal)
     assert_matches_oracle(deflated.system, oracle, y, [d])
     assert np.array_equal(got, deflated.system.directional_derivative(y, [d]))
 
@@ -251,20 +251,16 @@ def test_deflate_once_shapes_and_multipliers(running):
     assert len(g) == 2 * n + 1
     assert g.num_vars == n + q
     assert y0.shape == (n + q,)
-    # multiplier rows and the normalization row vanish at (zero, lambda_hat)
+    # multiplier rows and the normalization row vanish at the start (zero, lambda)
     values = g.eval(y0)
     assert np.linalg.norm(values[n:]) < 1e-10
 
 
 def test_deflate_once_jacobian_block_structure(running):
     deflated, y0 = deflate_once(running, XI, 0.1, seed=3)
-    g, b_mat, b_vec, lam = (
-        deflated.system,
-        deflated.b_matrix,
-        deflated.b_vector,
-        deflated.lambda_hat,
-    )
+    g = deflated.system
     n = running.num_vars
+    b_mat, b_vec, lam = g.weights, g.normal, y0[n:]
     q = b_mat.shape[1]
     jac = g.jacobian(y0)
     jf = running.jacobian(XI)

@@ -489,7 +489,7 @@ def _deflated_systems():
     for name in ("running-example", "truncated-sin", "mth191"):
         entry = get_entry(name)
         deflated, y = deflate_once(entry.system, entry.zero, entry.tol, seed=1)
-        oracle = AugmentOracle(entry.system, deflated.b_matrix, normal=deflated.b_vector)
+        oracle = AugmentOracle(entry.system, deflated.system.weights, normal=deflated.system.normal)
         out.append((oracle.system, y))
     return tuple(out)
 
@@ -957,6 +957,18 @@ def test_system_from_terms_equals_the_checked_construction():
         for p in system:
             assert all(type(e) is int for alpha in p.terms for e in alpha)
             assert all(type(c) is complex and c != 0 for c in p.terms.values())
+
+
+def test_system_from_terms_rejects_a_repeated_term():
+    with pytest.raises(ValueError, match=r"^row 0 has two terms with exponent \(1,\)$"):
+        system_from_terms(np.array([[1], [1]]), np.array([1, 2]), np.array([0, 0]), 1)
+    # out of canonical order, the first repeat in that order is named
+    expo = np.array([[0, 2], [1, 0], [0, 2], [1, 0], [1, 0]])
+    with pytest.raises(ValueError, match=r"^row 0 has two terms with exponent \(1, 0\)$"):
+        system_from_terms(expo, np.ones(5), np.array([1, 1, 1, 0, 0]), 2)
+    # one exponent in two rows is no repeat, and a term with coefficient 0 is dropped first
+    system = system_from_terms(expo[:4], np.array([1, 1, 0, 2]), np.array([1, 0, 1, 1]), 2)
+    assert system == parse_system("x\ny^2 + 2*x", ["x", "y"])
 
 
 def test_system_from_terms_needs_a_row():

@@ -133,6 +133,16 @@ def test_first_refinement_rejects_kappa_n(running):
         first_refinement(running, XI, split)
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [([np.nan, 1, 1], "point coordinate 1 is not finite"), ([1, 1], "point has 2 coordinates, expected 3")],
+)
+def test_first_refinement_checks_its_point(running, x, message):
+    split = split_svd(running.jacobian([1.001, 0.999, 1.001]), 0.1)
+    with pytest.raises(ValueError, match=message):
+        first_refinement(running, x, split)
+
+
 def test_first_refinement_rejects_inconsistent_split(running):
     import dataclasses
 
@@ -350,7 +360,7 @@ def randomized_deflation(system, x0, tol):
     symbolic twin R.symbolic_augment(...), and the augmented start."""
     deflated, y = deflate_once(system, x0, tol)
     g = SquareRandomization(deflated.system, np.random.default_rng(0))
-    augmented = symbolic_augment(system, deflated.b_matrix, normal=deflated.b_vector)
+    augmented = symbolic_augment(system, deflated.system.weights, normal=deflated.system.normal)
     return g, symbolic_randomization(augmented, g.r), y
 
 
@@ -656,8 +666,19 @@ def test_refine_trace_json(running):
     payload = trace.to_json()
     assert payload["schema"] == 1
     assert payload["iterations"] == trace.iterations
-    assert len(payload["steps"]) == trace.iterations
+    assert payload["kappas"] == [step.kappa for step in trace.steps] and trace.iterations == 2
+    assert payload["residuals"] == trace.residuals and len(trace.residuals) == 3
     assert len(payload["error_exponents"]) == trace.iterations + 1
+    keys = {"schema", "iterations", "stop_reason", "final_point", "final_residual", "kappas", "residuals"}
+    assert set(payload) == keys | {"error_exponents"}
+    assert set(refine(running, x0, StepConfig(tol=0.1, seed=0, max_iters=2)).to_json()) == keys
+
+
+def test_refine_trace_json_is_the_same_for_the_same_inputs(running):
+    x0 = np.array([1.01, 0.99, 1.01], dtype=complex)
+    runs = [refine(running, x0, StepConfig(tol=0.1, seed=4), reference=XI) for _ in range(2)]
+    assert runs[0].iterations >= 2
+    assert runs[0].to_json() == runs[1].to_json()
 
 
 # -- convergence-order properties ------------------------------------------------------------
