@@ -27,7 +27,7 @@ from .dualspace import (
     multiplicity_structure,
 )
 from .twostep import RefineTrace, StepConfig, StepResult, auto_tolerance, refine, two_step
-from .lvz import AugmentedSystem, DeflatedSystem, GNTrace
+from .lvz import AugmentedSystem, DeflatedSystem
 from .lvz import deflate_once, deflate_to_regular, gauss_newton
 from . import bench
 
@@ -57,7 +57,6 @@ __all__ = [
     "refine",
     "AugmentedSystem",
     "DeflatedSystem",
-    "GNTrace",
     "deflate_once",
     "deflate_to_regular",
     "gauss_newton",

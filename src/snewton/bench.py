@@ -406,7 +406,7 @@ def run_robustness() -> ExperimentReport:
             "iterations": trace.iterations,
             "final_point": [format_complex(z) for z in trace.x],
             "distance_to_zero": float(np.linalg.norm(trace.x - entry.zero)),
-            "stationary": False,
+            "stationary": trace.stationary,
         }
     ]
 

@@ -163,7 +163,7 @@ def _cmd_refine(args) -> int:
             "error exponents: " + " -> ".join(f"{e:.2f}" for e in trace.error_exponents)
         )
     _emit(trace.to_json(), "\n".join(lines), args.format)
-    return 0 if trace.residuals[-1] <= cfg.stop_residual else _NOT_CONVERGED
+    return 0 if trace.converged else _NOT_CONVERGED
 
 
 def _cmd_analyze(args) -> int:

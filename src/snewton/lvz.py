@@ -24,22 +24,25 @@ Both evaluate Df at the start point once, for the multiplier estimate.
 which an augmented system meets with one pass of the parent's f, Df and
 D^2f.a.  Each Gauss-Newton step is ``numla.least_squares``: for a Dg of
 full column rank and at least 15 columns, one Householder QR of [Dg | g]
-and the inverse of R, else ``np.linalg.lstsq``.
+and the inverse of R, else ``np.linalg.lstsq``.  The steps run in
+``twostep._iterate``, the loop of ``refine``, so both stop by the same rules
+and return the same ``RefineTrace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .numla import _check_tolerance, least_squares, singular_values
-from .polycore import PolySystem, _check_direction, _check_finite, _check_start_value, _norm
+from .polycore import PolySystem, _check_direction, _check_finite, _norm
+from .twostep import RefineTrace, _iterate
 
 __all__ = [
     "AugmentedSystem",
     "DeflatedSystem",
-    "GNTrace",
     "DeflationError",
     "deflate_once",
     "deflate_structured",
@@ -60,38 +63,12 @@ class DeflatedSystem:
     kappa: int
 
 
-@dataclass
-class GNTrace:
-    """Gauss-Newton run record.
+class _LeastSquaresStep(NamedTuple):
+    """The record of one Gauss-Newton step: the least-squares step ``d``.
+    The step splits no spectrum, so it has no corank ``kappa``."""
 
-    ``converged`` means the residual target was met; ``stationary`` means the
-    steps collapsed while the residual stayed large, i.e. the iteration got
-    stuck at a stationary point of the squared-residual objective that is
-    not a zero.
-    """
-
-    points: list[np.ndarray]
-    residuals: list[float]
-    converged: bool
-    stationary: bool
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.points[-1]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.points) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stationary": self.stationary,
-            "final_residual": self.residuals[-1],
-            "final_point": [[float(z.real), float(z.imag)] for z in self.x],
-        }
+    d: np.ndarray
+    kappa = None
 
 
 class AugmentedSystem:
@@ -283,15 +260,18 @@ def gauss_newton(
     y0,
     max_iter: int = 100,
     stop: float = 1e-12,
-) -> GNTrace:
+) -> RefineTrace:
     """Gauss-Newton on a (possibly overdetermined) system:
-    y <- y - least_squares(Dg(y), g(y)), the minimum-norm least-squares
-    step (one QR of [Dg | g] where ``numla.least_squares`` takes that path).
+    y <- y - d with d = least_squares(Dg(y), g(y)), the minimum-norm
+    least-squares step (one QR of [Dg | g] where ``numla.least_squares``
+    takes that path), run by ``twostep._iterate``.
 
-    Flags ``converged`` when ||g(y)|| <= stop, ``stationary`` when the step
-    norm falls below 1e-13 while the residual is still above stop; both
-    norms are ``np.linalg.norm``'s bits (``polycore._norm``).  g and Dg come
-    from one ``_values`` call per iterate.
+    The run stops as "residual" when ||g(y)|| <= stop (``converged``), as
+    "nonfinite" when g overflows at an iterate, as "stagnation" when
+    ||d|| < 1e-13 while the residual is still above stop (``stationary``),
+    or as "max_iters" after ``max_iter`` steps; both norms are
+    ``np.linalg.norm``'s bits (``polycore._norm``).  g and Dg come from one
+    ``_values`` call per iterate.
     """
     if len(system) < system.num_vars:
         raise ValueError("gauss_newton needs at least as many equations as variables")
@@ -301,20 +281,12 @@ def gauss_newton(
         raise ValueError(f"stop must be at least 0, got {stop}")
     y = system._check_point(y0)
     g, jac = system._values(y, (0, 1))
-    points = [y]
-    residuals = [_norm(_check_start_value(g))]
-    converged = residuals[0] <= stop
-    stationary = False
-    for _ in range(max_iter):
-        if converged or stationary:
-            break
-        step = least_squares(jac, g)
-        y = y - step
-        g, jac = system._values(system._check_point(y), (0, 1))
-        points.append(y)
-        residuals.append(_norm(g))
-        if residuals[-1] <= stop:
-            converged = True
-        elif _norm(step) < 1e-13:
-            stationary = True
-    return GNTrace(points=points, residuals=residuals, converged=converged, stationary=stationary)
+
+    def step(y, g):
+        nonlocal jac
+        d = least_squares(jac, g)
+        y_new = system._check_point(y - d)
+        g_new, jac = system._values(y_new, (0, 1))
+        return _LeastSquaresStep(d), y_new, g_new
+
+    return _iterate(step, y, g, stop, max_iter, lambda y, y_new, record: _norm(record.d) < 1e-13)

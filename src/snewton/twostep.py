@@ -33,6 +33,9 @@ direction recomputes only D2f(x').v.  ``two_step`` checks x and builds v
 itself, so its projection and kernel steps skip the checks of the public
 ``first_refinement`` and ``second_refinement``, and its split checks only
 that Df is finite.
+
+``refine`` and ``lvz.gauss_newton`` run their steps in ``_iterate``, the one
+stop loop, and return its ``RefineTrace``.
 """
 
 from __future__ import annotations
@@ -129,10 +132,12 @@ class StepResult:
 
 @dataclass
 class RefineTrace:
-    """Iteration history of ``refine``; ``residuals`` holds the norm of f at
-    the start and after each iteration."""
+    """History of one ``_iterate`` run, of ``refine`` or ``lvz.gauss_newton``:
+    a record per iteration in ``steps`` (a ``StepResult``, or a Gauss-Newton
+    step, whose ``kappa`` is None), the norm of f at the start and after each
+    iteration in ``residuals``, and the rule that ended the run."""
 
-    steps: list[StepResult]
+    steps: list
     x: np.ndarray
     residuals: list[float]
     stop_reason: str
@@ -141,6 +146,16 @@ class RefineTrace:
     @property
     def iterations(self) -> int:
         return len(self.steps)
+
+    @property
+    def converged(self) -> bool:
+        """The residual target was met (stop reason "residual")."""
+        return self.stop_reason == "residual"
+
+    @property
+    def stationary(self) -> bool:
+        """The steps collapsed above the residual target (stop reason "stagnation")."""
+        return self.stop_reason == "stagnation"
 
     def to_json(self) -> dict:
         """The run as JSON data, which holds no timing: equal runs give equal data."""
@@ -336,9 +351,8 @@ def refine(
     cfg: StepConfig | None = None,
     reference=None,
 ) -> RefineTrace:
-    """Iterate ``two_step`` until the residual target, stagnation, a
-    residual that is not finite (stop reason "nonfinite": f overflowed at the
-    last iterate, which the trace ends at), or the iteration cap.
+    """``_iterate`` over ``two_step`` from x0, to ``cfg``'s residual target
+    and iteration cap; the run stagnates when ||x'' - x|| < 1e-15 (1 + ||x||).
     ``reference``, when given, only annotates the trace with log10 error
     exponents (initial point first); it never steers the run.
     """
@@ -349,45 +363,51 @@ def refine(
     x = system._check_point(x0)
     ref = None if reference is None else system._check_point(reference)
 
-    exponents = None
-    if ref is not None:
-        exponents = [_exponent(x, ref)]
+    def step(x, fx):
+        result = two_step(system, x, cfg, rng=rng, fx=fx)
+        return result, result.x_double_prime, result.f_double_prime
 
-    steps: list[StepResult] = []
-    fx = polycore._check_start_value(system._values(x, (0,))[0])
-    residuals = [_norm(fx)]
-    stop_reason = "max_iters"
-    if residuals[0] <= cfg.stop_residual:
-        stop_reason = "residual"
-    else:
-        for _ in range(cfg.max_iters):
-            step = two_step(system, x, cfg, rng=rng, fx=fx)
-            x_new, fx = step.x_double_prime, step.f_double_prime
-            steps.append(step)
-            residuals.append(step.residuals["x_double_prime"])
-            if ref is not None:
-                exponents.append(_exponent(x_new, ref))
-            if residuals[-1] <= cfg.stop_residual:
-                x = x_new
-                stop_reason = "residual"
-                break
-            if not math.isfinite(residuals[-1]):
-                x = x_new
-                stop_reason = "nonfinite"
-                break
-            if _norm(x_new - x) < 1e-15 * (1.0 + _norm(x)):
-                x = x_new
-                stop_reason = "stagnation"
-                break
-            x = x_new
+    def stalled(x, x_new, _):
+        return _norm(x_new - x) < 1e-15 * (1.0 + _norm(x))
 
-    return RefineTrace(
-        steps=steps,
-        x=x,
-        residuals=residuals,
-        stop_reason=stop_reason,
-        error_exponents=exponents,
-    )
+    fx = system._values(x, (0,))[0]
+    return _iterate(step, x, fx, cfg.stop_residual, cfg.max_iters, stalled, ref)
+
+
+def _iterate(
+    step, x: np.ndarray, fx: np.ndarray, stop: float, max_iters: int, stalled, reference=None
+) -> RefineTrace:
+    """The one stop loop: ``step(x, fx)`` -> (record, x_new, f(x_new)) from a
+    checked start x with fx = f(x), until the first of these rules holds,
+    tested in this order after each step:
+
+    "residual"    ||f|| <= stop, tested at the start too (0 iterations);
+    "nonfinite"   ||f|| is not finite: f overflowed at the last iterate,
+                  which the trace ends at;
+    "stagnation"  ``stalled(x, x_new, record)``;
+    "max_iters"   ``max_iters`` steps were taken.
+
+    A start value that is not finite raises.  ``reference``, a checked point
+    or None, only adds log10 error exponents to the trace (start first).
+    """
+    residuals = [_norm(polycore._check_start_value(fx))]
+    exponents = None if reference is None else [_exponent(x, reference)]
+    records = []
+    stop_reason = "residual" if residuals[0] <= stop else "max_iters"  # until another rule holds
+    while stop_reason == "max_iters" and len(records) < max_iters:
+        record, x_new, fx = step(x, fx)
+        records.append(record)
+        residuals.append(_norm(fx))
+        if exponents is not None:
+            exponents.append(_exponent(x_new, reference))
+        if residuals[-1] <= stop:
+            stop_reason = "residual"
+        elif not math.isfinite(residuals[-1]):
+            stop_reason = "nonfinite"
+        elif stalled(x, x_new, record):
+            stop_reason = "stagnation"
+        x = x_new
+    return RefineTrace(records, x, residuals, stop_reason, exponents)
 
 
 def _exponent(x: np.ndarray, ref: np.ndarray) -> float:

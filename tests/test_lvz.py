@@ -1,5 +1,7 @@
 """Deflation baseline: augmentation rounds and Gauss-Newton behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -567,9 +569,14 @@ def test_gauss_newton_rejects_non_finite_start():
 
 
 def test_gauss_newton_trace_json(running):
+    # the one trace payload of refine: a Gauss-Newton step chooses no corank
     deflated, y0 = deflate_once(running, np.array([1.01, 0.99, 1.01]), 0.1, seed=3)
     trace = gauss_newton(deflated.system, y0, max_iter=50)
-    payload = trace.to_json()
+    payload = json.loads(json.dumps(trace.to_json()))
     assert payload["schema"] == 1
-    assert payload["converged"] is True
-    assert payload["iterations"] == trace.iterations
+    assert payload["stop_reason"] == "residual"
+    assert payload["iterations"] == trace.iterations >= 2
+    assert payload["kappas"] == [None] * trace.iterations
+    assert payload["residuals"] == trace.residuals
+    keys = {"schema", "iterations", "stop_reason", "final_point", "final_residual", "kappas", "residuals"}
+    assert set(payload) == keys

@@ -1,12 +1,16 @@
 """The split-step refinement: operators, steps, driver, tolerance picking."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snewton.bench import get_entry, perturbed_start, random_variant, variant_rank_tolerance
-from snewton.lvz import AugmentedSystem, deflate_once
+from snewton.lvz import AugmentedSystem, deflate_once, deflate_structured, gauss_newton
 from snewton.numla import SingularMatrixError, solve, split_svd
 from snewton.polycore import PolySystem, parse_system
 from snewton.twostep import (
@@ -19,7 +23,7 @@ from snewton.twostep import (
     second_refinement,
     two_step,
 )
-from snewton.twostep import _solve_small
+from snewton.twostep import _iterate, _solve_small
 
 from oracles import (
     SquareRandomization,
@@ -587,8 +591,6 @@ def test_refine_rejects_non_finite_start(running):
 def test_overflow_at_the_start_point_is_named():
     """A finite start whose f overflows is blamed on the overflow, not on
     the point, by refine, two_step and gauss_newton."""
-    from snewton.lvz import gauss_newton
-
     for run in (refine, two_step, gauss_newton):
         system = get_entry("running-example").system  # f not yet evaluated there
         with pytest.warns(RuntimeWarning) as caught:
@@ -598,17 +600,72 @@ def test_overflow_at_the_start_point_is_named():
 
 
 def test_overflow_after_the_start_point_stops_as_nonfinite():
-    """f(1e-200) = -1, but the first Newton step lands near 5e199, where f
-    overflows: refine stops there as "nonfinite", and two_step started there
-    still blames the start point."""
+    """f(1e-200) = -1, but the first step of refine (Newton's) and of
+    gauss_newton lands near 5e199, where f overflows: both stop there as
+    "nonfinite", and two_step started there still blames the start point."""
     system = parse_system("x^2 - 1", ["x"])
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = refine(system, [1e-200])
-        assert (trace.stop_reason, trace.iterations) == ("nonfinite", 1)
-        assert np.array_equal(trace.x, trace.steps[-1].x_double_prime)
-        assert abs(trace.x[0]) > 1e199 and not np.isfinite(trace.residuals[-1])
+        two, gn = (run(system, [1e-200]) for run in (refine, gauss_newton))
+        for trace in (two, gn):
+            assert (trace.stop_reason, trace.iterations) == ("nonfinite", 1)
+            assert abs(trace.x[0]) > 1e199 and not np.isfinite(trace.residuals[-1])
+        assert np.array_equal(two.x, two.steps[-1].x_double_prime)
+        assert np.array_equal(gn.x, 1e-200 - gn.steps[-1].d)
         with pytest.raises(ValueError, match="f overflows at the start point"):
-            two_step(system, trace.x)
+            two_step(system, two.x)
+
+
+# Both pipelines through the one driver: refine, and deflate_once +
+# gauss_newton, each run (system, start, residual target, iteration cap).
+def _refine_pipeline(system, x0, stop, cap):
+    # StepConfig takes a positive target only: the least positive double
+    # stands for 0, which no residual on these runs reaches
+    return refine(system, x0, StepConfig(tol=0.1, seed=0, stop_residual=max(stop, 5e-324), max_iters=cap))
+
+
+def _gauss_newton_pipeline(system, x0, stop, cap):
+    deflated, y0 = deflate_once(system, x0, 0.1, seed=3)
+    return gauss_newton(deflated.system, y0, max_iter=cap, stop=stop)
+
+
+PIPELINES = pytest.mark.parametrize("pipeline", [_refine_pipeline, _gauss_newton_pipeline])
+
+
+@PIPELINES
+def test_a_start_at_the_target_stops_as_residual_with_no_iteration(running, pipeline):
+    trace = pipeline(running, XI, 1e-13, 50)
+    assert (trace.stop_reason, trace.iterations, trace.steps, len(trace.residuals)) == ("residual", 0, [], 1)
+    assert trace.converged and not trace.stationary
+
+
+@PIPELINES
+def test_the_iteration_cap_stops_as_max_iters(running, pipeline):
+    trace = pipeline(running, [1.01, 0.99, 1.01], 0.0, 2)
+    assert (trace.stop_reason, trace.iterations, len(trace.residuals)) == ("max_iters", 2, 3)
+    assert not (trace.converged or trace.stationary) and trace.residuals[-1] > 0
+
+
+def test_the_flags_follow_the_stop_reason_on_criterion_14_and_the_robustness_pair():
+    criterion_14 = parse_system("x^3 - x^2\n3*x^2 - 2*x", ["x"])
+    traces = [gauss_newton(criterion_14, [x0], max_iter=200) for x0 in (0.6, 0.7, 0.9, 1.2, 0.7 + 0.05j)]
+    entry = get_entry("robustness-pair")
+    g, y0 = deflate_structured(entry.system, [0.3, 0.3], [[1.0], [0.0]], [[0.0], [1.0]], [1.0])
+    traces.append(gauss_newton(g, y0, max_iter=100))
+    assert [(t.stop_reason, t.stationary, t.converged) for t in traces] == [("stagnation", True, False)] * 6
+    two = refine(entry.system, [0.3, 0.3], StepConfig(tol=entry.tol, seed=0, max_iters=8))
+    assert (two.stop_reason, two.iterations, two.converged, two.stationary) == ("residual", 6, True, False)
+
+
+def loops_in(function) -> list[int]:
+    """The line numbers, within its source, of the for and while loops of ``function``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While)))
+
+
+def test_refine_and_gauss_newton_leave_every_stop_rule_to_the_driver():
+    # the stop rules are written once, in the loop of _iterate
+    assert loops_in(refine) == loops_in(gauss_newton) == []
+    assert loops_in(_iterate) and loops_in(two_step)  # the check sees a while and a for loop
 
 
 def test_refine_is_reproducible_with_seed():
