@@ -5,7 +5,8 @@ A script compares two source trees, a parent and a change (``src/`` and
 writes one JSON file, saved after every measurement.  It passes ``main`` its
 docstring, its probes, the function that measures and its ``--out`` and
 ``--rounds`` defaults; the options, the file's header, the probe processes,
-the alternating rounds and the perfbench pairs are written here once.
+the alternating rounds, their reduction to one value per side and the
+perfbench pairs with their ``end_to_end`` header are written here once.
 ``--probe KIND`` runs the script's probe ``KIND`` and prints its JSON; the
 script runs it in a fresh process whose ``PYTHONPATH`` is a tree's ``src/``.
 """
@@ -13,7 +14,6 @@ script runs it in a fresh process whose ``PYTHONPATH`` is a tree's ``src/``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -29,6 +29,14 @@ MIN_REPS = 3  # calls per median_call, at least
 SIDES = ("parent", "change")
 PERFBENCH_COMMAND = ("python3 perfbench/run.py --workload W --seed S --seconds {:g} --trace 0, "
                      "run in each tree")
+PAIRS_METHOD = (
+    "parent/change pairs, one pair per seed, the side that runs first alternating from pair to "
+    "pair; medians and quartiles (numpy linear quantiles) over the pairs; change_better_pairs "
+    "counts pairs where the change reads lower. Per workload: digests_match (perfbench outcome "
+    "digests equal in every pair), correct, failed, attempted and failures as each run reports "
+    "them, and per metric its value in every run (parent_runs, change_runs), the ratio of the "
+    "medians (change_over_parent), whether the medians differ by more than the parent's q3 - q1 "
+    "(median_gap_exceeds_parent_iqr) and the pairs run")
 
 
 def main(script, doc: str, what: str, out: str, rounds: int, rounds_help: str, probes: dict, measure,
@@ -95,11 +103,21 @@ class Run:
                 probes[side].append(self.probe(side, kind))
         return probes
 
-    def pairs(self, into: dict) -> None:
-        """The perfbench pairs of ``--pairs``, summarised per workload in
-        ``into`` and saved after every pair: ``perfbench/run.py --workload W
-        --seed S --seconds SECONDS --trace 0`` in each tree, one parent/change
-        pair per seed, the side that runs first alternating from pair to pair."""
+    def pairs(self, claimed: str | None = None) -> None:
+        """The perfbench pairs of ``--pairs``, if any, as the document's
+        ``end_to_end``: its command and method, the metric the change claims
+        a gain on (``claimed``, where it claims one), and per workload the
+        summary of its pairs, saved after every pair.  Each pair runs
+        ``perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0``
+        in each tree, one parent/change pair per seed, the side that runs
+        first alternating from pair to pair."""
+        if not self.args.pairs:
+            return
+        section = self.doc["end_to_end"] = {"command": PERFBENCH_COMMAND.format(self.args.seconds),
+                                            "method": PAIRS_METHOD}
+        if claimed:
+            section["claimed"] = claimed
+        into = section["workloads"] = {}
         for spec in self.args.pairs:
             workload, seeds = _seeds(spec)
             runs = []
@@ -109,6 +127,18 @@ class Run:
                 runs.append((got["parent"], got["change"]))
                 into[workload] = {"seeds": seeds[: k + 1], **_summary(runs)}
                 self.save()
+
+
+def over_rounds(rounds: list):
+    """One value from the rounds of a probe: a dict key by key, a float as its
+    median over the rounds, and any other value as it is where every round
+    agrees, or as the list of the rounds' values where they differ."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {key: over_rounds([r[key] for r in rounds]) for key in first}
+    if isinstance(first, float):
+        return float(np.median(rounds))
+    return first if all(r == first for r in rounds) else list(rounds)
 
 
 def median_call(fn, seconds: float, max_reps: int | None = None) -> tuple[float, int]:
@@ -122,23 +152,6 @@ def median_call(fn, seconds: float, max_reps: int | None = None) -> tuple[float,
         fn()
         times.append(time.perf_counter() - t)
     return float(np.median(times)), len(times)
-
-
-@contextlib.contextmanager
-def counting(owner, name: str):
-    """Within the block, each call of ``owner.name`` appends its positional
-    arguments to the list this yields."""
-    real, calls = getattr(owner, name), []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    setattr(owner, name, counted)
-    try:
-        yield calls
-    finally:
-        setattr(owner, name, real)
 
 
 def _run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:

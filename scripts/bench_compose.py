@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from abdriver import SIDES, main
+from abdriver import main, over_rounds
 
 CUBIC_SIZES = (20, 50, 100)
 VARIANT_SIZES = (10, 15, 20)
@@ -76,17 +76,16 @@ def probe() -> dict:
 
 def measure(run) -> None:
     """The in-process rounds, then perfbench pairs."""
-    runs = run.alternate("compose", run.args.rounds)
-    in_process = {}
-    for case, quantities in runs["parent"][0].items():
-        in_process[case] = {}
-        for name in quantities:
-            medians = {side: float(np.median([r[case][name] for r in runs[side]])) for side in SIDES}
-            in_process[case][name] = {**medians, "change_over_parent": medians["change"] / medians["parent"]}
+    medians = {side: over_rounds(probes) for side, probes in run.alternate("compose", run.args.rounds).items()}
+    in_process = {
+        case: {name: {"parent": p, "change": medians["change"][case][name],
+                      "change_over_parent": medians["change"][case][name] / p}
+               for name, p in quantities.items()}
+        for case, quantities in medians["parent"].items()
+    }
     run.doc |= {"rounds": run.args.rounds, "in_process": in_process}
     run.save()
-    if run.args.pairs:
-        run.pairs(run.doc.setdefault("end_to_end", {}))
+    run.pairs()
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ The script writes one JSON file in the layout of ``BENCH_onepass.json``:
   shape measured: what sets the constant.
 * ``gauss_newton``: one ``deflate_once`` + ``gauss_newton`` run (the perfbench
   baseline task) on ``random_variant(n, 2, seed=1)`` from 1e-3 off the zero
-  with the oracle tolerance, n in {10, 20, 50, 100}: its median time, its
-  iterations, the ``np.linalg.lstsq`` calls and evaluation passes
-  (``polycore._monomials`` calls) of one run, and a digest of its final
-  point.
+  with the oracle tolerance, n in {10, 20, 50, 100}: its median time, and
+  the iterations, whether it converged, the distance to the zero and a
+  digest of the final point of one run.  Its ``lstsq`` calls and
+  evaluation passes are pinned by tests in ``tests/``, not counted here.
 
 The options, the alternating processes and the save after every
 measurement are those of ``scripts/abdriver.py``; the probes are here.
@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from abdriver import MIN_REPS, PERFBENCH_COMMAND, counting, main, median_call
+from abdriver import MIN_REPS, main, median_call, over_rounds
 
 SHAPE_SIZES = range(2, 26)
 SHAPE_KAPPAS = (1, 2, 3)
@@ -97,7 +97,6 @@ def _with_qr_columns(numla, columns: int, m, b):
 
 def probe_gauss_newton() -> dict:
     """The baseline task per size of ``GN_SIZES``, as the module docstring says."""
-    from snewton import polycore
     from snewton.bench import random_variant, variant_rank_tolerance
     from snewton.lvz import deflate_once, gauss_newton
 
@@ -113,28 +112,17 @@ def probe_gauss_newton() -> dict:
             deflated, y0 = deflate_once(system, x0, tol, seed=2)
             return gauss_newton(deflated.system, y0, stop=1e-13)
 
-        with counting(np.linalg, "lstsq") as lstsq, counting(polycore, "_monomials") as passes:
-            trace = run()
+        trace = run()
         time_s, reps = median_call(run, GN_SECONDS, max_reps=200)
         out[f"n{n}"] = {
             "s": time_s,
             "reps": reps,
             "iterations": trace.iterations,
             "converged": trace.converged,
-            "lstsq_calls": len(lstsq),
-            "passes": len(passes),
             "distance": float(np.linalg.norm(trace.x[:n] - zero)),
             "x_sha256": hashlib.sha256(trace.x.tobytes()).hexdigest(),
         }
     return out
-
-
-def _over_rounds(probes: list[dict], timed) -> dict:
-    """Per key of the first probe, each value that ``timed(name)`` picks as
-    its median over the rounds, every other value as the first round has it."""
-    return {key: {name: float(np.median([p[key][name] for p in probes])) if timed(name) else value
-                  for name, value in first.items()}
-            for key, first in probes[0].items()}
 
 
 def _crossover(shapes: dict) -> int | None:
@@ -148,15 +136,7 @@ def _crossover(shapes: dict) -> int | None:
 def measure(run) -> None:
     """Perfbench pairs, then the shapes, then the baseline runs."""
     doc, rounds = run.doc, run.args.rounds
-    doc["end_to_end"] = {
-        "command": PERFBENCH_COMMAND.format(run.args.seconds),
-        "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
-                  "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
-                  "pairs; change_better_pairs counts pairs where the change reads lower",
-        "claimed": "variants second_s.gmean",
-        "workloads": {},
-    }
-    run.pairs(doc["end_to_end"]["workloads"])
+    run.pairs(claimed="variants second_s.gmean")
     shapes = run.alternate("shapes", rounds)
     doc["shapes"] = {
         "method": f"one process per revision and round ({rounds} rounds, the first revision "
@@ -165,8 +145,7 @@ def measure(run) -> None:
                   "the median over its calls, then the median over the rounds; "
                   "qr_path is least_squares with numla._QR_MIN_COLUMNS = 1, where the revision "
                   "has that constant",
-        "runs": {side: _over_rounds(p, lambda name: name not in ("n", "kappa", "cols"))
-                 for side, p in shapes.items()},
+        "runs": {side: over_rounds(p) for side, p in shapes.items()},
     }
     doc["shapes"]["crossover"] = {side: _crossover(s) for side, s in doc["shapes"]["runs"].items()}
     run.save()
@@ -174,8 +153,9 @@ def measure(run) -> None:
     doc["gauss_newton"] = {
         "method": f"one process per revision and round ({rounds} rounds); per size the median "
                   f"time of deflate_once + gauss_newton over at least {MIN_REPS} runs and "
-                  f"{GN_SECONDS} s after one counted run; times are the medians over the rounds",
-        "runs": {side: _over_rounds(p, lambda name: name == "s") for side, p in gn.items()},
+                  f"{GN_SECONDS} s after one run; times and distances are the medians over the "
+                  "rounds, every other value is the same in every round (a list where it is not)",
+        "runs": {side: over_rounds(p) for side, p in gn.items()},
     }
     run.save()
 

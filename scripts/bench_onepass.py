@@ -22,12 +22,11 @@ The script writes one JSON file in the layout of ``BENCH_evaluator.json``:
   seed=1)``, in one fresh process per revision, size and round; the rounds
   alternate which revision goes first.  The Newton step and both
   ``two_step`` take a fresh point at every call, and ``step_over_newton``
-  is the ratio of their medians.  Each probe also counts the
-  ``np.linalg.svd`` calls and the evaluation passes (``polycore._monomials``
-  calls) of one ``two_step`` and of one ``two_step_newton``, and the passes
-  of the ``refine`` run; it reports the iterations and the stop reason of
-  that run, and of the ``refine_auto`` run also the steps per mode, the
-  final distance to the zero and a digest of the final point's bytes.
+  is the ratio of their medians.  Each probe also reports the iterations
+  and the stop reason of the ``refine`` run, and of the ``refine_auto`` run
+  also the steps per mode, the final distance to the zero and a digest of
+  the final point's bytes.  The SVDs and evaluation passes of an iteration
+  are pinned by tests in ``tests/``, not counted here.
 * ``cache``: the bytes ``tracemalloc`` still counts after one ``refine`` at
   n = 200 has returned, its result dropped: what the system's caches keep.
 
@@ -43,7 +42,7 @@ from collections import Counter
 
 import numpy as np
 
-from abdriver import MIN_REPS, PERFBENCH_COMMAND, counting, main, median_call
+from abdriver import MIN_REPS, main, median_call, over_rounds
 
 SIZES = (10, 15, 20, 50, 100, 200)
 PROBE_SECONDS = 0.4  # time per quantity, after at least MIN_REPS calls
@@ -66,12 +65,7 @@ FIELDS = {
                             "call at a new point, as gauss_newton takes them, and least_squares",
     "refine_iterations": "iterations of the oracle-tolerance refine run",
     "refine_stop": "its stop reason (max_iters: it ran to the cap of 50)",
-    "refine_passes": "its evaluation passes (f at the start point, then per iteration)",
     "two_step_newton_mode": "the mode of the tol=1e-9 two_step",
-    "two_step_svds": "np.linalg.svd calls in one oracle-tolerance two_step",
-    "two_step_newton_svds": "np.linalg.svd calls in one tol=1e-9 two_step",
-    "two_step_passes": "evaluation passes in one oracle-tolerance two_step at a fresh point",
-    "two_step_newton_passes": "evaluation passes in one tol=1e-9 two_step at a fresh point",
     "refine_auto_iterations": "iterations of the tol='auto' refine run",
     "refine_auto_modes": "its steps counted per mode",
     "refine_auto_stop": "its stop reason",
@@ -82,8 +76,7 @@ FIELDS = {
 
 def probe(n: int) -> dict:
     """Per-call medians in seconds at ``random_variant(n, 2, seed=1)``, and
-    the counts and the ``tol="auto"`` run that the module docstring names."""
-    from snewton import polycore
+    the outcomes of the runs that the module docstring names."""
     from snewton.bench import random_variant, variant_rank_tolerance
     from snewton.lvz import deflate_once
     from snewton.numla import least_squares
@@ -138,19 +131,6 @@ def probe(n: int) -> dict:
         "refine_iterations": oracle.iterations,
         "refine_stop": oracle.stop_reason,
         "two_step_newton_mode": two_step(system, x, newton_cfg).mode,
-    }
-    counts = {
-        "refine_passes": (polycore, "_monomials", "refine"),
-        "two_step_svds": (np.linalg, "svd", "two_step"),
-        "two_step_newton_svds": (np.linalg, "svd", "two_step_newton"),
-        "two_step_passes": (polycore, "_monomials", "two_step"),
-        "two_step_newton_passes": (polycore, "_monomials", "two_step_newton"),
-    }
-    for key, (owner, name, call) in counts.items():
-        with counting(owner, name) as made:
-            calls[call]()
-        out[key] = len(made)
-    out |= {
         "refine_auto_iterations": auto.iterations,
         "refine_auto_modes": dict(sorted(Counter(step.mode for step in auto.steps).items())),
         "refine_auto_stop": auto.stop_reason,
@@ -186,36 +166,10 @@ def probe_cache(n: int = 200) -> dict:
     return {"n": n, "refine_iterations": iterations, "kept_mb": kept / 1e6, "peak_mb": peak / 1e6}
 
 
-def _over_rounds(probes: list[dict]) -> dict:
-    """Times and repeat counts as their median over the rounds; every other
-    value as it was in each round, or the list of them where the rounds
-    disagree."""
-    out = {}
-    for name, first in probes[0].items():
-        values = [p[name] for p in probes]
-        if isinstance(first, float) or name.endswith("_reps"):
-            out[name] = float(np.median(values))
-        else:
-            out[name] = first if all(value == first for value in values) else values
-    return out
-
-
 def measure(run) -> None:
     """Perfbench pairs, then the in-process probes per size, then the cache."""
     doc, rounds = run.doc, run.args.rounds
-    doc["end_to_end"] = {
-        "command": PERFBENCH_COMMAND.format(run.args.seconds),
-        "method": "parent/change pairs, one pair per seed, the side that runs first alternating "
-                  "from pair to pair; medians and quartiles (numpy linear quantiles) over the "
-                  "pairs; change_better_pairs counts pairs where the change reads lower. Per "
-                  "workload: digests_match (perfbench outcome digests equal in every pair), "
-                  "correct, failed, attempted and failures as each run reports them, and per "
-                  "metric its value in every run (parent_runs, change_runs), the ratio of the "
-                  "medians (change_over_parent), whether the medians differ by more than the "
-                  "parent's q3 - q1 (median_gap_exceeds_parent_iqr) and the pairs run",
-        "claimed": "catalog solve_s.gmean",
-        "workloads": {},
-    }
+    run.pairs(claimed="catalog solve_s.gmean")
     doc["in_process"] = {
         "method": f"one process per revision, size and round ({rounds} rounds, the first "
                   "revision alternating); in each, per-call medians over at least "
@@ -225,10 +179,9 @@ def measure(run) -> None:
         "fields": FIELDS,
         "runs": {},
     }
-    run.pairs(doc["end_to_end"]["workloads"])
     for n in SIZES:
         probes = run.alternate(str(n), rounds)
-        doc["in_process"]["runs"][f"n{n}"] = {side: _over_rounds(p) for side, p in probes.items()}
+        doc["in_process"]["runs"][f"n{n}"] = {side: over_rounds(p) for side, p in probes.items()}
         run.save()
     doc["cache"] = {
         "method": "tracemalloc started after building random_variant(200, 2, seed=1); the "

@@ -661,7 +661,7 @@ def _tokenize(line: str, lineno: int):
             rest = line[pos:].lstrip()
             if not rest:
                 break
-            raise PolyParseError(f"unexpected character {rest[0]!r}", lineno, pos + 1)
+            raise PolyParseError(f"unexpected character {rest[0]!r}", lineno, len(line) - len(rest) + 1)
         col = m.start(m.lastgroup) + 1
         tokens.append((m.lastgroup, m.group(m.lastgroup), col))
         pos = m.end()
@@ -683,19 +683,18 @@ class _LineParser:
         self.names = {name: i for i, name in enumerate(names)}
         self.n = len(names)
         self.pos = 0
+        # end-of-line errors point past the last token
+        self.end = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
 
-    def error(self, message: str, col: int | None = None):
-        if col is None:
-            col = self.tokens[self.pos - 1][2] if self.tokens else 1
+    def error(self, message: str, col: int):
         raise PolyParseError(message, self.lineno, col)
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         if self.pos >= len(self.tokens):
-            last_col = self.tokens[-1][2] if self.tokens else 1
-            self.error("unexpected end of line", col=last_col)
+            self.error("unexpected end of line", self.end)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -707,7 +706,7 @@ class _LineParser:
             kind, val, col = self.peek()
             if kind is None:
                 if first:
-                    self.error("empty polynomial", col=1)
+                    self.error("empty polynomial", col)
                 break
             sign = 1.0
             if kind == "op" and val in "+-":
@@ -741,7 +740,7 @@ class _LineParser:
     def parse_factor(self):
         kind, val, col = self.peek()
         if kind is None:
-            self.error("expected a coefficient or variable", col=1)
+            self.error("expected a coefficient or variable", col)
         alpha = [0] * self.n
         if kind == "number":
             self.take()
@@ -767,9 +766,7 @@ class _LineParser:
         if kind == "op" and val == "(":
             self.take()
             coeff = self.parse_complex()
-            k2, v2, c2 = self.take()
-            if k2 != "op" or v2 != ")":
-                self.error("expected ')'", c2)
+            self.take()  # parse_complex returns at the ')'
             return coeff, alpha
         self.error(f"unexpected token {val!r}", col)
 

@@ -1,6 +1,7 @@
 """The pure parts of ``scripts/abdriver.py``, the measuring protocol of the
-bench scripts: seed ranges, the summary of perfbench pairs, and the order
-in which rounds and pairs alternate.  No subprocess is started."""
+bench scripts: seed ranges, the summary of perfbench pairs and their
+header, the reduction of probe rounds, and the order in which rounds and
+pairs alternate.  No subprocess is started."""
 
 import argparse
 import json
@@ -95,16 +96,37 @@ def test_rounds_alternate_which_tree_goes_first(run):
 
 
 def test_pairs_alternate_which_tree_goes_first_and_save_each_pair(run):
-    into = run.doc.setdefault("end_to_end", {})
-    run.pairs(into)
+    run.pairs(claimed="variants solve_s.gmean")
     assert run.calls == [("parent", "variants", 1), ("change", "variants", 1),
                          ("change", "variants", 2), ("parent", "variants", 2),
                          ("parent", "variants", 3), ("change", "variants", 3)]
+    section = run.doc["end_to_end"]
+    assert section["command"].startswith("python3 perfbench/run.py") and "--seconds 5 " in section["command"]
+    assert section["method"] == abdriver.PAIRS_METHOD and section["claimed"] == "variants solve_s.gmean"
+    into = section["workloads"]
     assert into["variants"]["seeds"] == [1, 2, 3]
     assert into["variants"]["metrics"]["solve_s.gmean"]["parent_runs"] == [1.0, 2.0, 3.0]
     saved = json.loads(run.args.out.read_text())
     assert saved == json.loads(json.dumps(run.doc))
     assert list(saved)[:4] == ["schema", "what", "revisions", "machine"]
+
+    run.args.pairs, run.calls[:] = [], []
+    del run.doc["end_to_end"]
+    run.pairs()
+    assert "end_to_end" not in run.doc and run.calls == []
+
+
+def test_over_rounds_takes_medians_of_floats_and_keeps_what_the_rounds_agree_on():
+    rounds = [
+        {"a": {"s": 3.0, "n": 10, "stop": "residual", "reps": 7}, "modes": {"two-step": 2}, "mb": 1.5},
+        {"a": {"s": 1.0, "n": 10, "stop": "residual", "reps": 9}, "modes": {"two-step": 2}, "mb": 0.5},
+        {"a": {"s": 2.0, "n": 10, "stop": "max_iters", "reps": 7}, "modes": {"two-step": 2}, "mb": 2.5},
+    ]
+    assert abdriver.over_rounds(rounds) == {
+        "a": {"s": 2.0, "n": 10, "stop": ["residual", "residual", "max_iters"], "reps": [7, 9, 7]},
+        "modes": {"two-step": 2},
+        "mb": 1.5,
+    }
 
 
 def test_main_runs_a_probe_or_checks_the_trees(capsys, tmp_path):
@@ -117,11 +139,3 @@ def test_main_runs_a_probe_or_checks_the_trees(capsys, tmp_path):
     for argv in ([], ["--parent", str(tmp_path)], ["--parent", ".", "--change", ".", "--rounds", "0"]):
         with pytest.raises(SystemExit):
             main(*argv)
-
-
-def test_counting_records_the_calls_of_a_block_and_restores():
-    owner = argparse.Namespace(f=lambda a, b=0: a + b)
-    real = owner.f
-    with abdriver.counting(owner, "f") as calls:
-        assert owner.f(1, b=2) == 3 and owner.f(4) == 4
-    assert calls == [(1,), (4,)] and owner.f is real

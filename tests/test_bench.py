@@ -242,6 +242,9 @@ def test_variant_rank_tolerance_splits_correctly():
     system, zero = random_variant(6, 3, seed=4)
     tol = variant_rank_tolerance(system, zero, 3)
     assert split_svd(system.jacobian(zero), tol).kappa == 3
+    system, zero = random_variant(3, 3, seed=4)  # corank n: no singular value to keep
+    tol = variant_rank_tolerance(system, zero, 3)
+    assert tol == 1.0 and split_svd(system.jacobian(zero), tol).kappa == 3
 
 
 # -- runners -----------------------------------------------------------------------
@@ -315,6 +318,7 @@ def test_run_efficiency_smoke():
         assert row["lvz_seconds"] > 0
     text = report.to_text()
     assert "twostep_seconds" in text
+    assert run_efficiency([], iters=1, seed=0).to_text() == "efficiency: no rows"
 
 
 def test_run_robustness_split():

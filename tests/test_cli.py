@@ -379,6 +379,15 @@ def test_bench_robustness(capsys):
     assert rows[1]["stationary"] is True
 
 
+@pytest.mark.parametrize("experiment, name", [("table1", "convergence"), ("stability", "stability")])
+def test_bench_table1_and_stability_repeat_byte_for_byte(capsys, experiment, name):
+    code, out, _ = run_cli(capsys, "bench", experiment, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["experiment"] == name and payload["rows"]
+    assert run_cli(capsys, "bench", experiment, "--format", "json") == (0, out, "")
+
+
 def test_bench_efficiency_single_row(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "efficiency", "--sizes", "6:2", "--iters", "1"

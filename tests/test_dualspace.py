@@ -748,8 +748,17 @@ def test_one_call_makes_at_most_one_taylor_shift_per_order_below_the_degree(coun
         assert len(passes) == 1
     system, zero = random_variant(8, 3, seed=0)
     passes.clear()
+    polycore._grlex_memo.cache_clear()
+    dualspace._blocks.cache_clear()
     assert multiplicity_structure(system, zero).depth == 3  # orders 1-4 from one shift
     assert len(passes) == 1
+    # a cold call makes the graded-lex tables of its orders alone: C(9, 1) +
+    # ... + C(12, 4) rows, and C(9, 1) + C(10, 2) for the necessary test
+    assert {k: len(t[0]) for k, t in polycore._grlex_memo(8).items()} == {1: 9, 2: 45, 3: 165, 4: 495}
+    polycore._grlex_memo.cache_clear()
+    dualspace._blocks.cache_clear()
+    deflation_one_necessary(system, zero)
+    assert {k: len(t[0]) for k, t in polycore._grlex_memo(8).items()} == {1: 9, 2: 45}
 
 
 def test_next_order_rejects_a_basis_of_another_variable_count(count_calls):
@@ -823,13 +832,24 @@ def test_multiplicity_structure_needs_at_least_order_one(max_order):
 
 def test_next_order_takes_no_partials_and_two_svds_per_order(count_calls):
     partials = count_calls(polycore, "normalized_partial")
-    svds = count_calls(np.linalg, "svd")
+    made = {kind: count_calls(np.linalg, kind) for kind in ("qr", "svd", "cholesky", "inv")}
+    svds = made["svd"]
     system, zero = random_variant(6, 2, seed=0)
     prev = base_basis(6)
-    for _ in range(3):
-        svds.clear()
+    # the shapes each order factors: K (none at order 1, where it has no rows;
+    # at order 3 P's QR first, and K tall, so by its R), the Gram matrix of the
+    # candidates and its Cholesky factor, and the candidates' values on the 6
+    # polynomials
+    want = {
+        1: {"svd": [(6, 7)], "cholesky": [(7, 7)], "inv": [(7, 7)]},
+        2: {"svd": [(15, 18), (6, 10)], "cholesky": [(10, 10)], "inv": [(10, 10)]},
+        3: {"qr": [(7, 4), (60, 24)], "svd": [(24, 24), (6, 10)], "cholesky": [(10, 10)], "inv": [(10, 10)]},
+    }
+    for order, shapes in want.items():
+        for calls in made.values():
+            calls.clear()
         prev = next_order(system, zero, prev)
-        assert len(svds) <= 2, prev.order
+        assert {kind: [np.shape(a[0]) for a in calls] for kind, calls in made.items() if calls} == shapes, order
     assert partials == []
     dense_next_order(system, zero, base_basis(6))
     assert partials and len(svds) > 2  # the counters do count
@@ -1093,6 +1113,10 @@ def test_is_deflation_one_contracts_the_hessian_once_per_trial(contraction_calls
     entry = get_entry("running-example")  # the first trial already accepts
     assert is_deflation_one(entry.system, entry.zero, entry.tol, seed=0) is True
     assert len(calls) == 1
+    calls.clear()
+    linear = parse_system("x - y\n2*x - 2*y", ["x", "y"])  # corank 1, D^2f.v = 0: no trial can accept
+    assert is_deflation_one(linear, [1, 1], 0.1, seed=0) is False
+    assert len(calls) == 3
 
 
 def test_non_finite_point_is_rejected_before_any_svd():

@@ -349,6 +349,7 @@ def test_structured_deflation_takes_a_vector_as_one_column(running):
         (np.ones((2, 1)), V2_EX, r"V1 has shape \(2, 1\), expected 3 rows"),
         (V1_EX, np.ones((4, 2)), r"V2 has shape \(4, 2\), expected 3 rows"),
         (V1_EX, np.ones((3, 2, 1)), r"V2 has shape \(3, 2, 1\), expected 3 rows"),
+        (V1_EX, V2_EX[:, :1], "lambda2 length must match the V2 column count"),  # two entries, one column
     ],
 )
 def test_structured_deflation_rejects_blocks_of_the_wrong_shape(running, v1, v2, message):

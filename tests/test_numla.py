@@ -291,6 +291,8 @@ MISSHAPEN = [
     (right_svd, (np.zeros((0, 2)),), rf"^right_svd {MATRIX} \(0, 2\)$"),
     (singular_values, (np.zeros((3, 0)),), rf"^singular_values {MATRIX} \(3, 0\)$"),
     (cond, (np.zeros((0, 0)),), rf"^cond {MATRIX} \(0, 0\)$"),
+    (solve, (np.eye(2), [1, 1, 1]), "^right-hand side length does not match the matrix$"),
+    (least_squares, (np.ones((3, 2)), [1, 1]), "^right-hand side length does not match the matrix$"),
 ]
 
 

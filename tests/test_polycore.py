@@ -165,12 +165,15 @@ def test_parse_running_example_first_line():
 
 def test_parse_zero_polynomial():
     assert parse_poly("0", XYZ).is_zero()
+    assert parse_poly(" 0 \t ", XYZ).is_zero()  # blanks before and after the last token
 
 
 def test_parse_complex_coefficients():
     p = parse_poly("(1+2i)*x + 3i - 0.5", ["x"])
     assert p.terms[(1,)] == 1 + 2j
     assert p.terms[(0,)] == -0.5 + 3j
+    p = parse_poly("(-i)*x^2 + (2 - i)*x + (i)", ["x"])
+    assert p.terms == {(2,): -1j, (1,): 2 - 1j, (0,): 1j}
 
 
 def test_parse_errors_carry_position():
@@ -188,6 +191,37 @@ def test_parse_errors_carry_position():
         parse_poly("x + + y", XYZ)
     with pytest.raises(PolyParseError):
         parse_poly("x @ y", XYZ)
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("x @ y", "unexpected character '@'", 3),
+        ("", "empty polynomial", 1),
+        ("x y", "expected '+' or '-' before 'y'", 3),
+        ("x - 1e999*y", "coefficient is not finite", 3),
+        ("y + x^40000", "exponent exceeds 32767", 3),
+        ("x +", "expected a coefficient or variable", 4),
+        ("x*", "expected a coefficient or variable", 3),
+        ("x +  ", "expected a coefficient or variable", 4),
+        ("x + w", "unknown variable 'w'", 5),
+        ("x^y", "exponent must be a nonnegative integer", 3),
+        ("x^", "unexpected end of line", 3),
+        ("x + )", "unexpected token ')'", 5),
+        ("x + ()", "empty parentheses", 6),
+        ("(1+2i", "expected '+', '-' or ')'", 6),
+        ("(1 2)*x", "expected '+', '-' or ')'", 4),
+        ("x - (", "expected a number inside parentheses", 6),
+        ("(x)", "expected a number inside parentheses", 2),
+        ("x +\ty\n", "line break inside a polynomial", 6),
+    ],
+)
+def test_parse_error_messages_and_positions(text, message, col):
+    # an error at the end of the line points past its last token
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, ["x", "y"], lineno=2)
+    assert str(err.value) == f"line 2, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (2, col)
 
 
 def test_parse_rejects_non_finite_coefficients():
